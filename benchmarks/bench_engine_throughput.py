@@ -1,18 +1,16 @@
-"""Engine and simulator throughput: the compiled fast path vs the
-interpreted reference, active-router scheduling vs the full scan, and
-the parallel sweep engine vs serial point-by-point execution.
+"""Engine and simulator throughput: compiled rule decisions, the
+active-router simulation loop, the batched engine against the object
+oracle, and the parallel sweep engine vs serial point-by-point
+execution.
 
-Three layers of the same story (paper Section 4.3, "software solutions
+Layers of the same story (paper Section 4.3, "software solutions
 would limit the network performance drastically"):
 
 * **decisions/sec** — the NAFTA ``incoming_message`` rule base invoked
   through the :class:`~repro.core.compiler.fastpath.DecisionKernel`
-  (extractor closures + prebaked strides + code-tuple memo) against the
-  same table executed by the interpreted pipeline (``fastpath=False``,
-  one ``eval_expr`` AST walk per premise);
-* **cycles/sec** — a full wormhole simulation with and without
-  ``SimConfig.active_scheduling`` (only routers holding flits are
-  iterated; both settings are cycle-accurate and bit-identical);
+  (extractor closures + prebaked strides + code-tuple memo);
+* **cycles/sec** — a full wormhole simulation on the object engine
+  (only routers holding flits are iterated each cycle);
 * **points/sec** — the latency/load sweep through
   :func:`repro.experiments.pool.run_sweep`: serial vs ``--workers N``
   process fan-out vs a warm content-addressed cache, all three
@@ -80,10 +78,9 @@ def decision_cases() -> list[tuple[dict, int, int]]:
     return cases
 
 
-def make_engine(fastpath: bool):
+def make_engine():
     return load_ruleset("nafta", {"xsize": WIDTH, "ysize": HEIGHT,
-                                  "qmax": QMAX, "rmax": 7},
-                        fastpath=fastpath)
+                                  "qmax": QMAX, "rmax": 7})
 
 
 def time_decisions(engine, cases, repeats: int) -> float:
@@ -102,21 +99,15 @@ def time_decisions(engine, cases, repeats: int) -> float:
 
 def bench_decisions(repeats: int, rounds: int) -> dict:
     cases = decision_cases()
-    fast = make_engine(fastpath=True)
-    legacy = make_engine(fastpath=False)
+    engine = make_engine()
     # warmup: compile kernels / fill memos outside the timed region
-    time_decisions(fast, cases, 1)
-    time_decisions(legacy, cases, 1)
-    best_fast = min(time_decisions(fast, cases, repeats)
-                    for _ in range(rounds))
-    best_legacy = min(time_decisions(legacy, cases, repeats)
-                      for _ in range(rounds))
+    time_decisions(engine, cases, 1)
+    best = min(time_decisions(engine, cases, repeats)
+               for _ in range(rounds))
     n = repeats * len(cases)
     return {
         "decisions": n,
-        "fastpath_decisions_per_sec": n / best_fast,
-        "legacy_decisions_per_sec": n / best_legacy,
-        "decision_speedup": best_legacy / best_fast,
+        "fastpath_decisions_per_sec": n / best,
     }
 
 
@@ -124,37 +115,22 @@ def bench_decisions(repeats: int, rounds: int) -> dict:
 # simulation throughput (network)
 # ---------------------------------------------------------------------------
 
-def time_sim(active: bool, cycles: int, load: float) -> tuple[float, dict]:
+def time_sim(cycles: int, load: float) -> float:
     topo = Mesh2D(WIDTH, HEIGHT)
-    net = Network(topo, make_algorithm("nafta"),
-                  config=SimConfig(active_scheduling=active))
+    net = Network(topo, make_algorithm("nafta"), config=SimConfig())
     net.attach_traffic(TrafficGenerator(topo, "uniform", load=load,
                                         message_length=6, seed=11))
     t0 = time.perf_counter()
     net.run(cycles)
-    dt = time.perf_counter() - t0
-    return dt, net.stats.summary(topo.n_nodes)
+    return time.perf_counter() - t0
 
 
 def bench_sim(cycles: int, rounds: int, load: float) -> dict:
-    runs_on = []
-    runs_off = []
-    summary_on = summary_off = None
-    for _ in range(rounds):
-        dt, summary_on = time_sim(True, cycles, load)
-        runs_on.append(dt)
-        dt, summary_off = time_sim(False, cycles, load)
-        runs_off.append(dt)
-    assert summary_on == summary_off, \
-        "active scheduling changed simulation results"
-    best_on, best_off = min(runs_on), min(runs_off)
+    best = min(time_sim(cycles, load) for _ in range(rounds))
     return {
         "cycles": cycles,
         "load": load,
-        "active_cycles_per_sec": cycles / best_on,
-        "full_scan_cycles_per_sec": cycles / best_off,
-        "sim_speedup": best_off / best_on,
-        "results_identical": True,
+        "active_cycles_per_sec": cycles / best,
     }
 
 
@@ -427,7 +403,7 @@ def run(quick: bool = False, workers: int = 0, cache: bool = True) -> dict:
         "quick": quick,
         "decision_throughput": decisions,
         # at low load most routers are idle most cycles — the active-set
-        # scan's home turf; at saturation both settings do similar work
+        # scan's home turf; at moderate load most routers hold flits
         "simulation_throughput_low_load": sim_low,
         "simulation_throughput_moderate_load": sim_mod,
         "batched_engine": bench_batched_engine(quick),

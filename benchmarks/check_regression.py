@@ -50,8 +50,6 @@ import sys
 TRACKED = (
     ("decision_throughput.fastpath_decisions_per_sec",
      "fastpath decisions/sec", "higher"),
-    ("decision_throughput.legacy_decisions_per_sec",
-     "interpreted decisions/sec", "higher"),
     ("simulation_throughput_low_load.active_cycles_per_sec",
      "sim cycles/sec (low load)", "higher"),
     ("simulation_throughput_moderate_load.active_cycles_per_sec",

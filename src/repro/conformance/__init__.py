@@ -8,7 +8,7 @@ executable half of that claim for the reconstruction.  It generates
 simulator and checks a registry of oracles — path legality,
 minimality, delivery, liveness, ROUTE_C's safe-node discipline,
 ft/nft decision equivalence in fault-free networks, and bit-identical
-agreement across the three rule interpreters.  Failing cases are
+agreement between the two rule interpreters.  Failing cases are
 shrunk to minimal repros and stored as replayable JSON corpus entries
 (see ``conformance/corpus/`` at the repo root and
 ``python -m repro.tools.conform``).

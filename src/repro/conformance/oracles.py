@@ -198,9 +198,9 @@ def oracle_ft_nft_shadow(case, meta, result, topo, faults):
 
 
 def oracle_interp_agreement(case, meta, result, topo, faults):
-    """The three rule interpreters (fast path, compiled tables, AST
-    reference) must agree bit-for-bit: same decision digest, same
-    decision count, same stats summary."""
+    """The two rule interpreters (compiled-table kernel, AST reference)
+    must agree bit-for-bit: same decision digest, same decision count,
+    same stats summary."""
     runs = result.get("interp")
     if not runs:
         return []

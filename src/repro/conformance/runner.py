@@ -22,12 +22,10 @@ from .differential import ShadowDifferential
 from .mutations import apply_mutation
 
 #: interpreter variants the cross-interpreter oracle compares: the
-#: production fast path, the compiled decision tables without it, and
-#: the AST reference interpreter
+#: production compiled-table kernel and the AST reference interpreter
 INTERP_VARIANTS = (
-    ("table+fastpath", {"engine_mode": "table", "fastpath": True}),
-    ("table", {"engine_mode": "table", "fastpath": False}),
-    ("ast", {"engine_mode": "ast", "fastpath": False}),
+    ("table", {"engine_mode": "table"}),
+    ("ast", {"engine_mode": "ast"}),
 )
 
 

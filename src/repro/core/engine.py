@@ -39,8 +39,7 @@ class RuleEngine:
                  mode: str = "table",
                  coerce: str = "saturate",
                  delays: DelayModel = DEFAULT_DELAYS,
-                 materialize: bool = True,
-                 fastpath: bool = True):
+                 materialize: bool = True):
         if mode not in ("table", "ast"):
             raise ValueError(f"unknown mode {mode!r}")
         if isinstance(program, CompiledProgram):
@@ -57,10 +56,7 @@ class RuleEngine:
         self._inputs_map = getattr(self._inputs, "mapping", None)
         self._cached_env: Env | None = None
         self._ast = AstInterpreter(self.analyzed)
-        self._rbr = RbrInterpreter(self.compiled, fastpath=fastpath)
-        # per-base decision kernels, resolved once per name (table mode
-        # with fastpath only); skips the base lookup on every call
-        self._kernels: dict[str, object] = {}
+        self._rbr = RbrInterpreter(self.compiled)
         self.events = EventManager(
             rulebase_names=set(self.analyzed.rulebases),
             event_names=set(self.analyzed.events),
@@ -75,8 +71,8 @@ class RuleEngine:
 
     def attach_tracer(self, tracer, node: int = -1) -> None:
         """Attach a :mod:`repro.obs` tracer: rule-base invocations emit
-        ``rule.invoke`` / ``rule.effects`` trace events tagged with the
-        router ``node`` the engine belongs to."""
+        ``rule.invoke`` trace events tagged with the router ``node`` the
+        engine belongs to."""
         self._rbr.tracer = tracer
         self._rbr.trace_node = node
 
@@ -125,17 +121,14 @@ class RuleEngine:
                 raise EvalError(f"unknown rule base {base_name!r}")
             return self._ast.invoke(info, args, env)
         rbr = self._rbr
-        if rbr.fastpath:
-            if rbr.tracer.enabled:
-                # the traced path goes through rbr.invoke (same kernel,
-                # plus the rule.invoke emission)
-                return rbr.invoke(self.compiled.base(base_name), args, env)
-            kern = self._kernels.get(base_name)
-            if kern is None:
-                kern = rbr.kernel(self.compiled.base(base_name))
-                self._kernels[base_name] = kern
-            return kern.invoke(args, env, rbr._subbase_runner)
-        return rbr.invoke(self.compiled.base(base_name), args, env)
+        if rbr.tracer.enabled:
+            # the traced path goes through rbr.invoke (same kernel, plus
+            # the rule.invoke emission)
+            return rbr.invoke(self.compiled.base(base_name), args, env)
+        kern = rbr.kernels.get(base_name)
+        if kern is None:
+            kern = rbr.kernel(self.compiled.base(base_name))
+        return kern.invoke(args, env, rbr._subbase_runner)
 
     def call(self, base_name: str, *args: Value) -> InvocationResult:
         """Invoke one rule base directly (one interpretation step)."""

@@ -12,7 +12,7 @@
 from .astinterp import AstInterpreter
 from .evaluator import Env, eval_expr, iteration_values, make_input_reader, to_bool
 from .event_manager import EventManager, StepCounter
-from .execution import Emission, InvocationResult, execute_conclusion
+from .execution import Emission, InvocationResult
 from .rbr import RbrInterpreter
 from .registers import RegisterFile
 from .timing import DEFAULT_DELAYS, DelayModel
@@ -20,6 +20,6 @@ from .timing import DEFAULT_DELAYS, DelayModel
 __all__ = [
     "AstInterpreter", "Env", "eval_expr", "iteration_values",
     "make_input_reader", "to_bool", "EventManager", "StepCounter",
-    "Emission", "InvocationResult", "execute_conclusion", "RbrInterpreter",
+    "Emission", "InvocationResult", "RbrInterpreter",
     "RegisterFile", "DEFAULT_DELAYS", "DelayModel",
 ]

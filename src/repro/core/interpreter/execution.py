@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...obs import events as trace_ev
 from ..dsl import nodes as N
 from ..dsl.domains import Value
 from ..dsl.errors import EvalError
@@ -89,27 +88,11 @@ def gather_effects(commands, env: Env, effects: _Effects,
 
 
 def apply_effects(effects: _Effects, env: Env,
-                  result: InvocationResult, tracer=None) -> None:
-    """Phase 2: commit writes, record emissions and the return value.
-
-    ``tracer`` (a :mod:`repro.obs` tracer, optional) records the commit
-    as a ``rule.effects`` trace event — the conclusion's externally
-    visible footprint."""
+                  result: InvocationResult) -> None:
+    """Phase 2: commit writes, record emissions and the return value."""
     for name, idx, value in effects.writes:
         env.registers.write(name, value, idx)
     result.writes.extend(effects.writes)
     result.emissions.extend(effects.emissions)
     result.returned = effects.returned
     result.has_return = effects.has_return
-    if tracer is not None and tracer.enabled:
-        tracer.emit(trace_ev.RULE_EFFECTS, base=result.base,
-                    writes=len(effects.writes),
-                    emissions=len(effects.emissions),
-                    returned=effects.has_return)
-
-
-def execute_conclusion(commands, env: Env, result: InvocationResult,
-                       subbase_runner=None, tracer=None) -> None:
-    effects = _Effects()
-    gather_effects(commands, env, effects, subbase_runner)
-    apply_effects(effects, env, result, tracer=tracer)

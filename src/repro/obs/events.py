@@ -43,7 +43,6 @@ FAULT_CONVERGED = "fault.converged"  # flood reached every reachable node
 # -- rule interpretation ----------------------------------------------------
 RULE_DECISION = "rule.decision"  # one routing decision (+ step count)
 RULE_INVOKE = "rule.invoke"  # one RBR-kernel rule-base invocation
-RULE_EFFECTS = "rule.effects"  # conclusion effects committed
 
 # -- simulator-level --------------------------------------------------------
 SIM_DEADLOCK = "sim.deadlock"  # the progress watchdog fired

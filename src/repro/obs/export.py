@@ -94,7 +94,7 @@ def chrome_trace(trace: dict, metrics: dict | None = None) -> dict:
             if worm is not None:
                 out.append(worm)
             continue
-        if kind in (ev.RULE_DECISION, ev.RULE_INVOKE, ev.RULE_EFFECTS):
+        if kind in (ev.RULE_DECISION, ev.RULE_INVOKE):
             tid = int(data.get("node", 0))
             out.append(_instant(PID_RULES, tid, cycle, kind, data))
             continue

@@ -15,15 +15,12 @@ routing never enters Python, even on the very first sighting of a
 (dest, state) key — eliminating the cache-fill warmup cliff that
 dominated short runs and large meshes.
 
-Why probing instead of the compiler's ``decide_batch``: the
-rule-driven algorithms' premises include per-cycle output-queue
-congestion, so their (single-candidate, load-chosen) decisions are not
-statically tabulable — and the hand-written native algorithms don't go
-through the rule compiler at all.  ``decide_batch``'s dense gather
-stays what it is (a vectorized replay of congestion-independent
-compiled tables, exercised by the fastpath tests); the clean table is
-the analogous artifact for the native engine, proven against the
-algorithm itself at build time.
+Why probing instead of reading compiled rule tables: the rule-driven
+algorithms' premises include per-cycle output-queue congestion, so
+their (single-candidate, load-chosen) decisions are not statically
+tabulable — and the hand-written native algorithms don't go through
+the rule compiler at all.  The clean table is proven against the
+algorithm itself at build time instead.
 
 Tables persist as JSON under the batched kernel's cache directory
 keyed by the compiler's code-version token (any source change

@@ -42,7 +42,7 @@ def make_algorithm(name: str, *, topology=None, **kwargs) -> RoutingAlgorithm:
 
     Extra keyword arguments are forwarded to the factory — used by the
     conformance harness to select interpreter variants on the
-    rule-driven algorithms (``engine_mode=``, ``fastpath=``).
+    rule-driven algorithms (``engine_mode=``).
 
     A ``"<name>+frr"`` spelling wraps the named algorithm in
     :class:`~repro.routing.backup.FastReroute` (precompiled backup
@@ -95,7 +95,7 @@ class AlgoMeta:
     #: under faults in-flight worms may be declared stuck and dropped
     #: (dead-lettered without retries; not a delivery violation)
     may_stick_under_faults: bool = False
-    #: accepts ``engine_mode``/``fastpath`` kwargs — eligible for the
+    #: accepts an ``engine_mode`` kwarg — eligible for the
     #: cross-interpreter agreement oracle
     rule_driven: bool = False
     #: additional oracle names beyond the universal set

@@ -53,11 +53,9 @@ class RuleDrivenNafta(RoutingAlgorithm):
     n_vcs = 2
     fault_tolerant = True
 
-    def __init__(self, qmax: int = 63, engine_mode: str = "table",
-                 fastpath: bool = True):
+    def __init__(self, qmax: int = 63, engine_mode: str = "table"):
         self.qmax = qmax
         self.engine_mode = engine_mode
-        self.fastpath = fastpath
         self.engines: list[RuleEngine] = []
         self.compiled = None
         self._rmax = 15
@@ -76,8 +74,7 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self.compiled = compile_ruleset("nafta", params)
         spec = RULESETS["nafta"]
         self.engines = [RuleEngine(self.compiled, functions=spec.functions,
-                                   mode=self.engine_mode,
-                                   fastpath=self.fastpath)
+                                   mode=self.engine_mode)
                         for _ in topo.nodes()]
         self.network = network
         _attach_tracers(network, self.engines)
@@ -274,9 +271,8 @@ class RuleDrivenRouteC(RoutingAlgorithm):
     n_vcs = 5
     fault_tolerant = True
 
-    def __init__(self, engine_mode: str = "table", fastpath: bool = True):
+    def __init__(self, engine_mode: str = "table"):
         self.engine_mode = engine_mode
-        self.fastpath = fastpath
         self.engines: list[RuleEngine] = []
         self.compiled = None
         self._d = 0
@@ -292,8 +288,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         self.compiled = compile_ruleset("route_c", {"d": self._d, "a": 2})
         spec = RULESETS["route_c"]
         self.engines = [RuleEngine(self.compiled, functions=spec.functions,
-                                   mode=self.engine_mode,
-                                   fastpath=self.fastpath)
+                                   mode=self.engine_mode)
                         for _ in topo.nodes()]
         self.network = network
         _attach_tracers(network, self.engines)

@@ -160,14 +160,8 @@ def compile_ruleset(name: str, params: Mapping | None = None,
 
 
 def load_ruleset(name: str, params: Mapping | None = None,
-                 mode: str = "table", fastpath: bool = True) -> RuleEngine:
-    """Compile a shipped ruleset and wire up its FCFB functions.
-
-    ``fastpath=False`` selects the interpreted table pipeline (AST walk
-    per decision) — the reference the throughput benchmark compares
-    against.
-    """
+                 mode: str = "table") -> RuleEngine:
+    """Compile a shipped ruleset and wire up its FCFB functions."""
     spec = RULESETS[name]
     compiled = compile_ruleset(name, params)
-    return RuleEngine(compiled, functions=spec.functions, mode=mode,
-                      fastpath=fastpath)
+    return RuleEngine(compiled, functions=spec.functions, mode=mode)

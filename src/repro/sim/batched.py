@@ -50,8 +50,6 @@ compiler is available.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .arbiter import Arbiter
@@ -459,9 +457,6 @@ class BatchedNetwork(Network):
         cs.n_act = 0
         cs.scan_ai = 0
         cs.m_on = 1 if self.metrics is not None else 0
-        # the object engine prunes its _active set only under active
-        # scheduling; mirror that so the gauge matches bit-for-bit
-        cs.m_prune = 1 if self.config.active_scheduling else 0
         cs.m_count = 0
         cs.ct_on = 0
         cs.ct_vnf = -1
@@ -550,7 +545,7 @@ class BatchedNetwork(Network):
         ``ct_on`` itself is (re)evaluated per route epoch in
         ``_route_phase`` — lookups live only while the known fault set
         is empty."""
-        if not self._native or os.environ.get("REPRO_BATCHED_NO_TABLE"):
+        if not self._native:
             return
         from ..routing.clean_table import load_or_build
         table = load_or_build(self.algorithm, self.topology)

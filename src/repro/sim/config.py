@@ -51,10 +51,6 @@ class SimConfig:
     #                                rip-up/retry slow path)
     trace_paths: bool = False      # record per-message node paths
     deadlock_threshold: int = 2000  # cycles without progress => deadlock
-    active_scheduling: bool = True  # iterate only routers holding flits
-    #                                 (and sources with pending worms);
-    #                                 cycle-accurate either way — the
-    #                                 False setting exists for A/B tests
     engine: str = "object"         # "object": per-flit Python objects
     #                                (the bit-exact oracle); "batched":
     #                                the struct-of-arrays engine of

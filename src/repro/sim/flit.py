@@ -14,7 +14,6 @@ and maintaining a path-length counter "is best done in the header"
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -31,25 +30,6 @@ class FlitKind(IntEnum):
 # owns a private counter and passes explicit ids to Message.create, so
 # concurrent networks in one process cannot cross-contaminate ids.
 _msg_ids = itertools.count()
-
-
-def reset_message_ids() -> None:
-    """Deprecated shim: restart the module-global fallback counter.
-
-    Message ids are allocated per :class:`~repro.sim.network.Network`
-    since the parallel sweep engine landed; a fresh network always
-    starts at id 0, so between-run resets are no longer needed.  Kept
-    for callers that create bare :class:`Message` objects and want a
-    predictable id sequence.
-    """
-    warnings.warn(
-        "reset_message_ids() is deprecated: message ids are per-Network "
-        "since the sweep engine landed, so between-run resets are "
-        "unnecessary (it only restarts the fallback counter for bare "
-        "Message objects)",
-        DeprecationWarning, stacklevel=2)
-    global _msg_ids
-    _msg_ids = itertools.count()
 
 
 @dataclass

@@ -279,12 +279,8 @@ class Network:
 
     def _inject_phase(self) -> None:
         vc = self.config.injection_vc
-        if self.config.active_scheduling:
-            # ascending node order matches the full enumerate() scan
-            nodes = sorted(self._active_sources)
-        else:
-            nodes = range(len(self.sources))
-        for node in nodes:
+        # ascending node order: the order a scan of every source visits
+        for node in sorted(self._active_sources):
             src = self.sources[node]
             if not src.current and not src.queue:
                 self._active_sources.discard(node)
@@ -438,16 +434,14 @@ class Network:
         return diagnose_stall(self)
 
     def _live_routers(self) -> list[Router]:
-        """The routers that can act this cycle.  With active scheduling
-        only those holding flits are visited, in ascending node order —
-        the same relative order as the full scan, and flit-free routers
-        contribute nothing to any phase, so the schedule is
-        cycle-accurate either way.  Routers that gain their first flit
-        mid-cycle (injection or a neighbour's grant) need no phase this
-        cycle: the flit sits in ``incoming`` until the next flush."""
+        """The routers that can act this cycle: only those holding flits,
+        in ascending node order — the same relative order as a scan of
+        every router, and flit-free routers contribute nothing to any
+        phase, so the schedule is cycle-accurate.  Routers that gain
+        their first flit mid-cycle (injection or a neighbour's grant)
+        need no phase this cycle: the flit sits in ``incoming`` until
+        the next flush."""
         routers = self.routers
-        if not self.config.active_scheduling:
-            return routers
         active = self._active
         stale = [n for n in active if routers[n].n_flits == 0]
         if stale:

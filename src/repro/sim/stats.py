@@ -22,8 +22,8 @@ class DecisionDigest:
     Two simulations agree bit-for-bit on routing behaviour iff their
     digests match: each ``route_stage`` decision is folded in as
     ``node|msg_id|deliver|stuck|steps|(port,vc)...`` in the order the
-    scheduler made them, so interpreter variants (fastpath, compiled
-    table, AST) can be compared without storing full decision logs.
+    scheduler made them, so interpreter variants (compiled table, AST)
+    and engines can be compared without storing full decision logs.
     """
 
     __slots__ = ("_hash", "count")

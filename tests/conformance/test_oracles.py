@@ -152,8 +152,6 @@ class TestShadowAndInterp:
         case = ConformanceCase(algorithm="nafta_rules", topology=MESH,
                                messages=[(0, 0, 8, 1)])
         runs = {
-            "table+fastpath": {"digest": "aa", "decisions": 4,
-                               "summary": {}},
             "table": {"digest": "aa", "decisions": 4, "summary": {}},
             "ast": {"digest": "bb", "decisions": 4, "summary": {}},
         }
@@ -164,6 +162,6 @@ class TestShadowAndInterp:
         case = ConformanceCase(algorithm="nafta_rules", topology=MESH,
                                messages=[(0, 0, 8, 1)])
         run = {"digest": "aa", "decisions": 4, "summary": {"x": 1}}
-        runs = {k: dict(run) for k in ("table+fastpath", "table", "ast")}
+        runs = {k: dict(run) for k in ("table", "ast")}
         assert "interp_agreement" not in _fired(
             case, _result([_msg()], interp=runs))

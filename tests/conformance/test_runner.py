@@ -57,7 +57,7 @@ def test_interp_comparison_attached_for_rule_driven():
     case = generate_case("route_c_rules", seed=0, index=0)
     result = run_case(case)
     runs = result["interp"]
-    assert set(runs) == {"table+fastpath", "table", "ast"}
+    assert set(runs) == {"table", "ast"}
     digests = {r["digest"] for r in runs.values()}
     assert len(digests) == 1, "interpreters disagreed"
 

@@ -1,7 +1,7 @@
-"""The compiled decision fast path (``fastpath=True``) must be an
-invisible optimization: identical InvocationResults to the interpreted
-table pipeline and the reference AST interpreter on arbitrary programs,
-and zero ``eval_expr`` AST walks on the hot decision path.
+"""The compiled decision kernel behind ``mode="table"`` must be an
+invisible optimization: identical InvocationResults to the reference
+AST interpreter on arbitrary programs, and zero ``eval_expr`` AST walks
+on the hot decision path.
 
 Also covers the ``make_input_reader`` normalization contract the fast
 path leans on: scalar index keys canonicalize to 1-tuples exactly once,
@@ -23,7 +23,7 @@ STATES = ("alpha", "beta", "gamma", "delta")
 
 
 # ---------------------------------------------------------------------------
-# property-style equivalence: fastpath == legacy table == ast
+# property-style equivalence: table kernel == ast
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -121,12 +121,11 @@ def fastpath_programs(draw):
        q=st.lists(st.integers(0, INT_MAX), min_size=4, max_size=4),
        a=st.integers(0, 3), rounds=st.integers(1, 3))
 def test_fastpath_equivalence(source, v0, mode, sensor, q, a, rounds):
-    """table+fastpath, table+legacy and ast must produce identical
-    InvocationResults — fired rule index, return value, writes and
-    emissions (order included) — from identical states."""
+    """table and ast must produce identical InvocationResults — fired
+    rule index, return value, writes and emissions (order included) —
+    from identical states."""
     compiled = compile_program(source)
-    engines = [RuleEngine(compiled, mode="table", fastpath=True),
-               RuleEngine(compiled, mode="table", fastpath=False),
+    engines = [RuleEngine(compiled, mode="table"),
                RuleEngine(compiled, mode="ast")]
     inputs = {"sensor": sensor, "q": {(i,): val for i, val in enumerate(q)}}
     for eng in engines:
@@ -147,7 +146,7 @@ def test_fastpath_equivalence(source, v0, mode, sensor, q, a, rounds):
             assert res.writes == ref.writes, source
             assert res.emissions == ref.emissions, source
         snaps = [eng.registers.snapshot() for eng in engines]
-        assert snaps[0] == snaps[1] == snaps[2], source
+        assert snaps[0] == snaps[1], source
         for eng in engines:
             eng.drain_external()
 
@@ -192,75 +191,6 @@ def test_input_reader_shares_already_canonical_tables():
 
 
 # ---------------------------------------------------------------------------
-# batched premise processing: decide_batch == entry, element for element
-# ---------------------------------------------------------------------------
-
-BATCH_PROGRAM = f"""
-VARIABLE v0 IN 0 TO {INT_MAX}
-INPUT sensor IN 0 TO {INT_MAX}
-INPUT q(0 TO 3) IN 0 TO {INT_MAX}
-ON decide(a IN 0 TO 3) RETURNS 0 TO {INT_MAX}
-  IF q(a) < 4 AND sensor > 2 THEN RETURN(q(a));
-  IF v0 >= 3 THEN RETURN(v0);
-  IF sensor <= 2 THEN RETURN(1);
-END decide;
-"""
-
-
-def _batch_kernel_and_rows():
-    """One kernel plus (codes row, scalar entry) pairs swept over real
-    environments — including gap entries (sensor > 2, q(a) >= 4,
-    v0 < 3 fires no rule)."""
-    compiled = compile_program(BATCH_PROGRAM)
-    engine = RuleEngine(compiled, mode="table", fastpath=True)
-    kern = engine._rbr.kernel(compiled.base("decide"))
-    rows, refs = [], []
-    for sensor in range(INT_MAX + 1):
-        for v0 in range(0, INT_MAX + 1, 3):
-            engine.registers.write("v0", v0)
-            engine.set_inputs(
-                {"sensor": sensor,
-                 "q": {(i,): (sensor + 3 * i) % (INT_MAX + 1)
-                       for i in range(4)}}, trusted=True)
-            for a in range(4):
-                env = engine._env().bind({"a": a})
-                rows.append(kern.codes(env))
-                refs.append(kern.entry(env))
-    return kern, rows, refs
-
-
-def test_decide_batch_matches_scalar_entries():
-    """The vectorized gather must agree with the memoised scalar path
-    on every environment, gap entries (NO_RULE) included."""
-    from repro.core.compiler.tablegen import NO_RULE
-
-    kern, rows, refs = _batch_kernel_and_rows()
-    got = kern.decide_batch(*zip(*rows))
-    assert got.tolist() == refs
-    assert NO_RULE in refs  # the sweep really exercises table gaps
-
-
-def test_decide_batch_rejects_bad_shapes_and_codes():
-    kern, rows, _ = _batch_kernel_and_rows()
-    cols = list(zip(*rows))
-    with pytest.raises(EvalError, match="premise features"):
-        kern.decide_batch(*cols[:-1])
-    bad = list(cols)
-    bad[0] = tuple(c + 10_000 for c in bad[0])
-    with pytest.raises(EvalError, match="out of range"):
-        kern.decide_batch(*bad)
-    bad[0] = tuple(-1 for _ in cols[0])
-    with pytest.raises(EvalError, match="out of range"):
-        kern.decide_batch(*bad)
-
-
-def test_decide_batch_empty_batch():
-    kern, rows, _ = _batch_kernel_and_rows()
-    got = kern.decide_batch(*([[]] * len(rows[0])))
-    assert len(got) == 0
-
-
-# ---------------------------------------------------------------------------
 # the hot path performs no AST interpretation
 # ---------------------------------------------------------------------------
 
@@ -276,32 +206,37 @@ END decide;
 """
 
 
-def _counting_eval_expr(counter):
+def _count_eval_expr(monkeypatch) -> dict:
+    """Route every module-level ``eval_expr`` reference the interpreter
+    stack holds through a call counter."""
+    from repro.core.interpreter import astinterp, execution
+
+    counter = {"calls": 0}
     real = evaluator.eval_expr
 
     def counted(expr, env):
         counter["calls"] += 1
         return real(expr, env)
 
-    return counted
+    for module in (evaluator, execution, astinterp):
+        monkeypatch.setattr(module, "eval_expr", counted)
+    return counter
+
+
+def _warm_engine(mode: str) -> RuleEngine:
+    engine = RuleEngine(compile_program(PERF_PROGRAM), mode=mode)
+    inputs = {"sensor": 5, "q": {(i,): i for i in range(4)}}
+    engine.set_inputs(inputs, trusted=True)
+    engine.call("decide", 2)  # warmup: build the kernel and its memos
+    return engine
 
 
 @pytest.mark.perf
 def test_hot_decision_makes_zero_eval_expr_calls(monkeypatch):
-    """After warmup, a fast-path decision must never fall back to the
+    """After warmup, a table-mode decision must never fall back to the
     AST walker — the whole point of the compiled kernel."""
-    from repro.core.interpreter import rbr
-
-    engine = RuleEngine(compile_program(PERF_PROGRAM), fastpath=True)
-    inputs = {"sensor": 5, "q": {(i,): i for i in range(4)}}
-    engine.set_inputs(inputs, trusted=True)
-    engine.call("decide", 2)  # warmup: build the kernel and its memos
-
-    counter = {"calls": 0}
-    counted = _counting_eval_expr(counter)
-    # patch every module-level reference the interpreter stack holds
-    monkeypatch.setattr(evaluator, "eval_expr", counted)
-    monkeypatch.setattr(rbr, "eval_expr", counted)
+    engine = _warm_engine("table")
+    counter = _count_eval_expr(monkeypatch)
     for a in (0, 1, 2, 3, 2, 0):
         res = engine.call("decide", a)
         assert res.has_return
@@ -310,21 +245,12 @@ def test_hot_decision_makes_zero_eval_expr_calls(monkeypatch):
 
 
 @pytest.mark.perf
-def test_legacy_path_exercises_eval_expr(monkeypatch):
-    """Control for the zero-calls assertion above: with the fast path
-    off, the same decisions DO walk ASTs — proving the counter is wired
-    to the real entry point."""
-    from repro.core.interpreter import rbr
-
-    engine = RuleEngine(compile_program(PERF_PROGRAM), fastpath=False)
-    inputs = {"sensor": 5, "q": {(i,): i for i in range(4)}}
-    engine.set_inputs(inputs, trusted=True)
-    engine.call("decide", 2)
-
-    counter = {"calls": 0}
-    counted = _counting_eval_expr(counter)
-    monkeypatch.setattr(evaluator, "eval_expr", counted)
-    monkeypatch.setattr(rbr, "eval_expr", counted)
+def test_ast_mode_exercises_eval_expr(monkeypatch):
+    """Control for the zero-calls assertion above: the AST reference
+    interpreter DOES walk ASTs for the same decisions — proving the
+    counter is wired to the real entry points."""
+    engine = _warm_engine("ast")
+    counter = _count_eval_expr(monkeypatch)
     engine.call("decide", 1)
     assert counter["calls"] > 0
     engine.events.log.clear()

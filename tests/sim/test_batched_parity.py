@@ -176,15 +176,10 @@ def _run_with_metrics(engine_cls, algo, schedule=None, cfg_kwargs=None,
     return net.stats.summary(topo.n_nodes), metrics.to_dict()
 
 
-@pytest.mark.parametrize("algo,cfg", [
-    ("nafta", {}),
-    ("nafta", {"active_scheduling": True}),
-    ("nara", {}),
-    ("xy", {}),
-], ids=["nafta", "nafta-active-sched", "nara", "xy"])
-def test_metrics_parity_clean(algo, cfg):
-    obj_s, obj_m = _run_with_metrics(Network, algo, cfg_kwargs=cfg)
-    bat_s, bat_m = _run_with_metrics(BatchedNetwork, algo, cfg_kwargs=cfg)
+@pytest.mark.parametrize("algo", ["nafta", "nara", "xy"])
+def test_metrics_parity_clean(algo):
+    obj_s, obj_m = _run_with_metrics(Network, algo)
+    bat_s, bat_m = _run_with_metrics(BatchedNetwork, algo)
     assert obj_s == bat_s
     assert obj_m == bat_m       # columns, link_flits, everything
 
@@ -270,39 +265,28 @@ def test_active_set_quiesce_empty_then_refill():
 
 
 # ---------------------------------------------------------------------------
-# build-time clean tables: bit-exact with the table disabled, and
-# correctly bypassed the moment faults are known
+# build-time clean tables: bit-exact with the object oracle (which has
+# no table), and correctly bypassed the moment faults are known
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("algo", ["nafta", "nara"])
-def test_clean_table_ab_digest_equality(algo, monkeypatch):
-    """REPRO_BATCHED_NO_TABLE must be behaviorally invisible."""
-    def one(disabled):
-        if disabled:
-            monkeypatch.setenv("REPRO_BATCHED_NO_TABLE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BATCHED_NO_TABLE", raising=False)
-        return _digest_run(BatchedNetwork, algo, {}, cycles=260)
-    assert one(False) == one(True)
+def test_clean_table_ab_digest_equality(algo):
+    """Clean-table decisions must be behaviorally invisible: the batched
+    run, table installed, matches the object engine digest for digest."""
+    net = BatchedNetwork(Mesh2D(5, 4), make_algorithm(algo))
+    assert net._ct_ready, "the clean table was not installed"
+    assert _digest_run(BatchedNetwork, algo, {}, cycles=260) == \
+        _digest_run(Network, algo, {}, cycles=260)
 
 
-def test_clean_table_bypassed_under_known_faults(monkeypatch):
-    """With faults known from cycle 0, table and no-table runs must
-    still agree (the table never fires on fault-epoch decisions)."""
+def test_clean_table_bypassed_under_known_faults():
+    """With faults known from cycle 0 the table never fires on
+    fault-epoch decisions: the batched run still matches the oracle."""
     def schedule():
         return FaultSchedule.static(links=[(5, 6)])
-    def one(disabled):
-        if disabled:
-            monkeypatch.setenv("REPRO_BATCHED_NO_TABLE", "1")
-        else:
-            monkeypatch.delenv("REPRO_BATCHED_NO_TABLE", raising=False)
-        return _digest_run(BatchedNetwork, "nafta", {}, schedule,
-                           cycles=260)
-    base = one(False)
-    assert base == one(True)
-    # and both match the oracle
-    assert base == _digest_run(Network, "nafta", {}, schedule,
-                               cycles=260)
+    assert _digest_run(BatchedNetwork, "nafta", {}, schedule,
+                       cycles=260) == \
+        _digest_run(Network, "nafta", {}, schedule, cycles=260)
 
 
 # ---------------------------------------------------------------------------

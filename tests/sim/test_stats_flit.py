@@ -2,22 +2,13 @@
 
 import math
 
-import warnings
-
 import pytest
 
-from repro.sim import FlitKind, Message, StatsCollector, reset_message_ids
+from repro.sim import FlitKind, Message, StatsCollector
 from repro.sim.config import SimConfig
 
 
 class TestMessage:
-    def setup_method(self):
-        # the shim warns by design; these tests exercise the bare-Message
-        # fallback counter it still resets
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reset_message_ids()
-
     def test_single_flit_message(self):
         m = Message.create(0, 5, 1, cycle=10)
         flits = m.flits()
@@ -36,13 +27,12 @@ class TestMessage:
         assert all(f.header is None for f in flits[1:])
 
     def test_msg_ids_unique_and_resettable(self):
+        # bare messages draw unique ids from the fallback counter; an
+        # explicit msg_id (what every Network passes) restarts numbering
         a = Message.create(0, 1, 2, 0)
         b = Message.create(0, 1, 2, 0)
         assert a.header.msg_id != b.header.msg_id
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reset_message_ids()
-        c = Message.create(0, 1, 2, 0)
+        c = Message.create(0, 1, 2, 0, msg_id=0)
         assert c.header.msg_id == 0
 
     def test_zero_length_rejected(self):

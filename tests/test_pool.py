@@ -241,16 +241,6 @@ class TestMessageIdIsolation:
         for net in nets:
             assert sorted(net.messages) == [0, 1]
 
-    def test_reset_message_ids_shim_still_works(self):
-        from repro.sim import Message, reset_message_ids
-        with pytest.warns(DeprecationWarning, match="reset_message_ids"):
-            reset_message_ids()
-        a = Message.create(0, 1, 2, 0)
-        with pytest.warns(DeprecationWarning):
-            reset_message_ids()
-        b = Message.create(0, 1, 2, 0)
-        assert a.header.msg_id == b.header.msg_id == 0
-
 
 class TestFaultSweepSeeding:
     def test_sequence_seeding_pinned_mesh_faults(self):
