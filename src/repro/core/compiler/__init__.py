@@ -8,9 +8,7 @@ rule table the RBR-kernel looks up.
 
 from .atoms import (MAX_DIRECT_BITS, AtomAnalysis, BitFeature, DirectFeature,
                     Feature)
-from .backup import (BackupTable, build_backup_table,
-                     build_backup_table_for)
-from .backup import load_or_build as load_or_build_backup_table
+from .backup import BackupTable, build_backup_table_for
 from .compile import (CompiledProgram, CompiledRuleBase, compile_base,
                       compile_program)
 from .encoding import ConclusionEncoding, Slot, build_encoding
@@ -25,8 +23,7 @@ from .transform import (TransformReport, fold_premise, fold_rules,
                         merge_adjacent_rules, drop_dead_rules, optimize_base)
 
 __all__ = [
-    "BackupTable", "build_backup_table", "build_backup_table_for",
-    "load_or_build_backup_table",
+    "BackupTable", "build_backup_table_for",
     "MAX_DIRECT_BITS", "AtomAnalysis", "BitFeature", "DirectFeature",
     "Feature", "CompiledProgram", "CompiledRuleBase", "compile_base",
     "compile_program", "ConclusionEncoding", "Slot", "build_encoding",

@@ -1,56 +1,204 @@
-"""Build-time backup rule subbases for LFA-style fast reroute.
+"""Probe-and-certify builder of derived routing tables.
 
-The paper's rule-base architecture makes post-fault reconfiguration a
-first-class compiler operation — but reconfiguration is the *slow*
-path: detection, a notification flood, and a distributed state
-recomputation all happen while worms die on the dead link.  This
-module emits the *fast* path at network-construction time: for every
-link a node could lose, a **backup next-hop subbase** — the candidate
-outputs a fresh injection at that node would legally take *if that one
-link were already dead* — precomputed before any failure and installed
-alongside the primary rules, so a detecting node can reroute locally
-the moment its heartbeat confirms the fault, with no flooding
-round-trip (the DBR-style split of fast local recovery over slow
-global convergence).
+Every derived table in this repository is read off the *live*
+algorithm under a given fault set, never hand-written:
 
-The build reuses the probe discipline of
-:mod:`repro.routing.clean_table`: entries are obtained by running the
-*live* algorithm's ``route()`` against a shadow network with exactly
-the protected link failed, and every entry is verified —
+* the batched engine's clean table (:mod:`repro.routing.clean_table`)
+  is the **empty** fault set case — fault-free decisions collapse onto
+  a 54-key sign geometry;
+* the **backup next-hop subbase** of link ``(a, b)`` is the
+  ``{(a, b)}`` case — the candidate outputs a fresh injection at an
+  endpoint would legally take *if that one link were already dead*,
+  precomputed before any failure so a detecting node can reroute
+  locally the moment its heartbeat confirms the fault, with no
+  flooding round-trip (the DBR-style split of fast local recovery over
+  slow global convergence; see :mod:`repro.routing.backup`).
 
-* **probe-verified**: each entry is re-probed and must reproduce the
-  identical decision — candidates *and* header-field writes (updown
-  commits its move map through ``header.fields``); a nondeterministic
+One discipline builds both:
+
+* **probe**: :func:`probe` runs ``route()`` once from a header with
+  given fields at a given (router, destination, in-port, VC) and
+  returns the decision plus its header-field writes (updown commits
+  its move map through ``header.fields``);
+* **admit**: each table keeps only the outcomes its consumer can
+  replay — its own admission filter;
+* **agree**: :func:`agreed` stores an entry only when every probe
+  point agrees and a repeat probe reproduces it, so a nondeterministic
   decision is disqualified, never stored;
-* **scoped**: an entry is emitted only for destinations whose
-  *fault-free* primary decision at that node uses the protected link —
-  other destinations never need the backup (classic LFA coverage);
-* **deadlock-checked**: for a deterministic sample of protected links
-  (all of them in the analysis tests) the shadow network's channel
-  dependency graph is extracted via
-  :func:`repro.analysis.deadlock.build_cdg` and must be acyclic — the
+* **certify**: for a deterministic sample of ``CERTIFY_SAMPLE``
+  protected links the shadow configuration's channel dependency graph
+  (:func:`repro.analysis.deadlock.build_cdg`) must be acyclic — the
   backup entries *are* that configuration's routing relation at the
-  injection state, so an acyclic CDG certifies them.
+  injection state, so an acyclic CDG certifies them (:func:`certify`
+  checks any one link);
+* **cache**: :func:`cached` puts an in-process memo in front of a
+  content-addressed JSON file under the batched kernel's cache
+  directory, keyed by the code-version token, the algorithm's identity
+  and the topology, so campaigns, sweep workers and CI runs with a
+  seeded cache skip the probe pass.
 
-Tables persist as JSON under the batched kernel's cache directory
-keyed by the code-version token (same convention as the clean tables),
-so sweep workers and CI runs with a seeded cache skip the probe pass.
+Backup entries are additionally **scoped**: an entry is emitted only
+for destinations whose *fault-free* primary decision at that node uses
+the protected link — other destinations never need the backup (classic
+LFA coverage).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ...sim.flit import Header
+from ...sim.router import LOCAL
 from ...sim.topology import link_key
-
-#: pseudo in-port: the probe models a fresh injection at the local port
-_LOCAL = -1
 
 #: bump to invalidate persisted tables on format changes
 _FORMAT = 1
+
+#: protected links per backup table whose shadow configuration is
+#: CDG-certified (deterministic, evenly spread).  Certifying every link
+#: costs ~20x the whole build on an 8x8 mesh.
+CERTIFY_SAMPLE = 4
+
+#: field-write value of a header field ``route()`` deleted
+_DELETED = object()
+
+
+# -- probe, agree, certify ---------------------------------------------
+
+
+def probe(algorithm, router, dst: int, fields: dict, in_port: int,
+          in_vc: int):
+    """One ``route()`` call on a fresh header carrying ``fields``:
+    ``(deliver, steps, hint, candidates, field_writes)``, or None when
+    the algorithm declares ``dst`` unroutable.  ``field_writes`` maps
+    each header field the call added or changed to its new value (and
+    each one it deleted to a private marker)."""
+    header = Header(msg_id=-1, src=router.node, dst=dst, length=2,
+                    created=0, fields=dict(fields))
+    dec = algorithm.route(router, header, in_port, in_vc)
+    if dec.stuck:
+        return None
+    after = header.fields
+    writes = {k: v for k, v in after.items()
+              if fields.get(k, _DELETED) != v}
+    writes.update((k, _DELETED) for k in fields if k not in after)
+    return (int(dec.deliver), int(dec.steps), int(dec.refresh_hint),
+            tuple((int(p), int(v)) for p, v in dec.candidates), writes)
+
+
+def agreed(algorithm, points, admit):
+    """The admitted outcome every probe point agrees on, else None.
+
+    ``points`` are ``(router, dst, fields, in_port, in_vc)`` tuples;
+    ``admit(outcome, fields)`` maps a :func:`probe` outcome to the
+    table's stored form, or None when the table cannot replay it.  The
+    first point is probed once more at the end: the same probe twice
+    must agree."""
+    outcome = None
+    for router, dst, fields, in_port, in_vc in points:
+        got = admit(probe(algorithm, router, dst, fields, in_port, in_vc),
+                    fields)
+        if got is None or (outcome is not None and got != outcome):
+            return None
+        outcome = got
+    if outcome is None:
+        return None
+    router, dst, fields, in_port, in_vc = points[0]
+    if admit(probe(algorithm, router, dst, fields, in_port, in_vc),
+             fields) != outcome:
+        return None
+    return outcome
+
+
+@contextmanager
+def faulted(net, link):
+    """``net`` with ``link`` failed and its algorithm's fault knowledge
+    converged, restored on exit.  ``known_faults`` aliases ``faults``
+    on a network without detection delay, so this is exactly the state
+    the live network reaches on the slow path."""
+    a, b = link
+    net.faults.fail_link(a, b)
+    net.algorithm.on_fault_update(net)
+    try:
+        yield
+    finally:
+        net.faults.repair_link(a, b)
+        net.algorithm.on_fault_update(net)
+
+
+def certify(net, link) -> None:
+    """Deadlock certification of one protected link's shadow
+    configuration: the backup entries are this configuration's routing
+    relation at the injection state, so its CDG must be acyclic."""
+    from ...analysis.deadlock import build_cdg
+    with faulted(net, link):
+        result = build_cdg(net)
+    if not result.acyclic:
+        raise RuntimeError(
+            f"{net.algorithm.name}: backup configuration for dead link "
+            f"{link} has a cyclic channel dependency graph: "
+            f"{result.cycle}")
+
+
+# -- cache --------------------------------------------------------------
+
+#: in-process memo in front of the JSON files, keyed by file path:
+#: campaigns build hundreds of networks over one (algorithm,
+#: topology) pair and must not re-read the file every time
+_MEMO: dict = {}
+
+
+def cached(kind: str, algorithm, topology, build, decode):
+    """The ``kind`` table of (algorithm, topology): from the in-process
+    memo, else from its content-addressed JSON file, else ``build()``
+    (written back atomically; an unreadable file is rebuilt).  The key
+    covers the code-version token, the algorithm's identity (name,
+    ``n_vcs`` and scalar instance state, which tells apart same-name
+    algorithms parameterized differently: updown roots, nafta
+    livelock factors) and ``topology.describe()``."""
+    # lazy imports: pool pulls in the experiments package and the
+    # kernel module is only needed for its cache-directory convention
+    from ...experiments.pool import code_version_token
+    from ...sim._batched_kernel import _cache_dir
+    state = sorted(
+        (k, v) for k, v in vars(algorithm).items()
+        if isinstance(v, (int, float, str, bool, type(None))))
+    key = json.dumps([code_version_token(), algorithm.name,
+                      algorithm.n_vcs, state, topology.describe()],
+                     sort_keys=True)
+    digest = hashlib.sha256(key.encode()).hexdigest()[:20]
+    path = os.path.join(_cache_dir(), "tables", f"{kind}-{digest}.json")
+    table = _MEMO.get(path)
+    if table is not None:
+        return table
+    try:
+        with open(path, encoding="utf-8") as f:
+            table = decode(json.load(f))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        pass
+    if table is None:
+        table = build()
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       suffix=".tmp")
+            # key order kept: replayed field writes keep the order the
+            # algorithm made them in
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                json.dump(table.to_dict(), f)
+            os.replace(tmp, path)       # atomic for concurrent builders
+        except OSError:  # pragma: no cover - cache dir not writable
+            pass
+    _MEMO[path] = table
+    return table
+
+
+# -- backup tables ------------------------------------------------------
 
 
 @dataclass
@@ -141,55 +289,32 @@ def _decode_fields(encoded) -> dict:
     return {k: dec(v) for k, v in encoded.items()}
 
 
-def _shadow_network(topology, algorithm):
-    """A quiet shadow network binding ``algorithm``.  ``known_faults``
-    aliases ``faults`` here (no detection delay), so failing a link and
-    calling ``on_fault_update`` reproduces exactly the converged state
-    the live network reaches on the slow path."""
-    from ...sim.network import Network
-    return Network(topology, algorithm)
-
-
-def _probe(algorithm, router, dst: int):
-    """One injection-state probe: ``(candidates, field_writes)``, or
-    None when the algorithm delivers/sticks or its field writes do not
-    survive a JSON round-trip (such entries are never stored)."""
-    from ...sim.flit import Header
-    header = Header(msg_id=-1, src=router.node, dst=dst, length=2,
-                    created=0, fields={})
-    dec = algorithm.route(router, header, _LOCAL, 0)
-    if dec.deliver or dec.stuck or not dec.candidates:
+def _admit(outcome, fields):
+    """Backup admission: an injection that leaves the node, with field
+    writes that survive the table's JSON round trip."""
+    if outcome is None:
         return None
-    fields = dict(header.fields)
-    if fields:
+    deliver, _steps, _hint, cands, writes = outcome
+    if deliver or not cands:
+        return None
+    if writes:
         try:
             if _decode_fields(json.loads(json.dumps(
-                    _encode_fields(fields)))) != fields:
+                    _encode_fields(writes)))) != writes:
                 return None
         except (TypeError, ValueError):
             return None
-    return (tuple((int(p), int(v)) for p, v in dec.candidates), fields)
+    return (cands, writes)
 
 
-def build_backup_table(topology, algorithm_factory,
-                       verify_deadlock: int = 4) -> BackupTable:
-    """Probe-build the backup table for ``algorithm_factory()`` over
-    ``topology``.  ``verify_deadlock`` protected links (deterministic,
-    evenly spread; 0 disables, a negative value checks every link)
-    additionally get a CDG acyclicity check of their shadow
-    configuration."""
-    return build_backup_table_for(topology, algorithm_factory(),
-                                  verify_deadlock=verify_deadlock)
-
-
-def build_backup_table_for(topology, algorithm,
-                           verify_deadlock: int = 4) -> BackupTable:
-    """Probe-build using an existing algorithm instance.  The instance
-    is temporarily bound to a shadow network for the probe pass; the
-    caller must ``reset()`` it onto its real network afterwards
-    (``Network.__init__`` already does, since it resets the algorithm
-    as its final construction step)."""
-    net = _shadow_network(topology, algorithm)
+def build_backup_table_for(topology, algorithm) -> BackupTable:
+    """Probe-build the backup table of ``algorithm`` over ``topology``.
+    The instance is temporarily bound to a shadow network for the probe
+    pass; the caller must ``reset()`` it onto its real network
+    afterwards (``Network.__init__`` already does, since it resets the
+    algorithm as its final construction step)."""
+    from ...sim.network import Network
+    net = Network(topology, algorithm)
     algo = net.algorithm
     if not getattr(algo, "fault_tolerant", False):
         raise ValueError(
@@ -206,7 +331,7 @@ def build_backup_table_for(topology, algorithm,
         for dst in nodes:
             if dst == u or not algo.accepts(u, dst):
                 continue
-            got = _probe(algo, router, dst)
+            got = _admit(probe(algo, router, dst, {}, LOCAL, 0), {})
             if got is not None:
                 per_dst[dst] = frozenset(p for p, _ in got[0])
         primary[u] = per_dst
@@ -214,115 +339,55 @@ def build_backup_table_for(topology, algorithm,
     table = BackupTable()
     links = sorted(topology.links())
     for link in links:
-        per_link = _probe_link(net, algo, link, primary)
+        with faulted(net, link):
+            per_link = _probe_link(net, link, primary)
         if per_link:
             table.entries[link] = per_link
 
-    if verify_deadlock:
-        if verify_deadlock < 0 or verify_deadlock >= len(links):
-            sample = links
-        else:
-            stride = max(1, len(links) // verify_deadlock)
-            sample = links[::stride][:verify_deadlock]
-        for link in sample:
-            _verify_link(net, algo, link)
-            table.verified_links.append(link)
+    stride = max(1, len(links) // CERTIFY_SAMPLE)
+    for link in links[::stride][:CERTIFY_SAMPLE]:
+        certify(net, link)
+        table.verified_links.append(link)
     return table
 
 
-def _probe_link(net, algo, link, primary) -> dict:
-    """Entries for one protected link: probe both endpoints with the
-    link failed, keep destinations whose primary routing used it, and
-    re-probe every kept entry for determinism."""
+def _probe_link(net, link, primary) -> dict:
+    """Entries for one protected link (already failed in ``net``):
+    probe both endpoints and keep destinations whose primary routing
+    used it."""
+    algo = net.algorithm
     a, b = link
-    net.faults.fail_link(a, b)
-    algo.on_fault_update(net)
     per_link: dict[int, dict] = {}
-    try:
-        for u, far in ((a, b), (b, a)):
-            lost_port = next(
-                (pid for pid, p in net.topology.ports(u).items()
-                 if p.neighbor == far), None)
-            if lost_port is None:  # pragma: no cover - defensive
-                continue
-            router = net.routers[u]
-            per_node: dict[int, tuple] = {}
-            for dst, ports in primary[u].items():
-                if lost_port not in ports:
-                    continue        # primary survives; no backup needed
-                if not algo.accepts(u, dst):
-                    continue        # faulted config refuses the pair
-                got = _probe(algo, router, dst)
-                if got is None or _probe(algo, router, dst) != got:
-                    continue        # unusable or not reproducible
-                if any(p == lost_port for p, _ in got[0]):
-                    # the live algorithm routed into the fault it was
-                    # told about: an algorithm bug, never a legal entry
-                    raise RuntimeError(
-                        f"{algo.name}: faulted-config route at node {u} "
-                        f"for dst {dst} uses the dead port {lost_port}")
-                per_node[dst] = got
-            if per_node:
-                per_link[u] = per_node
-    finally:
-        net.faults.repair_link(a, b)
-        algo.on_fault_update(net)
+    for u, far in ((a, b), (b, a)):
+        lost_port = next(
+            (pid for pid, p in net.topology.ports(u).items()
+             if p.neighbor == far), None)
+        if lost_port is None:  # pragma: no cover - defensive
+            continue
+        router = net.routers[u]
+        per_node: dict[int, tuple] = {}
+        for dst, ports in primary[u].items():
+            if lost_port not in ports:
+                continue        # primary survives; no backup needed
+            if not algo.accepts(u, dst):
+                continue        # faulted config refuses the pair
+            got = agreed(algo, [(router, dst, {}, LOCAL, 0)], _admit)
+            if got is None:
+                continue        # unusable or not reproducible
+            if any(p == lost_port for p, _ in got[0]):
+                # the live algorithm routed into the fault it was
+                # told about: an algorithm bug, never a legal entry
+                raise RuntimeError(
+                    f"{algo.name}: faulted-config route at node {u} "
+                    f"for dst {dst} uses the dead port {lost_port}")
+            per_node[dst] = got
+        if per_node:
+            per_link[u] = per_node
     return per_link
 
 
-def _verify_link(net, algo, link) -> None:
-    """Deadlock certification of one protected link's shadow
-    configuration: the backup entries are this configuration's routing
-    relation at the injection state, so its CDG must be acyclic."""
-    from ...analysis.deadlock import build_cdg
-    a, b = link
-    net.faults.fail_link(a, b)
-    algo.on_fault_update(net)
-    try:
-        result = build_cdg(net)
-        if not result.acyclic:
-            raise RuntimeError(
-                f"{algo.name}: backup configuration for dead link "
-                f"{link} has a cyclic channel dependency graph: "
-                f"{result.cycle}")
-    finally:
-        net.faults.repair_link(a, b)
-        algo.on_fault_update(net)
-
-
-# -- persistence -------------------------------------------------------
-
-
-def _table_path(algorithm_name: str, topology) -> str:
-    from ...experiments.pool import code_version_token
-    from ...sim._batched_kernel import _cache_dir
-    import hashlib
-    topo_key = hashlib.sha256(json.dumps(
-        topology.describe(), sort_keys=True).encode()).hexdigest()[:12]
-    name = (f"bk-{code_version_token()}-{algorithm_name}-{topo_key}.json")
-    return os.path.join(_cache_dir(), "tables", name)
-
-
-def load_or_build(topology, algorithm_factory, algorithm_name: str,
-                  verify_deadlock: int = 4) -> BackupTable:
-    """The backup table for this (algorithm, topology): from the
-    persisted cache when the code-version token matches, probe-built
-    (and persisted) otherwise."""
-    path = _table_path(algorithm_name, topology)
-    try:
-        with open(path, encoding="utf-8") as f:
-            return BackupTable.from_dict(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    table = build_backup_table(topology, algorithm_factory,
-                               verify_deadlock=verify_deadlock)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(table.to_dict(), f, sort_keys=True)
-        os.replace(tmp, path)           # atomic for concurrent builders
-    except OSError:  # pragma: no cover - cache dir not writable
-        pass
-    return table
+def load_or_build(algorithm, topology) -> BackupTable:
+    """The backup table of (algorithm, topology), via :func:`cached`."""
+    return cached("bk", algorithm, topology,
+                  lambda: build_backup_table_for(topology, algorithm),
+                  BackupTable.from_dict)

@@ -36,9 +36,8 @@ configuration's channel-dependency analysis:
 from __future__ import annotations
 
 import copy
-import json
 
-from ..core.compiler.backup import BackupTable, build_backup_table_for
+from ..core.compiler.backup import load_or_build
 from ..sim.router import LOCAL
 from ..sim.topology import link_key
 from .base import RouteDecision, RoutingAlgorithm
@@ -53,27 +52,11 @@ NEUTRAL_FIELDS = frozenset({
     "misrouted",
 })
 
-#: in-process table memo: campaigns build hundreds of networks over the
-#: same (algorithm, topology) pair and must not re-probe every time
-_TABLE_MEMO: dict = {}
-
-
-def _memo_key(inner, topology) -> tuple:
-    # scalar constructor/instance state distinguishes same-name
-    # algorithms parameterized differently (updown roots, nafta qmax)
-    sig = tuple(sorted(
-        (k, v) for k, v in vars(inner).items()
-        if isinstance(v, (int, float, str, bool, type(None)))))
-    topo = json.dumps(topology.describe(), sort_keys=True)
-    return (inner.name, inner.n_vcs, sig, topo)
-
 
 class FastReroute(RoutingAlgorithm):
     """Backup-aware dispatch wrapper; see the module docstring."""
 
-    def __init__(self, inner: RoutingAlgorithm, topology,
-                 table: BackupTable | None = None,
-                 verify_deadlock: int = 4):
+    def __init__(self, inner: RoutingAlgorithm, topology):
         self.inner = inner            # first: __getattr__ delegates here
         if not inner.fault_tolerant:
             raise ValueError(
@@ -85,14 +68,9 @@ class FastReroute(RoutingAlgorithm):
         self.adaptive = inner.adaptive
         #: canonical keys of links whose backup subbase is active
         self.armed: set[tuple[int, int]] = set()
-        if table is None:
-            key = _memo_key(inner, topology)
-            table = _TABLE_MEMO.get(key)
-            if table is None:
-                table = build_backup_table_for(
-                    topology, inner, verify_deadlock=verify_deadlock)
-                _TABLE_MEMO[key] = table
-        self.table = table
+        #: built once per (algorithm, topology), then memoized and
+        #: persisted by the table builder's cache
+        self.table = load_or_build(inner, topology)
 
     # -- activation (driven by Network fault handling) ---------------------
 

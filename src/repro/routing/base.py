@@ -118,10 +118,11 @@ class RoutingAlgorithm:
     #: fault set is EMPTY, the decision is a pure function of
     #: (sign dx, sign dy, the ``vn`` field, the optional ``term``
     #: field) — translation-invariant on the 2-D mesh, with every other
-    #: native field absent.  The builder still probe-verifies the claim
-    #: at build time and falls back entry-by-entry when a probe
-    #: disagrees; the table is bypassed entirely the moment a fault
-    #: becomes known.
+    #: native field absent.  The table builder
+    #: (:mod:`repro.core.compiler.backup`, under the empty fault set)
+    #: still probe-verifies the claim at build time and falls back
+    #: entry-by-entry when a probe disagrees; the table is bypassed
+    #: entirely the moment a fault becomes known.
     native_clean_table: bool = False
 
     # -- lifecycle -------------------------------------------------------

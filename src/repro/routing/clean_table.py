@@ -5,15 +5,21 @@ decisions are translation-invariant: NAFTA collapses onto NARA (the
 u-turn filter never binds, clear runs span whole columns, detours and
 virtual-network switches are unreachable) and both reduce to a pure
 function of (sign dx, sign dy, the ``vn`` field, the optional ``term``
-commitment).  That is a 3 x 3 x 3 x 2 = 54-entry dense table, which
-this module builds once per network construction by *probing* the live
-algorithm — running ``route()`` at a handful of nodes, destination
-magnitudes, arrival ports and VCs per key and keeping an entry only
-when every probe returns the identical decision.  The batched engine
-hands the table to its C kernels fully populated, so clean-network
-routing never enters Python, even on the very first sighting of a
-(dest, state) key — eliminating the cache-fill warmup cliff that
-dominated short runs and large meshes.
+commitment).  That is a 3 x 3 x 3 x 2 = 54-entry dense table.  The
+batched engine hands it to its C kernels fully populated, so
+clean-network routing never enters Python, even on the very first
+sighting of a (dest, state) key — eliminating the cache-fill warmup
+cliff that dominated short runs and large meshes.
+
+The table is the empty-fault-set case of the one probe-and-certify
+builder, :mod:`repro.core.compiler.backup`: each key is probed against
+the live algorithm at a handful of nodes, destination magnitudes,
+arrival ports and VCs, and kept only when every probe agrees and a
+repeat probe reproduces it.  This module holds only what is specific
+to the clean table: the sign geometry and the C layout, the
+:class:`_ProbeRouter` stub (a fault-free router needs no shadow
+network) with its probe points, and the admission filter.  Clean
+tables are not CDG-certified.
 
 Why probing instead of reading compiled rule tables: the rule-driven
 algorithms' premises include per-cycle output-queue congestion, so
@@ -22,30 +28,26 @@ tabulable — and the hand-written native algorithms don't go through
 the rule compiler at all.  The clean table is proven against the
 algorithm itself at build time instead.
 
-Tables persist as JSON under the batched kernel's cache directory
-keyed by the compiler's code-version token (any source change
-invalidates them), so repeat builds — sweep workers, CI runs with a
-seeded cache — skip the probe pass entirely.
+Tables persist through the builder's cache (an in-process memo in
+front of JSON keyed by the code-version token, the algorithm and the
+topology), so repeat builds — sweep workers, CI runs with a seeded
+cache — skip the probe pass entirely.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
-from ..sim.flit import Header
-from ..sim.topology import Mesh2D, Torus2D
-from .base import REFRESH_REROUTE, RouteDecision
+from ..core.compiler.backup import agreed, cached
+from ..sim.router import LOCAL
+from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D
+from .base import REFRESH_REROUTE
 
 #: table geometry — must match the C kernel's CT_KEYS / CT_CANDS
 CT_KEYS = 54
 CT_CANDS = 8
 #: mirror encoding of "field absent" (see _batched_kernel.FIELD_ABSENT)
 ABSENT = -1000000
-
-_LOCAL = -1          # pseudo in_port: injection at the local port
 
 #: bump to invalidate persisted tables on format changes
 _FORMAT = 1
@@ -127,7 +129,7 @@ class _ProbeRouter:
         return 0
 
     def port_alive(self, pid: int) -> bool:
-        return pid == _LOCAL or pid in self.ports
+        return pid == LOCAL or pid in self.ports
 
     def alive_ports(self) -> list[int]:
         return list(self.ports)
@@ -146,7 +148,7 @@ def eligible(algorithm, topology) -> bool:
             and not isinstance(topology, Torus2D))
 
 
-def _probe_points(topo: Mesh2D) -> list[int]:
+def _probe_nodes(topo: Mesh2D) -> list[int]:
     """A few well-spread probe nodes (interior when the mesh has one)."""
     w, h = topo.width, topo.height
     pts = {(min(1, w - 1), min(1, h - 1)),
@@ -160,8 +162,7 @@ def _arrival_ports(router: _ProbeRouter, sdx: int, sdy: int) -> list[int]:
     under minimal clean-network routing: injection, plus each port
     whose opposite direction still points toward (or along) the
     destination — the side the worm last moved away from."""
-    from ..sim.topology import EAST, NORTH, SOUTH, WEST
-    out = [_LOCAL]
+    out = [LOCAL]
     deliver = sdx == 0 and sdy == 0
     for pid, cond in ((WEST, sdx >= 0), (EAST, sdx <= 0),
                       (SOUTH, sdy >= 0), (NORTH, sdy <= 0)):
@@ -170,83 +171,12 @@ def _arrival_ports(router: _ProbeRouter, sdx: int, sdy: int) -> list[int]:
     return out
 
 
-def _probe_once(algorithm, router: _ProbeRouter, dst: int,
-                base_fields: dict, in_port: int, in_vc: int):
-    """One route() probe; returns the comparable outcome tuple or None
-    when the decision leaves the table's domain."""
-    header = Header(msg_id=0, src=router.node, dst=dst, length=1,
-                    created=0, fields=dict(base_fields))
-    dec: RouteDecision = algorithm.route(router, header, in_port, in_vc)
-    cands = list(dec.candidates)
-    if dec.stuck or dec.refresh_hint == REFRESH_REROUTE \
-            or len(cands) > CT_CANDS:
-        return None
-    # the only replayable side effect is writing vn where it was absent
-    after = dict(header.fields)
-    before = dict(base_fields)
-    vn_after = ABSENT
-    if after.get("vn") != before.get("vn"):
-        if "vn" in before:
-            return None
-        vn_after = after.pop("vn")
-        if not isinstance(vn_after, int) or not 0 <= vn_after < 8:
-            return None
-    else:
-        after.pop("vn", None)
-        before.pop("vn", None)
-    if after != before:
-        return None
-    return (1 if dec.deliver else 0, int(dec.steps),
-            int(dec.refresh_hint), tuple(cands), vn_after)
-
-
-def build_clean_table(algorithm, topology) -> CleanTable | None:
-    """Probe-build the dense clean table for this (algorithm,
-    topology); entries any probe disqualifies stay invalid (the engine
-    falls through to its normal decision path for those keys)."""
-    if not eligible(algorithm, topology):
-        return None
-    topo: Mesh2D = topology
-    nf = algorithm.native_fields
-    has_term = "term" in nf
-    n_vcs = algorithm.n_vcs
-    routers = [_ProbeRouter(topo, n, n_vcs) for n in _probe_points(topo)]
-    table = CleanTable()
-    for sdx in (-1, 0, 1):
-        for sdy in (-1, 0, 1):
-            for vncode in (0, 1, 2):
-                for term in (0, 1):
-                    if term and (vncode == 0 or not has_term):
-                        continue        # term commits an assigned vn
-                    idx = key_index(sdx, sdy, vncode, term)
-                    entry = _probe_key(algorithm, topo, routers,
-                                       sdx, sdy, vncode, term, n_vcs)
-                    if entry is None:
-                        continue
-                    deliver, steps, hint, cands, vn_after = entry
-                    table.valid[idx] = 1
-                    table.deliver[idx] = deliver
-                    table.steps[idx] = steps
-                    table.hint[idx] = hint
-                    table.ncand[idx] = len(cands)
-                    table.vn_after[idx] = vn_after
-                    base = idx * CT_CANDS
-                    for i, (p, v) in enumerate(cands):
-                        table.cp[base + i] = int(p)
-                        table.cv[base + i] = int(v)
-    return table
-
-
-def _probe_key(algorithm, topo: Mesh2D, routers, sdx: int, sdy: int,
-               vncode: int, term: int, n_vcs: int):
-    """All probes for one key; the consistent outcome, else None."""
-    base_fields: dict = {}
-    if vncode:
-        base_fields["vn"] = vncode - 1
-    if term:
-        base_fields["term"] = True
-    outcome = None
-    probes = 0
+def _probe_points(topo: Mesh2D, routers, sdx: int, sdy: int,
+                  fields: dict, n_vcs: int) -> list[tuple]:
+    """Every probe of one key: each probe node, destination magnitudes
+    1 and 2 along each nonzero sign, each arrival port, and both end
+    VCs at injection."""
+    points = []
     for router in routers:
         x, y = topo.coords(router.node)
         xs = [x + sdx * m for m in ((1, 2) if sdx else (0,))]
@@ -259,60 +189,79 @@ def _probe_key(algorithm, topo: Mesh2D, routers, sdx: int, sdy: int,
                     continue
                 dst = topo.node_at(dx, dy)
                 for in_port in _arrival_ports(router, sdx, sdy):
-                    vcs = (0, n_vcs - 1) if in_port == _LOCAL else (0,)
+                    vcs = (0, n_vcs - 1) if in_port == LOCAL else (0,)
                     for in_vc in vcs:
-                        got = _probe_once(algorithm, router, dst,
-                                          base_fields, in_port, in_vc)
-                        if got is None:
-                            return None
-                        if outcome is None:
-                            outcome = got
-                        elif got != outcome:
-                            return None     # not sign-invariant
-                        probes += 1
-                # determinism: the same probe twice must agree
-                rerun = _probe_once(algorithm, router, dst, base_fields,
-                                    _LOCAL, 0)
-                if rerun != outcome:
-                    return None
-    return outcome if probes else None
+                        points.append((router, dst, fields, in_port,
+                                       in_vc))
+    return points
 
 
-# -- persistence -------------------------------------------------------
+def _admit(outcome, fields):
+    """Clean admission: at most ``CT_CANDS`` candidates, no
+    ``REFRESH_REROUTE``, and the only replayable field write is ``vn``
+    going from absent to 0-7.  Stored form: the outcome with the writes
+    replaced by the after-value of ``vn`` (ABSENT = untouched)."""
+    if outcome is None:
+        return None
+    deliver, steps, hint, cands, writes = outcome
+    if hint == REFRESH_REROUTE or len(cands) > CT_CANDS:
+        return None
+    if writes.keys() - {"vn"}:
+        return None
+    vn_after = writes.get("vn", ABSENT)
+    if "vn" in writes and ("vn" in fields or not isinstance(vn_after, int)
+                           or not 0 <= vn_after < 8):
+        return None
+    return (deliver, steps, hint, cands, vn_after)
 
 
-def _table_path(algorithm, topology: Mesh2D) -> str:
-    # lazy imports: pool pulls in the experiments package and the
-    # kernel module is only needed for its cache-directory convention
-    from ..experiments.pool import code_version_token
-    from ..sim._batched_kernel import _cache_dir
-    name = (f"ct-{code_version_token()}-{algorithm.name}"
-            f"-{topology.width}x{topology.height}.json")
-    return os.path.join(_cache_dir(), "tables", name)
+def build_clean_table(algorithm, topology) -> CleanTable | None:
+    """Probe-build the dense clean table for this (algorithm,
+    topology); entries any probe disqualifies stay invalid (the engine
+    falls through to its normal decision path for those keys)."""
+    if not eligible(algorithm, topology):
+        return None
+    topo: Mesh2D = topology
+    has_term = "term" in algorithm.native_fields
+    n_vcs = algorithm.n_vcs
+    routers = [_ProbeRouter(topo, n, n_vcs) for n in _probe_nodes(topo)]
+    table = CleanTable()
+    for sdx in (-1, 0, 1):
+        for sdy in (-1, 0, 1):
+            for vncode in (0, 1, 2):
+                for term in (0, 1):
+                    if term and (vncode == 0 or not has_term):
+                        continue        # term commits an assigned vn
+                    fields: dict = {}
+                    if vncode:
+                        fields["vn"] = vncode - 1
+                    if term:
+                        fields["term"] = True
+                    points = _probe_points(topo, routers, sdx, sdy,
+                                           fields, n_vcs)
+                    entry = agreed(algorithm, points, _admit)
+                    if entry is None:
+                        continue
+                    idx = key_index(sdx, sdy, vncode, term)
+                    deliver, steps, hint, cands, vn_after = entry
+                    table.valid[idx] = 1
+                    table.deliver[idx] = deliver
+                    table.steps[idx] = steps
+                    table.hint[idx] = hint
+                    table.ncand[idx] = len(cands)
+                    table.vn_after[idx] = vn_after
+                    base = idx * CT_CANDS
+                    for i, (p, v) in enumerate(cands):
+                        table.cp[base + i] = p
+                        table.cv[base + i] = v
+    return table
 
 
 def load_or_build(algorithm, topology) -> CleanTable | None:
-    """The clean table for this (algorithm, topology), from the
-    persisted cache when the code-version token matches, probe-built
-    (and persisted) otherwise."""
+    """The clean table for this (algorithm, topology), via the
+    builder's cache; None when the pair cannot carry one."""
     if not eligible(algorithm, topology):
         return None
-    path = _table_path(algorithm, topology)
-    try:
-        with open(path, encoding="utf-8") as f:
-            return CleanTable.from_dict(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    table = build_clean_table(algorithm, topology)
-    if table is None:
-        return None
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(table.to_dict(), f, sort_keys=True)
-        os.replace(tmp, path)           # atomic for concurrent builders
-    except OSError:  # pragma: no cover - cache dir not writable
-        pass
-    return table
+    return cached("ct", algorithm, topology,
+                  lambda: build_clean_table(algorithm, topology),
+                  CleanTable.from_dict)

@@ -1,10 +1,12 @@
 """Tests for the command-line tools (rulec, simulate)."""
 
+import json
+
 import pytest
 
+from repro.routing.base import RoutingError
 from repro.tools.rulec import main as rulec_main, parse_params
-from repro.tools.simulate import main as simulate_main, parse_topology
-from repro.sim import Hypercube, Mesh2D, Torus2D
+from repro.tools.simulate import main as simulate_main
 
 
 class TestRulec:
@@ -63,37 +65,75 @@ class TestRulec:
 
 
 class TestSimulateCli:
-    def test_parse_topology(self):
-        assert isinstance(parse_topology("mesh4x6"), Mesh2D)
-        assert isinstance(parse_topology("torus4x4"), Torus2D)
-        assert isinstance(parse_topology("cube3"), Hypercube)
-        with pytest.raises(SystemExit):
-            parse_topology("ring9")
+    @staticmethod
+    def _run_json(capsys, *argv) -> dict:
+        assert simulate_main(["run", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
 
-    def test_torus_is_not_plain_mesh(self):
-        t = parse_topology("torus4x4")
-        assert isinstance(t, Torus2D)
+    def test_torus_is_not_plain_mesh(self, capsys):
+        argv = ["--width", "4", "--height", "4", "--algorithm", "torus_xy",
+                "--load", "0.05", "--cycles", "200", "--warmup", "50"]
+        res = self._run_json(capsys, "--topology", "torus", *argv)
+        assert res["messages_delivered"] > 0
+        with pytest.raises(RoutingError, match="tori"):
+            simulate_main(["run", "--topology", "mesh", *argv])
+        with pytest.raises(SystemExit):
+            simulate_main(["run", "--topology", "ring"])
 
     def test_small_run(self, capsys):
-        rc = simulate_main(["--topology", "mesh4x4", "--algorithm", "xy",
-                            "--load", "0.05", "--cycles", "300",
-                            "--warmup", "50"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "mean_latency" in out
-        assert "deadlocked" in out
+        res = self._run_json(capsys, "--width", "4", "--height", "4",
+                             "--algorithm", "xy", "--load", "0.05",
+                             "--cycles", "300", "--warmup", "50")
+        assert res["algorithm"] == "xy" and res["engine"] == "object"
+        assert res["deadlocked"] is False
+        assert res["messages_delivered"] > 0
+        assert "mean_latency" in res
 
     def test_run_with_faults(self, capsys):
-        rc = simulate_main(["--topology", "mesh5x5", "--algorithm", "nafta",
-                            "--load", "0.08", "--cycles", "400",
-                            "--warmup", "100", "--link-faults", "2",
-                            "--seed", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "2 link faults" in out
+        res = self._run_json(capsys, "--width", "5", "--height", "5",
+                             "--algorithm", "nafta", "--load", "0.08",
+                             "--cycles", "400", "--warmup", "100",
+                             "--link-faults", "2", "--seed", "3",
+                             "--arbiter", "oldest_first",
+                             "--cycles-per-step", "2")
+        assert res["n_faults"] == 2
+        assert res["deadlocked"] is False
 
     def test_cube_run(self, capsys):
-        rc = simulate_main(["--topology", "cube3", "--algorithm", "route_c",
-                            "--load", "0.08", "--cycles", "400",
-                            "--node-faults", "1", "--seed", "2"])
-        assert rc == 0
+        res = self._run_json(capsys, "--topology", "cube", "--dimension",
+                             "3", "--algorithm", "route_c", "--load",
+                             "0.08", "--cycles", "400", "--node-faults",
+                             "1", "--seed", "2")
+        assert res["n_faults"] == 1
+        assert res["algorithm"] == "route_c"
+
+    def test_sweep_seeds(self, capsys):
+        assert simulate_main(["run", "--width", "4", "--height", "4",
+                              "--algorithm", "xy", "--load", "0.05",
+                              "--cycles", "200", "--warmup", "50",
+                              "--sweep-seeds", "2", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "2 seeds" in out
+        assert "mean latency over seeds" in out
+
+    def test_campaign_one_scenario(self, capsys, tmp_path):
+        report = tmp_path / "campaign.json"
+        assert simulate_main(["campaign", "--algorithm", "updown",
+                              "--scenarios", "1", "--link-faults", "1",
+                              "--width", "4", "--height", "4",
+                              "--cycles", "300", "--load", "0.05",
+                              "--no-cache", "--json", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert len(doc["scenarios"]) == 1
+        assert doc["silent_loss"] == 0
+
+    def test_trace_writes_chrome_trace(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        assert simulate_main(["trace", "--algorithm", "nafta",
+                              "--width", "4", "--height", "4",
+                              "--load", "0.05", "--cycles", "200",
+                              "--fault", "100:link:5,6",
+                              "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["traceEvents"]
+        assert "delivered" in capsys.readouterr().out
