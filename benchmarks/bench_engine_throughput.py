@@ -8,7 +8,7 @@ would limit the network performance drastically"):
 
 * **decisions/sec** — the NAFTA ``incoming_message`` rule base invoked
   through the :class:`~repro.core.compiler.fastpath.DecisionKernel`
-  (extractor closures + prebaked strides + code-tuple memo);
+  (generated feature-code function + prebaked strides + code-tuple memo);
 * **cycles/sec** — a full wormhole simulation on the object engine
   (only routers holding flits are iterated each cycle);
 * **points/sec** — the latency/load sweep through

@@ -51,6 +51,11 @@ class CompiledRuleBase:
     writes: frozenset[str]
     emits: frozenset[str]
     calls: frozenset[str]
+    #: the decision kernel's generated code for this base, built on
+    #: first use and shared by every engine over the compiled program
+    #: (see :mod:`.fastpath`)
+    lowered: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     @property
     def n_entries(self) -> int:

@@ -103,7 +103,8 @@ class Env:
     functions: dict[str, FunctionImpl] = field(default_factory=dict)
     call_subbase: SubbaseCaller | None = None
     #: when ``inputs`` is mapping-backed, the canonicalized mapping
-    #: itself — compiled closures read it without the reader indirection
+    #: itself — generated fast-path code reads it without the reader
+    #: indirection
     inputs_map: dict | None = None
 
     def bind(self, extra: dict[str, Value]) -> "Env":

@@ -7,12 +7,14 @@ concatenation indexes the completely-filled rule table, and the selected
 entry drives conclusion processing.
 
 Each base runs through a lazily built
-:class:`~repro.core.compiler.fastpath.DecisionKernel`: premise features
-compiled to extractor closures, mixed-radix strides prebaked, table
-entries memoised on the feature-code tuple, and conclusions compiled to
-command closures.  No AST traversal on the hot path; the AST
-interpreter (:mod:`.astinterp`) is the semantic oracle it is tested
-against.
+:class:`~repro.core.compiler.fastpath.DecisionKernel`: one generated
+function computes the feature codes, mixed-radix strides are prebaked,
+table entries are memoised on the feature-code tuple, and conclusions
+run as generated functions.  The generated code is lowered once per
+compiled rule base and shared by every engine over the program.  No AST
+traversal on the hot path; rare shapes fall back to :func:`eval_expr`,
+and the AST interpreter (:mod:`.astinterp`) is the semantic oracle the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class RbrInterpreter:
 
     def kernel(self, base: CompiledRuleBase) -> DecisionKernel:
         """The compiled decision kernel for one base (built lazily and
-        cached; extractors and strides are reused across invocations)."""
+        cached; its memos are reused across invocations)."""
         k = self.kernels.get(base.name)
         if k is None:
             k = DecisionKernel(base, self.analyzed)

@@ -1,7 +1,10 @@
 """The compiled decision kernel behind ``mode="table"`` must be an
 invisible optimization: identical InvocationResults to the reference
-AST interpreter on arbitrary programs, and zero ``eval_expr`` AST walks
-on the hot decision path.
+AST interpreter on arbitrary programs, with mapping and callable input
+sources alike; zero ``eval_expr`` AST walks on the hot decision path,
+effectful conclusions included (``eval_expr`` is the generated code's
+only fallback); and one lowering per compiled rule base, shared by
+every engine built from the program.
 
 Also covers the ``make_input_reader`` normalization contract the fast
 path leans on: scalar index keys canonicalize to 1-tuples exactly once,
@@ -114,20 +117,31 @@ def fastpath_programs(draw):
         + "\n".join(step_rules) + "\nEND step;\n")
 
 
+def _input_source(kind: str, sensor: int, q: list[int]):
+    """The same input values as a canonical mapping or as a callable
+    reader (the latter has no mapping for the generated code to read)."""
+    inputs = {"sensor": sensor, "q": {(i,): val for i, val in enumerate(q)}}
+    if kind == "mapping":
+        return inputs
+    return lambda name, idx: inputs[name][idx] if idx else inputs[name]
+
+
+@pytest.mark.parametrize("input_kind", ["mapping", "callable"])
 @settings(max_examples=100, deadline=None)
 @given(source=fastpath_programs(),
        v0=st.integers(0, INT_MAX), mode=st.sampled_from(STATES),
        sensor=st.integers(0, INT_MAX),
        q=st.lists(st.integers(0, INT_MAX), min_size=4, max_size=4),
        a=st.integers(0, 3), rounds=st.integers(1, 3))
-def test_fastpath_equivalence(source, v0, mode, sensor, q, a, rounds):
+def test_fastpath_equivalence(input_kind, source, v0, mode, sensor, q, a,
+                              rounds):
     """table and ast must produce identical InvocationResults — fired
     rule index, return value, writes and emissions (order included) —
     from identical states."""
     compiled = compile_program(source)
     engines = [RuleEngine(compiled, mode="table"),
                RuleEngine(compiled, mode="ast")]
-    inputs = {"sensor": sensor, "q": {(i,): val for i, val in enumerate(q)}}
+    inputs = _input_source(input_kind, sensor, q)
     for eng in engines:
         eng.registers.write("v0", v0)
         eng.registers.write("mode", mode)
@@ -196,19 +210,38 @@ def test_input_reader_shares_already_canonical_tables():
 
 PERF_PROGRAM = f"""
 VARIABLE v0 IN 0 TO {INT_MAX}
+VARIABLE adapt_reg(0 TO 3) IN 0 TO {INT_MAX}
 INPUT sensor IN 0 TO {INT_MAX}
 INPUT q(0 TO 3) IN 0 TO {INT_MAX}
+EVENT ping(0 TO {INT_MAX})
+FUNCTION pick_min(SET OF 0 TO 3) IN 0 TO 3 FCFB "minimum selection"
 ON decide(a IN 0 TO 3) RETURNS 0 TO {INT_MAX}
   IF q(a) < 4 AND sensor > 2 THEN RETURN(q(a));
   IF v0 >= 3 THEN RETURN(v0);
   IF sensor <= 2 THEN RETURN(1);
 END decide;
+ON adaptivity(cands IN SET OF 0 TO 3, dim IN 0 TO 3) RETURNS 0 TO 3
+  IF NOT cands = {{}}
+  THEN RETURN(pick_min(cands)),
+       adapt_reg(dim) <- q(dim);
+  IF cands = {{}}
+  THEN adapt_reg(dim) <- q(dim);
+END adaptivity;
+ON step(a IN 0 TO 3)
+  IF sensor > v0 THEN v0 <- sensor, !ping(v0);
+  IF sensor <= v0 THEN v0 <- a;
+END step;
 """
+
+FUNCTIONS = {"pick_min": min}
+PERF_INPUTS = {"sensor": 5, "q": {(i,): i for i in range(4)}}
 
 
 def _count_eval_expr(monkeypatch) -> dict:
     """Route every module-level ``eval_expr`` reference the interpreter
-    stack holds through a call counter."""
+    stack holds through a call counter — the fast path's own reference
+    included, which every fallback of the generated code goes through."""
+    from repro.core.compiler import fastpath
     from repro.core.interpreter import astinterp, execution
 
     counter = {"calls": 0}
@@ -218,20 +251,22 @@ def _count_eval_expr(monkeypatch) -> dict:
         counter["calls"] += 1
         return real(expr, env)
 
-    for module in (evaluator, execution, astinterp):
+    for module in (evaluator, execution, astinterp, fastpath):
         monkeypatch.setattr(module, "eval_expr", counted)
     return counter
 
 
 def _warm_engine(mode: str) -> RuleEngine:
-    engine = RuleEngine(compile_program(PERF_PROGRAM), mode=mode)
-    inputs = {"sensor": 5, "q": {(i,): i for i in range(4)}}
-    engine.set_inputs(inputs, trusted=True)
-    engine.call("decide", 2)  # warmup: build the kernel and its memos
+    engine = RuleEngine(compile_program(PERF_PROGRAM), mode=mode,
+                        functions=FUNCTIONS)
+    engine.set_inputs(PERF_INPUTS, trusted=True)
+    # warmup: build the kernels, their memos and the fired conclusions
+    engine.call("decide", 2)
+    engine.call("adaptivity", frozenset({1, 2}), 1)
+    engine.call("adaptivity", frozenset(), 0)
     return engine
 
 
-@pytest.mark.perf
 def test_hot_decision_makes_zero_eval_expr_calls(monkeypatch):
     """After warmup, a table-mode decision must never fall back to the
     AST walker — the whole point of the compiled kernel."""
@@ -244,9 +279,23 @@ def test_hot_decision_makes_zero_eval_expr_calls(monkeypatch):
     engine.events.log.clear()
 
 
-@pytest.mark.perf
+def test_hot_effectful_conclusion_makes_zero_eval_expr_calls(monkeypatch):
+    """A warm conclusion that writes a register and RETURNs (the shape
+    of ROUTE_C's adaptivity base) runs generated code too."""
+    engine = _warm_engine("table")
+    counter = _count_eval_expr(monkeypatch)
+    for cands, dim in ((frozenset({2, 3}), 3), (frozenset({0}), 2),
+                       (frozenset(), 1)):
+        res = engine.call("adaptivity", cands, dim)
+        assert res.writes == [("adapt_reg", (dim,), dim)]
+        assert res.has_return == bool(cands)
+    assert counter["calls"] == 0
+    assert engine.registers.read("adapt_reg", (3,)) == 3
+    engine.events.log.clear()
+
+
 def test_ast_mode_exercises_eval_expr(monkeypatch):
-    """Control for the zero-calls assertion above: the AST reference
+    """Control for the zero-calls assertions above: the AST reference
     interpreter DOES walk ASTs for the same decisions — proving the
     counter is wired to the real entry points."""
     engine = _warm_engine("ast")
@@ -254,3 +303,58 @@ def test_ast_mode_exercises_eval_expr(monkeypatch):
     engine.call("decide", 1)
     assert counter["calls"] > 0
     engine.events.log.clear()
+
+
+# ---------------------------------------------------------------------------
+# one lowering per compiled rule base
+# ---------------------------------------------------------------------------
+
+def _outcome(res):
+    return (res.fired_source_rule, res.returned, res.has_return, res.writes,
+            res.emissions)
+
+
+def test_engines_share_one_lowering():
+    """Two table engines over one CompiledProgram share the generated
+    code but not their state: each still matches its own AST twin."""
+    compiled = compile_program(PERF_PROGRAM)
+    # sensor = 2: decide and step both branch on the register v0
+    inputs = {"sensor": 2, "q": {(i,): i for i in range(4)}}
+    pairs = []
+    for v0 in (1, 6):
+        pair = [RuleEngine(compiled, mode=mode, functions=FUNCTIONS)
+                for mode in ("table", "ast")]
+        for eng in pair:
+            eng.registers.write("v0", v0)
+            eng.set_inputs(inputs, trusted=True)
+        pairs.append(pair)
+    for _ in range(2):
+        for table, ast in pairs:
+            for a in range(4):
+                assert _outcome(table.call("decide", a)) == \
+                    _outcome(ast.call("decide", a))
+                assert _outcome(table.call("step", a)) == \
+                    _outcome(ast.call("step", a))
+                assert table.registers.snapshot() == ast.registers.snapshot()
+                assert table.drain_external() == ast.drain_external()
+    kernels = [table._rbr.kernels["decide"] for table, _ in pairs]
+    assert kernels[0] is not kernels[1]
+    assert kernels[0]._codes is kernels[1]._codes
+
+
+def test_second_return_raises_like_the_oracle():
+    """Two RETURNs in one fired conclusion fail in both modes, before
+    any write of that conclusion is applied."""
+    compiled = compile_program(f"""
+VARIABLE v0 IN 0 TO {INT_MAX}
+INPUT sensor IN 0 TO {INT_MAX}
+ON decide(a IN 0 TO 3) RETURNS 0 TO {INT_MAX}
+  IF sensor > 2 THEN v0 <- a, RETURN(sensor), RETURN(a);
+END decide;
+""")
+    for mode in ("table", "ast"):
+        engine = RuleEngine(compiled, mode=mode)
+        engine.set_inputs({"sensor": 5})
+        with pytest.raises(EvalError, match="multiple RETURN"):
+            engine.call("decide", 1)
+        assert engine.registers.read("v0") == 0
