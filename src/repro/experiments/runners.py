@@ -255,6 +255,18 @@ def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
         message_length=spec.message_length, seed=spec.seed,
         pattern_kwargs=spec.pattern_kwargs or None))
     net.set_warmup(spec.warmup)
+    try:
+        return _run_and_summarize(spec, net, topology, drain, tracer)
+    finally:
+        # the router facades point back at their network: unlinking
+        # them lets refcounting free a finished batched network (its
+        # numpy arrays and C buffers) at once, instead of at a cyclic
+        # GC pass its few Python allocations rarely trigger
+        net.routers = []
+
+
+def _run_and_summarize(spec: WorkloadSpec, net: Network,
+                       topology: Topology, drain: bool, tracer) -> dict:
     deadlocked = False
     try:
         net.run(spec.cycles)

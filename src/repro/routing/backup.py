@@ -31,6 +31,14 @@ configuration's channel-dependency analysis:
 * only through backup candidates whose port is currently alive — a
   fault on the backup link itself falls through to the inner algorithm
   and the slow path.
+
+The wrapper forwards the inner algorithm's native descriptor
+(:attr:`~repro.routing.base.RoutingAlgorithm.native_fields` and
+friends), so the batched engine keeps replaying the inner decisions
+in C.  A substitution itself is never cached: :meth:`FastReroute.
+route_cache_key` refuses the local in-port of an armed endpoint, and
+the batched engine clears its native cache when the armed set changes
+and bypasses its clean table while any link is armed.
 """
 
 from __future__ import annotations
@@ -128,6 +136,38 @@ class FastReroute(RoutingAlgorithm):
     def decision_steps_range(self) -> tuple[int, int]:
         lo, hi = self.inner.decision_steps_range()
         return (min(lo, 1), hi)
+
+    # -- batched-engine descriptor -----------------------------------------
+    # RoutingAlgorithm defines these, so __getattr__ never sees them:
+    # forward them explicitly, or a wrapped native algorithm would make
+    # every batched decision in Python
+
+    cache_mutable_fields = property(
+        lambda self: self.inner.cache_mutable_fields)
+    native_fields = property(lambda self: self.inner.native_fields)
+    native_term_rule = property(lambda self: self.inner.native_term_rule)
+    native_key_uses_vc = property(
+        lambda self: self.inner.native_key_uses_vc)
+    native_clean_table = property(
+        lambda self: self.inner.native_clean_table)
+    #: the in-port stays in the native key whatever the inner algorithm
+    #: declares: substitution applies at the local in-port only, so a
+    #: transit decision must never answer for an injection
+    native_key_uses_port = True
+
+    def armed_endpoint(self, node: int) -> bool:
+        """Is ``node`` an endpoint of an armed link (where injections
+        may be substituted)?"""
+        return any(node in link for link in self.armed)
+
+    def route_cache_key(self, node: int, header, in_port: int,
+                        in_vc: int):
+        if in_port == LOCAL and self.armed_endpoint(node):
+            return None     # may substitute: count every one of them
+        return self.inner.route_cache_key(node, header, in_port, in_vc)
+
+    def native_livelock_limit(self, topology):
+        return self.inner.native_livelock_limit(topology)
 
     def __getattr__(self, item):
         return getattr(self.inner, item)

@@ -7,7 +7,9 @@ occupancy, credits, worm heads and tails, flit queues, round-robin
 pointers — advanced each cycle by compiled C kernels
 (:mod:`repro.sim._batched_kernel`), with Python entered only where the
 routing *algorithm* must run: fresh head decisions, epoch-stale or
-REROUTE-hinted refreshes, and stuck-message purges.
+REROUTE-hinted refreshes, and stuck-message purges — plus the fault
+events themselves, where fast reroute (``backup_routes``) heals and
+absorbs worms with the object engine's walks over the arrays.
 
 The contract is bit-exactness, not approximation: for any workload the
 batched engine reproduces the object engine's ``SimStats.summary()``
@@ -44,11 +46,13 @@ gauge and per-link flit counters in arrays, drained into
 Use :func:`build_network` to construct a network honouring
 ``SimConfig.engine``; it transparently falls back to the object engine
 (and documents why, in ``SimStats.summary()['engine_fallback']``) when
-tracing is attached, a non-stock arbiter is requested, or no C
-compiler is available.
+tracing is attached, a non-deterministic selection policy or a
+non-stock arbiter is requested, or no C compiler is available.
 """
 
 from __future__ import annotations
+
+from heapq import heappush
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from ..routing.base import REFRESH_REROUTE, REFRESH_RESORT, RouteDecision
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _MISSING = object()
 _NO_PORT = -100      # o_port value meaning "no output assigned"
+_NO_ARMS = frozenset()
 
 
 def _encode(v) -> int:
@@ -220,10 +225,11 @@ class BatchedNetwork(Network):
 
     Only the per-cycle data-path phases are replaced (``_advance`` and
     the helpers it drives); the fault machinery, retry queue, diagnosis
-    flood and watchdog run unchanged against router facades.  Requires
-    the stock round-robin arbiter and no tracer (metrics timeseries
-    attach natively) — use :func:`build_network` for transparent
-    fallback."""
+    flood and watchdog run unchanged against router facades; only fast
+    reroute's worm surgery is re-walked over the arrays.  Requires the
+    stock round-robin arbiter, the deterministic selection policy and
+    no tracer (metrics timeseries attach natively) — use
+    :func:`build_network` for transparent fallback."""
 
     engine_name = "batched"
 
@@ -499,6 +505,13 @@ class BatchedNetwork(Network):
         self._dec_epoch = -1
         self._c_epoch = None           # native cache's route_epoch
         self._ct_ready = False         # set by _install_clean_table
+        # fast reroute (backup_routes): the wrapper whose armed links
+        # make injections at their endpoints uncacheable, and the armed
+        # set the native cache was last cleared for
+        from ..routing.backup import FastReroute
+        self._frr = (self.algorithm if isinstance(self.algorithm,
+                                                  FastReroute) else None)
+        self._c_armed = _NO_ARMS
         self.routers = [BatchedRouter(self, n) for n in topo.nodes()]
 
     def _bind(self, field: str, arr, ctype: str) -> None:
@@ -548,7 +561,10 @@ class BatchedNetwork(Network):
         if not self._native:
             return
         from ..routing.clean_table import load_or_build
-        table = load_or_build(self.algorithm, self.topology)
+        # an unarmed fast-reroute wrapper decides exactly as its inner
+        # algorithm, so both share one (cached) table
+        algo = self._frr.inner if self._frr is not None else self.algorithm
+        table = load_or_build(algo, self.topology)
         if table is None or not table.n_valid():
             return
         topo = self.topology
@@ -678,14 +694,18 @@ class BatchedNetwork(Network):
         epoch = self.route_epoch
         adaptive = 1 if self.algorithm.adaptive else 0
         if self._native:
-            if self._c_epoch != epoch:
-                # fault knowledge changed: every cached decision is void
+            armed = self._frr.armed if self._frr is not None else _NO_ARMS
+            if self._c_epoch != epoch or armed != self._c_armed:
+                # fault knowledge changed, or a backup subbase was armed
+                # or disarmed: every cached decision is void
                 lib.k_cache_clear(cs)
                 self._c_epoch = epoch
+                if armed != self._c_armed:
+                    self._rearm(armed)
                 # the clean table is proven for the *empty* known-fault
-                # set only; any known fault turns it off until an epoch
-                # without faults returns
-                cs.ct_on = 1 if (self._ct_ready and
+                # set, with no backup armed, only; any known fault turns
+                # it off until an epoch without faults returns
+                cs.ct_on = 1 if (self._ct_ready and not armed and
                                  self.known_faults.n_faults() == 0) else 0
             cs.dig_on = 1 if self.stats.digest is not None else 0
         start = 0                        # active-list index, not a gid
@@ -701,6 +721,23 @@ class BatchedNetwork(Network):
             self._route_gids(n, cycle, epoch)
             start = int(cs.scan_ai) + 1
         self._flush_native_stats()
+
+    def _rearm(self, armed) -> None:
+        """The armed link set changed.  A blocked adaptive head at a
+        newly armed endpoint's local port is re-routed every cycle by
+        the object engine, so it may switch to the backup subbase while
+        it waits; staling its epoch sends its next refresh to Python
+        instead of the kernel's candidate re-sort."""
+        new = {n for link in armed - self._c_armed for n in link}
+        self._c_armed = frozenset(armed)
+        if not self.algorithm.adaptive:
+            return
+        n_vcs = self.algorithm.n_vcs
+        for node in sorted(new):
+            base = int(self._portbase[node, 0])        # LOCAL input VCs
+            for g in range(base, base + n_vcs):
+                if self._ivst[g] in (1, 2):
+                    self._epoch_a[g] = -1
 
     def _flush_digest(self) -> None:
         cs = self._cs
@@ -752,6 +789,9 @@ class BatchedNetwork(Network):
         cps = self.config.cycles_per_step
         hop_budget = self.config.hop_budget
         node = int(self._iv_node[gids[0]])
+        # an injection at an armed endpoint may take a backup
+        # substitution: never cache it, so each one is counted
+        subst = self._frr is not None and self._frr.armed_endpoint(node)
         stuck: list[int] = []
         for g in gids:
             st = ivst[g]
@@ -786,10 +826,10 @@ class BatchedNetwork(Network):
                         self._grow_cache()
                     # digest line (in order, via the C byte stream) +
                     # cache entry keyed by the before-values b0..b4
-                    lib.k_note(
-                        cs, g, dec.steps, b0, b1, b2, b3, b4,
-                        0 if dec.refresh_hint == REFRESH_REROUTE else 1,
-                        1)
+                    cacheable = dec.refresh_hint != REFRESH_REROUTE \
+                        and not (subst and iv_port[g] == LOCAL)
+                    lib.k_note(cs, g, dec.steps, b0, b1, b2, b3, b4,
+                               1 if cacheable else 0, 1)
                 else:
                     header = messages[mid].header
                     if hop_budget and header.path_len > hop_budget:
@@ -825,7 +865,8 @@ class BatchedNetwork(Network):
                                                  int(iv_vc[g]))
                         self._write_refresh(g, dec, epoch)
                         self._sync_mirrors(mid)
-                        if dec.refresh_hint != REFRESH_REROUTE:
+                        if dec.refresh_hint != REFRESH_REROUTE \
+                                and not (subst and iv_port[g] == LOCAL):
                             if cs.n_ent >= self._ent_cap - 1:
                                 self._grow_cache()
                             lib.k_note(cs, g, dec.steps, b0, b1, b2,
@@ -1058,11 +1099,8 @@ class BatchedNetwork(Network):
             node = int(event.target)
             lo = int(self._iv_off[node])
             hi = int(self._iv_off[node + 1])
-            cap = self.config.buffer_depth
             for g in range(lo, hi):
-                hd = int(self._buf_head[g])
-                for i in range(int(self._buf_cnt[g])):
-                    victims.add(int(self._buf_msg[g, (hd + i) % cap]))
+                victims.update(m for m, _ in self._ring(g))
                 if self._inc_val[g]:
                     victims.add(int(self._inc_msg[g]))
             for r in self.routers:
@@ -1075,6 +1113,11 @@ class BatchedNetwork(Network):
     def message_stuck(self, msg_id: int) -> None:
         if self._native and msg_id in self.messages:
             self._sync_fields(msg_id)      # fields faithful on exit
+        if self.config.backup_routes:
+            msg_ = self.messages.get(msg_id)
+            if msg_ is not None and not msg_.delivered:
+                self._absorb_and_reinject(msg_)
+                return
         self._lib.k_purge_all(self._cs, msg_id)
         self._load_token = int(self._counters[0])
         msg = self.messages.get(msg_id)
@@ -1110,6 +1153,193 @@ class BatchedNetwork(Network):
             self.offer(msg.header.src, msg.header.dst, msg.header.length,
                        retry_of=msg.header.msg_id)
 
+    # -- fast reroute: worm healing + local re-injection -------------
+    # The object engine's walks (Network._heal_worms and friends), step
+    # for step, over the arrays.  Making a flit the tail is shrinking
+    # msg_len: the kernel's tail test is seq == msg_len[msg] - 1.
+
+    def _heal_worms(self, event) -> None:
+        a, b = event.target
+        ivst, o_port, head_msg = self._ivst, self._o_port, self._head_msg
+        for node, far in ((a, b), (b, a)):
+            for pid, port in self._node_ports[node].items():
+                if port.neighbor != far:
+                    continue
+                for g in range(int(self._iv_off[node]),
+                               int(self._iv_off[node + 1])):
+                    if ivst[g] == 3 and o_port[g] == pid \
+                            and head_msg[g] >= 0:
+                        self._heal_one(node, g)
+
+    def _heal_one(self, node: int, g: int) -> None:
+        msg_id = int(self._head_msg[g])
+        msg = self.messages.get(msg_id)
+        if msg is None:  # pragma: no cover - defensive
+            return
+        if self._native:
+            self._sync_fields(msg_id)      # hop count for delivery
+        self._finish_fragment(g, msg)
+        n_rem = self._absorb_remainder(g, msg)
+        self._counters[0] += 1
+        self._load_token = int(self._counters[0])
+        rr = self.stats.reroute
+        if rr is not None:
+            rr["worms_healed"] += 1
+        fields = msg.header.fields
+        copy = self.offer(
+            node, msg.header.dst, n_rem + 1, healed_from=msg_id,
+            first_dropped=int(fields.get("first_dropped", self.cycle)),
+            orig_created=int(fields.get("orig_created",
+                                        msg.header.created)))
+        if copy is None:
+            self._dead_letter(int(fields.get("root_id", msg_id)))
+
+    def _down_gid(self, g: int) -> int:
+        """The input VC fed by the output VC that ``g``'s worm holds."""
+        node = int(self._iv_node[g])
+        return int(self._ov_down[int(self._portbase[
+            node, int(self._o_port[g]) + 1]) + int(self._o_vc[g])])
+
+    def _ring(self, g: int) -> list[tuple[int, int]]:
+        """(msg, seq) of the flits buffered in input VC ``g``, front
+        first."""
+        cap = self.config.buffer_depth
+        hd = int(self._buf_head[g])
+        idx = [(hd + i) % cap for i in range(int(self._buf_cnt[g]))]
+        return list(zip(self._buf_msg[g, idx].tolist(),
+                        self._buf_seq[g, idx].tolist()))
+
+    def _seqs_of(self, g: int, msg_id: int) -> list[int]:
+        """Sequence numbers of ``msg_id``'s flits in input VC ``g``,
+        buffer first, then the staging slot (the object engine's
+        ``buffer + incoming`` order)."""
+        out = [q for m, q in self._ring(g) if m == msg_id]
+        if self._inc_val[g] and self._inc_msg[g] == msg_id:
+            out.append(int(self._inc_seq[g]))
+        return out
+
+    def _finish_fragment(self, g: int, msg) -> None:
+        msg_id = msg.header.msg_id
+        chain: list[tuple[int, list[int]]] = []
+        d = self._down_gid(g)
+        while True:
+            ours = self._head_msg[d] == msg_id
+            seqs = self._seqs_of(d, msg_id)
+            if not ours and not seqs:
+                break
+            chain.append((d, seqs))
+            if not (ours and self._ivst[d] == 3) or self._o_port[d] == LOCAL:
+                break
+            d = self._down_gid(d)
+        for i, (d, seqs) in enumerate(chain):
+            if seqs:
+                self._msg_len[msg_id] = seqs[-1] + 1
+                for dead, _ in chain[:i]:
+                    self._force_release(dead)
+                return
+        for d, _ in chain:
+            self._force_release(d)
+        if not msg.delivered:
+            msg.delivered = self.cycle
+            msg.hops = msg.header.path_len
+            self.stats.count_message(msg)
+
+    def _absorb_remainder(self, g: int, msg) -> int:
+        msg_id = msg.header.msg_id
+        cap = self.config.buffer_depth
+        n_rem = 0
+        while True:
+            node = int(self._iv_node[g])
+            ring = self._ring(g)
+            kept = [f for f in ring if f[0] != msg_id]
+            hd = int(self._buf_head[g])
+            for i, (m, q) in enumerate(kept):
+                self._buf_msg[g, (hd + i) % cap] = m
+                self._buf_seq[g, (hd + i) % cap] = q
+            removed = len(ring) - len(kept)
+            self._buf_cnt[g] = len(kept)
+            if self._inc_val[g] and self._inc_msg[g] == msg_id:
+                self._inc_val[g] = 0
+                removed += 1
+            n_rem += removed
+            self._r_nflits[node] -= removed
+            in_port, in_vc = int(self._iv_port[g]), int(self._iv_vc[g])
+            self._force_release(g)
+            if in_port == LOCAL:
+                if self._src_cur[node] == msg_id:
+                    n_rem += msg.header.length - int(self._src_pos[node])
+                    self._src_cur[node] = -1
+                return n_rem
+            port = self._node_ports[node][in_port]
+            up = port.neighbor
+            g = next(
+                (u for u in range(int(self._iv_off[up]),
+                                  int(self._iv_off[up + 1]))
+                 if self._ivst[u] == 3 and self._head_msg[u] == msg_id
+                 and self._o_port[u] == port.neighbor_port
+                 and self._o_vc[u] == in_vc), None)
+            if g is None:
+                # the tail already crossed into the VCs we cleaned
+                return n_rem
+
+    def _force_release(self, g: int) -> None:
+        op = int(self._o_port[g])
+        if op != _NO_PORT:
+            ovg = int(self._portbase[int(self._iv_node[g]), op + 1]) \
+                + int(self._o_vc[g])
+            if self._ov_owner[ovg] == g:
+                self._ov_owner[ovg] = -1
+        self._ivst[g] = 0                  # InputVC.release_worm
+        self._head_msg[g] = -1
+        self._ncand[g] = 0
+        self._deliver[g] = 0
+        self._stuckf[g] = 0
+        self._hint[g] = 0
+        self._o_port[g] = _NO_PORT
+        self._o_vc[g] = _NO_PORT
+
+    def _absorb_and_reinject(self, msg) -> None:
+        msg_id = msg.header.msg_id
+        # re-inject where the head waits: the last node (ascending)
+        # with a routed-but-unsent head or an unrouted head of the worm
+        gids, hd = np.arange(self._buf_head.shape[0]), self._buf_head
+        at = ((self._head_msg == msg_id) & (self._ivst != 3)) \
+            | ((self._ivst == 0) & (self._buf_cnt > 0)
+               & (self._buf_msg[gids, hd] == msg_id)
+               & (self._buf_seq[gids, hd] == 0))
+        hits = np.flatnonzero(at)
+        where = int(self._iv_node[hits[-1]]) if hits.size \
+            else msg.header.src
+        self._lib.k_purge_all(self._cs, msg_id)
+        self._load_token = int(self._counters[0])
+        src = msg.header.src
+        if int(self._src_cur[src]) == msg_id:
+            self._src_cur[src] = -1
+        msg.dropped = True
+        fields = msg.header.fields
+        fields["stuck"] = True
+        self.stats.messages_stuck += 1
+        root = int(fields.get("root_id", msg_id))
+        retries = int(fields.get("local_retries", 0))
+        if retries >= 3:
+            self._dead_letter(root)
+            return
+        rr = self.stats.reroute
+        if rr is not None:
+            rr["worms_absorbed"] += 1
+        carry = {
+            "retry_of": msg_id,
+            "root_id": root,
+            "local_retries": retries + 1,
+            "first_dropped": int(fields.get("first_dropped", self.cycle)),
+            "orig_created": int(fields.get("orig_created",
+                                           msg.header.created)),
+        }
+        release = self.cycle + self.config.retry_backoff * (1 << retries)
+        heappush(self._pending_retries,
+                 (release, next(self._retry_seq), where,
+                  msg.header.dst, msg.header.length, carry))
+
     # -- stall diagnosis ----------------------------------------------
 
     def _diagnose_stall(self):
@@ -1118,7 +1348,7 @@ class BatchedNetwork(Network):
 
     def _make_flit(self, mid: int, seq: int) -> Flit:
         msg = self.messages.get(mid)
-        length = msg.header.length if msg else int(self._msg_len[mid])
+        length = int(self._msg_len[mid])     # a healed worm's is shorter
         if length == 1:
             kind = FlitKind.HEAD_TAIL
         elif seq == 0:
@@ -1142,9 +1372,7 @@ class BatchedNetwork(Network):
             # structural walk reads them
             mids: set[int] = set()
             for g in range(int(self._iv_off[-1])):
-                hd = int(self._buf_head[g])
-                for i in range(int(self._buf_cnt[g])):
-                    mids.add(int(self._buf_msg[g, (hd + i) % cap]))
+                mids.update(m for m, _ in self._ring(g))
                 if self._inc_val[g]:
                     mids.add(int(self._inc_msg[g]))
                 if self._head_msg[g] >= 0:
@@ -1163,12 +1391,8 @@ class BatchedNetwork(Network):
                 pid = int(self._iv_port[g])
                 vc = int(self._iv_vc[g])
                 iv = InputVC(pid, vc, cap)
-                hd = int(self._buf_head[g])
-                for i in range(int(self._buf_cnt[g])):
-                    idx = (hd + i) % cap
-                    iv.buffer.append(
-                        self._make_flit(int(self._buf_msg[g, idx]),
-                                        int(self._buf_seq[g, idx])))
+                iv.buffer.extend(self._make_flit(m, q)
+                                 for m, q in self._ring(g))
                 if self._inc_val[g]:
                     iv.incoming.append(
                         self._make_flit(int(self._inc_msg[g]),
@@ -1221,17 +1445,16 @@ def batched_fallback_reason(arbiter="round_robin", tracer=None,
     for this configuration — None when the batched engine applies.
 
     The fallback rules (documented in docs/PERFORMANCE.md): the batched
-    engine emits no trace events, implements only the stock round-robin
-    arbiter, and needs a C compiler (or a previously cached kernel
-    build) on first use.  Metrics timeseries no longer force a
-    fallback: the kernels keep the per-link counters and the
-    active-router gauge in arrays and drain them into the timeseries
-    (the ``metrics`` parameter is kept for call-site compatibility)."""
+    engine emits no trace events, implements only the deterministic
+    selection policy and the stock round-robin arbiter, and needs a C
+    compiler (or a previously cached kernel build) on first use.  Fast
+    reroute (``backup_routes``) runs batched: its worm surgery walks the
+    arrays at each fault event.  So do metrics timeseries: the kernels
+    keep the per-link counters and the active-router gauge in arrays
+    and drain them into the timeseries (the ``metrics`` parameter is
+    kept for call-site compatibility)."""
     if tracer is not None and getattr(tracer, "enabled", True):
         return "tracing is enabled (the batched data path emits no events)"
-    if config is not None and config.backup_routes:
-        return ("backup_routes is enabled (fast-reroute healing walks "
-                "per-flit worm state the batched arrays do not model)")
     if config is not None and config.policy != "deterministic":
         return (f"selection policy {config.policy!r} is not "
                 f"'deterministic' (the batched decision cache replays "

@@ -5,7 +5,8 @@ Every algorithm in the registry runs the same workload on both engines
 — small meshes, tori, hypercubes and k-ary n-cubes, fault-free and with
 static and timed (mid-run) fault schedules in both fault modes — and
 the complete ``SimStats.summary`` must match bit-for-bit, per-decision
-SHA-256 digest included.  A digest mismatch localizes to the first
+SHA-256 digest and fault log included (fast reroute's healing and
+absorption rows among them).  A digest mismatch localizes to the first
 differing routing decision; a summary mismatch to the first differing
 counter.
 
@@ -62,18 +63,24 @@ def _scenarios(algo):
     out = [("clean", None, {})]
     if not (meta.max_link_faults or meta.max_node_faults):
         return out
+    harsh = {"fault_mode": "harsh", "retry_limit": 2, "retry_backoff": 8}
+    # delayed detection + hop-by-hop diagnosis flood, the richest
+    # fault-knowledge path the reliability layer has
+    diagnosis = {**harsh, "detection_delay": 5, "diagnosis_hop_delay": 1}
+    backups = {"backup_routes": True}
     out.append(("static", "static", {}))
     out.append(("timed-quiesce", "timed", {"fault_mode": "quiesce"}))
-    out.append(("timed-harsh", "timed", {"fault_mode": "harsh",
-                                         "retry_limit": 2,
-                                         "retry_backoff": 8}))
+    out.append(("timed-harsh", "timed", harsh))
     if algo == "nafta":
-        # delayed detection + hop-by-hop diagnosis flood, the richest
-        # fault-knowledge path the reliability layer has
-        out.append(("timed-diagnosis", "timed",
-                    {"fault_mode": "harsh", "detection_delay": 5,
-                     "diagnosis_hop_delay": 1, "retry_limit": 2,
-                     "retry_backoff": 8}))
+        out.append(("timed-diagnosis", "timed", diagnosis))
+        # fast reroute: worms healed and absorbed on the arrays, backup
+        # substitutions kept out of the native caches
+        out.append(("timed-harsh-backups", "timed", {**harsh, **backups}))
+        out.append(("timed-diagnosis-backups", "timed",
+                    {**diagnosis, **backups}))
+    if algo == "updown":
+        out.append(("timed-diagnosis-backups", "timed",
+                    {**diagnosis, **backups}))
     return out
 
 
@@ -98,7 +105,9 @@ def _run(engine_cls, algo, topo_kind, schedule_kind, cfg_kwargs):
     net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.15,
                                         message_length=4, seed=7))
     net.run(cycles)
-    return net.stats.summary(topo.n_nodes)
+    out = net.stats.summary(topo.n_nodes)
+    out["fault_events"] = net.fault_log
+    return out
 
 
 def _parity_params():
@@ -262,6 +271,32 @@ def test_active_set_quiesce_empty_then_refill():
     bat = _digest_run(BatchedNetwork, "nafta", kw, schedule, cycles=400,
                       load=0.05)
     assert obj == bat
+
+
+# ---------------------------------------------------------------------------
+# fast reroute: worms split at a dying link, absorbed when stuck, and
+# re-injected through the backup subbases — all on the arrays
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("algo", ["nafta", "updown"])
+def test_fast_reroute_heals_on_the_arrays(algo):
+    """Three central links die one after another under load, each
+    detected five cycles late: the healed and absorbed worms and the
+    backup substitutions must match the oracle digest for digest."""
+    def schedule():
+        sched = FaultSchedule()
+        sched.add_link_fault(60, 6, 7)
+        sched.add_link_fault(90, 12, 13)
+        sched.add_link_fault(120, 7, 12)
+        return sched
+    kw = {"fault_mode": "harsh", "backup_routes": True, "retry_limit": 2,
+          "retry_backoff": 8, "detection_delay": 5,
+          "diagnosis_hop_delay": 1}
+    obj = _digest_run(Network, algo, kw, schedule)
+    bat = _digest_run(BatchedNetwork, algo, kw, schedule)
+    assert obj == bat
+    assert obj["reroute"]["worms_healed"] > 0
+    assert obj["reroute"]["backup_route_decisions"] > 0
 
 
 # ---------------------------------------------------------------------------

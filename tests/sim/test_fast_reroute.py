@@ -8,12 +8,14 @@ no entry routes into the link it protects, and every protected link's
 shadow configuration has an acyclic channel dependency graph.  The
 dispatch tests cover the activation edge cases: substitution only at
 injection with a neutral header, fall-through when the backup link is
-itself dead, and the batched engine declaring an explicit fallback
-instead of silently mis-modelling per-flit healing.
+itself dead.  The worm-surgery tests run every case on both engines:
+the batched engine heals and absorbs worms on its arrays and must
+match the object engine message for message.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.compiler.backup import (BackupTable, build_backup_table_for,
@@ -21,10 +23,20 @@ from repro.core.compiler.backup import (BackupTable, build_backup_table_for,
 from repro.experiments import run_workload
 from repro.experiments.campaign import make_scenario
 from repro.routing import FastReroute, make_algorithm
-from repro.sim import Mesh2D, Network, SimConfig
-from repro.sim.batched import batched_fallback_reason
+from repro.routing.base import (REFRESH_RESORT, REFRESH_STATIC,
+                                RouteDecision, RoutingAlgorithm,
+                                order_by_adaptivity)
+from repro.sim import FaultSchedule, Mesh2D, Network, SimConfig
+from repro.sim.batched import BatchedNetwork, batched_fallback_reason
 from repro.sim.flit import Header
 from repro.sim.router import LOCAL
+from repro.sim.stats import DecisionDigest
+from repro.sim.topology import WEST
+from repro.sim.traffic import TrafficGenerator
+
+needs_kernel = pytest.mark.skipif(
+    batched_fallback_reason() is not None,
+    reason=f"batched engine unavailable: {batched_fallback_reason()}")
 
 
 def _fresh_header(src: int, dst: int, fields=None) -> Header:
@@ -220,15 +232,191 @@ class TestEndToEndRecovery:
             assert ev_on["loss_window"] < ev_off["loss_window"]
         assert on["cycles_of_loss"] < off["cycles_of_loss"]
 
-    def test_batched_engine_declares_explicit_fallback(self):
+    @needs_kernel
+    def test_batched_engine_runs_backups_natively(self):
         cfg = SimConfig(fault_mode="harsh", backup_routes=True)
-        reason = batched_fallback_reason(config=cfg)
-        assert reason is not None and "backup_routes" in reason
-        # the batched-parity CI lane's availability probe (no config)
-        # and plain harsh configs stay batched
-        assert batched_fallback_reason() is None
-        assert batched_fallback_reason(
-            config=SimConfig(fault_mode="harsh")) is None
+        assert batched_fallback_reason(config=cfg) is None
+        res = run_workload(make_scenario(
+            0, width=4, height=4, cycles=400, warmup=50,
+            backup_routes=True, engine="batched"))
+        assert res["engine"] == "batched"
+        assert "engine_fallback" not in res
+        assert "reroute" in res
+
+
+# ---------------------------------------------------------------------------
+# worm surgery on both engines: one 12-flit worm 0 -> 3 along the bottom
+# row of a 4x2 mesh; link (1, 2) dies under it at ``fault_cycle``
+# ---------------------------------------------------------------------------
+
+#: the accounting fields healing and absorption write
+ACCOUNTING_FIELDS = ("healed_from", "retry_of", "root_id", "local_retries",
+                     "first_dropped", "orig_created", "stuck")
+
+
+def _one_worm(engine_cls, fault_cycle=None, **cfg):
+    topo = Mesh2D(4, 2)
+    net = engine_cls(topo, make_algorithm("nafta"), config=SimConfig(
+        fault_mode="harsh", backup_routes=True, **cfg))
+    if fault_cycle is not None:
+        sched = FaultSchedule()
+        sched.add_link_fault(fault_cycle, 1, 2)
+        net.schedule_faults(sched)
+    net.offer(0, 3, 12)
+    net.run_until_drained(2000)
+    messages = {
+        m.header.msg_id: {
+            "src": m.header.src, "length": m.header.length,
+            "delivered": m.delivered, "dropped": m.dropped,
+            **{k: v for k, v in m.header.fields.items()
+               if k in ACCOUNTING_FIELDS}}
+        for m in net.messages.values()}
+    return net.stats.summary(topo.n_nodes), messages
+
+
+def _both_engines(fault_cycle=None, **cfg):
+    obj = _one_worm(Network, fault_cycle, **cfg)
+    bat = _one_worm(BatchedNetwork, fault_cycle, **cfg)
+    assert bat == obj
+    return obj
+
+
+@needs_kernel
+class TestWormSurgeryBothEngines:
+    @pytest.mark.parametrize("detection_delay", [0, 3])
+    def test_split_worm_mid_flight(self, detection_delay):
+        """Without a detection delay the fragment is still in flight
+        and its rearmost flit becomes the tail; with one, it has
+        drained by detection time and the original counts delivered
+        then.  Either way the remainder is re-offered at the detecting
+        endpoint with ``healed_from``, and routed by the backup."""
+        summary, msgs = _both_engines(
+            8, detection_delay=detection_delay,
+            diagnosis_hop_delay=1 if detection_delay else 0)
+        assert summary["reroute"]["worms_healed"] == 1
+        assert set(msgs) == {0, 1}
+        fragment, remainder = msgs[0], msgs[1]
+        assert not fragment["dropped"]
+        if detection_delay:
+            assert fragment["delivered"] == 8 + detection_delay
+        else:
+            assert fragment["delivered"] > 8
+        assert (remainder["src"], remainder["healed_from"]) == (1, 0)
+        assert 1 < remainder["length"] < 12
+        assert remainder["delivered"] is not None
+        assert summary["reroute"]["backup_route_decisions"] == \
+            (1 if detection_delay else 0)
+
+    def test_tail_already_crossed_the_break(self):
+        summary, msgs = _both_engines(14)
+        assert summary["reroute"] == {"worms_healed": 0,
+                                      "worms_absorbed": 0,
+                                      "backup_route_decisions": 0}
+        assert list(msgs) == [0] and msgs[0]["delivered"] is not None
+
+    def test_stuck_worm_absorbed_and_reinjected(self):
+        """The head is routed into the link before its failure is
+        known; once confirmed, the worm is declared stuck, absorbed
+        whole and re-injected locally where its head waited."""
+        summary, msgs = _both_engines(2, detection_delay=3,
+                                      diagnosis_hop_delay=1)
+        assert summary["reroute"]["worms_absorbed"] == 1
+        assert msgs[0]["dropped"] and msgs[0]["stuck"]
+        copy = msgs[1]
+        assert (copy["src"], copy["length"]) == (1, 12)
+        assert (copy["retry_of"], copy["local_retries"]) == (0, 1)
+        assert copy["delivered"] is not None
+
+    @pytest.mark.parametrize("detection_delay", [0, 3])
+    def test_every_fault_cycle_matches(self, detection_delay):
+        """The break at every position of the worm: not yet reached,
+        each split point, and past the tail."""
+        healed = 0
+        for cycle in range(1, 17):
+            summary, _msgs = _both_engines(
+                cycle, detection_delay=detection_delay,
+                diagnosis_hop_delay=1 if detection_delay else 0)
+            healed += summary["reroute"]["worms_healed"]
+        assert healed > 5
+
+
+class _NeutralWestFirst(RoutingAlgorithm):
+    """Minimal west-first adaptive routing on one VC that writes
+    nothing to the header, so a blocked injection stays
+    injection-equivalent: the object engine's per-cycle refresh may
+    switch it to a backup the moment its endpoint arms.  Declares a
+    native descriptor (one field, never written) to run the batched
+    engine's C cache."""
+
+    name = "westfirst-neutral"
+    n_vcs = 1
+    fault_tolerant = True
+    native_fields = ("mark",)
+
+    def reset(self, network):
+        self.known = network.known_faults
+
+    def route(self, router, header, in_port, in_vc):
+        if router.node == header.dst:
+            return RouteDecision(deliver=True, refresh_hint=REFRESH_STATIC)
+        ports = router.topology.minimal_ports(router.node, header.dst)
+        if WEST in ports:
+            ports = [WEST]
+        cands = [(p, 0) for p in ports
+                 if self.known.port_ok(router.node, p)]
+        if not cands:
+            return RouteDecision.unroutable()
+        return RouteDecision(candidates=order_by_adaptivity(cands, router),
+                             refresh_hint=REFRESH_RESORT)
+
+
+@needs_kernel
+class TestNativeCachesBothEngines:
+    def test_blocked_injection_switches_when_its_endpoint_arms(self):
+        """Two long worms hold node 5's east and north outputs; an
+        injection at 5 toward 10 (north-east) waits for either.  When
+        link (5, 6) arms, the object engine's refresh substitutes the
+        backup (north only) every cycle; the batched engine must not
+        keep re-sorting the stale decision in C."""
+        def run(engine_cls):
+            topo = Mesh2D(4, 4)
+            net = engine_cls(topo, _NeutralWestFirst(), config=SimConfig(
+                fault_mode="harsh", backup_routes=True))
+            net.stats.digest = DecisionDigest()
+            net.offer(4, 7, 40)
+            net.offer(1, 13, 40)
+            net.run(8)
+            net.offer(5, 10, 4)
+            net.run(4)
+            net.algorithm.arm((5, 6))
+            net.run(6)
+            net.run_until_drained(500)
+            return net.stats.summary(topo.n_nodes)
+
+        obj = run(Network)
+        assert obj["reroute"]["backup_route_decisions"] > 1
+        assert run(BatchedNetwork) == obj
+
+    def test_armed_endpoint_injections_stay_out_of_the_caches(self):
+        topo = Mesh2D(4, 4)
+        net = BatchedNetwork(topo, make_algorithm("nafta"),
+                             config=SimConfig(fault_mode="harsh",
+                                              backup_routes=True))
+        assert net._native, "FastReroute must forward the descriptor"
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
+                                            message_length=4, seed=3))
+        net.run(50)
+        assert net._cs.ct_on == 1
+        net.algorithm.arm((5, 6))
+        net.run(200)
+        assert net._cs.ct_on == 0          # no clean table while armed
+        keys = net._ek[:net._cs.n_ent]
+        assert len(keys) > 0
+        at_endpoint = np.isin(keys[:, 0], (5, 6)) & (keys[:, 2] == LOCAL)
+        assert not at_endpoint.any()
+        net.algorithm.disarm((5, 6))
+        net.run(1)
+        assert net._cs.ct_on == 1
 
 
 class TestConfigSurface:

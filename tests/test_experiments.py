@@ -1,10 +1,16 @@
 """Tests for the experiments package (runners, harness, paper data)."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.experiments import (PAPER, PAPER_TABLE1, WorkloadSpec, fmt,
                                latency_vs_load, mesh_fault_sweep,
                                paper_table2_row, run_workload,
                                saturation_throughput, table)
 from repro.sim import Mesh2D
+from repro.sim.batched import batched_fallback_reason
 
 
 class TestRunners:
@@ -45,6 +51,34 @@ class TestRunners:
                                          algorithm="xy", load=0.05,
                                          cycles=300, warmup=50, seed=1))
         assert res["mean_latency"] > base["mean_latency"]
+
+    @pytest.mark.skipif(batched_fallback_reason() is not None,
+                        reason="batched engine unavailable")
+    def test_finished_batched_network_freed_without_gc(self, monkeypatch):
+        """A campaign runs scenario after scenario in one process; each
+        finished network (numpy arrays, C buffers) must be freed by
+        refcounting alone, not left for a cyclic GC pass."""
+        from repro.experiments import runners
+        real_build = runners.build_network
+        built = []
+
+        def build(*args, **kwargs):
+            net = real_build(*args, **kwargs)
+            built.append((weakref.ref(net), weakref.ref(net._tab)))
+            return net
+
+        monkeypatch.setattr(runners, "build_network", build)
+        spec = WorkloadSpec(topology=Mesh2D(4, 4), algorithm="nafta",
+                            load=0.1, cycles=200, warmup=50, seed=1,
+                            engine="batched")
+        gc.disable()
+        try:
+            run_workload(spec)
+            (net, table), = built
+            assert net() is None
+            assert table() is None
+        finally:
+            gc.enable()
 
 
 class TestHarness:
