@@ -307,11 +307,8 @@ def _logical_accounting(net: Network) -> dict:
     delivered: set[int] = set()
     for m in net.messages.values():
         fields = m.header.fields
-        # root_id (retry machinery) or retry_of (legacy one-shot
-        # retransmit_dropped copies) name the originating send
-        root = int(fields.get("root_id",
-                              fields.get("retry_of", m.header.msg_id)))
-        if "retry_of" not in m.header.fields:
+        root = int(fields.get("root_id", m.header.msg_id))
+        if "retry_of" not in fields:
             roots.add(root)
         if m.delivered:
             delivered.add(root)

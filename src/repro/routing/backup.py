@@ -35,10 +35,11 @@ configuration's channel-dependency analysis:
 The wrapper forwards the inner algorithm's native descriptor
 (:attr:`~repro.routing.base.RoutingAlgorithm.native_fields` and
 friends), so the batched engine keeps replaying the inner decisions
-in C.  A substitution itself is never cached: :meth:`FastReroute.
-route_cache_key` refuses the local in-port of an armed endpoint, and
-the batched engine clears its native cache when the armed set changes
-and bypasses its clean table while any link is armed.
+in C.  A substitution itself is never cached: the batched engine does
+not note decisions at the local in-port of an armed endpoint
+(:meth:`FastReroute.armed_endpoint`) into its native cache, clears that
+cache when the armed set changes and bypasses its clean table while
+any link is armed.
 """
 
 from __future__ import annotations
@@ -142,8 +143,6 @@ class FastReroute(RoutingAlgorithm):
     # forward them explicitly, or a wrapped native algorithm would make
     # every batched decision in Python
 
-    cache_mutable_fields = property(
-        lambda self: self.inner.cache_mutable_fields)
     native_fields = property(lambda self: self.inner.native_fields)
     native_term_rule = property(lambda self: self.inner.native_term_rule)
     native_key_uses_vc = property(
@@ -159,12 +158,6 @@ class FastReroute(RoutingAlgorithm):
         """Is ``node`` an endpoint of an armed link (where injections
         may be substituted)?"""
         return any(node in link for link in self.armed)
-
-    def route_cache_key(self, node: int, header, in_port: int,
-                        in_vc: int):
-        if in_port == LOCAL and self.armed_endpoint(node):
-            return None     # may substitute: count every one of them
-        return self.inner.route_cache_key(node, header, in_port, in_vc)
 
     def native_livelock_limit(self, topology):
         return self.inner.native_livelock_limit(topology)

@@ -83,14 +83,10 @@ class RoutingAlgorithm:
     #: are re-routed only when the fault knowledge changes (the
     #: network's ``route_epoch`` advances).
     adaptive: bool = True
-    #: header fields ``route`` may write (used by the batched engine's
-    #: decision cache to record and replay the side effects of a cached
-    #: decision; irrelevant unless ``route_cache_key`` is implemented)
-    cache_mutable_fields: tuple[str, ...] = ()
     #: Native-cache descriptor for the batched engine (None = every
     #: fresh decision enters Python).  A tuple of at most 5 header
     #: field names covering BOTH every field ``route`` reads and every
-    #: field it writes — a superset of ``cache_mutable_fields``.
+    #: field it writes; it is the only statement of either.
     #: Declaring it asserts that, while the fault knowledge stands, the
     #: decision (including its ``steps`` and field writes) is a pure
     #: function of (node, dst, in_port, in_vc, these field values, and
@@ -156,21 +152,6 @@ class RoutingAlgorithm:
     def route(self, router: "Router", header: Header,
               in_port: int, in_vc: int) -> RouteDecision:
         raise NotImplementedError
-
-    def route_cache_key(self, node: int, header: Header,
-                        in_port: int, in_vc: int) -> "tuple | None":
-        """Memoization key for ``route``, or None if uncacheable.
-
-        Two calls with equal keys must return the same decision (up to
-        the load re-ordering a ``REFRESH_RESORT`` hint declares) and
-        perform the same writes to the ``cache_mutable_fields`` of the
-        header — *while the network's fault knowledge stands*; the
-        batched engine drops its cache whenever ``route_epoch``
-        advances.  The key must therefore cover every dynamic input of
-        the decision except output loads: typically (node, dst,
-        in_port, and the header fields the algorithm branches on).
-        The object engine never consults this."""
-        return None
 
     def native_livelock_limit(self, topology: Topology) -> "int | None":
         """Path-length threshold the decision branches on (the livelock

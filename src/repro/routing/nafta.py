@@ -49,9 +49,8 @@ class NaftaRouting(RoutingAlgorithm):
     name = "nafta"
     n_vcs = 2
     fault_tolerant = True
-    cache_mutable_fields = ("vn", "term", "sdir", "misrouted")
     # everything route() branches on beyond geometry/arrival port and
-    # the epoch-static fault knowledge: the four mutable fields plus the
+    # the epoch-static fault knowledge: the four header fields plus the
     # livelock-overflow flag (native_livelock_limit below); on_depart is
     # exactly the base path-length bump plus the terminal-commit rule
     native_fields = ("vn", "term", "sdir", "misrouted")
@@ -225,20 +224,6 @@ class NaftaRouting(RoutingAlgorithm):
                 return RouteDecision(
                     candidates=self._order(switched, router), steps=3)
         return RouteDecision.unroutable(steps=3)
-
-    def route_cache_key(self, node, header, in_port, in_vc):
-        # Everything route() branches on besides the (epoch-static)
-        # fault knowledge: geometry, arrival port, the committed
-        # virtual network / terminal run, the sticky detour direction,
-        # and whether the livelock counter has overflowed.  in_vc is
-        # never consulted.  (The vn-switch branch returns a
-        # REFRESH_REROUTE decision, which the cache refuses to store.)
-        f = header.fields
-        topo = self.fault_map.topology if self.fault_map else None
-        over = (topo is not None
-                and header.path_len > self._livelock_limit(topo))
-        return (node, header.dst, in_port, f.get("vn"),
-                bool(f.get("term")), f.get("sdir"), over)
 
     def _detour_candidates(self, router, header: Header, vn: int,
                            free: tuple[int, ...], term: int,

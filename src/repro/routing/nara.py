@@ -48,7 +48,6 @@ class NaraRouting(RoutingAlgorithm):
     name = "nara"
     n_vcs = 2
     fault_tolerant = False
-    cache_mutable_fields = ("vn",)
     # route() consults nothing but geometry and the vn field (in_port,
     # in_vc, path_len are never read), so the native key is safely finer
     native_fields = ("vn",)
@@ -109,11 +108,6 @@ class NaraRouting(RoutingAlgorithm):
             if x == dx:
                 candidates.append((term, vn))
         return candidates
-
-    def route_cache_key(self, node, header, in_port, in_vc):
-        # the decision depends only on geometry and the virtual network
-        # already assigned (in_port/in_vc are never consulted)
-        return (node, header.dst, header.fields.get("vn"))
 
     @staticmethod
     def _order(candidates, router):

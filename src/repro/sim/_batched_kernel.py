@@ -11,14 +11,15 @@ allocate/grant/transfer walk with the stock round-robin pointers.
 Decisions themselves stay in Python (the routing *algorithm* is the
 reproduced artifact), but algorithms that declare a native descriptor
 (:attr:`~repro.routing.base.RoutingAlgorithm.native_fields`) get a
-C-side replay cache: the header fields the algorithm consults are
-mirrored in per-message int32 arrays, each fresh decision is keyed by
-``(node, dst, in_port, in_vc, livelock-overflow, field values)`` — a
-strictly finer key than ``route_cache_key``, hence always safe — and a
-hit replays the recorded decision (field writes, candidate set, RESORT
-re-sort by current loads, digest line, stats counters) without entering
-Python at all.  Only genuine misses (first sighting of a key this
-epoch, REROUTE-hinted branches, stuck declarations) cross into Python.
+C-side decision cache, the engine's only decision memo: the header
+fields the algorithm consults are mirrored in per-message int32 arrays,
+each fresh decision is keyed by ``(node, dst, in_port, in_vc,
+livelock-overflow, field values)`` — by the descriptor contract, that
+covers everything ``route`` reads — and a hit replays the recorded
+decision (field writes, candidate set, RESORT re-sort by current loads,
+digest line, stats counters) without entering Python at all.  Only
+genuine misses (first sighting of a key this epoch, REROUTE-hinted
+branches, stuck declarations) cross into Python.
 
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the

@@ -29,8 +29,11 @@ mirror the oracle one-for-one:
 * blocked-head refreshes use :data:`~repro.routing.base.RouteDecision.
   refresh_hint`: RESORT re-sorts the candidate set by (output load,
   port, vc) in C, STATIC skips, REROUTE re-enters the algorithm in
-  Python — and a per-epoch decision cache with header-field delta
-  replay keeps those Python entries cheap.
+  Python;
+* for algorithms with a native descriptor (``native_fields``), one
+  C-side decision cache keyed on the mirrored header fields replays
+  repeated decisions; every miss is a fresh ``route()`` call whose
+  result is noted into that cache.
 
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
@@ -64,7 +67,7 @@ from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, kernel_available,
                               load_kernel)
-from ..routing.base import REFRESH_REROUTE, REFRESH_RESORT, RouteDecision
+from ..routing.base import REFRESH_REROUTE, RouteDecision
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _MISSING = object()
@@ -356,11 +359,6 @@ class BatchedNetwork(Network):
         # arrays are token-sized and the kernel never touches them
         nf = self.algorithm.native_fields
         native = nf is not None and len(nf) <= MAXF
-        if native and not set(self.algorithm.cache_mutable_fields) \
-                <= set(nf):
-            raise ValueError(
-                f"{self.algorithm.name}: native_fields must cover "
-                f"cache_mutable_fields")
         self._native = native
         self._nf = tuple(nf) if native else ()
         self._ent_cap = (1 << 15) if native else 8
@@ -501,8 +499,6 @@ class BatchedNetwork(Network):
         self._bufs.append(self._heads_ptr)
 
         self._fault_version = self.faults.version
-        self._dec_cache: dict = {}
-        self._dec_epoch = -1
         self._c_epoch = None           # native cache's route_epoch
         self._ct_ready = False         # set by _install_clean_table
         # fast reroute (backup_routes): the wrapper whose armed links
@@ -789,6 +785,7 @@ class BatchedNetwork(Network):
         cps = self.config.cycles_per_step
         hop_budget = self.config.hop_budget
         node = int(self._iv_node[gids[0]])
+        router = self.routers[node]
         # an injection at an armed endpoint may take a backup
         # substitution: never cache it, so each one is counted
         subst = self._frr is not None and self._frr.armed_endpoint(node)
@@ -814,11 +811,8 @@ class BatchedNetwork(Network):
                     b0, b1, b2, b3, b4 = (int(bf[0]), int(bf[1]),
                                           int(bf[2]), int(bf[3]),
                                           int(bf[4]))
-                    # a C-key miss can still hit the (coarser-keyed)
-                    # Python replay cache — much cheaper than route()
-                    dec = self._route_cached(node, header,
-                                             int(iv_port[g]),
-                                             int(iv_vc[g]))
+                    dec = algo.route(router, header, int(iv_port[g]),
+                                     int(iv_vc[g]))
                     stats.count_decision(dec.steps)
                     self._write_decision(g, dec, mid, cycle, cps, epoch)
                     self._sync_mirrors(mid)
@@ -835,9 +829,8 @@ class BatchedNetwork(Network):
                     if hop_budget and header.path_len > hop_budget:
                         stuck.append(mid)
                         continue
-                    dec = self._route_cached(node, header,
-                                             int(iv_port[g]),
-                                             int(iv_vc[g]))
+                    dec = algo.route(router, header, int(iv_port[g]),
+                                     int(iv_vc[g]))
                     stats.count_decision(dec.steps)
                     if digest is not None:
                         digest.update(node, mid, dec)
@@ -860,9 +853,8 @@ class BatchedNetwork(Network):
                         b0, b1, b2, b3, b4 = (int(bf[0]), int(bf[1]),
                                               int(bf[2]), int(bf[3]),
                                               int(bf[4]))
-                        dec = self._route_cached(node, header,
-                                                 int(iv_port[g]),
-                                                 int(iv_vc[g]))
+                        dec = algo.route(router, header,
+                                         int(iv_port[g]), int(iv_vc[g]))
                         self._write_refresh(g, dec, epoch)
                         self._sync_mirrors(mid)
                         if dec.refresh_hint != REFRESH_REROUTE \
@@ -875,9 +867,8 @@ class BatchedNetwork(Network):
                         lib.k_resort(cs, g)
                 elif epoch_a[g] != epoch or adaptive:
                     header = messages[int(head_msg[g])].header
-                    dec = self._route_cached(node, header,
-                                             int(iv_port[g]),
-                                             int(iv_vc[g]))
+                    dec = algo.route(router, header, int(iv_port[g]),
+                                     int(iv_vc[g]))
                     self._write_refresh(g, dec, epoch)
             if ivst[g] == 2 and stuckf[g]:
                 stuck.append(int(head_msg[g]))
@@ -889,18 +880,8 @@ class BatchedNetwork(Network):
                         cycle: int, cps: int, epoch: int) -> None:
         self._ivst[g] = 1
         self._head_msg[g] = mid
-        self._deliver[g] = 1 if dec.deliver else 0
-        self._stuckf[g] = 1 if dec.stuck else 0
-        self._hint[g] = dec.refresh_hint
-        cands = dec.candidates
-        self._ncand[g] = len(cands)
-        cp = self._cand_p
-        cv = self._cand_v
-        for i, (p, v) in enumerate(cands):
-            cp[g, i] = p
-            cv[g, i] = v
         self._ready[g] = cycle + max(1, dec.steps * cps) - 1
-        self._epoch_a[g] = epoch
+        self._write_refresh(g, dec, epoch)
 
     def _write_refresh(self, g: int, dec: RouteDecision,
                        epoch: int) -> None:
@@ -915,54 +896,6 @@ class BatchedNetwork(Network):
             cp[g, i] = p
             cv[g, i] = v
         self._epoch_a[g] = epoch
-
-    def _route_cached(self, node: int, header, in_port: int,
-                      in_vc: int) -> RouteDecision:
-        """``algo.route`` with a per-epoch memo over
-        ``route_cache_key`` + the before-values of the algorithm's
-        mutable header fields; replays recorded field writes and
-        re-sorts RESORT candidate sets by the current loads, so the
-        decision (and hence the digest) is bit-identical to a fresh
-        call."""
-        algo = self.algorithm
-        key = algo.route_cache_key(node, header, in_port, in_vc)
-        router = self.routers[node]
-        if key is None:
-            return algo.route(router, header, in_port, in_vc)
-        if self._dec_epoch != self.route_epoch:
-            self._dec_cache.clear()
-            self._dec_epoch = self.route_epoch
-        fields = header.fields
-        mutable = algo.cache_mutable_fields
-        before = tuple(fields.get(f, _MISSING) for f in mutable)
-        full_key = (key, before)
-        ent = self._dec_cache.get(full_key)
-        if ent is not None:
-            deliver, stuck, steps, cands, hint, delta = ent
-            for f, v in delta:
-                fields[f] = v
-            lst = list(cands)
-            if hint == REFRESH_RESORT and len(lst) > 1:
-                load = router.output_load
-                lst.sort(key=lambda pv: (load(pv[0]), pv[0], pv[1]))
-            return RouteDecision(deliver=deliver, candidates=lst,
-                                 steps=steps, stuck=stuck,
-                                 refresh_hint=hint)
-        dec = algo.route(router, header, in_port, in_vc)
-        if dec.refresh_hint != REFRESH_REROUTE:
-            after = tuple(fields.get(f, _MISSING) for f in mutable)
-            # only field *writes* are replayable; a decision that
-            # deleted a field (only REROUTE branches do today) is not
-            # cached rather than replayed wrongly
-            if not any(b is not _MISSING and a is _MISSING
-                       for a, b in zip(after, before)):
-                delta = tuple((f, a) for f, a, b
-                              in zip(mutable, after, before)
-                              if a is not b and a != b)
-                self._dec_cache[full_key] = (
-                    dec.deliver, dec.stuck, dec.steps,
-                    tuple(dec.candidates), dec.refresh_hint, delta)
-        return dec
 
     def _alloc_phase(self) -> int:
         moved = int(self._lib.k_alloc(self._cs))
@@ -1149,9 +1082,6 @@ class BatchedNetwork(Network):
             return
         if self.config.retry_limit:
             self._schedule_retry(msg, event=event)
-        elif self.config.retransmit_dropped:
-            self.offer(msg.header.src, msg.header.dst, msg.header.length,
-                       retry_of=msg.header.msg_id)
 
     # -- fast reroute: worm healing + local re-injection -------------
     # The object engine's walks (Network._heal_worms and friends), step

@@ -25,8 +25,6 @@ class SimConfig:
     injection_vc: int = 0          # local-port VC messages enter through
     fault_mode: str = "quiesce"    # "quiesce" honours assumption iv;
     #                                "harsh" kills worms on dying links
-    retransmit_dropped: bool = False  # legacy: immediate re-offer of a
-    #                                   ripped-up message, no backoff
     detection_delay: int = 0       # cycles between a fault occurring and
     #                                the Information Units confirming it
     #                                (heartbeat detection; harsh mode only)
@@ -105,7 +103,3 @@ class SimConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown selection policy {self.policy!r}; "
                              f"choose from {sorted(POLICIES)}")
-        if self.retry_limit and self.retransmit_dropped:
-            raise ValueError("retry_limit and the legacy "
-                             "retransmit_dropped are mutually exclusive; "
-                             "use retry_limit")

@@ -894,11 +894,6 @@ class Network:
             return
         if self.config.retry_limit:
             self._schedule_retry(msg, event=event)
-        elif self.config.retransmit_dropped:
-            # the re-injection recovery the paper sketches for messages
-            # ripped up by a link fault; the copy records its original
-            self.offer(msg.header.src, msg.header.dst, msg.header.length,
-                       retry_of=msg.header.msg_id)
 
     # -- source retransmission ---------------------------------------------------
 

@@ -245,15 +245,16 @@ def test_active_set_worm_death_mid_route():
 
 
 def test_active_set_retransmission_reentry():
-    """Source retry re-activates a node whose queue had drained; the
-    legacy retransmit_dropped path re-offers in the same cycle."""
+    """Source retry re-activates a node whose queue had drained; a
+    one-cycle backoff releases the copy almost at once."""
     def schedule():
         sched = FaultSchedule()
         sched.add_node_fault(60, 9)
         return sched
-    kw = {"fault_mode": "harsh", "retransmit_dropped": True}
+    kw = {"fault_mode": "harsh", "retry_limit": 1, "retry_backoff": 1}
     obj = _digest_run(Network, "nafta", kw, schedule)
     bat = _digest_run(BatchedNetwork, "nafta", kw, schedule)
+    assert obj["messages_retried"] > 0
     assert obj == bat
 
 
