@@ -14,8 +14,8 @@ def run():
     for depth in (1, 2, 4, 8):
         spec = WorkloadSpec(topology=Mesh2D(8, 8), algorithm="nara",
                             load=0.25, cycles=2000, warmup=500, seed=37,
-                            buffer_depth=depth)
-        res = run_workload(spec, drain=False)
+                            buffer_depth=depth, drain=False)
+        res = run_workload(spec)
         rows.append({"depth": depth,
                      "latency": res["mean_latency"],
                      "p99": res["p99_latency"],

@@ -29,11 +29,16 @@ INTERP_VARIANTS = (
 )
 
 
-def _simulate(case: ConformanceCase, algorithm,
-              engine: str = "object", metrics_stride: int = 0,
-              policy: str = "deterministic", policy_seed: int = 0,
-              frr: bool = False) -> dict:
-    """One simulation of ``case`` with a prebuilt algorithm instance."""
+#: how a case is run, as opposed to what the case is: a payload may
+#: carry any of these beside the case fields (see run_case)
+RUN_DEFAULTS = {"engine": "object", "metrics_stride": 0,
+                "policy": "deterministic", "policy_seed": 0, "frr": False}
+
+
+def _simulate(case: ConformanceCase, algorithm, *, metrics_stride: int,
+              frr: bool, **config) -> dict:
+    """One simulation of ``case`` with a prebuilt algorithm instance;
+    ``config`` holds the SimConfig run options (engine, policy, ...)."""
     topo = case.build_topology()
     if frr:
         # wrap directly rather than via SimConfig(backup_routes=True):
@@ -44,8 +49,7 @@ def _simulate(case: ConformanceCase, algorithm,
         from ..routing.backup import FastReroute
         algorithm = FastReroute(algorithm, topo)
     config = SimConfig(buffer_depth=case.buffer_depth, trace_paths=True,
-                       engine=engine, policy=policy,
-                       policy_seed=policy_seed)
+                       **config)
     metrics = None
     if metrics_stride:
         from ..obs import MetricsTimeseries
@@ -107,19 +111,18 @@ def _simulate(case: ConformanceCase, algorithm,
 
 
 def run_case(case: ConformanceCase, *, shadow: bool = True,
-             interp: bool = True, engine: str = "object",
-             metrics_stride: int = 0, policy: str = "deterministic",
-             policy_seed: int = 0, frr: bool = False) -> dict:
+             interp: bool = True, **run) -> dict:
     """Run a case (with its recorded mutation, if any) and return the
     JSON-able evidence dict the oracles consume.
 
     ``shadow`` adds the ft/nft decision differential when the
     algorithm's metadata names an nft twin and the case is fault-free;
     ``interp`` re-runs rule-driven cases under every interpreter
-    variant and records their digests.  ``engine`` selects the
-    simulation engine for every run (the batched engine must reproduce
-    the object engine's digests bit-for-bit, so running the corpus
-    with ``engine="batched"`` is itself a conformance check).
+    variant and records their digests.  ``run`` overrides
+    :data:`RUN_DEFAULTS`.  ``engine`` selects the simulation engine for
+    every run (the batched engine must reproduce the object engine's
+    digests bit-for-bit, so running the corpus with
+    ``engine="batched"`` is itself a conformance check).
     ``metrics_stride`` > 0 attaches a metrics timeseries to the primary
     run — sampling must never perturb a digest, so running the corpus
     with metrics on is a conformance check of the observer itself.
@@ -135,27 +138,25 @@ def run_case(case: ConformanceCase, *, shadow: bool = True,
     probes the wrapped algorithm under synthetic fault configurations,
     which would pollute a shadow wrapper's mismatch log.
     """
+    run = {**RUN_DEFAULTS, **run}
     meta = ALGORITHM_META[case.algorithm]
     with apply_mutation(case.mutation):
-        if shadow and not frr and meta.nft_equivalent \
+        if shadow and not run["frr"] and meta.nft_equivalent \
                 and not case.has_faults():
             algo = ShadowDifferential(make_algorithm(case.algorithm),
                                       make_algorithm(meta.nft_equivalent))
-            result = _simulate(case, algo, engine, metrics_stride,
-                               policy, policy_seed)
+            result = _simulate(case, algo, **run)
             result["shadow"] = {"against": meta.nft_equivalent,
                                 "mismatches": algo.mismatches}
         else:
-            result = _simulate(case, make_algorithm(case.algorithm),
-                               engine, metrics_stride, policy,
-                               policy_seed, frr)
+            result = _simulate(case, make_algorithm(case.algorithm), **run)
 
         if interp and meta.rule_driven:
             runs = {}
             for label, kwargs in INTERP_VARIANTS:
                 sub = _simulate(case, make_algorithm(case.algorithm,
-                                                     **kwargs), engine,
-                                0, policy, policy_seed, frr)
+                                                     **kwargs),
+                                **{**run, "metrics_stride": 0})
                 runs[label] = {"digest": sub["digest"],
                                "decisions": sub["decisions"],
                                "summary": sub["summary"]}
@@ -168,22 +169,17 @@ def run_case_payload(payload: dict) -> dict:
     evidence + violations out (everything JSON-able).  Top-level so it
     pickles.
 
-    ``payload`` is a case dict plus optional ``engine`` /
-    ``metrics_stride`` / ``policy`` / ``policy_seed`` / ``frr`` keys —
-    all properties of the *run*, not the scenario, so they are stripped
+    ``payload`` is a case dict plus any :data:`RUN_DEFAULTS` keys —
+    properties of the *run*, not the scenario, so they are stripped
     before the case is reconstructed (case keys and corpus entries stay
     independent of how the case was executed)."""
     from .oracles import check_case  # local: avoid an import cycle
 
     payload = dict(payload)
-    engine = payload.pop("engine", "object")
-    metrics_stride = int(payload.pop("metrics_stride", 0))
-    policy = payload.pop("policy", "deterministic")
-    policy_seed = int(payload.pop("policy_seed", 0))
-    frr = bool(payload.pop("frr", False))
+    run = {k: type(v)(payload.pop(k)) for k, v in RUN_DEFAULTS.items()
+           if k in payload}
     case = ConformanceCase.from_dict(payload)
-    result = run_case(case, engine=engine, metrics_stride=metrics_stride,
-                      policy=policy, policy_seed=policy_seed, frr=frr)
+    result = run_case(case, **run)
     violations = check_case(case, result)
     return {
         "case": payload,

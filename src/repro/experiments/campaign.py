@@ -41,52 +41,42 @@ def scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, 0x5EED, index])
 
 
+#: a scenario's values for the spec fields it changes from the
+#: WorkloadSpec defaults (every other field keeps the spec default)
+CAMPAIGN_DEFAULTS = {
+    "algorithm": "nafta", "load": 0.12, "message_length": 6,
+    "cycles": 2000, "warmup": 200, "detection_delay": 40,
+    "diagnosis_hop_delay": 2, "retry_limit": 6,
+}
+
+
 def make_scenario(index: int, *, width: int = 8, height: int = 8,
                   n_link_faults: int = 2, n_node_faults: int = 0,
-                  algorithm: str = "nafta", load: float = 0.12,
-                  pattern: str = "uniform",
-                  pattern_kwargs: dict | None = None,
-                  policy: str = "deterministic", policy_seed: int = 0,
-                  message_length: int = 6, cycles: int = 2000,
-                  warmup: int = 200, seed: int = 1,
-                  detection_delay: int = 40,
-                  diagnosis_hop_delay: int = 2,
-                  retry_limit: int = 6, retry_backoff: int = 16,
-                  hop_budget: int = 0, backup_routes: bool = False,
-                  trace: bool = False,
-                  trace_capacity: int = 65536,
-                  metrics_stride: int = 0,
-                  engine: str = "object") -> WorkloadSpec:
+                  seed: int = 1, **spec) -> WorkloadSpec:
     """One randomized mid-flight fault scenario as a WorkloadSpec.
 
     Faults keep the network connected (the campaign's acceptance
     criterion is about *routable* messages) and strike at random
     cycles inside the middle of the measured window, so worms are in
-    flight when the links die.
+    flight when the links die.  ``spec`` sets any other WorkloadSpec
+    field over :data:`CAMPAIGN_DEFAULTS`; the topology, traffic seed,
+    faults, harsh mode and drain are the scenario's own.
     """
+    spec = {**CAMPAIGN_DEFAULTS, **spec}
     topo = Mesh2D(width, height)
     rng = scenario_rng(seed, index)
     links = random_link_faults(topo, n_link_faults, rng) \
         if n_link_faults else []
     nodes = random_node_faults(topo, n_node_faults, rng) \
         if n_node_faults else []
+    warmup, cycles = spec["warmup"], spec["cycles"]
     lo = warmup + (cycles - warmup) // 4
     hi = warmup + (cycles - warmup) // 2
     timed = [(int(rng.integers(lo, hi)), "link", link) for link in links]
     timed += [(int(rng.integers(lo, hi)), "node", node) for node in nodes]
-    return WorkloadSpec(
-        topology=topo, algorithm=algorithm, load=load,
-        pattern=pattern, pattern_kwargs=dict(pattern_kwargs or {}),
-        policy=policy, policy_seed=policy_seed,
-        message_length=message_length, cycles=cycles, warmup=warmup,
-        seed=seed * 1000 + index, timed_faults=timed,
-        fault_mode="harsh", detection_delay=detection_delay,
-        diagnosis_hop_delay=diagnosis_hop_delay,
-        retry_limit=retry_limit, retry_backoff=retry_backoff,
-        hop_budget=hop_budget, backup_routes=backup_routes,
-        drain=True, trace=trace,
-        trace_capacity=trace_capacity, metrics_stride=metrics_stride,
-        engine=engine)
+    return WorkloadSpec(topology=topo, seed=seed * 1000 + index,
+                        timed_faults=timed, fault_mode="harsh", drain=True,
+                        **spec)
 
 
 def run_campaign(n_scenarios: int = 20, *, workers: int = 0,

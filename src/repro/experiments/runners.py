@@ -15,18 +15,54 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..routing.registry import make_algorithm
-from ..routing.select import POLICIES
 from ..sim import (FaultSchedule, Mesh2D, Network, SimConfig,
                    TrafficGenerator, Hypercube, random_link_faults)
 from ..sim.traffic import PATTERNS
 from ..sim.batched import build_network
 from ..sim.network import DeadlockError
 from ..sim.topology import Topology, topology_from_dict
+
+
+def _pair(t) -> tuple[int, int]:
+    return (int(t[0]), int(t[1]))
+
+
+def _timed(fault) -> tuple:
+    cycle, kind, target = fault
+    return (int(cycle), kind,
+            _pair(target) if kind == "link" else int(target))
+
+
+#: the fields whose JSON form is not a plain scalar: (to JSON, from
+#: JSON).  Fault sets are order-insensitive — every ordering of the same
+#: faults is the same experiment and must hash identically — so their
+#: JSON form is sorted, with link endpoints in ascending order.
+_CODECS = {
+    "topology": (lambda t: t.describe() if isinstance(t, Topology)
+                 else dict(t), topology_from_dict),
+    "pattern_kwargs": (dict, dict),
+    "fault_links": (lambda ls: sorted(sorted(_pair(ln)) for ln in ls),
+                    lambda ls: [_pair(ln) for ln in ls]),
+    "fault_nodes": (lambda ns: sorted(int(n) for n in ns),
+                    lambda ns: [int(n) for n in ns]),
+    "timed_faults": (
+        lambda fs: sorted([c, k, sorted(t) if k == "link" else t]
+                          for c, k, t in map(_timed, fs)),
+        lambda fs: [_timed(f) for f in fs]),
+}
+#: scalar fields, by annotation: one cast serves both directions
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _codec(f) -> tuple:
+    """(to JSON, from JSON) for one WorkloadSpec field."""
+    cast = _SCALARS.get(f.type)
+    return _CODECS.get(f.name, (cast, cast))
 
 
 @dataclass
@@ -38,6 +74,10 @@ class WorkloadSpec:
     process boundaries, so the sweep engine ships ``to_dict()`` to the
     workers and each worker rebuilds its own topology; the two
     spellings are equivalent and hash to the same :meth:`spec_key`.
+
+    Every field named like a :class:`SimConfig` field is that field
+    (see :meth:`sim_config`); the declarations below are the only
+    statement of each option and its default.
     """
 
     topology: Topology | dict
@@ -51,7 +91,7 @@ class WorkloadSpec:
     cycles: int = 2000
     warmup: int = 400
     seed: int = 1
-    cycles_per_step: int = 0      # 0 = derive from decision steps x 1
+    cycles_per_step: int = 0      # runs with max(1, cycles_per_step)
     buffer_depth: int = 4
     fault_links: list = field(default_factory=list)
     fault_nodes: list = field(default_factory=list)
@@ -84,22 +124,24 @@ class WorkloadSpec:
     policy_seed: int = 0
 
     def __post_init__(self):
-        # fail at spec-parse time, not deep inside TrafficGenerator or
-        # the routing layer mid-sweep
+        # fail at spec-parse time, not deep inside TrafficGenerator,
+        # SimConfig or the routing layer mid-sweep
         if self.pattern not in PATTERNS:
             raise ValueError(f"unknown traffic pattern {self.pattern!r}; "
                              f"choose from {sorted(PATTERNS)}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown selection policy {self.policy!r}; "
-                             f"choose from {sorted(POLICIES)}")
+        self.sim_config()
+
+    def sim_config(self) -> SimConfig:
+        """The :class:`SimConfig` of this point: every SimConfig field
+        the spec also declares.  A spec's ``cycles_per_step`` of 0
+        means one cycle per step (``SimConfig(cycles_per_step=0)``
+        would make every decision take one cycle, whatever its steps)."""
+        shared = {f.name: getattr(self, f.name) for f in fields(SimConfig)
+                  if f.name in self.__dataclass_fields__}
+        shared["cycles_per_step"] = max(1, self.cycles_per_step)
+        return SimConfig(**shared)
 
     # -- serialization (process boundary / cache identity) ------------
-
-    def topology_desc(self) -> dict:
-        """Canonical construction recipe for the topology."""
-        if isinstance(self.topology, Topology):
-            return self.topology.describe()
-        return dict(self.topology)
 
     def build_topology(self) -> Topology:
         """A live topology for this spec (rebuilt if only described)."""
@@ -108,93 +150,19 @@ class WorkloadSpec:
         return topology_from_dict(self.topology)
 
     def to_dict(self) -> dict:
-        """Canonical JSON-able form.  Fault lists are normalized
-        (canonical link endpoint order, ascending) because fault sets
-        are order-insensitive — every ordering of the same faults is
-        the same experiment and must hash identically."""
-        return {
-            "topology": self.topology_desc(),
-            "algorithm": self.algorithm,
-            "pattern": self.pattern,
-            "load": float(self.load),
-            "message_length": int(self.message_length),
-            "cycles": int(self.cycles),
-            "warmup": int(self.warmup),
-            "seed": int(self.seed),
-            "cycles_per_step": int(self.cycles_per_step),
-            "buffer_depth": int(self.buffer_depth),
-            "fault_links": sorted(
-                [min(int(a), int(b)), max(int(a), int(b))]
-                for a, b in self.fault_links),
-            "fault_nodes": sorted(int(n) for n in self.fault_nodes),
-            "arbiter": self.arbiter,
-            "drain": bool(self.drain),
-            "fault_mode": self.fault_mode,
-            "detection_delay": int(self.detection_delay),
-            "diagnosis_hop_delay": int(self.diagnosis_hop_delay),
-            "retry_limit": int(self.retry_limit),
-            "retry_backoff": int(self.retry_backoff),
-            "hop_budget": int(self.hop_budget),
-            # emitted only when on, like "engine": pre-existing cached
-            # spec_keys stay valid and False === absent
-            **({"backup_routes": True} if self.backup_routes else {}),
-            "timed_faults": sorted(
-                [int(cycle), "link",
-                 [min(int(t[0]), int(t[1])), max(int(t[0]), int(t[1]))]]
-                if kind == "link" else [int(cycle), "node", int(t)]
-                for cycle, kind, t in self.timed_faults),
-            "trace": bool(self.trace),
-            "trace_capacity": int(self.trace_capacity),
-            "metrics_stride": int(self.metrics_stride),
-            # emitted only when non-default so every pre-existing
-            # cached spec_key stays valid (and "object" === absent)
-            **({"engine": self.engine} if self.engine != "object"
-               else {}),
-            **({"pattern_kwargs": dict(self.pattern_kwargs)}
-               if self.pattern_kwargs else {}),
-            **({"policy": self.policy}
-               if self.policy != "deterministic" else {}),
-            **({"policy_seed": int(self.policy_seed)}
-               if self.policy_seed else {}),
-        }
+        """Canonical JSON-able form, every field included."""
+        return {f.name: _codec(f)[0](getattr(self, f.name))
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":
-        d = dict(d)
-        return cls(
-            topology=topology_from_dict(d["topology"]),
-            algorithm=d["algorithm"],
-            pattern=d.get("pattern", "uniform"),
-            load=float(d.get("load", 0.1)),
-            message_length=int(d.get("message_length", 4)),
-            cycles=int(d.get("cycles", 2000)),
-            warmup=int(d.get("warmup", 400)),
-            seed=int(d.get("seed", 1)),
-            cycles_per_step=int(d.get("cycles_per_step", 0)),
-            buffer_depth=int(d.get("buffer_depth", 4)),
-            fault_links=[(int(a), int(b)) for a, b in d.get("fault_links", [])],
-            fault_nodes=[int(n) for n in d.get("fault_nodes", [])],
-            arbiter=d.get("arbiter", "round_robin"),
-            drain=bool(d.get("drain", True)),
-            fault_mode=d.get("fault_mode", "quiesce"),
-            detection_delay=int(d.get("detection_delay", 0)),
-            diagnosis_hop_delay=int(d.get("diagnosis_hop_delay", 0)),
-            retry_limit=int(d.get("retry_limit", 0)),
-            retry_backoff=int(d.get("retry_backoff", 16)),
-            hop_budget=int(d.get("hop_budget", 0)),
-            backup_routes=bool(d.get("backup_routes", False)),
-            timed_faults=[
-                (int(cycle), kind,
-                 (int(t[0]), int(t[1])) if kind == "link" else int(t))
-                for cycle, kind, t in d.get("timed_faults", [])],
-            trace=bool(d.get("trace", False)),
-            trace_capacity=int(d.get("trace_capacity", 65536)),
-            metrics_stride=int(d.get("metrics_stride", 0)),
-            engine=d.get("engine", "object"),
-            pattern_kwargs=dict(d.get("pattern_kwargs", {})),
-            policy=d.get("policy", "deterministic"),
-            policy_seed=int(d.get("policy_seed", 0)),
-        )
+        """Inverse of :meth:`to_dict`; absent fields take their
+        defaults, and a key that names no field is an error."""
+        decode = {f.name: _codec(f)[1] for f in fields(cls)}
+        unknown = sorted(set(d) - set(decode))
+        if unknown:
+            raise ValueError(f"unknown WorkloadSpec field(s) {unknown}")
+        return cls(**{k: decode[k](v) for k, v in d.items()})
 
     def spec_key(self, code_token: str | None = None) -> str:
         """Content address of this simulation point: a stable hash of
@@ -210,27 +178,9 @@ class WorkloadSpec:
             (code_token + "\n" + blob).encode()).hexdigest()
 
 
-def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
-    """One simulation run; returns the stats summary + run metadata.
-
-    ``drain`` overrides ``spec.drain`` when given (legacy call style);
-    the sweep engine always runs with the spec's own setting.
-    """
-    if drain is None:
-        drain = spec.drain
+def run_workload(spec: WorkloadSpec) -> dict:
+    """One simulation run; returns the stats summary + run metadata."""
     topology = spec.build_topology()
-    cfg = SimConfig(buffer_depth=spec.buffer_depth,
-                    cycles_per_step=max(1, spec.cycles_per_step),
-                    fault_mode=spec.fault_mode,
-                    detection_delay=spec.detection_delay,
-                    diagnosis_hop_delay=spec.diagnosis_hop_delay,
-                    retry_limit=spec.retry_limit,
-                    retry_backoff=spec.retry_backoff,
-                    hop_budget=spec.hop_budget,
-                    backup_routes=spec.backup_routes,
-                    engine=spec.engine,
-                    policy=spec.policy,
-                    policy_seed=spec.policy_seed)
     algo = make_algorithm(spec.algorithm)
     tracer = metrics = None
     if spec.trace:
@@ -239,8 +189,9 @@ def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
     if spec.metrics_stride:
         from ..obs import MetricsTimeseries
         metrics = MetricsTimeseries(stride=spec.metrics_stride)
-    net = build_network(topology, algo, config=cfg, arbiter=spec.arbiter,
-                        tracer=tracer, metrics=metrics)
+    net = build_network(topology, algo, config=spec.sim_config(),
+                        arbiter=spec.arbiter, tracer=tracer,
+                        metrics=metrics)
     if spec.fault_links or spec.fault_nodes or spec.timed_faults:
         schedule = FaultSchedule.static(links=spec.fault_links,
                                         nodes=spec.fault_nodes)
@@ -256,7 +207,7 @@ def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
         pattern_kwargs=spec.pattern_kwargs or None))
     net.set_warmup(spec.warmup)
     try:
-        return _run_and_summarize(spec, net, topology, drain, tracer)
+        return _run_and_summarize(spec, net, topology, tracer)
     finally:
         # the router facades point back at their network: unlinking
         # them lets refcounting free a finished batched network (its
@@ -266,11 +217,11 @@ def run_workload(spec: WorkloadSpec, drain: bool | None = None) -> dict:
 
 
 def _run_and_summarize(spec: WorkloadSpec, net: Network,
-                       topology: Topology, drain: bool, tracer) -> dict:
+                       topology: Topology, tracer) -> dict:
     deadlocked = False
     try:
         net.run(spec.cycles)
-        if drain:
+        if spec.drain:
             net.traffic = None
             net.run_until_drained(max_cycles=300_000)
     except DeadlockError:
@@ -285,8 +236,7 @@ def _run_and_summarize(spec: WorkloadSpec, net: Network,
     out["undelivered"] = len(net.undelivered())
     out["n_faults"] = net.faults.n_faults()
     out.update(_logical_accounting(net))
-    if spec.fault_mode == "harsh" and (spec.detection_delay
-                                       or spec.diagnosis_hop_delay):
+    if net.known_faults is not net.faults:   # diagnosis lags faults
         out.update(_recovery_gaps(net))
     if tracer is not None:
         # a raw blob, not Chrome format: plain-JSON results survive the

@@ -122,7 +122,7 @@ typedef struct {
     int32_t *src_pos;
     int32_t *src_qlen;        /* per node: queued-message mirror       */
     int64_t *rr_ptr;          /* max_pid+2: round-robin pointers       */
-    int64_t *counters;        /* 0 load_token 1 hops 2 nontail 3 nev   */
+    int64_t *counters;        /* 0 hops 1 nontail 2 nev                */
     int32_t *ev_kind;         /* 0 head-depart 1 tail-eject            */
     int32_t *ev_node;
     int32_t *ev_msg;
@@ -669,7 +669,6 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
     s->buf_head[g] = (hd + 1) % s->cap;
     s->buf_cnt[g]--;
     s->r_nflits[node]--;
-    s->counters[0]++;                      /* load token */
     int out_pid = s->iv_port[ovg];
     int is_tail = (seq == s->msg_len[msg] - 1);
     if (is_head) {
@@ -688,7 +687,7 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
             }
         }
         if (s->trace_on) {
-            int64_t e = s->counters[3]++;
+            int64_t e = s->counters[2]++;
             s->ev_kind[e] = 0;
             s->ev_node[e] = node;
             s->ev_msg[e] = msg;
@@ -709,14 +708,14 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
     }
     if (out_pid == -1) {                   /* local ejection */
         if (is_tail) {
-            int64_t e = s->counters[3]++;
+            int64_t e = s->counters[2]++;
             s->ev_kind[e] = 1;
             s->ev_node[e] = node;
             s->ev_msg[e] = msg;
             s->ev_a[e] = seq;
             s->ev_b[e] = 0;
         } else
-            s->counters[2]++;              /* non-tail flit delivered */
+            s->counters[1]++;              /* non-tail flit delivered */
     } else {
         int d = s->ov_down[ovg];
         int dn = s->iv_node[d];
@@ -732,7 +731,7 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
                 s->m_count++;
             }
         }
-        s->counters[1]++;                  /* flit hop */
+        s->counters[0]++;                  /* flit hop */
     }
 }
 
@@ -744,9 +743,9 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
 int k_alloc(BState *s)
 {
     int moved = 0, na = s->n_act;
+    s->counters[0] = 0;
     s->counters[1] = 0;
     s->counters[2] = 0;
-    s->counters[3] = 0;
     for (int ai = 0; ai < na; ai++) {
         int node = s->act_list[ai];
         if (s->r_nflits[node] <= 0 || !s->node_ok[node]) continue;
@@ -886,14 +885,12 @@ int k_purge(BState *s, int node, int msg)
         }
     }
     s->r_nflits[node] -= dropped;
-    s->counters[0]++;
     return dropped;
 }
 
 /* purge one message from every router — the object engine's
    drop_message walk over all routers, without n_nodes Python->C
-   round-trips (each per-node purge bumps the load token exactly as
-   the per-router Router.purge_message does) */
+   round-trips */
 int k_purge_all(BState *s, int msg)
 {
     int dropped = 0;

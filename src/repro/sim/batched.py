@@ -68,6 +68,7 @@ from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, kernel_available,
                               load_kernel)
 from ..routing.base import REFRESH_REROUTE, RouteDecision
+from ..routing.select import POLICIES
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _MISSING = object()
@@ -111,8 +112,7 @@ class BatchedRouter:
     …) backed by the shared arrays; the per-cycle data-path phases never
     touch it."""
 
-    __slots__ = ("network", "node", "topology", "ports", "n_vcs",
-                 "_load_token", "_loads")
+    __slots__ = ("network", "node", "topology", "ports", "n_vcs")
 
     def __init__(self, network: "BatchedNetwork", node: int):
         self.network = network
@@ -120,8 +120,6 @@ class BatchedRouter:
         self.topology = network.topology
         self.ports = dict(network.topology.ports(node))
         self.n_vcs = network.algorithm.n_vcs
-        self._load_token = -1
-        self._loads: dict[int, int] = {}
 
     # -- views used by routing algorithms -----------------------------
 
@@ -173,29 +171,22 @@ class BatchedRouter:
         return int(net._buf_cnt[d]) + int(net._inc_val[d])
 
     def output_load(self, pid: int) -> int:
-        """Same metric, memo and token discipline as the object router:
-        occupied downstream buffer slots plus worms holding the VCs."""
+        """Same metric as the object router: occupied downstream buffer
+        slots plus worms holding the VCs."""
         if pid == LOCAL:
             return 0
         net = self.network
-        token = net._load_token
-        if self._load_token != token:
-            self._load_token = token
-            self._loads.clear()
-        out = self._loads.get(pid)
-        if out is None:
-            base = int(net._portbase[self.node, pid + 1])
-            buf_cnt = net._buf_cnt
-            inc_val = net._inc_val
-            ov_down = net._ov_down
-            ov_owner = net._ov_owner
-            out = 0
-            for ovg in range(base, base + self.n_vcs):
-                d = ov_down[ovg]
-                out += int(buf_cnt[d]) + int(inc_val[d])
-                if ov_owner[ovg] >= 0:
-                    out += 1
-            self._loads[pid] = out
+        base = int(net._portbase[self.node, pid + 1])
+        buf_cnt = net._buf_cnt
+        inc_val = net._inc_val
+        ov_down = net._ov_down
+        ov_owner = net._ov_owner
+        out = 0
+        for ovg in range(base, base + self.n_vcs):
+            d = ov_down[ovg]
+            out += int(buf_cnt[d]) + int(inc_val[d])
+            if ov_owner[ovg] >= 0:
+                out += 1
         return out
 
     # -- fault handling -----------------------------------------------
@@ -215,9 +206,7 @@ class BatchedRouter:
 
     def purge_message(self, msg_id: int) -> int:
         net = self.network
-        dropped = int(net._lib.k_purge(net._cs, self.node, msg_id))
-        net._load_token = int(net._counters[0])
-        return dropped
+        return int(net._lib.k_purge(net._cs, self.node, msg_id))
 
     def finalize(self) -> None:  # pragma: no cover - interface symmetry
         pass
@@ -249,7 +238,8 @@ class BatchedNetwork(Network):
                              "events; use build_network() to fall back "
                              "to the object engine when tracing")
         self._ffi, self._lib = kern
-        if config is not None and config.policy != "deterministic":
+        if config is not None \
+                and not POLICIES[config.policy].batched_compatible:
             raise ValueError(
                 f"the batched engine supports only the 'deterministic' "
                 f"selection policy, not {config.policy!r}; use "
@@ -334,7 +324,7 @@ class BatchedNetwork(Network):
         #: vectorized mask instead of a per-node Python loop
         self._src_qlen = i32(n_nodes)
         self._rr_ptr = np.zeros(npid, dtype=np.int64)
-        self._counters = np.zeros(4, dtype=np.int64)
+        self._counters = np.zeros(3, dtype=np.int64)
         evcap = 2 * n_iv + 8
         self._ev_kind = i32(evcap)
         self._ev_node = i32(evcap)
@@ -899,8 +889,7 @@ class BatchedNetwork(Network):
 
     def _alloc_phase(self) -> int:
         moved = int(self._lib.k_alloc(self._cs))
-        load_token, hops, nont, nev = self._counters.tolist()
-        self._load_token = load_token
+        hops, nont, nev = self._counters.tolist()
         if nev:
             ev_kind = self._ev_kind[:nev].tolist()
             ev_node = self._ev_node[:nev].tolist()
@@ -1052,7 +1041,6 @@ class BatchedNetwork(Network):
                 self._absorb_and_reinject(msg_)
                 return
         self._lib.k_purge_all(self._cs, msg_id)
-        self._load_token = int(self._counters[0])
         msg = self.messages.get(msg_id)
         if msg is not None:
             src = msg.header.src
@@ -1069,7 +1057,6 @@ class BatchedNetwork(Network):
         if self._native and msg_id in self.messages:
             self._sync_fields(msg_id)      # fields faithful on exit
         self._lib.k_purge_all(self._cs, msg_id)
-        self._load_token = int(self._counters[0])
         msg = self.messages.get(msg_id)
         if msg is None:  # pragma: no cover
             return
@@ -1110,8 +1097,6 @@ class BatchedNetwork(Network):
             self._sync_fields(msg_id)      # hop count for delivery
         self._finish_fragment(g, msg)
         n_rem = self._absorb_remainder(g, msg)
-        self._counters[0] += 1
-        self._load_token = int(self._counters[0])
         rr = self.stats.reroute
         if rr is not None:
             rr["worms_healed"] += 1
@@ -1241,7 +1226,6 @@ class BatchedNetwork(Network):
         where = int(self._iv_node[hits[-1]]) if hits.size \
             else msg.header.src
         self._lib.k_purge_all(self._cs, msg_id)
-        self._load_token = int(self._counters[0])
         src = msg.header.src
         if int(self._src_cur[src]) == msg_id:
             self._src_cur[src] = -1
@@ -1370,7 +1354,7 @@ class BatchedNetwork(Network):
 
 
 def batched_fallback_reason(arbiter="round_robin", tracer=None,
-                            metrics=None, config=None) -> str | None:
+                            config=None) -> str | None:
     """Why ``engine="batched"`` would fall back to the object engine
     for this configuration — None when the batched engine applies.
 
@@ -1381,11 +1365,11 @@ def batched_fallback_reason(arbiter="round_robin", tracer=None,
     reroute (``backup_routes``) runs batched: its worm surgery walks the
     arrays at each fault event.  So do metrics timeseries: the kernels
     keep the per-link counters and the active-router gauge in arrays
-    and drain them into the timeseries (the ``metrics`` parameter is
-    kept for call-site compatibility)."""
+    and drain them into the timeseries."""
     if tracer is not None and getattr(tracer, "enabled", True):
         return "tracing is enabled (the batched data path emits no events)"
-    if config is not None and config.policy != "deterministic":
+    if config is not None \
+            and not POLICIES[config.policy].batched_compatible:
         return (f"selection policy {config.policy!r} is not "
                 f"'deterministic' (the batched decision cache replays "
                 f"candidate orderings, so policy re-ordering would "
@@ -1415,7 +1399,7 @@ def build_network(topology, algorithm, config: SimConfig | None = None,
     without holding the network object."""
     cfg = config or SimConfig()
     if cfg.engine == "batched":
-        reason = batched_fallback_reason(arbiter, tracer, metrics, cfg)
+        reason = batched_fallback_reason(arbiter, tracer, cfg)
         if reason is None:
             return BatchedNetwork(topology, algorithm, cfg,
                                   arbiter=arbiter, metrics=metrics)

@@ -169,9 +169,6 @@ class Network:
             # attached — the unobserved summary stays bit-identical
             self.stats.timeseries = metrics
         self.cycle = 0
-        # advances whenever buffer contents or VC ownership change;
-        # routers key their output_load memo on it
-        self._load_token = 0
         # advances whenever the routing algorithm's fault knowledge is
         # recomputed; non-adaptive blocked heads re-route only then
         self.route_epoch = 0
@@ -673,7 +670,6 @@ class Network:
             return
         self._finish_fragment(router, iv, msg)
         n_rem = self._absorb_remainder(router, iv, msg_id)
-        self._load_token += 1
         rr = self.stats.reroute
         if rr is not None:
             rr["worms_healed"] += 1

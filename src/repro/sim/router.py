@@ -115,9 +115,6 @@ class Router:
         # per-port (downstream router, downstream input VCs) — resolved
         # by finalize() once every router of the network exists
         self._down: dict[int, tuple["Router", list[InputVC]]] = {}
-        # output_load memo, valid while the network's load token stands
-        self._load_token = -1
-        self._loads: dict[int, int] = {}
 
     def finalize(self) -> None:
         """Resolve downstream buffer references (called by the network
@@ -172,26 +169,15 @@ class Router:
 
     def output_load(self, pid: int) -> int:
         """Adaptivity metric: data committed to this output — occupied
-        downstream buffer slots plus worms holding its VCs.  Memoized
-        against the network's load token, which advances whenever any
-        buffer content or VC ownership changes (grants, purges) — so
-        every adaptive route decision of one cycle shares the figures
-        the full recomputation would produce."""
+        downstream buffer slots plus worms holding its VCs."""
         if pid == LOCAL:
             return 0
-        token = self.network._load_token
-        if self._load_token != token:
-            self._load_token = token
-            self._loads.clear()
-        out = self._loads.get(pid)
-        if out is None:
-            out = 0
-            for iv in self._down[pid][1]:
-                out += len(iv.buffer) + len(iv.incoming)
-            for ov in self.output_vcs[pid]:
-                if ov.owner is not None:
-                    out += 1
-            self._loads[pid] = out
+        out = 0
+        for iv in self._down[pid][1]:
+            out += len(iv.buffer) + len(iv.incoming)
+        for ov in self.output_vcs[pid]:
+            if ov.owner is not None:
+                out += 1
         return out
 
     def queue_length(self, pid: int, vc: int) -> int:
@@ -349,7 +335,6 @@ class Router:
         iv = self.input_vcs[req.in_port][req.in_vc]
         flit = iv.buffer.popleft()
         self.n_flits -= 1
-        net._load_token += 1
         out_port = req.out_port
         out_vc = req.out_vc
         if req.is_head:
@@ -420,7 +405,6 @@ class Router:
             elif iv.state != IDLE and iv.header is None:  # pragma: no cover
                 iv.release_worm()
         self.n_flits -= dropped
-        self.network._load_token += 1
         return dropped
 
     def occupancy(self) -> int:

@@ -37,8 +37,10 @@ from ..conformance import (ConformanceCase, generate_cases, run_case_payload,
                            save_entry, shrink_case)
 from ..conformance.corpus import load_entry
 from ..conformance.mutations import MUTATIONS
+from ..conformance.runner import RUN_DEFAULTS
 from ..experiments.pool import run_parallel
 from ..routing.registry import ALGORITHM_META
+from ..routing.select import POLICIES
 
 #: cases dispatched per pool round while a time budget is in force
 _CHUNK = 8
@@ -60,8 +62,10 @@ def cmd_run(args) -> int:
     if args.mutate and args.mutate not in MUTATIONS:
         raise SystemExit(f"unknown mutation {args.mutate!r}; choose from "
                          f"{', '.join(sorted(MUTATIONS))}")
-    frr = bool(getattr(args, "frr", False))
-    if frr:
+    # run options ride in every payload, beside the case fields
+    run = {k: getattr(args, k) for k, v in RUN_DEFAULTS.items()
+           if getattr(args, k) != v}
+    if args.frr:
         # FastReroute compiles backup tables around a fault-tolerant
         # inner algorithm; reject nft algorithms up front instead of
         # crashing every worker with the wrapper's ValueError
@@ -75,15 +79,6 @@ def cmd_run(args) -> int:
     stream = generate_cases(algorithms, args.seed, mutation=args.mutate)
     if args.cases:
         stream = itertools.islice(stream, args.cases)
-    engine = getattr(args, "engine", "object")
-    metrics = bool(getattr(args, "metrics", False))
-    policy = getattr(args, "policy", "deterministic")
-    policy_seed = int(getattr(args, "policy_seed", 0))
-    if policy != "deterministic":
-        from ..routing.select import POLICIES
-        if policy not in POLICIES:
-            raise SystemExit(f"unknown selection policy {policy!r}; "
-                             f"choose from {', '.join(sorted(POLICIES))}")
 
     deadline = (time.monotonic() + args.budget) if args.budget else None
     reports: list[dict] = []
@@ -95,22 +90,7 @@ def cmd_run(args) -> int:
         chunk = list(itertools.islice(stream, _CHUNK))
         if not chunk:
             break
-        payloads = [c.to_dict() for c in chunk]
-        if engine != "object" or metrics or frr \
-                or policy != "deterministic":
-            # engine, metrics, policy and frr are run properties, not
-            # part of the scenario — run_case_payload strips them
-            # before rebuilding the case
-            for p in payloads:
-                if engine != "object":
-                    p["engine"] = engine
-                if metrics:
-                    p["metrics_stride"] = 1
-                if policy != "deterministic":
-                    p["policy"] = policy
-                    p["policy_seed"] = policy_seed
-                if frr:
-                    p["frr"] = True
+        payloads = [{**c.to_dict(), **run} for c in chunk]
         reports.extend(run_parallel(payloads, run_case_payload,
                                     workers=args.workers,
                                     progress=args.progress,
@@ -130,10 +110,7 @@ def cmd_run(args) -> int:
           f"in {len(failures)} failing cases "
           f"(seed {args.seed}"
           + (f", mutation {args.mutate}" if args.mutate else "")
-          + (f", engine {engine}" if engine != "object" else "")
-          + (", metrics" if metrics else "")
-          + (f", policy {policy}" if policy != "deterministic" else "")
-          + (", frr" if frr else "") + ")")
+          + "".join(f", {k} {v}" for k, v in run.items()) + ")")
     for name in sorted(per_algo):
         print(f"  {name}: {per_algo[name]} cases")
 
@@ -226,23 +203,24 @@ def main(argv=None) -> int:
     p_run.add_argument("--corpus-dir",
                        help="where failing entries go "
                             "(default conformance/corpus/)")
-    p_run.add_argument("--engine", default="object",
-                       choices=["object", "batched"],
+    p_run.set_defaults(**RUN_DEFAULTS)
+    p_run.add_argument("--engine", choices=["object", "batched"],
                        help="simulation engine to run cases under; "
                             "batched must match the object oracle "
                             "bit-for-bit, so this doubles as an "
                             "engine-parity check")
-    p_run.add_argument("--metrics", action="store_true",
+    p_run.add_argument("--metrics", dest="metrics_stride",
+                       action="store_const", const=1,
                        help="attach a stride-1 metrics timeseries to "
                             "every run; sampling must never perturb a "
                             "digest, so this doubles as an "
                             "observer-invisibility check")
-    p_run.add_argument("--policy", default="deterministic",
+    p_run.add_argument("--policy", choices=sorted(POLICIES),
                        help="output-selection policy for every run "
                             "(repro.routing.select); the policy "
                             "re-orders legal candidates, so the "
                             "oracles fuzz the selection path")
-    p_run.add_argument("--policy-seed", type=int, default=0)
+    p_run.add_argument("--policy-seed", type=int)
     p_run.add_argument("--frr", action="store_true",
                        help="run every case with backup_routes=True; "
                             "conformance faults are static (never "

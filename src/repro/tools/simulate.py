@@ -41,7 +41,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ import numpy as np
 from ..experiments import (WorkloadSpec, add_sweep_args, campaign_table,
                            fmt, run_campaign, run_sweep, run_workload,
                            table)
+from ..experiments.campaign import CAMPAIGN_DEFAULTS
 from ..obs import ascii_timeline, chrome_trace
 from ..sim import Hypercube, Mesh2D, Torus2D, random_link_faults
 
@@ -115,26 +116,31 @@ def _write_trace_outputs(args, trace: dict | None,
               f"-> {args.metrics_out}]")
 
 
+#: WorkloadSpec fields whose same-named arguments mean something else
+#: (``--topology mesh``, ``--trace PATH``) or apply only with an output
+#: flag (see _obs_fields)
+_NOT_FLAGS = ("topology", "trace", "trace_capacity", "metrics_stride")
+
+
+def _spec_fields(args) -> dict:
+    """The WorkloadSpec fields set by same-named flags; a flag left
+    unset (None) keeps the field's default."""
+    return {f.name: getattr(args, f.name) for f in fields(WorkloadSpec)
+            if f.name not in _NOT_FLAGS
+            and getattr(args, f.name, None) is not None}
+
+
 def _spec(args, topo, **extra) -> WorkloadSpec:
-    """The WorkloadSpec of ``run``/``trace`` from the shared flags."""
-    return WorkloadSpec(
-        topology=topo, algorithm=args.algorithm,
-        pattern=args.pattern, load=args.load,
-        message_length=args.message_length, cycles=args.cycles,
-        warmup=args.warmup, seed=args.seed,
-        fault_mode=args.fault_mode, detection_delay=args.detection_delay,
-        diagnosis_hop_delay=args.diagnosis_hop_delay,
-        retry_limit=args.retry_limit, retry_backoff=args.retry_backoff,
-        hop_budget=args.hop_budget, engine=args.engine,
-        policy=args.policy, policy_seed=args.policy_seed, **extra)
+    """The WorkloadSpec of ``run``/``trace`` from the flags."""
+    return WorkloadSpec(topology=topo, **_spec_fields(args),
+                        **_obs_fields(args), **extra)
 
 
 def cmd_run(args) -> int:
     topo = _topology(args)
     fault_links, fault_nodes = _static_faults(args, topo)
     spec = _spec(args, topo, fault_links=fault_links,
-                 fault_nodes=fault_nodes, arbiter=args.arbiter,
-                 cycles_per_step=args.cycles_per_step, **_obs_fields(args))
+                 fault_nodes=fault_nodes)
     if args.sweep_seeds > 1:
         return _sweep_seeds(args, spec)
     result = run_workload(spec)
@@ -171,9 +177,7 @@ def _sweep_seeds(args, spec: WorkloadSpec) -> int:
 
 def cmd_trace(args) -> int:
     spec = _spec(args, _topology(args),
-                 timed_faults=[_parse_fault(f) for f in args.fault],
-                 trace=True, trace_capacity=args.trace_capacity,
-                 metrics_stride=args.metrics_stride)
+                 timed_faults=[_parse_fault(f) for f in args.fault])
     result = run_workload(spec)
     trace = result.pop("trace")
     metrics = result.pop("metrics", None)
@@ -189,22 +193,16 @@ def cmd_trace(args) -> int:
 
 def cmd_campaign(args) -> int:
     stats: dict = {}
-    obs = _obs_fields(args)
+    spec = _spec_fields(args)
+    del spec["fault_mode"]           # every scenario runs harsh
+    if args.no_retry:
+        spec["retry_limit"] = 0
     report = run_campaign(
         args.scenarios, workers=args.workers, cache=args.cache,
         progress=args.progress, stats=stats,
         width=args.width, height=args.height,
         n_link_faults=args.link_faults, n_node_faults=args.node_faults,
-        algorithm=args.algorithm, load=args.load,
-        message_length=args.message_length, cycles=args.cycles,
-        warmup=args.warmup, seed=args.seed,
-        detection_delay=args.detection_delay,
-        diagnosis_hop_delay=args.diagnosis_hop_delay,
-        retry_limit=0 if args.no_retry else args.retry_limit,
-        retry_backoff=args.retry_backoff,
-        hop_budget=args.hop_budget, backup_routes=args.backups == "on",
-        engine=args.engine, pattern=args.pattern,
-        policy=args.policy, policy_seed=args.policy_seed, **obs)
+        backup_routes=args.backups == "on", **spec, **_obs_fields(args))
     # traces/metrics are pulled out of the report (they would dwarf the
     # reliability numbers in --json); the Chrome export is scenario 0 —
     # one run per trace document, as the trace_event format expects
@@ -237,39 +235,41 @@ def cmd_campaign(args) -> int:
 
 
 def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", default="nafta")
+    # a flag left unset keeps the campaign default, if there is one,
+    # else the WorkloadSpec field default
+    p.set_defaults(**CAMPAIGN_DEFAULTS)
+    p.add_argument("--algorithm")
     p.add_argument("--topology", choices=["mesh", "torus", "cube"],
                    default="mesh")
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--dimension", type=int, default=4,
                    help="hypercube dimension (with --topology cube)")
-    p.add_argument("--pattern", default="uniform")
-    p.add_argument("--load", type=float, default=0.12)
-    p.add_argument("--message-length", type=int, default=6)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--warmup", type=int, default=200)
+    p.add_argument("--pattern")
+    p.add_argument("--load", type=float)
+    p.add_argument("--message-length", type=int)
+    p.add_argument("--cycles", type=int)
+    p.add_argument("--warmup", type=int)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--fault-mode", choices=["quiesce", "harsh"],
                    default="harsh")
-    p.add_argument("--detection-delay", type=int, default=40)
-    p.add_argument("--diagnosis-hop-delay", type=int, default=2)
-    p.add_argument("--retry-limit", type=int, default=6)
-    p.add_argument("--retry-backoff", type=int, default=16)
-    p.add_argument("--hop-budget", type=int, default=0)
+    p.add_argument("--detection-delay", type=int)
+    p.add_argument("--diagnosis-hop-delay", type=int)
+    p.add_argument("--retry-limit", type=int)
+    p.add_argument("--retry-backoff", type=int)
+    p.add_argument("--hop-budget", type=int)
     p.add_argument("--engine", choices=["object", "batched"],
-                   default="object",
                    help="simulation engine: the per-flit object oracle "
                         "or the batched struct-of-arrays engine "
                         "(bit-identical results, metrics included; "
                         "falls back to object only when tracing is "
                         "attached)")
-    p.add_argument("--policy", default="deterministic",
+    p.add_argument("--policy",
                    choices=["deterministic", "ecmp", "flowlet", "credit"],
                    help="output-selection policy over legal route "
                         "candidates (docs/PERFORMANCE.md; non-default "
                         "policies run on the object engine)")
-    p.add_argument("--policy-seed", type=int, default=0,
+    p.add_argument("--policy-seed", type=int,
                    help="hash seed for the ecmp/flowlet policies")
 
 
@@ -295,17 +295,16 @@ def main(argv=None) -> int:
     _common(run_p)
     add_sweep_args(run_p)
     _obs_args(run_p)
-    run_p.set_defaults(fault_mode="quiesce", detection_delay=0,
-                       diagnosis_hop_delay=0, retry_limit=0)
+    run_p.set_defaults(fault_mode=None, detection_delay=None,
+                       diagnosis_hop_delay=None, retry_limit=None)
     run_p.add_argument("--link-faults", type=int, default=0,
                        help="random connectivity-preserving static "
                             "link faults")
     run_p.add_argument("--node-faults", type=int, default=0,
                        help="random static node faults")
-    run_p.add_argument("--cycles-per-step", type=int, default=1,
+    run_p.add_argument("--cycles-per-step", type=int,
                        help="router cycles per rule-interpretation step")
-    run_p.add_argument("--arbiter", default="round_robin",
-                       choices=["round_robin", "misrouted_first",
+    run_p.add_argument("--arbiter", choices=["round_robin", "misrouted_first",
                                 "oldest_first"])
     run_p.add_argument("--sweep-seeds", type=int, default=1, metavar="N",
                        help="replay the point under N consecutive "

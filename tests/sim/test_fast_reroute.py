@@ -433,9 +433,9 @@ class TestConfigSurface:
         assert isinstance(armed.algorithm, FastReroute)
         assert "reroute" in armed.stats.summary(topo.n_nodes)
 
-    def test_spec_key_stable_for_legacy_workloads(self):
-        spec_off = make_scenario(0, backup_routes=False)
-        spec_on = make_scenario(0, backup_routes=True)
-        assert "backup_routes" not in spec_off.to_dict()
-        assert spec_on.to_dict()["backup_routes"] is True
-        assert type(spec_on).from_dict(spec_on.to_dict()).backup_routes
+    def test_backup_routes_round_trips_either_way(self):
+        for on in (False, True):
+            spec = make_scenario(0, backup_routes=on)
+            assert spec.to_dict()["backup_routes"] is on
+            assert type(spec).from_dict(spec.to_dict()).backup_routes is on
+            assert spec.sim_config().backup_routes is on

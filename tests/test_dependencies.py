@@ -1,4 +1,6 @@
-"""The two development dependency lists must name the same packages.
+"""What pyproject declares must match what CI installs and tests.
+
+The two development dependency lists must name the same packages.
 
 ``requirements-dev.txt`` (what CI installs) and pyproject's ``dev``
 extra plus the package's own dependencies (what ``pip install -e
@@ -8,6 +10,7 @@ them silently changes what a fresh checkout can run — e.g. without
 """
 
 import pathlib
+import re
 import tomllib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,3 +27,16 @@ def test_requirements_dev_matches_pyproject_dev_extra():
     assert required == declared
     # the batched engine's kernel loader
     assert "cffi" in required
+
+
+def test_python_floor_matches_ci_matrix():
+    """The declared floor is the oldest Python CI tests (this very
+    module needs ``tomllib``, new in 3.11), and ruff lints for it."""
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    matrix = re.search(r"python-version: \[([^\]]*)\]", ci).group(1)
+    oldest = min(re.findall(r"\d+\.\d+", matrix),
+                 key=lambda v: tuple(map(int, v.split("."))))
+    assert pyproject["project"]["requires-python"] == f">={oldest}"
+    assert pyproject["tool"]["ruff"]["target-version"] == \
+        "py" + oldest.replace(".", "")

@@ -25,8 +25,9 @@ class TestRunners:
 
     def test_run_without_drain(self):
         spec = WorkloadSpec(topology=Mesh2D(4, 4), algorithm="xy",
-                            load=0.2, cycles=200, warmup=50, seed=1)
-        res = run_workload(spec, drain=False)
+                            load=0.2, cycles=200, warmup=50, seed=1,
+                            drain=False)
+        res = run_workload(spec)
         assert res["cycles"] <= 200
 
     def test_latency_vs_load_monotone_points(self):

@@ -4,6 +4,7 @@ and the sequence-seeded fault sweeps."""
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import pytest
 
@@ -73,13 +74,15 @@ class TestSpecRoundTrip:
         assert rebuilt.pattern_kwargs == {"duty": 0.25, "burst_len": 20}
         assert rebuilt.spec_key() == spec.spec_key()
 
-    def test_default_policy_not_serialized(self):
-        # pre-policy cache entries must keep their spec keys: default
-        # values stay out of the dict entirely
+    def test_every_field_serialized(self):
+        # defaults are written too: spec_key already embeds the code
+        # token, so no cached key outlives a change to the field set
         d = small_spec().to_dict()
-        assert "policy" not in d
-        assert "policy_seed" not in d
-        assert "pattern_kwargs" not in d
+        assert set(d) == {f.name for f in fields(WorkloadSpec)}
+        assert d["policy"] == "deterministic"
+        assert d["policy_seed"] == 0
+        assert d["pattern_kwargs"] == {}
+        assert WorkloadSpec.from_dict(d).to_dict() == d
 
     def test_policy_changes_spec_key(self):
         base = small_spec()
@@ -152,6 +155,24 @@ class TestSweepDeterminism:
         assert len(lines) == 2
         assert lines[-1].startswith("[unit] 2/2 done")
         assert "cache hits" in lines[-1] and "ETA" in lines[-1]
+
+    def test_truncated_cache_entry_is_resimulated(self, tmp_path):
+        specs = self.specs()[:1]
+        first = run_sweep(specs, workers=0, cache=True, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.json")
+        good = path.read_bytes()
+        path.write_bytes(good[: len(good) // 2])
+        stats: dict = {}
+        again = run_sweep(specs, workers=0, cache=True, cache_dir=tmp_path,
+                          stats=stats)
+        assert stats["cache_hits"] == 0 and stats["simulated"] == 1
+        assert json.dumps(again, sort_keys=True) == \
+            json.dumps(first, sort_keys=True)
+        # the entry is rewritten whole, and the next sweep reads it
+        assert json.loads(path.read_text()) == json.loads(good)
+        run_sweep(specs, workers=0, cache=True, cache_dir=tmp_path,
+                  stats=stats)
+        assert stats["cache_hits"] == 1 and stats["simulated"] == 0
 
     def test_cache_miss_on_spec_change(self, tmp_path):
         run_sweep(self.specs(), workers=0, cache=True, cache_dir=tmp_path)

@@ -1,0 +1,87 @@
+"""The WorkloadSpec contract: its field declarations are the only
+statement of each run option, so every SimConfig option a spec carries
+reaches the simulator and survives the spec's dict form, and a bad
+option fails when the spec is built, not inside a sweep worker."""
+
+from dataclasses import fields
+
+import pytest
+
+from repro.experiments import WorkloadSpec, make_scenario
+from repro.sim import Mesh2D, SimConfig
+
+#: SimConfig fields a spec leaves at their defaults
+NOT_IN_SPEC = ("injection_vc", "trace_paths", "deadlock_threshold")
+
+#: a valid non-default value for every SimConfig field a spec carries
+NON_DEFAULT = {
+    "buffer_depth": 2,
+    "cycles_per_step": 3,
+    "fault_mode": "harsh",
+    "detection_delay": 5,
+    "diagnosis_hop_delay": 1,
+    "retry_limit": 2,
+    "retry_backoff": 4,
+    "hop_budget": 50,
+    "backup_routes": True,
+    "engine": "batched",
+    "policy": "ecmp",
+    "policy_seed": 7,
+}
+
+#: options SimConfig accepts only in harsh fault mode
+HARSH_ONLY = ("detection_delay", "diagnosis_hop_delay", "backup_routes")
+
+SHARED = [f.name for f in fields(SimConfig) if f.name not in NOT_IN_SPEC]
+
+
+def _spec(**over) -> WorkloadSpec:
+    return WorkloadSpec(topology=Mesh2D(4, 4), algorithm="nafta", **over)
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_sim_config_field_reaches_config_and_round_trips(name):
+    value = NON_DEFAULT[name]
+    assert value != getattr(SimConfig(), name)
+    over = {name: value}
+    if name in HARSH_ONLY:
+        over["fault_mode"] = "harsh"
+    spec = _spec(**over)
+    assert getattr(spec.sim_config(), name) == value
+    rebuilt = WorkloadSpec.from_dict(spec.to_dict())
+    assert getattr(rebuilt, name) == value
+    assert rebuilt.to_dict() == spec.to_dict()
+
+
+def test_spec_cycles_per_step_zero_runs_one_cycle_per_step():
+    assert _spec().cycles_per_step == 0
+    assert _spec().sim_config().cycles_per_step == 1
+
+
+def test_bad_engine_fails_at_construction():
+    with pytest.raises(ValueError, match="unknown engine"):
+        _spec(engine="nope")
+
+
+def test_harsh_only_option_fails_at_construction():
+    with pytest.raises(ValueError, match="detection_delay needs"):
+        _spec(detection_delay=5)
+
+
+def test_unknown_dict_key_is_an_error():
+    d = _spec().to_dict()
+    with pytest.raises(ValueError, match="policy_sed"):
+        WorkloadSpec.from_dict({**d, "policy_sed": 3})
+
+
+def test_absent_dict_keys_take_field_defaults():
+    d = _spec(load=0.3).to_dict()
+    sparse = {k: d[k] for k in ("topology", "algorithm", "load")}
+    assert WorkloadSpec.from_dict(sparse).to_dict() == d
+
+
+def test_campaign_forwards_any_spec_field():
+    spec = make_scenario(0, arbiter="oldest_first", buffer_depth=2)
+    assert spec.arbiter == "oldest_first"
+    assert spec.sim_config().buffer_depth == 2
+    assert spec.fault_mode == "harsh" and spec.drain
