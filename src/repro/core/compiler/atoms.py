@@ -217,31 +217,6 @@ class AtomAnalysis:
             idx = idx * f.size + v
         return idx
 
-    def enumerate_assignments(self):
-        """Yield (index, {feature: code}) over the full index space."""
-        sizes = [f.size for f in self.features]
-        n = self.n_entries
-        codes = [0] * len(sizes)
-        for idx in range(n):
-            yield idx, list(codes)
-            for pos in range(len(sizes) - 1, -1, -1):
-                codes[pos] += 1
-                if codes[pos] < sizes[pos]:
-                    break
-                codes[pos] = 0
-
-    # -- premise evaluation over a feature assignment ---------------------------
-
-    def eval_premise(self, premise: N.Expr, codes: list[int]) -> bool:
-        direct_vals: dict[N.Expr, Value] = {}
-        bit_vals: dict[N.Expr, bool] = {}
-        for f, c in zip(self.features, codes):
-            if isinstance(f, DirectFeature):
-                direct_vals[f.signal] = f.domain.decode(c)
-            else:
-                bit_vals[f.atom] = bool(c)
-        return self._eval(premise, direct_vals, bit_vals)
-
     def _eval(self, e: N.Expr, direct_vals: dict[N.Expr, Value],
               bit_vals: dict[N.Expr, bool]) -> bool:
         if isinstance(e, N.And):

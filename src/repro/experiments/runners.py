@@ -114,8 +114,10 @@ class WorkloadSpec:
     metrics_stride: int = 0       # 0 = no timeseries; N = sample every N
     #: simulation engine: "object" (the oracle) or "batched" (the
     #: struct-of-arrays engine; bit-identical summaries, metrics
-    #: included — falls back to the object engine only when tracing is
-    #: requested, and the summary's ``engine_fallback`` key says why)
+    #: included — falls back to the object engine when tracing is
+    #: requested, the policy is not deterministic, the arbiter is not
+    #: the stock round-robin or the C kernel is unavailable, and the
+    #: summary's ``engine_fallback`` key says why)
     engine: str = "object"
     #: output-selection policy over legal route candidates
     #: (repro.routing.select; non-default policies run on the object

@@ -23,10 +23,12 @@ branches, stuck declarations) cross into Python.
 
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the
-shared object.  No third-party build machinery is required.  When no
-compiler (or cffi) is available — or ``REPRO_BATCHED_NO_CC`` is set —
-:func:`load_kernel` returns None and the engine factory transparently
-falls back to the object engine.
+shared object.  No third-party build machinery is required.  When the
+kernel cannot be had — ``REPRO_BATCHED_NO_CC`` is set, cffi or the
+compiler is missing, the compile fails, or the build does not load
+even after one rebuild — :func:`load_kernel` returns None,
+:func:`unavailable_reason` says which, and the engine factory
+transparently falls back to the object engine.
 """
 
 from __future__ import annotations
@@ -901,7 +903,13 @@ int k_purge_all(BState *s, int msg)
 """.replace("RESERVE_BYTES", str(DIG_RESERVE))
 
 
-_CACHED: "tuple | None | bool" = False   # False = not attempted yet
+#: the loaded (ffi, lib) pair, or why the kernel cannot be had; None
+#: until the first load_kernel() call
+_LOADED: "tuple | str | None" = None
+
+
+class _Unavailable(Exception):
+    """The kernel cannot be built or loaded; the message says why."""
 
 
 def _cache_dir() -> str:
@@ -911,14 +919,16 @@ def _cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-batched")
 
 
-def _build_so() -> str | None:
+def _build_so() -> str:
     """Compile the kernel (or reuse the hash-cached build); returns the
-    shared-object path or None when no compiler is available."""
+    shared-object path or raises :class:`_Unavailable`."""
     cc = (os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
           or shutil.which("clang"))
     if cc is None:
-        return None
+        raise _Unavailable("no C compiler (cc, gcc or clang) is on PATH "
+                           "and CC is unset")
     digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    why = "no kernel cache directory is writable"
     for base in (_cache_dir(), os.path.join(tempfile.gettempdir(),
                                             "repro-batched")):
         try:
@@ -937,37 +947,56 @@ def _build_so() -> str | None:
                            check=True, capture_output=True)
             os.replace(tmp, so)      # atomic: concurrent builders race safely
             return so
-        except (OSError, subprocess.CalledProcessError):
-            continue
-    return None
+        except subprocess.CalledProcessError as exc:
+            lines = exc.stderr.decode(errors="replace").strip().splitlines()
+            why = (f"{cc} failed to compile the kernel: "
+                   f"{lines[-1] if lines else f'exit {exc.returncode}'}")
+        except OSError as exc:
+            why = f"cannot build the kernel in {base}: {exc}"
+    raise _Unavailable(why)
 
 
 def load_kernel():
-    """(ffi, lib) for the compiled kernel, or None when unavailable
-    (no cffi, no C compiler, or ``REPRO_BATCHED_NO_CC`` set).  The
-    result is memoized per process."""
-    global _CACHED
-    if _CACHED is not False:
-        return _CACHED
-    _CACHED = None
+    """(ffi, lib) for the compiled kernel, or None when unavailable;
+    :func:`unavailable_reason` then says why (``REPRO_BATCHED_NO_CC``
+    set, no cffi, no C compiler, a failed compile, or an unloadable
+    build).  A cached build that does not load is deleted and rebuilt
+    once.  The result is memoized per process."""
+    global _LOADED
+    if _LOADED is None:
+        _LOADED = _load()
+    return _LOADED if isinstance(_LOADED, tuple) else None
+
+
+def _load() -> "tuple | str":
     if os.environ.get("REPRO_BATCHED_NO_CC"):
-        return None
+        return "REPRO_BATCHED_NO_CC is set"
     try:
         import cffi
     except ImportError:      # pragma: no cover - cffi ships with the env
-        return None
-    so = _build_so()
-    if so is None:
-        return None
+        return "cffi is not installed"
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
     try:
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(so)
-    except Exception:        # pragma: no cover - corrupt cache etc.
-        return None
-    _CACHED = (ffi, lib)
-    return _CACHED
+        so = _build_so()
+        try:
+            lib = ffi.dlopen(so)
+        except OSError:
+            # a truncated or foreign cached build: replace it, once
+            os.remove(so)
+            lib = ffi.dlopen(_build_so())
+    except _Unavailable as exc:
+        return str(exc)
+    except OSError as exc:
+        return f"the kernel build does not load: {exc}"
+    return ffi, lib
 
 
 def kernel_available() -> bool:
     return load_kernel() is not None
+
+
+def unavailable_reason() -> str | None:
+    """Why the kernel cannot be used in this process, or None."""
+    load_kernel()
+    return _LOADED if isinstance(_LOADED, str) else None

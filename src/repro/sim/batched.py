@@ -50,7 +50,8 @@ Use :func:`build_network` to construct a network honouring
 ``SimConfig.engine``; it transparently falls back to the object engine
 (and documents why, in ``SimStats.summary()['engine_fallback']``) when
 tracing is attached, a non-deterministic selection policy or a
-non-stock arbiter is requested, or no C compiler is available.
+non-stock arbiter is requested, or the C kernel cannot be built or
+loaded.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from .flit import Flit, FlitKind
 from .network import DeadlockError, Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
-                              FIELD_NONE, MAXF, kernel_available,
-                              load_kernel)
+                              FIELD_NONE, MAXF, load_kernel,
+                              unavailable_reason)
 from ..routing.base import REFRESH_REROUTE, RouteDecision
 from ..routing.select import POLICIES
 
@@ -230,9 +231,8 @@ class BatchedNetwork(Network):
         kern = load_kernel()
         if kern is None:
             raise RuntimeError(
-                "batched engine unavailable: no C compiler/cffi to build "
-                "the kernel (or REPRO_BATCHED_NO_CC is set); use "
-                "build_network() for transparent fallback")
+                f"batched engine unavailable: {unavailable_reason()}; use "
+                f"build_network() for transparent fallback")
         if tracer is not None and getattr(tracer, "enabled", True):
             raise ValueError("the batched engine does not emit trace "
                              "events; use build_network() to fall back "
@@ -1360,12 +1360,13 @@ def batched_fallback_reason(arbiter="round_robin", tracer=None,
 
     The fallback rules (documented in docs/PERFORMANCE.md): the batched
     engine emits no trace events, implements only the deterministic
-    selection policy and the stock round-robin arbiter, and needs a C
-    compiler (or a previously cached kernel build) on first use.  Fast
-    reroute (``backup_routes``) runs batched: its worm surgery walks the
-    arrays at each fault event.  So do metrics timeseries: the kernels
-    keep the per-link counters and the active-router gauge in arrays
-    and drain them into the timeseries."""
+    selection policy and the stock round-robin arbiter, and needs its
+    C kernel (built on first use, then cached; when that fails the
+    reason names the cause).  Fast reroute (``backup_routes``) runs
+    batched: its worm surgery walks the arrays at each fault event.
+    So do metrics timeseries: the kernels keep the per-link counters
+    and the active-router gauge in arrays and drain them into the
+    timeseries."""
     if tracer is not None and getattr(tracer, "enabled", True):
         return "tracing is enabled (the batched data path emits no events)"
     if config is not None \
@@ -1380,8 +1381,9 @@ def batched_fallback_reason(arbiter="round_robin", tracer=None,
                     f"round-robin")
     elif arbiter != "round_robin":
         return f"arbiter {arbiter!r} is not the stock round-robin"
-    if not kernel_available():
-        return "no C compiler is available to build the batched kernel"
+    why = unavailable_reason()
+    if why is not None:
+        return f"the batched kernel is unavailable: {why}"
     return None
 
 

@@ -262,8 +262,10 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="simulation engine: the per-flit object oracle "
                         "or the batched struct-of-arrays engine "
                         "(bit-identical results, metrics included; "
-                        "falls back to object only when tracing is "
-                        "attached)")
+                        "falls back to object when tracing, a "
+                        "non-deterministic policy, a non-stock arbiter "
+                        "or an unavailable C kernel rules it out, and "
+                        "the summary's engine_fallback says which)")
     p.add_argument("--policy",
                    choices=["deterministic", "ecmp", "flowlet", "credit"],
                    help="output-selection policy over legal route "

@@ -9,10 +9,13 @@ membership tests, boolean structure, saturating counter updates,
 symbol-state transitions and multi-rule priority interaction.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RuleEngine
 from repro.core.compiler import compile_program
+
+from .table_oracle import oracle_table
 
 STATES = ("alpha", "beta", "gamma", "delta")
 INT_VARS = ("v0", "v1")
@@ -117,6 +120,9 @@ def programs(draw):
        rounds=st.integers(1, 3))
 def test_fuzzed_programs_agree(source, v0, v1, mode, sensor, rounds):
     compiled = compile_program(source)
+    rb = compiled.rulebases["step"]
+    np.testing.assert_array_equal(rb.table, oracle_table(rb.analysis),
+                                  err_msg=source)
     table = RuleEngine(compiled, mode="table")
     ast = RuleEngine(compiled, mode="ast")
     for eng in (table, ast):
