@@ -29,6 +29,7 @@ from ..sim.flit import Header
 from ..sim.network import Network
 from ..sim.router import LOCAL
 from ..sim.topology import Topology
+from .reachability import healthy_graph
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +122,9 @@ class ConditionPairStats:
         return self.minimal / self.pairs if self.pairs else 1.0
 
 
-def _healthy_graph(topology: Topology, faults: FaultState) -> nx.Graph:
-    g = nx.Graph()
-    for n in topology.nodes():
-        if faults.node_ok(n):
-            g.add_node(n)
-    for a, b in topology.links():
-        if faults.link_ok(a, b):
-            g.add_edge(a, b)
-    return g
-
-
 def _minimal_path_survives(topology: Topology, faults: FaultState,
                            src: int, dst: int) -> bool:
-    g = _healthy_graph(topology, faults)
+    g = healthy_graph(topology, faults)
     if src not in g or dst not in g or not nx.has_path(g, src, dst):
         return False
     return nx.shortest_path_length(g, src, dst) == topology.distance(src, dst)

@@ -11,7 +11,7 @@ results travel back.
 
 from __future__ import annotations
 
-from ..routing.registry import ALGORITHM_META, AlgoMeta, make_algorithm
+from ..routing.registry import ALGORITHM_META, make_algorithm
 from ..sim.batched import build_network
 from ..sim.config import SimConfig
 from ..sim.faults import FaultSchedule
@@ -191,7 +191,3 @@ def run_case_payload(payload: dict) -> dict:
         "deadlock": result["deadlock"],
         **({"metrics": result["metrics"]} if "metrics" in result else {}),
     }
-
-
-def algo_meta(name: str) -> AlgoMeta:
-    return ALGORITHM_META[name]

@@ -167,10 +167,6 @@ class TransformReport:
     size_bits_after: int
     steps: list[str] = field(default_factory=list)
 
-    @property
-    def saved_bits(self) -> int:
-        return self.size_bits_before - self.size_bits_after
-
 
 def optimize_base(analyzer: Analyzer, base: BaseInfo
                   ) -> tuple[CompiledRuleBase, TransformReport]:

@@ -8,7 +8,6 @@ line, exactly as in the paper's Figure 4 listing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import LexError
 
@@ -101,7 +100,3 @@ def tokenize(source: str) -> list[Token]:
             raise error(f"unexpected character {ch!r}")
     tokens.append(Token("EOF", "", line, col))
     return tokens
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    return iter(tokenize(source))

@@ -103,9 +103,6 @@ class AnalyzedProgram:
     # infer_domain, const_eval).  Set by Analyzer.analyze().
     analyzer: "Analyzer | None" = None
 
-    def lookup_symbol_domain(self, sym: str) -> SymbolDomain | None:
-        return self.symbol_owner.get(sym)
-
     def register_bits(self) -> int:
         """Total variable/register bits of the whole program."""
         return sum(v.total_bits for v in self.variables.values())

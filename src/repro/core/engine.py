@@ -29,7 +29,6 @@ from .interpreter.event_manager import EventManager
 from .interpreter.execution import Emission, InvocationResult
 from .interpreter.rbr import RbrInterpreter
 from .interpreter.registers import RegisterFile
-from .interpreter.timing import DEFAULT_DELAYS, DelayModel
 
 
 class RuleEngine:
@@ -38,7 +37,6 @@ class RuleEngine:
                  functions: Mapping[str, FunctionImpl] | None = None,
                  mode: str = "table",
                  coerce: str = "saturate",
-                 delays: DelayModel = DEFAULT_DELAYS,
                  materialize: bool = True):
         if mode not in ("table", "ast"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -49,7 +47,6 @@ class RuleEngine:
                                             materialize=materialize)
         self.analyzed = self.compiled.analyzed
         self.mode = mode
-        self.delays = delays
         self.registers = RegisterFile(self.analyzed, coerce=coerce)
         self.functions: dict[str, FunctionImpl] = dict(functions or {})
         self._inputs = make_input_reader({})
@@ -63,11 +60,6 @@ class RuleEngine:
             invoke=self._invoke)
 
     # -- configuration ------------------------------------------------------
-
-    def register_function(self, name: str, impl: FunctionImpl) -> None:
-        if name not in self.analyzed.functions:
-            raise EvalError(f"{name!r} is not a declared FUNCTION")
-        self.functions[name] = impl
 
     def attach_tracer(self, tracer, node: int = -1) -> None:
         """Attach a :mod:`repro.obs` tracer: rule-base invocations emit
@@ -179,11 +171,5 @@ class RuleEngine:
     def base(self, name: str) -> CompiledRuleBase:
         return self.compiled.base(name)
 
-    def table_bits(self) -> int:
-        return self.compiled.total_table_bits
-
     def register_bits(self) -> int:
         return self.compiled.register_bits()
-
-    def decision_latency_cycles(self, steps: int) -> int:
-        return self.delays.decision_cycles(steps)

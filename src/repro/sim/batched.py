@@ -11,6 +11,14 @@ REROUTE-hinted refreshes, and stuck-message purges — plus the fault
 events themselves, where fast reroute (``backup_routes``) heals and
 absorbs worms with the object engine's walks over the arrays.
 
+What happens to a message after a fault — rip-up, heal, absorb,
+retry, dead letter — is :class:`~repro.sim.network.Network`'s policy,
+stated once for both engines.  This engine replaces only the data
+path: the per-cycle phases, the worm walks and the few primitives the
+policy drives (purge a message, queue it at its source, report
+injection in progress, list a node's buffered messages and the heal
+sites, find where a stuck head waits).
+
 The contract is bit-exactness, not approximation: for any workload the
 batched engine reproduces the object engine's ``SimStats.summary()``
 and per-decision conformance digests exactly.  The layout and walk
@@ -56,14 +64,12 @@ loaded.
 
 from __future__ import annotations
 
-from heapq import heappush
-
 import numpy as np
 
 from .arbiter import Arbiter
 from .config import SimConfig
 from .flit import Flit, FlitKind
-from .network import DeadlockError, Network
+from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, load_kernel,
@@ -75,6 +81,7 @@ _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _MISSING = object()
 _NO_PORT = -100      # o_port value meaning "no output assigned"
 _NO_ARMS = frozenset()
+_NO_KERNEL = "the batched kernel is unavailable: "
 
 
 def _encode(v) -> int:
@@ -109,9 +116,8 @@ class BatchedRouter:
 
     Routing algorithms and the engine-agnostic fault machinery see the
     :class:`~repro.sim.router.Router` query surface (``output_load``,
-    ``port_alive``, ``ports``, ``worms_using_port``, ``purge_message``,
-    …) backed by the shared arrays; the per-cycle data-path phases never
-    touch it."""
+    ``port_alive``, ``ports``, ``worms_using_port``, …) backed by the
+    shared arrays; the per-cycle data-path phases never touch it."""
 
     __slots__ = ("network", "node", "topology", "ports", "n_vcs")
 
@@ -164,13 +170,6 @@ class BatchedRouter:
             return False
         return self.credits(pid, vc) > 0
 
-    def queue_length(self, pid: int, vc: int) -> int:
-        if pid == LOCAL:
-            return 0
-        net = self.network
-        d = int(net._ov_down[net._portbase[self.node, pid + 1] + vc])
-        return int(net._buf_cnt[d]) + int(net._inc_val[d])
-
     def output_load(self, pid: int) -> int:
         """Same metric as the object router: occupied downstream buffer
         slots plus worms holding the VCs."""
@@ -205,52 +204,34 @@ class BatchedRouter:
                 out.add(int(head_msg[g]))
         return out
 
-    def purge_message(self, msg_id: int) -> int:
-        net = self.network
-        return int(net._lib.k_purge(net._cs, self.node, msg_id))
-
-    def finalize(self) -> None:  # pragma: no cover - interface symmetry
-        pass
-
 
 class BatchedNetwork(Network):
     """Drop-in :class:`Network` whose data path runs on arrays + C.
 
-    Only the per-cycle data-path phases are replaced (``_advance`` and
-    the helpers it drives); the fault machinery, retry queue, diagnosis
-    flood and watchdog run unchanged against router facades; only fast
-    reroute's worm surgery is re-walked over the arrays.  Requires the
-    stock round-robin arbiter, the deterministic selection policy and
-    no tracer (metrics timeseries attach natively) — use
+    Only the data path is replaced: the per-cycle phases (``_advance``
+    and the helpers it drives), fast reroute's worm walks and the
+    data-path primitives of the message lifecycle.  The lifecycle
+    itself — fault machinery, rip-up, heal and absorb policy, retry
+    queue, dead letters — plus the diagnosis flood and the watchdog
+    run unchanged in :class:`Network`.  Requires what
+    :func:`batched_fallback_reason` checks (the stock round-robin
+    arbiter, the deterministic selection policy, no tracer, the C
+    kernel; metrics timeseries attach natively) — use
     :func:`build_network` for transparent fallback."""
 
     engine_name = "batched"
 
     def __init__(self, topology, algorithm, config: SimConfig | None = None,
                  arbiter="round_robin", tracer=None, metrics=None):
-        kern = load_kernel()
-        if kern is None:
-            raise RuntimeError(
-                f"batched engine unavailable: {unavailable_reason()}; use "
-                f"build_network() for transparent fallback")
-        if tracer is not None and getattr(tracer, "enabled", True):
-            raise ValueError("the batched engine does not emit trace "
-                             "events; use build_network() to fall back "
-                             "to the object engine when tracing")
-        self._ffi, self._lib = kern
-        if config is not None \
-                and not POLICIES[config.policy].batched_compatible:
-            raise ValueError(
-                f"the batched engine supports only the 'deterministic' "
-                f"selection policy, not {config.policy!r}; use "
-                f"build_network() for transparent fallback")
+        why = batched_fallback_reason(arbiter, tracer, config)
+        if why is not None:
+            error = (RuntimeError if why.startswith(_NO_KERNEL)
+                     else ValueError)
+            raise error(f"batched engine refused: {why}; use "
+                        f"build_network() for transparent fallback")
+        self._ffi, self._lib = load_kernel()
         super().__init__(topology, algorithm, config, arbiter=arbiter,
                          metrics=metrics)
-        if type(self.arbiter) is not Arbiter:
-            raise ValueError(
-                f"the batched engine implements only the stock "
-                f"round-robin arbiter, not {self.arbiter.name!r}; use "
-                f"build_network() for transparent fallback")
         # the clean table probes route() through the algorithm's live
         # state, so it installs only after reset() ran (end of the base
         # constructor)
@@ -972,32 +953,6 @@ class BatchedNetwork(Network):
                 - int(self._src_pos[node])
         return n
 
-    def _drain_for_fault(self) -> None:
-        self._injection_paused = True
-        guard = 0
-        while self._flits_in_flight() or bool((self._src_cur >= 0).any()):
-            self._step_drain()
-            guard += 1
-            if guard > self.config.deadlock_threshold * 10:
-                raise DeadlockError("network failed to quiesce for a fault")
-        self._injection_paused = False
-
-    def offer(self, src, dst, length, **fields):
-        msg = super().offer(src, dst, length, **fields)
-        if msg is not None:
-            self._src_qlen[src] += 1
-            # a queued source makes the node active (the C scans only
-            # visit the active list); compacted away once it drains
-            self._lib.k_activate(self._cs, src)
-        return msg
-
-    def _release_retry(self, src, dst, length, carry) -> None:
-        before = len(self.sources[src].queue)
-        super()._release_retry(src, dst, length, carry)
-        if len(self.sources[src].queue) != before:
-            self._src_qlen[src] += 1
-            self._lib.k_activate(self._cs, src)
-
     def _apply_fault_now(self, event) -> None:
         super()._apply_fault_now(event)
         if event.kind == "node":
@@ -1005,109 +960,59 @@ class BatchedNetwork(Network):
             self._src_cur[node] = -1
             self._src_qlen[node] = 0
 
-    def _rip_up_worms(self, event) -> None:
-        # identical victim *insertion order* to the object engine, so
-        # the set iterates (and messages drop) in the same sequence —
-        # drop order feeds the retry heap's tie-breaking sequence
-        victims: set[int] = set()
-        if event.kind == "link":
-            a, b = event.target
-            for node, pid_ok in ((a, b), (b, a)):
-                router = self.routers[node]
-                for pid, port in router.ports.items():
-                    if port.neighbor == pid_ok:
-                        victims |= router.worms_using_port(pid)
-        else:
-            node = int(event.target)
-            lo = int(self._iv_off[node])
-            hi = int(self._iv_off[node + 1])
-            for g in range(lo, hi):
-                victims.update(m for m, _ in self._ring(g))
-                if self._inc_val[g]:
-                    victims.add(int(self._inc_msg[g]))
-            for r in self.routers:
-                for pid, port in r.ports.items():
-                    if port.neighbor == node:
-                        victims |= r.worms_using_port(pid)
-        for msg_id in victims:
-            self.drop_message(msg_id, event=event)
+    # -- data-path primitives of the shared message lifecycle ---------
 
-    def message_stuck(self, msg_id: int) -> None:
+    def _enqueue(self, src: int, msg) -> None:
+        self.sources[src].queue.append(msg)
+        self._src_qlen[src] += 1
+        # a queued source makes the node active (the C scans only visit
+        # the active list); compacted away once it drains
+        self._lib.k_activate(self._cs, src)
+
+    def _injecting(self) -> bool:
+        return bool((self._src_cur >= 0).any())
+
+    def _purge_message(self, msg_id: int) -> None:
         if self._native and msg_id in self.messages:
             self._sync_fields(msg_id)      # fields faithful on exit
-        if self.config.backup_routes:
-            msg_ = self.messages.get(msg_id)
-            if msg_ is not None and not msg_.delivered:
-                self._absorb_and_reinject(msg_)
-                return
         self._lib.k_purge_all(self._cs, msg_id)
         msg = self.messages.get(msg_id)
         if msg is not None:
             src = msg.header.src
             if int(self._src_cur[src]) == msg_id:
                 self._src_cur[src] = -1
-            msg.dropped = True
-            msg.header.fields["stuck"] = True
-        self.stats.messages_stuck += 1
-        if msg is not None and self.config.retry_limit \
-                and not msg.delivered:
-            self._schedule_retry(msg)
 
-    def drop_message(self, msg_id: int, event=None) -> None:
-        if self._native and msg_id in self.messages:
-            self._sync_fields(msg_id)      # fields faithful on exit
-        self._lib.k_purge_all(self._cs, msg_id)
-        msg = self.messages.get(msg_id)
-        if msg is None:  # pragma: no cover
-            return
-        src = msg.header.src
-        if int(self._src_cur[src]) == msg_id:
-            self._src_cur[src] = -1
-        msg.dropped = True
-        self.stats.count_dropped()
-        if msg.delivered:
-            return
-        if self.config.retry_limit:
-            self._schedule_retry(msg, event=event)
+    def _buffered_msgs(self, node: int) -> list[int]:
+        out: list[int] = []
+        for g in range(int(self._iv_off[node]), int(self._iv_off[node + 1])):
+            out.extend(m for m, _ in self._ring(g))
+            if self._inc_val[g]:
+                out.append(int(self._inc_msg[g]))
+        return out
 
-    # -- fast reroute: worm healing + local re-injection -------------
-    # The object engine's walks (Network._heal_worms and friends), step
-    # for step, over the arrays.  Making a flit the tail is shrinking
-    # msg_len: the kernel's tail test is seq == msg_len[msg] - 1.
-
-    def _heal_worms(self, event) -> None:
-        a, b = event.target
+    def _heal_sites(self, node: int, pid: int):
+        # the site is the input VC's gid; tested lazily like the
+        # object engine's
         ivst, o_port, head_msg = self._ivst, self._o_port, self._head_msg
-        for node, far in ((a, b), (b, a)):
-            for pid, port in self._node_ports[node].items():
-                if port.neighbor != far:
-                    continue
-                for g in range(int(self._iv_off[node]),
-                               int(self._iv_off[node + 1])):
-                    if ivst[g] == 3 and o_port[g] == pid \
-                            and head_msg[g] >= 0:
-                        self._heal_one(node, g)
+        for g in range(int(self._iv_off[node]), int(self._iv_off[node + 1])):
+            if ivst[g] == 3 and o_port[g] == pid and head_msg[g] >= 0:
+                yield int(head_msg[g]), g
 
-    def _heal_one(self, node: int, g: int) -> None:
-        msg_id = int(self._head_msg[g])
-        msg = self.messages.get(msg_id)
-        if msg is None:  # pragma: no cover - defensive
-            return
-        if self._native:
-            self._sync_fields(msg_id)      # hop count for delivery
-        self._finish_fragment(g, msg)
-        n_rem = self._absorb_remainder(g, msg)
-        rr = self.stats.reroute
-        if rr is not None:
-            rr["worms_healed"] += 1
-        fields = msg.header.fields
-        copy = self.offer(
-            node, msg.header.dst, n_rem + 1, healed_from=msg_id,
-            first_dropped=int(fields.get("first_dropped", self.cycle)),
-            orig_created=int(fields.get("orig_created",
-                                        msg.header.created)))
-        if copy is None:
-            self._dead_letter(int(fields.get("root_id", msg_id)))
+    def _stuck_head_node(self, msg_id: int) -> int | None:
+        gids, hd = np.arange(self._buf_head.shape[0]), self._buf_head
+        at = ((self._head_msg == msg_id) & (self._ivst != 3)) \
+            | ((self._ivst == 0) & (self._buf_cnt > 0)
+               & (self._buf_msg[gids, hd] == msg_id)
+               & (self._buf_seq[gids, hd] == 0))
+        hits = np.flatnonzero(at)
+        return int(self._iv_node[hits[-1]]) if hits.size else None
+
+    # -- fast reroute: the worm walks ----------------------------------
+    # The object engine's walks (Network._finish_fragment and friends),
+    # step for step, over the arrays; the site is the gid of the input
+    # VC whose worm holds the dead link.  Making a flit the tail is
+    # shrinking msg_len: the kernel's tail test is seq == msg_len[msg]
+    # - 1.
 
     def _down_gid(self, g: int) -> int:
         """The input VC fed by the output VC that ``g``'s worm holds."""
@@ -1135,6 +1040,8 @@ class BatchedNetwork(Network):
 
     def _finish_fragment(self, g: int, msg) -> None:
         msg_id = msg.header.msg_id
+        if self._native:
+            self._sync_fields(msg_id)      # hop count for delivery
         chain: list[tuple[int, list[int]]] = []
         d = self._down_gid(g)
         while True:
@@ -1212,47 +1119,6 @@ class BatchedNetwork(Network):
         self._hint[g] = 0
         self._o_port[g] = _NO_PORT
         self._o_vc[g] = _NO_PORT
-
-    def _absorb_and_reinject(self, msg) -> None:
-        msg_id = msg.header.msg_id
-        # re-inject where the head waits: the last node (ascending)
-        # with a routed-but-unsent head or an unrouted head of the worm
-        gids, hd = np.arange(self._buf_head.shape[0]), self._buf_head
-        at = ((self._head_msg == msg_id) & (self._ivst != 3)) \
-            | ((self._ivst == 0) & (self._buf_cnt > 0)
-               & (self._buf_msg[gids, hd] == msg_id)
-               & (self._buf_seq[gids, hd] == 0))
-        hits = np.flatnonzero(at)
-        where = int(self._iv_node[hits[-1]]) if hits.size \
-            else msg.header.src
-        self._lib.k_purge_all(self._cs, msg_id)
-        src = msg.header.src
-        if int(self._src_cur[src]) == msg_id:
-            self._src_cur[src] = -1
-        msg.dropped = True
-        fields = msg.header.fields
-        fields["stuck"] = True
-        self.stats.messages_stuck += 1
-        root = int(fields.get("root_id", msg_id))
-        retries = int(fields.get("local_retries", 0))
-        if retries >= 3:
-            self._dead_letter(root)
-            return
-        rr = self.stats.reroute
-        if rr is not None:
-            rr["worms_absorbed"] += 1
-        carry = {
-            "retry_of": msg_id,
-            "root_id": root,
-            "local_retries": retries + 1,
-            "first_dropped": int(fields.get("first_dropped", self.cycle)),
-            "orig_created": int(fields.get("orig_created",
-                                           msg.header.created)),
-        }
-        release = self.cycle + self.config.retry_backoff * (1 << retries)
-        heappush(self._pending_retries,
-                 (release, next(self._retry_seq), where,
-                  msg.header.dst, msg.header.length, carry))
 
     # -- stall diagnosis ----------------------------------------------
 
@@ -1383,7 +1249,7 @@ def batched_fallback_reason(arbiter="round_robin", tracer=None,
         return f"arbiter {arbiter!r} is not the stock round-robin"
     why = unavailable_reason()
     if why is not None:
-        return f"the batched kernel is unavailable: {why}"
+        return _NO_KERNEL + why
     return None
 
 

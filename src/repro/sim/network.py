@@ -267,8 +267,7 @@ class Network:
         msg = Message.create(src, dst, length, self.cycle,
                              msg_id=next(self._msg_ids), **fields)
         self.messages[msg.header.msg_id] = msg
-        self.sources[src].queue.append(msg)
-        self._active_sources.add(src)
+        self._enqueue(src, msg)
         if tr.enabled:
             tr.emit(trace_ev.WORM_CREATED, msg_id=msg.header.msg_id,
                     src=src, dst=dst, length=length)
@@ -598,8 +597,7 @@ class Network:
         fault takes effect (injection paused meanwhile)."""
         self._injection_paused = True
         guard = 0
-        while (self._flits_in_flight()
-               or any(s.current for s in self.sources)):
+        while self._flits_in_flight() or self._injecting():
             self._step_drain()
             guard += 1
             if guard > self.config.deadlock_threshold * 10:
@@ -618,7 +616,9 @@ class Network:
         self.cycle += 1
 
     def _rip_up_worms(self, event) -> None:
-        """'harsh' mode: kill worms using the dying link/node."""
+        """'harsh' mode: kill worms using the dying link/node.  The
+        victim insertion order fixes the set's iteration order, hence
+        the drop order that tie-breaks the retry heap."""
         victims: set[int] = set()
         if event.kind == "link":
             a, b = event.target
@@ -629,11 +629,7 @@ class Network:
                         victims |= router.worms_using_port(pid)
         else:
             node = int(event.target)
-            router = self.routers[node]
-            for vcs in router.input_vcs.values():
-                for iv in vcs:
-                    for f in list(iv.buffer) + list(iv.incoming):
-                        victims.add(f.msg_id)
+            victims.update(self._buffered_msgs(node))
             for r in self.routers:
                 for pid, port in r.ports.items():
                     if port.neighbor == node:
@@ -654,32 +650,27 @@ class Network:
         the fault."""
         a, b = event.target
         for node, far in ((a, b), (b, a)):
-            router = self.routers[node]
-            for pid, port in router.ports.items():
-                if port.neighbor != far:
-                    continue
-                for iv in router._ivs:
-                    if iv.state == ACTIVE and iv.out_port == pid \
-                            and iv.header is not None:
-                        self._heal_one(router, iv)
+            for pid, port in self.routers[node].ports.items():
+                if port.neighbor == far:
+                    for msg_id, site in self._heal_sites(node, pid):
+                        self._heal_one(node, msg_id, site)
 
-    def _heal_one(self, router, iv) -> None:
-        msg_id = iv.header.msg_id
+    def _heal_one(self, node: int, msg_id: int, site) -> None:
         msg = self.messages.get(msg_id)
         if msg is None:  # pragma: no cover - defensive
             return
-        self._finish_fragment(router, iv, msg)
-        n_rem = self._absorb_remainder(router, iv, msg_id)
+        self._finish_fragment(site, msg)
+        n_rem = self._absorb_remainder(site, msg)
         rr = self.stats.reroute
         if rr is not None:
             rr["worms_healed"] += 1
         tr = self.tracer
         if tr.enabled:
             tr.emit(trace_ev.WORM_HEALED, msg_id=msg_id,
-                    node=router.node, remainder_flits=n_rem)
+                    node=node, remainder_flits=n_rem)
         fields = msg.header.fields
         copy = self.offer(
-            router.node, msg.header.dst, n_rem + 1,
+            node, msg.header.dst, n_rem + 1,
             healed_from=msg_id,
             first_dropped=int(fields.get("first_dropped", self.cycle)),
             orig_created=int(fields.get("orig_created",
@@ -689,7 +680,7 @@ class Network:
             # dead / algorithm refusal): give up loudly, never silently
             self._dead_letter(int(fields.get("root_id", msg_id)))
 
-    def _finish_fragment(self, router, iv, msg) -> None:
+    def _finish_fragment(self, site, msg) -> None:
         """Walk the worm's occupancy chain beyond the break; mark its
         rearmost surviving flit as the tail so the fragment delivers
         and releases its channels normally.  Chain input VCs upstream
@@ -698,6 +689,7 @@ class Network:
         fragment flit remains anywhere (everything but the tail was
         already ejected at the destination), the message is complete in
         all but name: mark it delivered."""
+        router, iv = site
         msg_id = msg.header.msg_id
         chain: list[tuple] = []
         step = router._down.get(iv.out_port)
@@ -734,13 +726,14 @@ class Network:
             msg.hops = msg.header.path_len
             self.stats.count_message(msg)
 
-    def _absorb_remainder(self, router, iv, msg_id: int) -> int:
+    def _absorb_remainder(self, site, msg) -> int:
         """Remove the upstream remainder of a split worm — every flit
         behind the break, the channels it holds, and any flits still
         waiting at the source — and return how many flits were
         absorbed."""
+        msg_id = msg.header.msg_id
         n_rem = 0
-        cur_r, cur_iv = router, iv
+        cur_r, cur_iv = site
         while True:
             before = len(cur_iv.buffer) + len(cur_iv.incoming)
             cur_iv.buffer = deque(
@@ -790,30 +783,17 @@ class Network:
         retries keeps livelock impossible; exhaustion dead-letters
         loudly."""
         msg_id = msg.header.msg_id
-        where = msg.header.src
-        for r in self.routers:
-            for civ in r._ivs:
-                if (civ.header is not None
-                        and civ.header.msg_id == msg_id
-                        and civ.state != ACTIVE) \
-                        or (civ.state == IDLE and civ.buffer
-                            and civ.buffer[0].msg_id == msg_id
-                            and civ.buffer[0].is_head):
-                    where = r.node
-                    break
-        for r in self.routers:
-            r.purge_message(msg_id)
-        src = self.sources[msg.header.src]
-        if src.current_msg is msg:
-            src.current = []
-            src.current_msg = None
+        where = self._stuck_head_node(msg_id)
+        if where is None:
+            where = msg.header.src
+        self._purge_message(msg_id)
         msg.dropped = True
-        msg.header.fields["stuck"] = True
+        fields = msg.header.fields
+        fields["stuck"] = True
         self.stats.messages_stuck += 1
         tr = self.tracer
         if tr.enabled:
             tr.emit(trace_ev.WORM_STUCK, msg_id=msg_id)
-        fields = msg.header.fields
         root = int(fields.get("root_id", msg_id))
         retries = int(fields.get("local_retries", 0))
         if retries >= 3:
@@ -842,19 +822,13 @@ class Network:
         """The routing algorithm declared a message permanently
         unroutable mid-flight (Condition-3 violation): remove it and
         count it separately from fault-ripped drops."""
-        if self.config.backup_routes:
-            msg_ = self.messages.get(msg_id)
-            if msg_ is not None and not msg_.delivered:
-                self._absorb_and_reinject(msg_)
-                return
-        for r in self.routers:
-            r.purge_message(msg_id)
         msg = self.messages.get(msg_id)
+        if self.config.backup_routes and msg is not None \
+                and not msg.delivered:
+            self._absorb_and_reinject(msg)
+            return
+        self._purge_message(msg_id)
         if msg is not None:
-            src = self.sources[msg.header.src]
-            if src.current_msg is msg:
-                src.current = []
-                src.current_msg = None
             msg.dropped = True
             msg.header.fields["stuck"] = True
         self.stats.messages_stuck += 1
@@ -870,15 +844,10 @@ class Network:
         ``event`` is the fault that killed it, used to anchor the
         source-retransmission release to the cycle the *source's* view
         confirms that fault."""
-        for r in self.routers:
-            r.purge_message(msg_id)
+        self._purge_message(msg_id)
         msg = self.messages.get(msg_id)
         if msg is None:  # pragma: no cover
             return
-        src = self.sources[msg.header.src]
-        if src.current_msg is msg:
-            src.current = []
-            src.current_msg = None
         msg.dropped = True
         self.stats.count_dropped()
         tr = self.tracer
@@ -952,8 +921,7 @@ class Network:
         msg = Message.create(src, dst, length, self.cycle,
                              msg_id=next(self._msg_ids), **carry)
         self.messages[msg.header.msg_id] = msg
-        self.sources[src].queue.append(msg)
-        self._active_sources.add(src)
+        self._enqueue(src, msg)
         self.stats.count_retried()
         tr = self.tracer
         if tr.enabled:
@@ -967,6 +935,68 @@ class Network:
         tr = self.tracer
         if tr.enabled:
             tr.emit(trace_ev.WORM_DEAD_LETTER, root_id=root_id)
+
+    # -- data-path primitives ------------------------------------------------------
+    # The message lifecycle above (rip-up, heal, absorb, retry, dead
+    # letter) is stated once; these are the steps that read or change
+    # the data path's representation.  The batched engine overrides
+    # them, and the worm walks (_finish_fragment, _absorb_remainder,
+    # _force_release), over its arrays.
+
+    def _enqueue(self, src: int, msg: Message) -> None:
+        """Queue ``msg`` at source ``src`` and wake the source."""
+        self.sources[src].queue.append(msg)
+        self._active_sources.add(src)
+
+    def _injecting(self) -> bool:
+        """Whether any source is part-way through injecting a worm."""
+        return any(s.current for s in self.sources)
+
+    def _purge_message(self, msg_id: int) -> None:
+        """Remove every flit of a message from the routers and stop its
+        source if the worm is still entering the network."""
+        for r in self.routers:
+            r.purge_message(msg_id)
+        msg = self.messages.get(msg_id)
+        if msg is not None:
+            src = self.sources[msg.header.src]
+            if src.current_msg is msg:
+                src.current = []
+                src.current_msg = None
+
+    def _buffered_msgs(self, node: int) -> list[int]:
+        """The message id of every flit buffered at ``node``, in input-VC
+        order (each VC's buffer, then its staging slot)."""
+        return [f.msg_id for iv in self.routers[node]._ivs
+                for f in list(iv.buffer) + iv.incoming]
+
+    def _heal_sites(self, node: int, pid: int):
+        """Yield ``(msg_id, site)`` for each worm whose active head at
+        ``node`` holds output port ``pid``; ``site`` is what the worm
+        walks take.  Each VC is tested when it is reached, so a worm an
+        earlier heal already released is skipped."""
+        router = self.routers[node]
+        for iv in router._ivs:
+            if iv.state == ACTIVE and iv.out_port == pid \
+                    and iv.header is not None:
+                yield iv.header.msg_id, (router, iv)
+
+    def _stuck_head_node(self, msg_id: int) -> int | None:
+        """The node where a stuck worm's head waits: the last node, in
+        ascending order, holding it routed but unsent or unrouted at a
+        VC front.  None when the head is not in the network."""
+        where = None
+        for r in self.routers:
+            for civ in r._ivs:
+                if (civ.header is not None
+                        and civ.header.msg_id == msg_id
+                        and civ.state != ACTIVE) \
+                        or (civ.state == IDLE and civ.buffer
+                            and civ.buffer[0].msg_id == msg_id
+                            and civ.buffer[0].is_head):
+                    where = r.node
+                    break
+        return where
 
     # -- queries ----------------------------------------------------------------------
 

@@ -180,13 +180,6 @@ class Router:
                 out += 1
         return out
 
-    def queue_length(self, pid: int, vc: int) -> int:
-        """Occupancy of the downstream VC buffer (NARA's mean_queue)."""
-        if pid == LOCAL:
-            return 0
-        iv = self._down[pid][1][vc]
-        return len(iv.buffer) + len(iv.incoming)
-
     # -- cycle phases (driven by Network.step) --------------------------------------
 
     def flush_incoming(self) -> None:

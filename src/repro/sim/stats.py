@@ -94,9 +94,6 @@ class StatsCollector:
 
     # -- recording -----------------------------------------------------
 
-    def count_flit_hop(self) -> None:
-        self.flit_hops += 1
-
     def count_decision(self, steps: int) -> None:
         self.decisions += 1
         self.decision_steps += steps

@@ -50,3 +50,29 @@ def test_truncated_cached_kernel_is_rebuilt(tmp_path):
     assert summary["engine"] == "batched"
     assert "engine_fallback" not in summary
     assert os.path.getsize(so) > 100
+
+
+def test_direct_construction_raises_the_fallback_reason():
+    """``BatchedNetwork`` applies ``batched_fallback_reason``'s rules,
+    in its order, before building anything: a non-stock arbiter is a
+    ``ValueError`` even without a kernel; a missing kernel alone is a
+    ``RuntimeError`` naming its cause."""
+    code = (
+        "from repro.routing import make_algorithm\n"
+        "from repro.sim import Mesh2D\n"
+        "from repro.sim.batched import BatchedNetwork\n"
+        "for kw in ({'arbiter': 'oldest_first'}, {}):\n"
+        "    try:\n"
+        "        BatchedNetwork(Mesh2D(3, 3), make_algorithm('xy'), **kw)\n"
+        "    except (RuntimeError, ValueError) as e:\n"
+        "        print(type(e).__name__, e)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_BATCHED_NO_CC", "REPRO_BATCHED_CACHE")}
+    env.update(PYTHONPATH=str(SRC), REPRO_BATCHED_NO_CC="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert len(out) == 2, out
+    assert out[0].startswith("ValueError") and "arbiter" in out[0]
+    assert out[1].startswith("RuntimeError")
+    assert "REPRO_BATCHED_NO_CC" in out[1] and "build_network()" in out[1]
