@@ -34,8 +34,6 @@ import copy
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..routing.base import RoutingAlgorithm
 from ..sim.flit import Header
 from ..sim.network import Network
@@ -49,16 +47,64 @@ Channel = tuple[int, int, int]   # (node, out_port, vc)
 #: livelock cut-off, which fires long after any cycle would)
 _IGNORED_FIELDS = {"path_len", "trace", "_wraps_next", "_detour_next"}
 
+#: header-field value types a shallow copy may share: immutable scalars
+_SCALARS = frozenset({int, bool, float, str, type(None)})
+
 
 def _canon_fields(fields: dict) -> frozenset:
-    return frozenset((k, v) for k, v in fields.items()
-                     if k not in _IGNORED_FIELDS
-                     and not isinstance(v, (list, dict)))
+    return frozenset([(k, v) for k, v in fields.items()
+                      if k not in _IGNORED_FIELDS
+                      and not isinstance(v, (list, dict))])
+
+
+def _copy_fields(fields: dict) -> dict:
+    """A copy of header ``fields`` that no in-place mutation of either
+    side reaches: a plain dict copy when every value is an immutable
+    scalar, a deep copy otherwise (e.g. updown's move-map dict)."""
+    for v in fields.values():
+        if type(v) not in _SCALARS:
+            return copy.deepcopy(fields)
+    return dict(fields)
+
+
+def find_cycle(succ: dict) -> list | None:
+    """A closed path ``[c0, c1, ..., c0]`` in the graph whose successor
+    sets are ``succ``, or None when it is acyclic.
+
+    One iterative depth-first search taking roots and successors in
+    ``succ``'s iteration order; with insertion-ordered successors it
+    reports the same cycle as ``networkx.find_cycle`` on the equivalent
+    ``DiGraph``."""
+    done: set = set()
+    for root in succ:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        stack = [iter(succ[root])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt in on_path:
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(succ.get(nxt, ())))
+                    break
+            else:
+                stack.pop()
+                node = path.pop()
+                on_path.remove(node)
+                done.add(node)
+    return None
 
 
 @dataclass
 class CdgResult:
-    graph: nx.DiGraph
+    #: ``succ[c]`` is the successor set of channel ``c`` (a dict used as
+    #: an insertion-ordered set): every channel a head holding ``c`` may
+    #: request next.  Every channel some route uses is a key.
+    succ: dict[Channel, dict[Channel, None]]
     cycle: list[Channel] | None = None
     states: int = 0
 
@@ -66,10 +112,14 @@ class CdgResult:
     def acyclic(self) -> bool:
         return self.cycle is None
 
+    def edges(self) -> list[tuple[Channel, Channel]]:
+        """Every dependency ``(held, requested)``."""
+        return [(a, b) for a, out in self.succ.items() for b in out]
+
     def summary(self) -> dict:
         return {
-            "channels": self.graph.number_of_nodes(),
-            "dependencies": self.graph.number_of_edges(),
+            "channels": len(self.succ),
+            "dependencies": sum(len(out) for out in self.succ.values()),
             "acyclic": self.acyclic,
             "reachable_states": self.states,
         }
@@ -79,7 +129,9 @@ def build_cdg(network: Network, max_states: int = 2_000_000) -> CdgResult:
     """Extract the reachable channel dependency graph."""
     algo = network.algorithm
     topo = network.topology
-    g: nx.DiGraph = nx.DiGraph()
+    succ: dict[Channel, dict[Channel, None]] = {}
+    # per-node port maps, looked up once instead of per candidate
+    node_ports = [topo.ports(n) for n in topo.nodes()]
 
     # state = (node, in_port, in_vc, dst, canonical header fields)
     seen: set[tuple] = set()
@@ -105,29 +157,32 @@ def build_cdg(network: Network, max_states: int = 2_000_000) -> CdgResult:
         node, in_port, in_vc, dst, fields = queue.popleft()
         if node == dst:
             continue
+        router = network.routers[node]
         hdr = Header(msg_id=-1, src=-1, dst=dst, length=2, created=0,
-                     fields=copy.deepcopy(fields))
-        decision = algo.route(network.routers[node], hdr, in_port, in_vc)
+                     fields=_copy_fields(fields))
+        decision = algo.route(router, hdr, in_port, in_vc)
         if decision.deliver or decision.stuck:
             continue
         if in_port == LOCAL:
             holding = None
         else:
-            p = network.routers[node].ports[in_port]
+            p = router.ports[in_port]
             holding = (p.neighbor, p.neighbor_port, in_vc)
         for out_port, out_vc in decision.candidates:
             if out_port == LOCAL:
                 continue
-            p = topo.port(node, out_port)
+            p = node_ports[node].get(out_port)
             if p is None:
                 continue
             out_ch = (node, out_port, out_vc)
-            g.add_node(out_ch)
+            if out_ch not in succ:
+                succ[out_ch] = {}
             if holding is not None:
-                g.add_edge(holding, out_ch)
+                # the held channel was this state's own out_ch upstream
+                succ[holding][out_ch] = None
             nhdr = Header(msg_id=-1, src=-1, dst=dst, length=2, created=0,
-                          fields=copy.deepcopy(hdr.fields))
-            algo.on_depart(network.routers[node], nhdr, out_port, out_vc)
+                          fields=_copy_fields(hdr.fields))
+            algo.on_depart(router, nhdr, out_port, out_vc)
             nstate = (p.neighbor, p.neighbor_port, out_vc, dst, nhdr.fields)
             key = (p.neighbor, p.neighbor_port, out_vc, dst,
                    _canon_fields(nhdr.fields))
@@ -135,12 +190,7 @@ def build_cdg(network: Network, max_states: int = 2_000_000) -> CdgResult:
                 seen.add(key)
                 queue.append(nstate)
 
-    try:
-        cycle_edges = nx.find_cycle(g)
-        cycle = [e[0] for e in cycle_edges] + [cycle_edges[-1][1]]
-    except nx.NetworkXNoCycle:
-        cycle = None
-    return CdgResult(graph=g, cycle=cycle, states=len(seen))
+    return CdgResult(succ=succ, cycle=find_cycle(succ), states=len(seen))
 
 
 def check_deadlock_free(topology: Topology, algorithm: RoutingAlgorithm,

@@ -97,6 +97,8 @@ class Topology:
                 ports[pid] = Port(node, pid, nb_node, nb_port,
                                   link_key(node, nb_node))
             self._ports[node] = ports
+        self._links = frozenset(p.link for ports in self._ports.values()
+                                for p in ports.values())
         self._built = True
 
     def ports(self, node: int) -> dict[int, Port]:
@@ -114,13 +116,10 @@ class Topology:
             self._neighbor_cache[node] = out
         return out
 
-    def links(self) -> set[tuple[int, int]]:
+    def links(self) -> frozenset[tuple[int, int]]:
+        """Every link, built once; shared, hence immutable."""
         self._build()
-        out: set[tuple[int, int]] = set()
-        for ports in self._ports.values():
-            for p in ports.values():
-                out.add(p.link)
-        return out
+        return self._links
 
     def nodes(self) -> range:
         return range(self.n_nodes)

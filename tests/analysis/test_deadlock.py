@@ -1,11 +1,13 @@
 """CDG deadlock-freedom checks — the machine-checked counterpart of
 the deadlock arguments in the routing module docstrings."""
 
+import networkx as nx
 import pytest
 
 from repro.analysis import build_cdg, check_deadlock_free
-from repro.routing import (ECubeRouting, NaftaRouting, NaraRouting,
-                           RouteCRouting, SpanningTreeRouting,
+from repro.analysis.deadlock import find_cycle
+from repro.routing import (DuatoMeshRouting, ECubeRouting, NaftaRouting,
+                           NaraRouting, RouteCRouting, SpanningTreeRouting,
                            StrippedRouteC, XYRouting)
 from repro.routing.base import RouteDecision, RoutingAlgorithm
 from repro.sim import FaultSchedule, Hypercube, Mesh2D, Network
@@ -140,6 +142,97 @@ class TestCdgMechanics:
         net = Network(Mesh2D(4, 4), XYRouting())
         r = build_cdg(net)
         from repro.sim import EAST, NORTH, SOUTH, WEST
-        for (na, pa, _), (nb, pb, _) in r.graph.edges():
+        for (na, pa, _), (nb, pb, _) in r.edges():
             if pa in (NORTH, SOUTH):
                 assert pb in (NORTH, SOUTH), "XY turned off the y axis"
+
+
+def _closed_path_in(cycle, succ) -> bool:
+    return (len(cycle) >= 2 and cycle[0] == cycle[-1]
+            and all(b in succ[a] for a, b in zip(cycle, cycle[1:])))
+
+
+class TestFindCycle:
+    """The cycle finder on planted graphs: a reported cycle is a closed
+    path whose every step is an edge; an acyclic graph reports None."""
+
+    def test_two_cycle(self):
+        succ = {"a": {"b": None}, "b": {"a": None}}
+        cycle = find_cycle(succ)
+        assert _closed_path_in(cycle, succ) and len(cycle) == 3
+
+    def test_self_loop(self):
+        assert find_cycle({"a": {"a": None}}) == ["a", "a"]
+
+    def test_long_cycle_behind_a_tail(self):
+        n = 500
+        succ = {i: {i + 1: None} for i in range(n)}
+        succ[n] = {100: None}
+        cycle = find_cycle(succ)
+        assert _closed_path_in(cycle, succ)
+        assert sorted(set(cycle)) == list(range(100, n + 1))
+
+    def test_diamond_dag_is_acyclic(self):
+        succ = {"s": {"l": None, "r": None}, "l": {"t": None},
+                "r": {"t": None}, "t": {}}
+        assert find_cycle(succ) is None
+
+    def test_deep_chain_does_not_recurse(self):
+        n = 100_000
+        succ = {i: {i + 1: None} for i in range(n)}
+        assert find_cycle(succ) is None
+
+    @pytest.mark.parametrize("algo", [BadUTurnRouting, BadRingRouting,
+                                      DuatoMeshRouting])
+    def test_same_cycle_as_networkx(self, algo):
+        r = check_deadlock_free(Mesh2D(4, 4), algo())
+        g = nx.DiGraph()
+        g.add_nodes_from(r.succ)
+        g.add_edges_from(r.edges())
+        edges = nx.find_cycle(g)
+        assert r.cycle == [a for a, _ in edges] + [edges[-1][1]]
+        assert _closed_path_in(r.cycle, r.succ)
+
+
+class DictFieldRouting(RoutingAlgorithm):
+    """Minimal mesh routing with a dict-valued header field mutated in
+    place: ``route()`` stamps the node into ``hop``, ``on_depart`` the
+    chosen port.  Were the successors of one state to share ``hop``,
+    the last candidate's port would show at every successor's next
+    ``route()``, which records it as a leak."""
+
+    name = "dict_field"
+    n_vcs = 1
+
+    def __init__(self):
+        super().__init__()
+        self.leaks = []
+        self.checked = 0
+
+    def check_topology(self, topology):
+        pass
+
+    def route(self, router, header, in_port, in_vc):
+        topo = router.topology
+        hop = header.fields.get("hop")
+        if hop is not None:
+            came = topo.port(hop["node"], hop["port"])
+            self.checked += 1
+            if (came.neighbor, came.neighbor_port) != (router.node, in_port):
+                self.leaks.append((router.node, in_port, dict(hop)))
+        if router.node == header.dst:
+            return RouteDecision.delivery()
+        header.fields.setdefault("hop", {})["node"] = router.node
+        return RouteDecision(candidates=[
+            (p, 0) for p in topo.minimal_ports(router.node, header.dst)])
+
+    def on_depart(self, router, header, out_port, out_vc):
+        super().on_depart(router, header, out_port, out_vc)
+        header.fields["hop"]["port"] = out_port
+
+
+def test_dict_header_field_never_leaks_between_states():
+    algo = DictFieldRouting()
+    build_cdg(Network(Mesh2D(4, 4), algo))
+    assert algo.checked > 0
+    assert algo.leaks == []

@@ -53,8 +53,8 @@ class TestCdgIsCyclicYetDeadlockFree:
     def test_cycles_confined_to_adaptive_channels(self):
         net = Network(Mesh2D(4, 4), DuatoMeshRouting())
         r = build_cdg(net)
-        escape_sub = r.graph.subgraph(
-            [c for c in r.graph.nodes if c[2] == 0])
+        g = nx.DiGraph(r.edges())
+        escape_sub = g.subgraph([c for c in g.nodes if c[2] == 0])
         assert nx.is_directed_acyclic_graph(escape_sub)
 
 

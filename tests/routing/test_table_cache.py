@@ -8,8 +8,11 @@ a repeat call in the same process must touch neither the probes nor
 the file.
 """
 
+import errno
 import hashlib
+import io
 import json
+import os
 
 import pytest
 
@@ -67,3 +70,31 @@ def test_truncated_file_is_rebuilt_then_memoized(make, tmp_path,
     monkeypatch.setattr(builder, "probe", refuse)
     monkeypatch.setattr(builder, "open", refuse, raising=False)
     assert load(algo, topo) is table
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _full_disk_fdopen(fd, *args, **kwargs):
+    os.close(fd)
+    return _FullDisk()
+
+
+def _refuse_replace(src, dst):
+    raise OSError(errno.EACCES, "Permission denied")
+
+
+@pytest.mark.parametrize("make", [_clean, _backup], ids=["clean", "backup"])
+@pytest.mark.parametrize("failing", [("fdopen", _full_disk_fdopen),
+                                     ("replace", _refuse_replace)],
+                         ids=["write", "replace"])
+def test_failed_cache_write_returns_table_and_leaves_no_temp_file(
+        make, failing, tmp_path, monkeypatch):
+    load, algo, topo, _cls, fresh = make()
+    want = _digest(fresh())
+    monkeypatch.setenv("REPRO_BATCHED_CACHE", str(tmp_path))
+    monkeypatch.setattr(builder.os, *failing)
+    assert _digest(load(algo, topo)) == want
+    assert list((tmp_path / "tables").iterdir()) == []

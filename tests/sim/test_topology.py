@@ -49,6 +49,12 @@ class TestMesh2D:
         m = Mesh2D(4, 4)
         assert len(m.links()) == 2 * 4 * 3  # 24 links in a 4x4 mesh
 
+    def test_links_built_once_and_immutable(self):
+        m = Mesh2D(4, 4)
+        links = m.links()
+        assert m.links() is links
+        assert isinstance(links, frozenset)
+
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Mesh2D(0, 3)

@@ -9,8 +9,11 @@ them silently changes what a fresh checkout can run — e.g. without
 ``cffi`` the batched engine falls back to the object engine.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tomllib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,3 +43,34 @@ def test_python_floor_matches_ci_matrix():
     assert pyproject["project"]["requires-python"] == f">={oldest}"
     assert pyproject["tool"]["ruff"]["target-version"] == \
         "py" + oldest.replace(".", "")
+
+
+#: a chaos campaign with backup tables, through the library and the
+#: CLI, in a process where ``import networkx`` raises
+_WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+from repro.experiments import run_campaign
+from repro.tools.simulate import main
+report = run_campaign(1, algorithm="nafta", backup_routes=True,
+                      engine="batched", seed=1, cycles=300)
+assert len(report["scenarios"]) == 1
+assert main(["campaign", "--backups", "on", "--scenarios", "1",
+             "--cycles", "300", "--no-cache"]) == 0
+"""
+
+
+def test_backup_campaign_runs_without_networkx(tmp_path):
+    """pyproject declares numpy as the only runtime dependency
+    (networkx is a dev extra, for analysis), so building and
+    certifying backup tables must not import networkx.  A fresh table
+    cache makes the run build the table rather than read it."""
+    env = dict(os.environ, REPRO_BATCHED_CACHE=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NETWORKX],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert list((tmp_path / "tables").glob("bk-*.json"))
