@@ -80,10 +80,12 @@ _JSON_SCALARS = frozenset({int, bool, str, type(None)})
 def probe(algorithm, router, dst: int, fields: dict, in_port: int,
           in_vc: int):
     """One ``route()`` call on a fresh header carrying ``fields``:
-    ``(deliver, steps, hint, candidates, field_writes)``, or None when
-    the algorithm declares ``dst`` unroutable.  ``field_writes`` maps
-    each header field the call added or changed to its new value (and
-    each one it deleted to a private marker)."""
+    ``(deliver, steps, hint, candidates, stored, field_writes)``, or
+    None when the algorithm declares ``dst`` unroutable.  ``stored``
+    is what an engine honouring the hint keeps
+    (:attr:`~repro.routing.base.RouteDecision.stored`).
+    ``field_writes`` maps each header field the call added or changed
+    to its new value (and each one it deleted to a private marker)."""
     header = Header(msg_id=-1, src=router.node, dst=dst, length=2,
                     created=0, fields=dict(fields))
     dec = algorithm.route(router, header, in_port, in_vc)
@@ -93,8 +95,14 @@ def probe(algorithm, router, dst: int, fields: dict, in_port: int,
     writes = {k: v for k, v in after.items()
               if fields.get(k, _DELETED) != v}
     writes.update((k, _DELETED) for k in fields if k not in after)
+    cands = _pairs(dec.candidates)
+    stored = cands if dec.stored is dec.candidates else _pairs(dec.stored)
     return (int(dec.deliver), int(dec.steps), int(dec.refresh_hint),
-            tuple((int(p), int(v)) for p, v in dec.candidates), writes)
+            cands, stored, writes)
+
+
+def _pairs(cands) -> tuple:
+    return tuple((int(p), int(v)) for p, v in cands)
 
 
 def agreed(algorithm, points, admit):
@@ -313,27 +321,44 @@ def _decode_fields(encoded) -> dict:
     return {k: dec(v) for k, v in encoded.items()}
 
 
+def _json_scalar(v) -> bool:
+    """An int, bool, None, string or finite float."""
+    if type(v) is float:
+        return math.isfinite(v)
+    return type(v) in _JSON_SCALARS
+
+
 def _json_identity(writes: dict) -> bool:
     """True when the table's JSON round trip returns ``writes``
     unchanged without running it: string keys, and values that are
-    ints, bools, None, strings or finite floats."""
+    JSON scalars (ints, bools, None, strings, finite floats), lists of
+    them, or dicts of them keyed by ints or strings (updown's move
+    map).  Tuples and nested containers come back changed or are
+    left to the round trip."""
     for k, v in writes.items():
         if type(k) is not str:
             return False
-        if type(v) is float:
-            if not math.isfinite(v):
+        if type(v) in _JSON_SCALARS:
+            continue
+        if type(v) is list:
+            if not all(map(_json_scalar, v)):
                 return False
-        elif type(v) not in _JSON_SCALARS:
+        elif type(v) is dict:
+            for key, x in v.items():
+                if type(key) not in (int, str) or not _json_scalar(x):
+                    return False
+        elif not _json_scalar(v):
             return False
     return True
 
 
 def _admit(outcome, fields):
     """Backup admission: an injection that leaves the node, with field
-    writes that survive the table's JSON round trip."""
+    writes that survive the table's JSON round trip.  The table
+    replays the candidates as they stand, whatever the hint."""
     if outcome is None:
         return None
-    deliver, _steps, _hint, cands, writes = outcome
+    deliver, _steps, _hint, cands, _stored, writes = outcome
     if deliver or not cands:
         return None
     if writes and not _json_identity(writes):

@@ -149,6 +149,9 @@ class FastReroute(RoutingAlgorithm):
         lambda self: self.inner.native_key_uses_vc)
     native_clean_table = property(
         lambda self: self.inner.native_clean_table)
+    # substitutions read port_alive, but they are never cached
+    native_reads_links = property(
+        lambda self: self.inner.native_reads_links)
     #: the in-port stays in the native key whatever the inner algorithm
     #: declares: substitution applies at the local in-port only, so a
     #: transit decision must never answer for an injection

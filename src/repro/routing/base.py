@@ -29,14 +29,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 #: refresh hints: what re-routing a *blocked* head would do while the
-#: route epoch and the header fields are unchanged.  REROUTE (the safe
-#: default) re-enters ``route``; RESORT promises the same candidate set
-#: re-sorted by (output_load, port, vc); STATIC promises the identical
-#: decision.  The object engine ignores the hint (it always re-routes);
-#: the batched engine uses it to refresh blocked worms in its arrays.
+#: route epoch, the link status and the header fields are unchanged.
+#: REROUTE (the safe default) re-enters ``route``; RESORT promises the
+#: same candidate set re-sorted by (output_load, port, vc); STATIC
+#: promises the identical decision; ARGMIN promises the single
+#: least-loaded member, by (output_load, port, vc), of the fixed set
+#: ``argmin_set`` (a rule program's "minimum selection" FCFB over
+#: current loads).  The object engine ignores the hint (it always
+#: re-routes); the batched engine uses it to refresh blocked worms and
+#: replay cached decisions in its arrays.
 REFRESH_REROUTE = 0
 REFRESH_RESORT = 1
 REFRESH_STATIC = 2
+REFRESH_ARGMIN = 3
 
 
 @dataclass
@@ -50,6 +55,16 @@ class RouteDecision:
     #                           (a Condition-3 violation; the network
     #                           drops the message and counts it)
     refresh_hint: int = REFRESH_REROUTE  # see the module constants
+    #: REFRESH_ARGMIN only: the whole set ``candidates[0]`` was chosen
+    #: from, that member first
+    argmin_set: "list[tuple[int, int]] | None" = None
+
+    @property
+    def stored(self) -> list[tuple[int, int]]:
+        """What an engine that honours the hint stores: an ARGMIN
+        decision's whole set, else the candidates."""
+        return self.argmin_set if self.refresh_hint == REFRESH_ARGMIN \
+            else self.candidates
 
     @classmethod
     def delivery(cls, steps: int = 1) -> "RouteDecision":
@@ -87,11 +102,13 @@ class RoutingAlgorithm:
     #: fresh decision enters Python).  A tuple of at most 5 header
     #: field names covering BOTH every field ``route`` reads and every
     #: field it writes; it is the only statement of either.
-    #: Declaring it asserts that, while the fault knowledge stands, the
-    #: decision (including its ``steps`` and field writes) is a pure
-    #: function of (node, dst, in_port, in_vc, these field values, and
-    #: whether ``path_len`` exceeds ``native_livelock_limit``) up to
-    #: the load re-ordering a ``REFRESH_RESORT`` hint declares, and
+    #: Declaring it asserts that, while the fault knowledge (and the
+    #: link status, see ``native_reads_links``) stands, the decision
+    #: (including its ``steps`` and field writes) is a pure function of
+    #: (node, dst, in_port, in_vc, these field values, and whether
+    #: ``path_len`` exceeds ``native_livelock_limit``) up to the load
+    #: re-ordering a ``REFRESH_RESORT`` or ``REFRESH_ARGMIN`` hint
+    #: declares, and
     #: that ``on_depart`` does nothing beyond the base path-length bump
     #: plus the optional ``native_term_rule``.  Values must be small
     #: ints, bools or None.  REROUTE-hinted decisions are never cached,
@@ -109,6 +126,12 @@ class RoutingAlgorithm:
     #: leave True whenever in doubt — a finer key is always correct
     native_key_uses_port: bool = True
     native_key_uses_vc: bool = True
+    #: set False when ``route`` reads the fault knowledge only, never
+    #: the physical link status (``port_alive``), which under a
+    #: detection delay changes cycles before the knowledge does; the
+    #: batched engine then keeps its cache, clean table and refresh
+    #: hints across such a change
+    native_reads_links: bool = True
     #: opt-in for the batched engine's build-time clean table
     #: (:mod:`repro.routing.clean_table`): asserts that while the known
     #: fault set is EMPTY, the decision is a pure function of

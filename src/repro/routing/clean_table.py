@@ -1,9 +1,11 @@
 """Build-time clean-route decision tables for the batched engine.
 
-While the *known* fault set is empty, the native mesh algorithms'
-decisions are translation-invariant: NAFTA collapses onto NARA (the
-u-turn filter never binds, clear runs span whole columns, detours and
-virtual-network switches are unreachable) and both reduce to a pure
+While the *known* fault set is empty (and, for an algorithm that
+reads the link status, no link is dead), the native mesh algorithms'
+decisions (``nafta``, ``nara`` and the rule program ``nafta_rules``)
+are translation-invariant: NAFTA collapses onto NARA (the u-turn
+filter never binds, clear runs span whole columns, detours and
+virtual-network switches are unreachable) and all reduce to a pure
 function of (sign dx, sign dy, the ``vn`` field, the optional ``term``
 commitment).  That is a 3 x 3 x 3 x 2 = 54-entry dense table.  The
 batched engine hands it to its C kernels fully populated, so
@@ -21,12 +23,16 @@ to the clean table: the sign geometry and the C layout, the
 network) with its probe points, and the admission filter.  Clean
 tables are not CDG-certified.
 
-Why probing instead of reading compiled rule tables: the rule-driven
-algorithms' premises include per-cycle output-queue congestion, so
-their (single-candidate, load-chosen) decisions are not statically
-tabulable — and the hand-written native algorithms don't go through
-the rule compiler at all.  The clean table is proven against the
-algorithm itself at build time instead.
+Why probing instead of reading compiled rule tables: the hand-written
+native algorithms don't go through the rule compiler at all, and the
+rule-driven ``nafta_rules`` lets the output loads into a decision
+only through its ``qbest`` FCFB, after the rule tables have fixed the
+set it chooses from.  Its decision is therefore tabulable as that set
+(a ``REFRESH_ARGMIN`` entry, whose member the kernel re-chooses by
+current loads on every lookup), and probing the live algorithm yields
+exactly that set with no rule-table reader of its own.  The clean
+table is proven against the algorithm itself at build time either
+way.
 
 Tables persist through the builder's cache (an in-process memo in
 front of JSON keyed by the code-version token, the algorithm and the
@@ -125,6 +131,9 @@ class _ProbeRouter:
     def output_load(self, pid: int) -> int:
         return 0
 
+    def port_loads(self) -> dict[int, int]:
+        return dict.fromkeys(self.ports, 0)
+
     def occupancy(self) -> int:
         return 0
 
@@ -197,13 +206,15 @@ def _probe_points(topo: Mesh2D, routers, sdx: int, sdy: int,
 
 
 def _admit(outcome, fields):
-    """Clean admission: at most ``CT_CANDS`` candidates, no
+    """Clean admission: at most ``CT_CANDS`` stored candidates (an
+    ARGMIN entry keeps its whole set; the kernel honours the hint), no
     ``REFRESH_REROUTE``, and the only replayable field write is ``vn``
-    going from absent to 0-7.  Stored form: the outcome with the writes
-    replaced by the after-value of ``vn`` (ABSENT = untouched)."""
+    going from absent to 0-7.  Stored form: the outcome with the
+    writes replaced by the after-value of ``vn`` (ABSENT =
+    untouched)."""
     if outcome is None:
         return None
-    deliver, steps, hint, cands, writes = outcome
+    deliver, steps, hint, _offered, cands, writes = outcome
     if hint == REFRESH_REROUTE or len(cands) > CT_CANDS:
         return None
     if writes.keys() - {"vn"}:

@@ -56,6 +56,7 @@ class NaftaRouting(RoutingAlgorithm):
     native_fields = ("vn", "term", "sdir", "misrouted")
     native_term_rule = ("term", "vn", VN_TERMINAL)
     native_key_uses_vc = False         # in_vc is never consulted
+    native_reads_links = False         # only the known faults (fault_map)
     # fault-free, route() reduces to NARA (minimal set + terminal run,
     # u-turn filter never binds, clear runs span whole columns), so the
     # decision depends only on (sign dx, sign dy, vn, term)

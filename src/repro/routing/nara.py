@@ -53,6 +53,7 @@ class NaraRouting(RoutingAlgorithm):
     native_fields = ("vn",)
     native_key_uses_port = False
     native_key_uses_vc = False
+    native_reads_links = False         # no fault input at all
     # the candidate set is pure geometry per (node, dst, vn) — signs
     # alone on the mesh — so the build-time clean table applies
     native_clean_table = True

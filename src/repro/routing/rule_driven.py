@@ -20,22 +20,34 @@ the engines' registers by firing the state rule bases
 settle — the paper's wave-like propagation executed by the rule
 machine itself.
 
-This path is an order of magnitude slower than the native
-:class:`~repro.routing.nafta.NaftaRouting` (every decision is a rule
-interpretation in Python); it exists for architectural fidelity and is
-differentially tested against the native algorithm on small meshes.
+Every fresh decision is a rule interpretation in Python, an order of
+magnitude slower than the hand-coded
+:class:`~repro.routing.nafta.NaftaRouting`.  But the output loads
+enter a NAFTA decision only through the ``qbest`` FCFB ("minimum
+selection"), over a set the fault knowledge fixes, so a decision is
+a fixed port or the least-loaded member of a fixed set
+(``REFRESH_ARGMIN``), and the batched engine replays it in C
+(docs/PERFORMANCE.md; ``tests/routing/test_rules_contract.py``
+checks the premises on ``nafta.rules``).  ROUTE_C's adaptivity rule
+base orders whole sets by load, so its decisions stay in Python.
 """
 
 from __future__ import annotations
 
 from ..core.engine import RuleEngine
 from ..sim.flit import Header
+from ..sim.router import LOCAL
 from ..sim.topology import EAST, WEST, Mesh2D, Torus2D, Topology
-from .base import RouteDecision, RoutingAlgorithm, RoutingError
+from .base import (REFRESH_ARGMIN, REFRESH_STATIC, RouteDecision,
+                   RoutingAlgorithm, RoutingError)
 from .nara import VN_TERMINAL, assign_virtual_network
-from .rulesets.loader import RULESETS, compile_ruleset
+from .rulesets.loader import RULESETS, compile_ruleset, qbest
 
 DELIVER = 4
+#: header ``sdir`` -> the ``sdirin`` input code
+_SDIR_CODE = {None: 0, EAST: 1, WEST: 2}
+#: (port, index key of ``oq``) for the four mesh directions
+_OQ_KEYS = tuple((d, (d,)) for d in range(4))
 
 
 def _attach_tracers(network, engines: list[RuleEngine]) -> None:
@@ -52,6 +64,17 @@ class RuleDrivenNafta(RoutingAlgorithm):
     name = "nafta_rules"
     n_vcs = 2
     fault_tolerant = True
+    # the descriptor of NaftaRouting: the decision bases read the four
+    # header fields through termin/sdirin/vnin (misrouted is written
+    # only), never in_vc and never the path length; on_depart is the
+    # base bump plus the terminal commitment.  Unlike NaftaRouting,
+    # freemask reads port_alive (native_reads_links stays True)
+    native_fields = ("vn", "term", "sdir", "misrouted")
+    native_term_rule = ("term", "vn", VN_TERMINAL)
+    native_key_uses_vc = False
+    # fault-free, incoming_message decides from the destination quadrant
+    # and vn alone (step 1; freemask is then the whole mesh interior)
+    native_clean_table = True
 
     def __init__(self, qmax: int = 63, engine_mode: str = "table"):
         self.qmax = qmax
@@ -59,6 +82,10 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self.engines: list[RuleEngine] = []
         self.compiled = None
         self._rmax = 15
+        #: the sets qbest chose from during the current decision
+        self._picked: list[frozenset] = []
+        self._views: dict = {}
+        self._stamp = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -73,12 +100,24 @@ class RuleDrivenNafta(RoutingAlgorithm):
                   "qmax": self.qmax, "rmax": self._rmax}
         self.compiled = compile_ruleset("nafta", params)
         spec = RULESETS["nafta"]
-        self.engines = [RuleEngine(self.compiled, functions=spec.functions,
+        # qbest records the set it chose from: a decision RETURNed
+        # from it is the least-loaded member of that set
+        functions = {**spec.functions, "qbest": self._qbest}
+        self.engines = [RuleEngine(self.compiled, functions=functions,
                                    mode=self.engine_mode)
                         for _ in topo.nodes()]
         self.network = network
+        self._coords = [topo.coords(n) for n in topo.nodes()]
+        # qbest compares loads clamped at qmax; the engine re-chooses by
+        # raw loads, which agree only while no load can reach qmax
+        self._argmin = \
+            self.n_vcs * (network.config.buffer_depth + 1) <= self.qmax
         _attach_tracers(network, self.engines)
         self.on_fault_update(network)
+
+    def _qbest(self, cands, q0, q1, q2, q3):
+        self._picked.append(cands)
+        return qbest(cands, q0, q1, q2, q3)
 
     # -- distributed state via the rule machine ----------------------------
 
@@ -152,58 +191,74 @@ class RuleDrivenNafta(RoutingAlgorithm):
                     changed = True
             if not changed:
                 break
+        self._views = {}
 
     def accepts(self, src: int, dst: int) -> bool:
         return not (self._engine_blocked(src) or self._engine_blocked(dst))
 
     # -- the decision -----------------------------------------------------------
 
+    def _view(self, router):
+        """``(x, y, fault_present, freemask by in_port, runc)`` of the
+        router's node: the decision inputs that change only with the
+        fault knowledge (the registers ``on_fault_update`` rewrites) or
+        the link status, built once per node and fault epoch.
+
+        The mask carries *fault usability*, not momentary congestion:
+        a busy-but-healthy output makes the worm wait at the router
+        (the decision is re-evaluated each cycle with fresh loads),
+        whereas a fault-unusable output triggers the ft/exception rule
+        bases.  Misrouting on congestion would be wrong."""
+        net = self.network
+        stamp = (net.faults.version, net.known_faults.version)
+        if stamp != self._stamp:
+            self._views = {}
+            self._stamp = stamp
+        node = router.node
+        view = self._views.get(node)
+        if view is not None:
+            return view
+        topo: Mesh2D = router.topology
+        usable = set()
+        for d in range(4):
+            port = topo.port(node, d)
+            if port is not None and router.port_alive(d) \
+                    and not self._engine_blocked(port.neighbor):
+                usable.add(d)
+        # never u-turn: the arrival port is wired out at the interface
+        masks = {ip: dict.fromkeys([(vc,) for vc in range(self.n_vcs)],
+                                   frozenset(usable - {ip}))
+                 for ip in (LOCAL, 0, 1, 2, 3)}
+        regs = self.engines[node].registers
+        x, y = self._coords[node]
+        view = (x, y, "true" if net.known_faults.n_faults() else "false",
+                masks, tuple(int(regs.read("runc", (d,))) for d in range(4)))
+        self._views[node] = view
+        return view
+
     def _decision_inputs(self, router, header: Header, in_port: int,
                          vn: int) -> dict:
-        topo: Mesh2D = router.topology
-        eng = self.engines[router.node]
-        x, y = topo.coords(router.node)
-        dx, dy = topo.coords(header.dst)
-        term = VN_TERMINAL[vn]
-        # The mask carries *fault usability*, not momentary congestion:
-        # a busy-but-healthy output makes the worm wait at the router
-        # (the decision is re-evaluated each cycle with fresh loads),
-        # whereas a fault-unusable output triggers the ft/exception rule
-        # bases.  Misrouting on congestion would be wrong.
-        mask = set()
-        for d in range(4):
-            if d == in_port:
-                continue  # never u-turn (wired out at the interface)
-            port = topo.port(router.node, d)
-            if port is None or not router.port_alive(d):
-                continue
-            if self._engine_blocked(port.neighbor):
-                continue
-            mask.add(d)
-        freemask = {(vc,): frozenset(mask) for vc in range(self.n_vcs)}
-        oq = {(d,): min(self.qmax, router.output_load(d) if d in router.ports
-                        else self.qmax)
-              for d in range(4)}
-        hops = abs(dy - y)
-        runok = (eng.registers.read("runc", (term,)) >= hops)
-        sdir = header.fields.get("sdir")
+        x, y, fault_present, masks, runc = self._view(router)
+        dx, dy = self._coords[header.dst]
+        loads = router.port_loads()
+        q = self.qmax
+        fields = header.fields
         return {
             "xpos": x, "ypos": y, "xdes": dx, "ydes": dy, "vnin": vn,
-            "termin": "true" if header.fields.get("term") else "false",
-            "sdirin": {None: 0, EAST: 1, WEST: 2}.get(sdir, 0),
-            "fault_present": ("true" if self.network.known_faults.n_faults()
-                              else "false"),
-            "freemask": freemask, "oq": oq,
+            "termin": "true" if fields.get("term") else "false",
+            "sdirin": _SDIR_CODE.get(fields.get("sdir"), 0),
+            "fault_present": fault_present,
+            "freemask": masks.get(in_port, masks[LOCAL]),
+            "oq": {k: min(q, loads.get(d, q)) for d, k in _OQ_KEYS},
             "samecol": "true" if x == dx else "false",
-            "runok": "true" if runok else "false",
-            "mlen": min(self.qmax, header.length),
-            "info_kind": "load_info", "info_val": 0, "fault_kind": 0,
+            "runok": ("true" if runc[VN_TERMINAL[vn]] >= abs(dy - y)
+                      else "false"),
         }
 
     def route(self, router, header: Header, in_port: int,
               in_vc: int) -> RouteDecision:
         if router.node == header.dst:
-            return RouteDecision.delivery()
+            return RouteDecision(deliver=True, refresh_hint=REFRESH_STATIC)
         eng = self.engines[router.node]
         vn = header.fields.get("vn")
         if vn is None:
@@ -215,6 +270,8 @@ class RuleDrivenNafta(RoutingAlgorithm):
         # per-decision normalization scan can be skipped
         eng.set_inputs(self._decision_inputs(router, header, in_port, vn),
                        trusted=True)
+        picked = self._picked
+        picked.clear()
 
         # step 1: the NARA fast path
         res = eng.call("incoming_message", indir, vn)
@@ -239,10 +296,22 @@ class RuleDrivenNafta(RoutingAlgorithm):
         if not res.has_return:
             # blocked, not stuck: wait and retry next cycle
             return RouteDecision(candidates=[], steps=steps)
-        out = res.returned
+        out = int(res.returned)
         if out == DELIVER:
-            return RouteDecision.delivery(steps=steps)
-        return RouteDecision(candidates=[(int(out), vn)], steps=steps)
+            return RouteDecision(deliver=True, steps=steps,
+                                 refresh_hint=REFRESH_STATIC)
+        if not picked:
+            # a port the tables chose from fault knowledge alone; the
+            # detour's sticky sdir re-picks itself
+            return RouteDecision(candidates=[(out, vn)], steps=steps,
+                                 refresh_hint=REFRESH_STATIC)
+        if not self._argmin:
+            return RouteDecision(candidates=[(out, vn)], steps=steps)
+        return RouteDecision(
+            candidates=[(out, vn)], steps=steps,
+            refresh_hint=REFRESH_ARGMIN,
+            argmin_set=[(out, vn)] + [(p, vn) for p in sorted(picked[0])
+                                      if p != out])
 
     def on_depart(self, router, header: Header, out_port: int,
                   out_vc: int) -> None:
@@ -276,6 +345,9 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         self.engines: list[RuleEngine] = []
         self.compiled = None
         self._d = 0
+        self._views: dict = {}
+        self._stamp = None
+        self._bitsets: dict[int, frozenset] = {}
 
     def check_topology(self, topology: Topology) -> None:
         from ..sim.topology import Hypercube
@@ -291,6 +363,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
                                    mode=self.engine_mode)
                         for _ in topo.nodes()]
         self.network = network
+        self._qkeys = tuple((d, (d,)) for d in range(self._d))
         _attach_tracers(network, self.engines)
         self.on_fault_update(network)
 
@@ -339,6 +412,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
                     changed = True
             if not changed:
                 break
+        self._views = {}
 
     def node_state(self, node: int) -> str:
         return self._reported_state(self.network, node)
@@ -349,43 +423,68 @@ class RuleDrivenRouteC(RoutingAlgorithm):
 
     # -- the decision -----------------------------------------------------------
 
-    def _masks(self, router, header: Header):
-        topo = router.topology
-        node = router.node
-        diff = node ^ header.dst
-        up = frozenset(i for i in range(self._d)
-                       if diff >> i & 1 and not node >> i & 1)
-        down = frozenset(i for i in range(self._d)
-                         if diff >> i & 1 and node >> i & 1)
+    def _view(self, node: int):
+        """``(usable, {sunsafe neighbour: dim}, safe)`` of ``node``:
+        its links to neighbours that are not faulty, split by the
+        state each neighbour reports, built once per node and fault
+        epoch (the states live in registers ``on_fault_update``
+        rewrites).  A sunsafe neighbour is usable only as the
+        destination itself."""
+        kf = self.network.known_faults
+        stamp = (kf.version,)      # a tuple: no part of the table keys
+        if stamp != self._stamp:
+            self._views = {}
+            self._stamp = stamp
+        view = self._views.get(node)
+        if view is not None:
+            return view
         usable = set()
         safe = set()
-        for dim, port in topo.ports(node).items():
+        sunsafe = {}
+        for dim, port in self.network.topology.ports(node).items():
             nb = port.neighbor
-            if not self.network.known_faults.link_ok(node, nb):
+            if not kf.link_ok(node, nb):
                 continue
             st = self.node_state(nb)
-            if st == "faulty":
-                continue
-            if st == "sunsafe" and nb != header.dst:
-                continue
-            usable.add(dim)
-            if st == "safe":
-                safe.add(dim)
-        return up, down, frozenset(usable), frozenset(safe)
+            if st == "sunsafe":
+                sunsafe[nb] = dim
+            elif st != "faulty":
+                usable.add(dim)
+                if st == "safe":
+                    safe.add(dim)
+        view = (frozenset(usable), sunsafe, frozenset(safe))
+        self._views[node] = view
+        return view
+
+    def _bits(self, mask: int) -> frozenset:
+        """The dimensions set in ``mask``."""
+        out = self._bitsets.get(mask)
+        if out is None:
+            out = self._bitsets[mask] = frozenset(
+                i for i in range(self._d) if mask >> i & 1)
+        return out
 
     def route(self, router, header: Header, in_port: int,
               in_vc: int) -> RouteDecision:
-        if router.node == header.dst:
+        node = router.node
+        dst = header.dst
+        if node == dst:
             return RouteDecision.delivery(steps=2)
-        eng = self.engines[router.node]
-        up, down, usable, safe = self._masks(router, header)
+        eng = self.engines[node]
+        diff = node ^ dst
+        up = self._bits(diff & ~node)
+        down = self._bits(diff & node)
+        usable, sunsafe, safe = self._view(node)
+        dim = sunsafe.get(dst)
+        if dim is not None:
+            usable = usable | {dim}
         # never u-turn: wired out at the interface, like the native
         # algorithm's in_port exclusion
         if in_port >= 0:
             usable = usable - {in_port}
-        qload = {(d,): min(2 * self._d - 1, router.output_load(d)
-                           if d in router.ports else 2 * self._d - 1)
-                 for d in range(self._d)}
+        loads = router.port_loads()
+        cap = 2 * self._d - 1
+        qload = {k: min(cap, loads.get(d, cap)) for d, k in self._qkeys}
         eng.set_inputs({"up_set": up, "down_set": down, "usable": usable,
                         "safe_mask": safe, "at_dest": "false",
                         "qload": qload, "new_state": {}}, trusted=True)
@@ -397,8 +496,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
             return RouteDecision.unroutable(steps=2)
         cands = res.returned
         assert isinstance(cands, frozenset)
-        minimal = up if up else down
-        detour = not (set(cands) & set(minimal))
+        detour = cands.isdisjoint(up if up else down)
 
         # (concurrent) adaptivity: order the admissible set
         best = eng.decide("adaptivity", cands, 0)

@@ -16,7 +16,7 @@ fields the algorithm consults are mirrored in per-message int32 arrays,
 each fresh decision is keyed by ``(node, dst, in_port, in_vc,
 livelock-overflow, field values)`` — by the descriptor contract, that
 covers everything ``route`` reads — and a hit replays the recorded
-decision (field writes, candidate set, RESORT re-sort by current loads,
+decision (field writes, candidate set, re-sort by current loads,
 digest line, stats counters) without entering Python at all.  Only
 genuine misses (first sighting of a key this epoch, REROUTE-hinted
 branches, stuck declarations) cross into Python.
@@ -189,6 +189,7 @@ void k_note(BState *s, int g, int steps, int32_t b0, int32_t b1,
             int32_t b2, int32_t b3, int32_t b4, int cacheable,
             int fresh);
 void k_resort(BState *s, int g);
+void k_port_loads(BState *s, int node, int32_t *out);
 int  k_alloc(BState *s);
 int  k_purge(BState *s, int node, int msg);
 int  k_purge_all(BState *s, int msg);
@@ -208,6 +209,9 @@ _SOURCE = """
 #define MAXF 5
 #define F_ABSENT (-1000000)
 #define CT_CANDS 8
+/* refresh hints the kernel acts on (repro.routing.base) */
+#define H_RESORT 1
+#define H_ARGMIN 3
 
 /* -- active-set scheduling ---------------------------------------- */
 
@@ -338,7 +342,9 @@ static int load_of(BState *s, int node, int pid)
 }
 
 /* re-sort the candidate list by (output load, port, vc) — the refresh
-   a REFRESH_RESORT decision declares equivalent to re-routing */
+   a REFRESH_RESORT decision declares equivalent to re-routing; for
+   REFRESH_ARGMIN the list is the decision's whole set and only its
+   first member is offered (see offered) */
 static void resort_cands(BState *s, int g, int node)
 {
     int n = s->ncand[g];
@@ -368,6 +374,30 @@ static void resort_cands(BState *s, int g, int node)
 void k_resort(BState *s, int g)
 {
     resort_cands(s, g, s->iv_node[g]);
+}
+
+/* the refresh a hint declares: re-sort by current loads */
+static int load_ordered(BState *s, int g)
+{
+    return s->hint[g] == H_RESORT || s->hint[g] == H_ARGMIN;
+}
+
+/* candidates the allocator requests and the digest line names: an
+   ARGMIN decision offers only its least-loaded member */
+static int offered(BState *s, int g)
+{
+    int n = s->ncand[g];
+    return (s->hint[g] == H_ARGMIN && n > 1) ? 1 : n;
+}
+
+/* the loads of one node's ports, ascending port id (the Python route()
+   calls of load-reading algorithms take all of them at once) */
+void k_port_loads(BState *s, int node, int32_t *out)
+{
+    int k = 0;
+    for (int pid = 0; pid <= s->max_pid; pid++)
+        if (s->portbase[SLOT(s, node, pid)] >= 0)
+            out[k++] = load_of(s, node, pid);
 }
 
 /* ---- native decision cache ------------------------------------- */
@@ -416,7 +446,7 @@ static void dig_line(BState *s, int node, int g, int steps)
     char *p = base + s->dig_used;
     p += sprintf(p, "%d|%d|%d|%d|%d", node, s->head_msg[g],
                  s->deliver[g] ? 1 : 0, s->stuckf[g] ? 1 : 0, steps);
-    int n = s->ncand[g];
+    int n = offered(s, g);
     const int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
     const int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
     for (int i = 0; i < n; i++)
@@ -427,9 +457,9 @@ static void dig_line(BState *s, int node, int g, int steps)
 }
 
 /* shared tail of every C-side decision replay: the decision-latency
-   timer, the RESORT re-sort by current loads, stats counters and the
-   digest line — the exact effect the object engine's route_stage
-   would have had */
+   timer, the RESORT/ARGMIN re-sort by current loads, stats counters
+   and the digest line — the exact effect the object engine's
+   route_stage would have had */
 static void apply_common(BState *s, int g, int node, int steps,
                          int cycle, int epoch)
 {
@@ -439,7 +469,7 @@ static void apply_common(BState *s, int g, int node, int steps,
     if (lat < 1) lat = 1;
     s->ready[g] = cycle + lat - 1;
     s->epoch[g] = epoch;
-    if (s->hint[g] == 1) resort_cands(s, g, node);
+    if (load_ordered(s, g)) resort_cands(s, g, node);
     s->dstat[0]++;
     s->dstat[1] += steps;
     if (steps > s->dstat[2]) s->dstat[2] = steps;
@@ -599,16 +629,16 @@ void k_rehash(BState *s)
    sorted ascending at cycle start, so this is ascending node order),
    mirroring Router.route_stage gid-for-gid: idle heads are served
    from the clean table or the native cache, ROUTING timers expire,
-   RESORT-hinted blocked heads are re-sorted.  The scan stops at the
-   first input VC that needs Python — a cache miss, a REROUTE/
-   epoch-stale refresh, a hop-budget overflow or a stuck decision
-   about to fire — stores the cursor in scan_ai and returns that gid
-   plus the node's remaining occupied gids (Python finishes the node
-   in order, applies any stuck purges, and resumes at scan_ai+1, so
-   purge effects are visible to later nodes exactly as in the object
-   engine).  Returns 0 when every remaining node was handled, or
-   -(ai+1) when the digest buffer needs a flush before act_list[ai]
-   can be processed. */
+   RESORT- and ARGMIN-hinted blocked heads are re-sorted.  The scan
+   stops at the first input VC that needs Python — a cache miss, a
+   REROUTE/epoch-stale refresh, a hop-budget overflow or a stuck
+   decision about to fire — stores the cursor in scan_ai and returns
+   that gid plus the node's remaining occupied gids (Python finishes
+   the node in order, applies any stuck purges, and resumes at
+   scan_ai+1, so purge effects are visible to later nodes exactly as
+   in the object engine).  Returns 0 when every remaining node was
+   handled, or -(ai+1) when the digest buffer needs a flush before
+   act_list[ai] can be processed. */
 int k_route_scan(BState *s, int start_ai, int cycle, int epoch,
                  int adaptive, int32_t *need)
 {
@@ -645,7 +675,7 @@ int k_route_scan(BState *s, int start_ai, int cycle, int epoch,
                 if (s->epoch[g] != epoch) hard = 1;
                 else if (adaptive && s->hint[g] == 0) hard = 1;
                 else if (s->stuckf[g]) hard = 1;
-                else if (adaptive && s->hint[g] == 1)
+                else if (adaptive && load_ordered(s, g))
                     resort_cands(s, g, node);
             } else if (st == 1 && cycle >= s->ready[g]) {
                 if (s->stuckf[g]) hard = 1;
@@ -764,7 +794,7 @@ int k_alloc(BState *s)
                     s->req_head[nreq++] = 1;
                     continue;
                 }
-                int n = s->ncand[g];
+                int n = offered(s, g);
                 int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
                 int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
                 for (int i = 0; i < n; i++) {

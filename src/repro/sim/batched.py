@@ -36,8 +36,9 @@ mirror the oracle one-for-one:
   the walk reads headers, so deferral is invisible);
 * blocked-head refreshes use :data:`~repro.routing.base.RouteDecision.
   refresh_hint`: RESORT re-sorts the candidate set by (output load,
-  port, vc) in C, STATIC skips, REROUTE re-enters the algorithm in
-  Python;
+  port, vc) in C, ARGMIN does the same to the decision's whole
+  ``argmin_set`` and offers only its first member, STATIC skips,
+  REROUTE re-enters the algorithm in Python;
 * for algorithms with a native descriptor (``native_fields``), one
   C-side decision cache keyed on the mirrored header fields replays
   repeated decisions; every miss is a fresh ``route()`` call whose
@@ -74,7 +75,8 @@ from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, load_kernel,
                               unavailable_reason)
-from ..routing.base import REFRESH_REROUTE, RouteDecision
+from ..routing.base import (REFRESH_ARGMIN, REFRESH_REROUTE, REFRESH_RESORT,
+                            RouteDecision)
 from ..routing.select import POLICIES
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
@@ -82,6 +84,8 @@ _MISSING = object()
 _NO_PORT = -100      # o_port value meaning "no output assigned"
 _NO_ARMS = frozenset()
 _NO_KERNEL = "the batched kernel is unavailable: "
+#: refresh hints the kernel serves by re-sorting on current loads
+_LOAD_ORDERED = (REFRESH_RESORT, REFRESH_ARGMIN)
 
 
 def _encode(v) -> int:
@@ -119,7 +123,7 @@ class BatchedRouter:
     ``port_alive``, ``ports``, ``worms_using_port``, …) backed by the
     shared arrays; the per-cycle data-path phases never touch it."""
 
-    __slots__ = ("network", "node", "topology", "ports", "n_vcs")
+    __slots__ = ("network", "node", "topology", "ports", "n_vcs", "_pids")
 
     def __init__(self, network: "BatchedNetwork", node: int):
         self.network = network
@@ -127,6 +131,7 @@ class BatchedRouter:
         self.topology = network.topology
         self.ports = dict(network.topology.ports(node))
         self.n_vcs = network.algorithm.n_vcs
+        self._pids = sorted(self.ports)
 
     # -- views used by routing algorithms -----------------------------
 
@@ -188,6 +193,12 @@ class BatchedRouter:
             if ov_owner[ovg] >= 0:
                 out += 1
         return out
+
+    def port_loads(self) -> dict[int, int]:
+        """``output_load`` of every port, from one kernel call."""
+        net = self.network
+        net._lib.k_port_loads(net._cs, self.node, net._loads_ptr)
+        return dict(zip(self._pids, net._loads.tolist()))
 
     # -- fault handling -----------------------------------------------
 
@@ -317,6 +328,7 @@ class BatchedNetwork(Network):
         self._req_head = u8(maxc)
         self._need = i32(maxc)
         self._heads = i32(n_nodes)
+        self._loads = i32(max_pid + 1)
         # per-message mirrors (grown together in _grow_msgs)
         self._msg_len = i32(4096)
         self._msg_dst = i32(4096)
@@ -466,11 +478,18 @@ class BatchedNetwork(Network):
         self._need_ptr = ffi.cast("int32_t *", ffi.from_buffer(self._need))
         self._heads_ptr = ffi.cast("int32_t *",
                                    ffi.from_buffer(self._heads))
+        self._loads_ptr = ffi.cast("int32_t *",
+                                   ffi.from_buffer(self._loads))
         self._bufs.append(self._need_ptr)
         self._bufs.append(self._heads_ptr)
+        self._bufs.append(self._loads_ptr)
 
         self._fault_version = self.faults.version
-        self._c_epoch = None           # native cache's route_epoch
+        self._c_epoch = None           # native cache's route_epoch ...
+        self._c_links = None           # ... and link-status version
+        #: the native decisions read the link status (see
+        #: RoutingAlgorithm.native_reads_links)
+        self._reads_links = native and self.algorithm.native_reads_links
         self._ct_ready = False         # set by _install_clean_table
         # fast reroute (backup_routes): the wrapper whose armed links
         # make injections at their endpoints uncacheable, and the armed
@@ -524,7 +543,8 @@ class BatchedNetwork(Network):
         decision table and hand it to the kernel fully populated.
         ``ct_on`` itself is (re)evaluated per route epoch in
         ``_route_phase`` — lookups live only while the known fault set
-        is empty."""
+        (and, for an algorithm that reads it, the dead-link set) is
+        empty."""
         if not self._native:
             return
         from ..routing.clean_table import load_or_build
@@ -662,18 +682,26 @@ class BatchedNetwork(Network):
         adaptive = 1 if self.algorithm.adaptive else 0
         if self._native:
             armed = self._frr.armed if self._frr is not None else _NO_ARMS
-            if self._c_epoch != epoch or armed != self._c_armed:
-                # fault knowledge changed, or a backup subbase was armed
-                # or disarmed: every cached decision is void
+            links = self.faults.version if self._reads_links else 0
+            if self._c_epoch != epoch or armed != self._c_armed \
+                    or self._c_links != links:
+                # fault knowledge or a link status route() reads
+                # changed, or a backup subbase was armed or disarmed:
+                # every cached decision is void
                 lib.k_cache_clear(cs)
                 self._c_epoch = epoch
+                if self._c_links != links:
+                    self._c_links = links
+                    self._restale()
                 if armed != self._c_armed:
                     self._rearm(armed)
-                # the clean table is proven for the *empty* known-fault
-                # set, with no backup armed, only; any known fault turns
-                # it off until an epoch without faults returns
+                # the clean table is proven for the *empty* fault set,
+                # with no backup armed, only; any known fault (or dead
+                # link route() reads) turns it off until it is gone
                 cs.ct_on = 1 if (self._ct_ready and not armed and
-                                 self.known_faults.n_faults() == 0) else 0
+                                 self.known_faults.n_faults() == 0 and
+                                 not (self._reads_links and
+                                      self.faults.n_faults())) else 0
             cs.dig_on = 1 if self.stats.digest is not None else 0
         start = 0                        # active-list index, not a gid
         while True:
@@ -688,6 +716,15 @@ class BatchedNetwork(Network):
             self._route_gids(n, cycle, epoch)
             start = int(cs.scan_ai) + 1
         self._flush_native_stats()
+
+    def _restale(self) -> None:
+        """A link status ``route`` reads changed.  The object engine
+        re-routes blocked adaptive heads every cycle, so staling every
+        routed head's epoch sends its next refresh to Python instead of
+        the kernel's re-sort or skip."""
+        if self.algorithm.adaptive:
+            ivst = self._ivst
+            self._epoch_a[(ivst == 1) | (ivst == 2)] = -1
 
     def _rearm(self, armed) -> None:
         """The armed link set changed.  A blocked adaptive head at a
@@ -834,7 +871,7 @@ class BatchedNetwork(Network):
                                 self._grow_cache()
                             lib.k_note(cs, g, dec.steps, b0, b1, b2,
                                        b3, b4, 1, 0)
-                    elif adaptive and hint_a[g] == 1:
+                    elif adaptive and hint_a[g] in _LOAD_ORDERED:
                         lib.k_resort(cs, g)
                 elif epoch_a[g] != epoch or adaptive:
                     header = messages[int(head_msg[g])].header
@@ -859,7 +896,8 @@ class BatchedNetwork(Network):
         self._deliver[g] = 1 if dec.deliver else 0
         self._stuckf[g] = 1 if dec.stuck else 0
         self._hint[g] = dec.refresh_hint
-        cands = dec.candidates
+        # the kernel offers only the first member of an ARGMIN set
+        cands = dec.stored
         self._ncand[g] = len(cands)
         cp = self._cand_p
         cv = self._cand_v
@@ -1183,13 +1221,17 @@ class BatchedNetwork(Network):
                 if st != 0 and mid >= 0:
                     msg = self.messages.get(mid)
                     iv.header = msg.header if msg else None
+                    hint = int(self._hint[g])
+                    n = int(self._ncand[g])
+                    if hint == REFRESH_ARGMIN:
+                        n = min(n, 1)        # the member offered
                     iv.decision = RouteDecision(
                         deliver=bool(self._deliver[g]),
                         candidates=[(int(self._cand_p[g, i]),
                                      int(self._cand_v[g, i]))
-                                    for i in range(int(self._ncand[g]))],
+                                    for i in range(n)],
                         stuck=bool(self._stuckf[g]),
-                        refresh_hint=int(self._hint[g]))
+                        refresh_hint=hint)
                 if st == 3:
                     iv.out_port = int(self._o_port[g])
                     iv.out_vc = int(self._o_vc[g])

@@ -180,6 +180,10 @@ class Router:
                 out += 1
         return out
 
+    def port_loads(self) -> dict[int, int]:
+        """``output_load`` of every port, keyed by port id."""
+        return {pid: self.output_load(pid) for pid in self.ports}
+
     # -- cycle phases (driven by Network.step) --------------------------------------
 
     def flush_incoming(self) -> None:

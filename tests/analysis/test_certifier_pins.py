@@ -74,10 +74,27 @@ def _survives_round_trip(writes) -> bool:
     {"w": 0.25}, {"w": math.nan}, {"w": math.inf}, {"t": (1, 2)},
     {"moves": {1: "up"}}, {3: 1}, {"d": backup._DELETED},
     {"vn": np.int64(1)}, {"vn": 2, "moves": {0: "down"}},
+    {"moves": {0: "up", 2: "down", "k": None}}, {"l": [1, "a", None, 0.5]},
+    {"l": []}, {"m": {}}, {"l": [1, (2,)]}, {"l": [math.nan]},
+    {"l": [np.int64(1)]}, {"l": [[1]]}, {"moves": {1: {"a": 1}}},
+    {"moves": {1: [1]}}, {"moves": {1.5: "up"}}, {"moves": {True: 1}},
+    {"moves": {(1, 2): "x"}}, {"moves": {1: math.inf}},
 ], ids=["int", "bool", "str", "none", "float", "nan", "inf", "tuple",
-        "dict", "int_key", "deleted", "numpy_int", "mixed"])
+        "dict", "int_key", "deleted", "numpy_int", "mixed",
+        "move_map", "list", "empty_list", "empty_dict", "list_tuple",
+        "list_nan", "list_numpy", "list_list", "dict_dict", "dict_list",
+        "float_key", "bool_key", "tuple_key", "dict_inf"])
 def test_admission_matches_json_round_trip(writes):
     """Admission skips the round trip only where it is the identity."""
-    outcome = (0, 1, 0, ((0, 0),), writes)
+    outcome = (0, 1, 0, ((0, 0),), ((0, 0),), writes)
     admitted = backup._admit(outcome, {}) is not None
     assert admitted == _survives_round_trip(writes)
+    if backup._json_identity(writes):
+        assert _survives_round_trip(writes)
+
+
+def test_move_map_skips_the_round_trip():
+    """updown's writes (a scalar phase and an int-keyed move map) are
+    admitted without a JSON round trip."""
+    assert backup._json_identity({"ud_phase": 1,
+                                  "_ud_moves": {0: "up", 3: "down"}})

@@ -71,14 +71,16 @@ def _scenarios(algo):
     out.append(("static", "static", {}))
     out.append(("timed-quiesce", "timed", {"fault_mode": "quiesce"}))
     out.append(("timed-harsh", "timed", harsh))
-    if algo == "nafta":
+    if algo in ("nafta", "nafta_rules"):
+        # for nafta_rules also the cached decisions' link-status window:
+        # route() reads the dead link before its detection advances the
+        # route epoch
         out.append(("timed-diagnosis", "timed", diagnosis))
+    if algo == "nafta":
         # fast reroute: worms healed and absorbed on the arrays, backup
         # substitutions kept out of the native caches
         out.append(("timed-harsh-backups", "timed", {**harsh, **backups}))
-        out.append(("timed-diagnosis-backups", "timed",
-                    {**diagnosis, **backups}))
-    if algo == "updown":
+    if algo in ("nafta", "nafta_rules", "updown"):
         out.append(("timed-diagnosis-backups", "timed",
                     {**diagnosis, **backups}))
     return out
@@ -274,6 +276,32 @@ def test_active_set_quiesce_empty_then_refill():
     assert obj == bat
 
 
+def test_rule_decisions_follow_undetected_link_faults():
+    """nafta_rules reads the physical link status (its free-output
+    mask), which changes at a harsh fault cycles before detection
+    advances the route epoch: cached decisions, the clean table and
+    the refreshes of blocked heads must all follow it."""
+    def schedule():
+        sched = FaultSchedule()
+        sched.add_link_fault(100, 14, 15)
+        sched.add_link_fault(150, 20, 21)
+        return sched
+    cfg = SimConfig(fault_mode="harsh", retry_limit=2, retry_backoff=8,
+                    detection_delay=7)
+    topo = Mesh2D(6, 6)
+    for seed in (1, 2):
+        out = []
+        for cls in (Network, BatchedNetwork):
+            net = cls(topo, make_algorithm("nafta_rules"), config=cfg)
+            net.stats.digest = DecisionDigest()
+            net.schedule_faults(schedule())
+            net.attach_traffic(TrafficGenerator(
+                topo, "uniform", load=0.35, message_length=4, seed=seed))
+            net.run(250)
+            out.append(net.stats.summary(topo.n_nodes))
+        assert out[0] == out[1], f"traffic seed {seed}"
+
+
 # ---------------------------------------------------------------------------
 # fast reroute: worms split at a dying link, absorbed when stuck, and
 # re-injected through the backup subbases — all on the arrays
@@ -305,7 +333,36 @@ def test_fast_reroute_heals_on_the_arrays(algo):
 # no table), and correctly bypassed the moment faults are known
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("algo", ["nafta", "nara"])
+def test_port_loads_match_output_load_on_both_engines():
+    """``port_loads`` (one kernel call on the batched engine) equals
+    ``output_load`` port by port, and both engines agree cycle by
+    cycle, a dead link included."""
+    topo = Mesh2D(5, 4)
+    nets = []
+    for cls in (Network, BatchedNetwork):
+        net = cls(topo, make_algorithm("nafta"),
+                  config=SimConfig(fault_mode="harsh"))
+        sched = FaultSchedule()
+        sched.add_link_fault(40, 6, 7)
+        net.schedule_faults(sched)
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
+                                            message_length=6, seed=3))
+        nets.append(net)
+    busy = 0
+    for _ in range(8):
+        loads = []
+        for net in nets:
+            net.run(10)
+            per_node = [r.port_loads() for r in net.routers]
+            for r, got in zip(net.routers, per_node):
+                assert got == {p: r.output_load(p) for p in r.ports}
+            loads.append(per_node)
+        assert loads[0] == loads[1]
+        busy += sum(map(sum, (d.values() for d in loads[0])))
+    assert busy > 0
+
+
+@pytest.mark.parametrize("algo", ["nafta", "nara", "nafta_rules"])
 def test_clean_table_ab_digest_equality(algo):
     """Clean-table decisions must be behaviorally invisible: the batched
     run, table installed, matches the object engine digest for digest."""
