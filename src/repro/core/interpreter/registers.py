@@ -26,9 +26,13 @@ class RegisterFile:
         self.analyzed = analyzed
         self.coerce = coerce
         self._cells: dict[str, dict[tuple[Value, ...], Value]] = {}
+        #: set by every write that changes a cell's value (and by
+        #: reset); clear it to detect changes from then on
+        self.changed = False
         self.reset()
 
     def reset(self) -> None:
+        self.changed = True
         self._cells.clear()
         for var in self.analyzed.variables.values():
             cells: dict[tuple[Value, ...], Value] = {}
@@ -62,7 +66,11 @@ class RegisterFile:
               idx: tuple[Value, ...] = ()) -> None:
         var = self._var(name)
         key = self._key(var, idx)
-        self._cells[name][key] = self._coerce(var.domain, value, var.name)
+        cells = self._cells[name]
+        value = self._coerce(var.domain, value, var.name)
+        if cells[key] != value:
+            self.changed = True
+        cells[key] = value
 
     def _coerce(self, dom: Domain, value: Value, what: str) -> Value:
         if dom.contains(value):

@@ -149,13 +149,20 @@ class FastReroute(RoutingAlgorithm):
         lambda self: self.inner.native_key_uses_vc)
     native_clean_table = property(
         lambda self: self.inner.native_clean_table)
-    # substitutions read port_alive, but they are never cached
+    # substitutions read port_alive and the exact dst, but they are
+    # never cached
     native_reads_links = property(
         lambda self: self.inner.native_reads_links)
     #: the in-port stays in the native key whatever the inner algorithm
     #: declares: substitution applies at the local in-port only, so a
     #: transit decision must never answer for an injection
     native_key_uses_port = True
+
+    native_relative_dst = property(
+        lambda self: self.inner.native_relative_dst)
+
+    def native_irregular_dsts(self):
+        return self.inner.native_irregular_dsts()
 
     def armed_endpoint(self, node: int) -> bool:
         """Is ``node`` an endpoint of an armed link (where injections

@@ -18,6 +18,7 @@ states, ROUTE_C's unsafe states) in ``node_states`` and refresh it in
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -106,7 +107,8 @@ class RoutingAlgorithm:
     #: link status, see ``native_reads_links``) stands, the decision
     #: (including its ``steps`` and field writes) is a pure function of
     #: (node, dst, in_port, in_vc, these field values, and whether
-    #: ``path_len`` exceeds ``native_livelock_limit``) up to the load
+    #: ``path_len`` exceeds ``native_livelock_limit``; dst narrowed to
+    #: its class under ``native_relative_dst``) up to the load
     #: re-ordering a ``REFRESH_RESORT`` or ``REFRESH_ARGMIN`` hint
     #: declares, and
     #: that ``on_depart`` does nothing beyond the base path-length bump
@@ -126,6 +128,15 @@ class RoutingAlgorithm:
     #: leave True whenever in doubt — a finer key is always correct
     native_key_uses_port: bool = True
     native_key_uses_vc: bool = True
+    #: set True when, while the fault knowledge stands, the decision
+    #: reads ``dst`` only through its class relative to the deciding
+    #: node on the 2-D mesh: (sign dx, sign dy), plus the exact dy when
+    #: dx == 0 (a terminal-run check needs the hop count) — except for
+    #: the destinations ``native_irregular_dsts`` lists.  The batched
+    #: engine then keys its cache by that class, so one cached decision
+    #: serves every congruent destination; irregular ones keep the
+    #: exact dst in the key
+    native_relative_dst: bool = False
     #: set False when ``route`` reads the fault knowledge only, never
     #: the physical link status (``port_alive``), which under a
     #: detection delay changes cycles before the knowledge does; the
@@ -181,6 +192,12 @@ class RoutingAlgorithm:
         guard feeding the ``over`` component of the native cache key);
         None when the algorithm never consults the counter."""
         return None
+
+    def native_irregular_dsts(self) -> Iterable[int]:
+        """Destinations excluded from the ``native_relative_dst`` fold
+        under the current fault knowledge (the batched engine re-reads
+        them whenever it clears its cache)."""
+        return ()
 
     def accepts(self, src: int, dst: int) -> bool:
         """May a message from src to dst enter the network?  Fault-

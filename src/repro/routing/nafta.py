@@ -57,6 +57,10 @@ class NaftaRouting(RoutingAlgorithm):
     native_term_rule = ("term", "vn", VN_TERMINAL)
     native_key_uses_vc = False         # in_vc is never consulted
     native_reads_links = False         # only the known faults (fault_map)
+    # dst is read through geometry signs (minimal ports, vn, detour
+    # rank) and, in the destination column, the hop count of the
+    # terminal-run check; blocked destinations are the exception
+    native_relative_dst = True
     # fault-free, route() reduces to NARA (minimal set + terminal run,
     # u-turn filter never binds, clear runs span whole columns), so the
     # decision depends only on (sign dx, sign dy, vn, term)
@@ -81,6 +85,10 @@ class NaftaRouting(RoutingAlgorithm):
     def on_fault_update(self, network, nodes=None) -> None:
         assert self.fault_map is not None
         self.fault_map.recompute()
+
+    def native_irregular_dsts(self):
+        assert self.fault_map is not None
+        return self.fault_map.blocked_nodes()
 
     def accepts(self, src: int, dst: int) -> bool:
         assert self.fault_map is not None

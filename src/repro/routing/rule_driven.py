@@ -18,7 +18,9 @@ the engines' registers by firing the state rule bases
 ``consider_neighbor_state`` and the internally-emitted
 ``update_dir_table``) in neighbour-exchange waves until the registers
 settle — the paper's wave-like propagation executed by the rule
-machine itself.
+machine itself.  Every fault update starts from the fault-free
+fixpoint and re-runs only the nodes whose registers or neighbour view
+changed.
 
 Every fresh decision is a rule interpretation in Python, an order of
 magnitude slower than the hand-coded
@@ -28,13 +30,20 @@ selection"), over a set the fault knowledge fixes, so a decision is
 a fixed port or the least-loaded member of a fixed set
 (``REFRESH_ARGMIN``), and the batched engine replays it in C
 (docs/PERFORMANCE.md; ``tests/routing/test_rules_contract.py``
-checks the premises on ``nafta.rules``).  ROUTE_C's adaptivity rule
-base orders whole sets by load, so its decisions stay in Python.
+checks the premises on ``nafta.rules``).  Its decisions read the
+destination only relative to the router position, so one cached
+decision serves every congruent destination
+(``native_relative_dst``).  ROUTE_C's ``adaptivity`` rule base returns
+``pick_min``, the lowest index of the admissible set, without reading
+loads; ``RuleDrivenRouteC.route`` puts that member first and orders
+the others by load.  ROUTE_C declares no native descriptor, so its
+decisions stay in Python.
 """
 
 from __future__ import annotations
 
 from ..core.engine import RuleEngine
+from ..sim.faults import FaultState
 from ..sim.flit import Header
 from ..sim.router import LOCAL
 from ..sim.topology import EAST, WEST, Mesh2D, Torus2D, Topology
@@ -75,6 +84,9 @@ class RuleDrivenNafta(RoutingAlgorithm):
     # fault-free, incoming_message decides from the destination quadrant
     # and vn alone (step 1; freemask is then the whole mesh interior)
     native_clean_table = True
+    # the decision bases compare xdes/ydes with xpos/ypos only (or hand
+    # them to sign-only FCFBs) and read runok only with samecol = true
+    native_relative_dst = True
 
     def __init__(self, qmax: int = 63, engine_mode: str = "table"):
         self.qmax = qmax
@@ -86,6 +98,10 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self._picked: list[frozenset] = []
         self._views: dict = {}
         self._stamp = None
+        #: the fault-free fixpoint (register snapshots and the views the
+        #: nodes settled on) every fault update starts from
+        self._clean: list[dict] = []
+        self._clean_seen: list = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -113,7 +129,13 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self._argmin = \
             self.n_vcs * (network.config.buffer_depth + 1) <= self.qmax
         _attach_tracers(network, self.engines)
-        self.on_fault_update(network)
+        seen = [None] * topo.n_nodes
+        self._settle(topo, FaultState(topo), seen)
+        self._clean = [eng.registers.snapshot() for eng in self.engines]
+        self._clean_seen = seen
+        self._views = {}
+        if network.known_faults.n_faults():
+            self.on_fault_update(network)
 
     def _qbest(self, cands, q0, q1, q2, q3):
         self._picked.append(cands)
@@ -124,29 +146,43 @@ class RuleDrivenNafta(RoutingAlgorithm):
     def _engine_blocked(self, node: int) -> bool:
         return self.engines[node].registers.read("mystate") != "safe"
 
-    def _neighbor_view(self, network, node: int, dir_: int):
-        """(state symbol, run counter) the neighbour in ``dir_`` reports,
-        as the information channel would deliver it.  A mesh border is
-        NOT a blocked neighbour (that would falsely deactivate corners);
-        it is a missing link — linkok=false zeroes the run counter."""
-        topo = network.topology
-        port = topo.port(node, dir_)
-        if port is None:
-            return "ok", 0        # border: no neighbour, link dead below
-        if not network.known_faults.link_ok(node, port.neighbor):
-            return "blocked", 0
-        if self._engine_blocked(port.neighbor):
-            return "blocked", 0
-        run = self.engines[port.neighbor].registers.read("runc", (dir_,))
-        return "ok", int(run)
+    def _neighbor_view(self, topo, faults, node: int):
+        """``(nnew, nrun, linkok)``: the state symbol, run counter and
+        link status each neighbour reports, as the information channel
+        would deliver them.  A mesh border is NOT a blocked neighbour
+        (that would falsely deactivate corners); it is a missing link —
+        linkok=false zeroes the run counter."""
+        nnew, nrun, linkok = {}, {}, {}
+        for dir_ in range(4):
+            key = (dir_,)
+            port = topo.port(node, dir_)
+            if port is None:
+                nnew[key], nrun[key], linkok[key] = "ok", 0, "false"
+            elif not faults.link_ok(node, port.neighbor):
+                nnew[key], nrun[key], linkok[key] = "blocked", 0, "false"
+            elif self._engine_blocked(port.neighbor):
+                nnew[key], nrun[key], linkok[key] = "blocked", 0, "true"
+            else:
+                run = self.engines[port.neighbor].registers.read("runc", key)
+                nnew[key], nrun[key], linkok[key] = "ok", int(run), "true"
+        return nnew, nrun, linkok
 
-    def on_fault_update(self, network, nodes=None) -> None:
-        """Diagnosis phase: drive the state rule bases to fixpoint."""
-        topo: Mesh2D = network.topology
+    def _settle(self, topo, faults, seen: list) -> None:
+        """Drive the state rule bases to fixpoint under ``faults``:
+        local failures enter through ``fault_occured``, then
+        neighbour-exchange waves in ascending node order until no
+        register changes.  ``seen[node]`` is the neighbour view the node
+        last ran on without changing its registers (None: it must run).
+        A node runs only when its registers changed in its last run or
+        its view moved since: the waves skip only runs of a full sweep
+        that would repeat a run on the same registers and view, so the
+        fixpoint and the order of every changing run are the sweep's."""
         # 1. local failures enter through fault_occured
         for node in topo.nodes():
             eng = self.engines[node]
-            if not network.known_faults.node_ok(node):
+            regs = eng.registers
+            regs.changed = False
+            if not faults.node_ok(node):
                 eng.set_inputs({"fault_kind": 0})
                 eng.post("fault_occured", 0)
                 eng.run()
@@ -155,31 +191,26 @@ class RuleDrivenNafta(RoutingAlgorithm):
                 for dir_ in range(4):
                     port = topo.port(node, dir_)
                     if port is not None and \
-                            not network.known_faults.link_ok(node, port.neighbor):
+                            not faults.link_ok(node, port.neighbor):
                         eng.set_inputs({"fault_kind": 1})
                         eng.post("fault_occured", dir_)
                         eng.run()
                         eng.drain_external()
+            if regs.changed:
+                seen[node] = None
         # 2. neighbour-exchange waves until every register settles
         for _ in range(topo.width * topo.height + 2):
             changed = False
             for node in topo.nodes():
-                if not network.known_faults.node_ok(node):
+                if not faults.node_ok(node):
+                    continue
+                view = self._neighbor_view(topo, faults, node)
+                if view == seen[node]:
                     continue
                 eng = self.engines[node]
-                before = eng.registers.snapshot()
-                nnew = {}
-                nrun = {}
-                linkok = {}
-                for dir_ in range(4):
-                    state, run = self._neighbor_view(network, node, dir_)
-                    nnew[(dir_,)] = state
-                    nrun[(dir_,)] = run
-                    port = topo.port(node, dir_)
-                    linkok[(dir_,)] = (
-                        "true" if port is not None
-                        and network.known_faults.link_ok(node, port.neighbor)
-                        else "false")
+                regs = eng.registers
+                regs.changed = False
+                nnew, nrun, linkok = view
                 eng.set_inputs({"nnew": nnew, "nrun": nrun,
                                 "linkok": linkok, "fault_kind": 1})
                 for dir_ in range(4):
@@ -187,11 +218,28 @@ class RuleDrivenNafta(RoutingAlgorithm):
                     eng.post("consider_neighbor_state", dir_)
                 eng.run()
                 eng.drain_external()
-                if eng.registers.snapshot() != before:
+                if regs.changed:
                     changed = True
+                    seen[node] = None
+                else:
+                    seen[node] = view
             if not changed:
                 break
+
+    def on_fault_update(self, network, nodes=None) -> None:
+        """Diagnosis phase: drive the state rule bases to fixpoint,
+        starting from the fault-free one ``reset`` recorded, so the
+        registers depend on the known fault set, not on its history (a
+        repaired fault leaves nothing behind)."""
+        for eng, snap in zip(self.engines, self._clean):
+            eng.registers.load(snap)
+        self._settle(network.topology, network.known_faults,
+                     list(self._clean_seen))
         self._views = {}
+
+    def native_irregular_dsts(self):
+        return [n for n in range(len(self.engines))
+                if self._engine_blocked(n)]
 
     def accepts(self, src: int, dst: int) -> bool:
         return not (self._engine_blocked(src) or self._engine_blocked(dst))

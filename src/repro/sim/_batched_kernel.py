@@ -13,11 +13,16 @@ reproduced artifact), but algorithms that declare a native descriptor
 (:attr:`~repro.routing.base.RoutingAlgorithm.native_fields`) get a
 C-side decision cache, the engine's only decision memo: the header
 fields the algorithm consults are mirrored in per-message int32 arrays,
-each fresh decision is keyed by ``(node, dst, in_port, in_vc,
+each fresh decision is keyed by ``(node, dst slot, in_port, in_vc,
 livelock-overflow, field values)`` — by the descriptor contract, that
 covers everything ``route`` reads — and a hit replays the recorded
 decision (field writes, candidate set, re-sort by current loads,
-digest line, stats counters) without entering Python at all.  Only
+digest line, stats counters) without entering Python at all.  The dst
+slot is the exact destination, or, for an algorithm that declares
+``native_relative_dst``, the destination's class relative to the
+deciding node (sign dx, sign dy, plus the exact dy when dx == 0), so
+one cached decision serves every congruent destination; destinations
+the algorithm reports irregular (blocked) keep the exact id.  Only
 genuine misses (first sighting of a key this epoch, REROUTE-hinted
 branches, stuck declarations) cross into Python.
 
@@ -89,6 +94,8 @@ typedef struct {
     /* build-time clean decision table (fault-free relative-key form) */
     int32_t ct_on;            /* table lookups live this epoch         */
     int32_t ct_vnf, ct_termf; /* native slots of vn / term (-1: none)  */
+    /* relative-destination keys (native_relative_dst) */
+    int32_t rel_on;           /* key regular destinations by class     */
     /* static layout */
     int32_t *iv_off;          /* n_nodes+1: gid span per node          */
     int32_t *iv_node;         /* n_iv                                  */
@@ -159,7 +166,8 @@ typedef struct {
     uint8_t *act_flag;        /* n_nodes: act_list membership          */
     uint8_t *m_flag;          /* n_nodes: object-engine _active mirror */
     int64_t *link_cnt;        /* n_iv: flits forwarded per output VC   */
-    /* clean table: node coordinates + CT_KEYS dense entries */
+    /* node coordinates (clean table, relative keys) + the clean
+       table's CT_KEYS dense entries */
     int32_t *node_x;
     int32_t *node_y;
     uint8_t *ct_valid;
@@ -170,6 +178,7 @@ typedef struct {
     int32_t *ct_vn_after;     /* F_ABSENT = leave the vn field alone   */
     int32_t *ct_cp;           /* CT_KEYS x CT_CANDS                    */
     int32_t *ct_cv;
+    uint8_t *irreg;           /* n_nodes: destinations keyed exactly   */
 } BState;
 """
 
@@ -402,13 +411,37 @@ void k_port_loads(BState *s, int node, int32_t *out)
 
 /* ---- native decision cache ------------------------------------- */
 
-static void mk_key(BState *s, int g, int mid, int32_t *k)
+/* the key's dst slot.  Under native_relative_dst a regular
+   destination is keyed by its class relative to the deciding node:
+   -1 - ((dx > 0) * 3 + sign dy + 1) in -1..-6 when dx != 0, else
+   REL_COL + dy (the hop count the terminal-run check reads; dy == 0
+   is delivery).  Every class is negative, so it never equals an exact
+   id; an irregular (blocked) destination keeps its exact id. */
+#define REL_COL (-(1 << 24))
+
+static int32_t dst_slot(BState *s, int node, int dst)
 {
-    k[0] = s->iv_node[g];
-    k[1] = s->msg_dst[mid];
+    if (!s->rel_on || s->irreg[dst]) return dst;
+    int ddx = s->node_x[dst] - s->node_x[node];
+    int ddy = s->node_y[dst] - s->node_y[node];
+    if (ddx == 0) return REL_COL + ddy;
+    return -1 - ((ddx > 0) * 3 + (ddy > 0) - (ddy < 0) + 1);
+}
+
+/* key slots 0..4: node, dst slot, in_port, in_vc, livelock over */
+static void key_head(BState *s, int g, int mid, int32_t *k)
+{
+    int node = s->iv_node[g];
+    k[0] = node;
+    k[1] = dst_slot(s, node, s->msg_dst[mid]);
     k[2] = s->key_port ? s->iv_port[g] : 0;
     k[3] = s->key_vc ? s->iv_vc[g] : 0;
     k[4] = s->msg_plen[mid] > s->limit ? 1 : 0;
+}
+
+static void mk_key(BState *s, int g, int mid, int32_t *k)
+{
+    key_head(s, g, mid, k);
     const int32_t *f = s->msg_f + (int64_t)mid * MAXF;
     for (int i = 0; i < MAXF; i++) k[5 + i] = f[i];
 }
@@ -477,7 +510,7 @@ static void apply_common(BState *s, int g, int node, int steps,
     if (cycle >= s->ready[g]) s->st[g] = 2;     /* same-cycle ROUTED */
 }
 
-/* replay an exact-key cache entry: recorded header-field after-values
+/* replay a cache entry: recorded header-field after-values
    plus the recorded candidate set */
 static void apply_hit(BState *s, int g, int node, int mid, int e,
                       int cycle, int epoch)
@@ -575,11 +608,7 @@ void k_note(BState *s, int g, int steps, int32_t b0, int32_t b1,
     if (!cacheable || !s->n_native || s->n_ent >= s->ent_cap) return;
     int mid = s->head_msg[g];
     int32_t k[KEYW];
-    k[0] = node;
-    k[1] = s->msg_dst[mid];
-    k[2] = s->key_port ? s->iv_port[g] : 0;
-    k[3] = s->key_vc ? s->iv_vc[g] : 0;
-    k[4] = s->msg_plen[mid] > s->limit ? 1 : 0;
+    key_head(s, g, mid, k);
     k[5] = b0; k[6] = b1; k[7] = b2; k[8] = b3; k[9] = b4;
     uint32_t m = (uint32_t)s->tab_mask;
     uint32_t j = key_hash(k) & m;

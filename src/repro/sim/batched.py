@@ -40,9 +40,10 @@ mirror the oracle one-for-one:
   ``argmin_set`` and offers only its first member, STATIC skips,
   REROUTE re-enters the algorithm in Python;
 * for algorithms with a native descriptor (``native_fields``), one
-  C-side decision cache keyed on the mirrored header fields replays
-  repeated decisions; every miss is a fresh ``route()`` call whose
-  result is noted into that cache.
+  C-side decision cache keyed on the mirrored header fields (and the
+  destination, or under ``native_relative_dst`` its class relative to
+  the node) replays repeated decisions; every miss is a fresh
+  ``route()`` call whose result is noted into that cache.
 
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
@@ -366,10 +367,12 @@ class BatchedNetwork(Network):
         self._act_flag = u8(n_nodes)
         self._m_flag = u8(n_nodes)
         self._link_cnt = np.zeros(n_iv, dtype=np.int64)
-        # clean-table state: node coordinates (filled when a table
-        # installs) + the dense 54-entry decision table
+        # node coordinates (filled for a clean table or relative keys),
+        # the irregular-destination mask of relative keys, and the
+        # dense 54-entry clean decision table
         self._node_x = i32(n_nodes)
         self._node_y = i32(n_nodes)
+        self._irreg = u8(n_nodes)
         self._ct_valid = u8(CT_KEYS)
         self._ct_deliver = u8(CT_KEYS)
         self._ct_hint = u8(CT_KEYS)
@@ -448,6 +451,13 @@ class BatchedNetwork(Network):
         cs.ct_on = 0
         cs.ct_vnf = -1
         cs.ct_termf = -1
+        #: key regular destinations by their relative class (see
+        #: RoutingAlgorithm.native_relative_dst); the irregular mask is
+        #: refreshed on every cache clear
+        self._rel = native and self.algorithm.native_relative_dst
+        cs.rel_on = 1 if self._rel else 0
+        if self._rel:
+            self._fill_coords()
         self._cs = cs
         self._bufs: list = []
 
@@ -469,7 +479,7 @@ class BatchedNetwork(Network):
         for name in ("inc_val", "deliver", "stuckf", "hint", "node_ok",
                      "alive", "req_head", "e_deliver", "e_hint", "dig",
                      "act_flag", "m_flag", "ct_valid", "ct_deliver",
-                     "ct_hint"):
+                     "ct_hint", "irreg"):
             self._bind(name, getattr(self, "_" + name), "uint8_t *")
         self._bind("rr_ptr", self._rr_ptr, "int64_t *")
         self._bind("counters", self._counters, "int64_t *")
@@ -554,12 +564,7 @@ class BatchedNetwork(Network):
         table = load_or_build(algo, self.topology)
         if table is None or not table.n_valid():
             return
-        topo = self.topology
-        node_x, node_y = self._node_x, self._node_y
-        for node in topo.nodes():
-            x, y = topo.coords(node)
-            node_x[node] = x
-            node_y[node] = y
+        self._fill_coords()
         self._ct_valid[:] = table.valid
         self._ct_deliver[:] = table.deliver
         self._ct_hint[:] = table.hint
@@ -575,6 +580,11 @@ class BatchedNetwork(Network):
         cs.ct_vnf = self._nf.index("vn")
         cs.ct_termf = self._nf.index("term") if "term" in self._nf else -1
         self._ct_ready = True
+
+    def _fill_coords(self) -> None:
+        topo = self.topology
+        for node in topo.nodes():
+            self._node_x[node], self._node_y[node] = topo.coords(node)
 
     # -- per-message mirrors ------------------------------------------
 
@@ -690,6 +700,10 @@ class BatchedNetwork(Network):
                 # every cached decision is void
                 lib.k_cache_clear(cs)
                 self._c_epoch = epoch
+                if self._rel:
+                    irreg = self._irreg
+                    irreg[:] = 0
+                    irreg[list(self.algorithm.native_irregular_dsts())] = 1
                 if self._c_links != links:
                     self._c_links = links
                     self._restale()

@@ -2,9 +2,12 @@
 (the full Figure-3 architecture), differentially checked against the
 native Python NAFTA."""
 
+import pytest
+
 from repro.routing import NaftaRouting, RuleDrivenNafta
 from repro.sim import (FaultSchedule, Mesh2D, Network, SimConfig,
                        TrafficGenerator)
+from repro.sim.faults import FaultState
 
 
 def drained_net(algo, topo=None, fault_nodes=(), **cfg):
@@ -123,3 +126,130 @@ class TestRuleDrivenDifferential:
         net.run_until_drained()
         assert not net.undelivered()
         assert net.stats.mean_decision_steps > 1.0  # ft paths were used
+
+
+# -- the diagnosis fixpoint --------------------------------------------------
+
+def full_sweep(algo, topo, faults) -> int:
+    """Reference diagnosis: ``fault_occured`` at the fault sites, then
+    waves that re-run *every* healthy node's state rule bases, in
+    ascending order, until no register file changes.  Returns the
+    number of rule-machine runs."""
+    runs = 0
+
+    def fire(eng, inputs, posts):
+        nonlocal runs
+        eng.set_inputs(inputs)
+        for event, arg in posts:
+            eng.post(event, arg)
+        eng.run()
+        eng.drain_external()
+        runs += 1
+
+    for node in topo.nodes():
+        eng = algo.engines[node]
+        if not faults.node_ok(node):
+            fire(eng, {"fault_kind": 0}, [("fault_occured", 0)])
+            continue
+        for d in range(4):
+            port = topo.port(node, d)
+            if port is not None and not faults.link_ok(node, port.neighbor):
+                fire(eng, {"fault_kind": 1}, [("fault_occured", d)])
+    for _ in range(topo.n_nodes + 2):
+        changed = False
+        for node in topo.nodes():
+            if not faults.node_ok(node):
+                continue
+            nnew, nrun, linkok = {}, {}, {}
+            for d in range(4):
+                port = topo.port(node, d)
+                view = ("ok", 0, "false")
+                if port is not None:
+                    nb = algo.engines[port.neighbor].registers
+                    if not faults.link_ok(node, port.neighbor):
+                        view = ("blocked", 0, "false")
+                    elif nb.read("mystate") != "safe":
+                        view = ("blocked", 0, "true")
+                    else:
+                        view = ("ok", nb.read("runc", (d,)), "true")
+                nnew[(d,)], nrun[(d,)], linkok[(d,)] = view
+            eng = algo.engines[node]
+            before = eng.registers.snapshot()
+            fire(eng, {"nnew": nnew, "nrun": nrun, "linkok": linkok,
+                       "fault_kind": 1},
+                 [(event, d) for d in range(4)
+                  for event in ("calculate_new_node_state",
+                                "consider_neighbor_state")])
+            changed |= eng.registers.snapshot() != before
+        if not changed:
+            break
+    return runs
+
+
+def _snapshots(algo):
+    return [eng.registers.snapshot() for eng in algo.engines]
+
+
+FIXPOINT_FAULTS = {
+    "node": ([(3, 3)], []),
+    "deactivating-pair": ([(3, 3), (4, 4)], []),
+    "node-and-link": ([(1, 5)], [((5, 2), (6, 2))]),
+    "links": ([], [((0, 0), (1, 0)), ((7, 7), (7, 6)), ((3, 4), (4, 4))]),
+}
+
+
+class TestDiagnosisFixpoint:
+    @pytest.mark.parametrize("case", sorted(FIXPOINT_FAULTS))
+    def test_dirty_waves_reach_the_full_sweep_fixpoint(self, case):
+        """Re-running only nodes whose registers or neighbour view
+        changed settles every register file exactly where the full
+        sweep does, with far fewer rule-machine runs."""
+        topo = Mesh2D(8, 8)
+        nodes, links = FIXPOINT_FAULTS[case]
+        nodes = [topo.node_at(*c) for c in nodes]
+        links = [(topo.node_at(*a), topo.node_at(*b)) for a, b in links]
+        faults = FaultState(topo)
+        for node in nodes:
+            faults.fail_node(node)
+        for link in links:
+            faults.fail_link(*link)
+        ref = RuleDrivenNafta()
+        Network(topo, ref)
+        for eng in ref.engines:
+            eng.reset_state()
+        full_sweep(ref, topo, FaultState(topo))
+        clean = _snapshots(ref)
+        full_runs = full_sweep(ref, topo, faults)
+
+        algo = RuleDrivenNafta()
+        net = Network(topo, algo)
+        assert _snapshots(algo) == clean
+        runs = []
+        for eng in algo.engines:
+            eng.run = lambda run=eng.run: runs.append(1) or run()
+        net.schedule_faults(FaultSchedule.static(links=links, nodes=nodes))
+        assert _snapshots(algo) == _snapshots(ref)
+        assert _snapshots(algo) != clean
+        assert len(runs) < full_runs / 3, (len(runs), full_runs)
+
+    def test_fail_and_repair_restore_the_fault_free_registers(self):
+        """Each update starts from the fault-free fixpoint, so a
+        repaired link or node leaves no stale state (flt_links,
+        deactivations) behind, whatever failed before it."""
+        topo = Mesh2D(6, 6)
+        algo = RuleDrivenNafta()
+        net = Network(topo, algo)
+        clean = _snapshots(algo)
+        for a, b in sorted(topo.links())[::3]:
+            net.faults.fail_link(a, b)
+            algo.on_fault_update(net)
+            assert _snapshots(algo) != clean
+            net.faults.repair_link(a, b)
+            algo.on_fault_update(net)
+            assert _snapshots(algo) == clean, (a, b)
+        for node in (topo.node_at(0, 0), topo.node_at(2, 3)):
+            net.faults.fail_node(node)
+            algo.on_fault_update(net)
+            net.faults.repair_node(node)
+            algo.on_fault_update(net)
+            assert _snapshots(algo) == clean, node

@@ -10,8 +10,17 @@ decision through ``qbest`` alone, nothing the cache key leaves out
 ``qbest`` value is the decision itself.  The static checks below walk
 the parsed decision rule bases; the run checks pin the other
 precondition, that no load can reach the ``qmax`` clamp.
+
+It also declares ``native_relative_dst``: the engine keys a decision by
+the destination's class relative to the node (sign dx, sign dy, plus
+the exact dy in the destination column).  That is sound only if the
+destination coordinates reach a decision through comparisons with the
+router position or FCFBs that see only their signs, and the exact
+``runok`` (the clear run reaches the destination row) is read only in
+the destination column.
 """
 
+import itertools
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -21,7 +30,8 @@ from repro.core.dsl.parser import parse
 from repro.routing.base import (REFRESH_ARGMIN, REFRESH_REROUTE,
                                 REFRESH_STATIC)
 from repro.routing.registry import make_algorithm
-from repro.routing.rulesets.loader import ruleset_source
+from repro.routing.rulesets.loader import (detour_pick, minimal_cands,
+                                          ruleset_source)
 from repro.sim.batched import BatchedNetwork, batched_fallback_reason
 from repro.sim.config import SimConfig
 from repro.sim.flit import Header
@@ -100,6 +110,96 @@ def test_the_chain_uses_qbest():
     users = {b.name for b in _decision_bases()
              if any(_is_qbest(n) for n, _ in _walk(b))}
     assert users == {"incoming_message", "in_message_ft"}
+
+
+# -- the relative destination ------------------------------------------
+
+#: destination input -> the position input it may be compared with
+POSITION = {"xdes": "xpos", "ydes": "ypos"}
+#: FCFBs that receive the destination: {name: {arg index: input}};
+#: they must see the coordinates only through sign(des - pos)
+SIGN_FCFBS = {
+    "minimal_cands": {0: "xpos", 1: "ypos", 2: "xdes", 3: "ydes"},
+    "detour_pick": {3: "xpos", 4: "xdes"},
+}
+
+
+def _is_name(e, ident) -> bool:
+    return isinstance(e, N.Name) and e.ident == ident
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("base", _decision_bases(), ids=DECISION_BASES)
+def test_destination_is_read_only_relative_to_the_position(base):
+    for node, parent in _walk(base):
+        if not isinstance(node, N.Name) or node.ident not in POSITION:
+            continue
+        if isinstance(parent, N.Compare):
+            assert parent.op in ("<", ">", "="), \
+                f"{base.name}: {node.ident} under {parent.op!r}"
+            other = parent.right if parent.left is node else parent.left
+            assert _is_name(other, POSITION[node.ident]), \
+                f"{base.name}: {node.ident} compared with {other}"
+            continue
+        assert isinstance(parent, N.Index) \
+            and parent.ident in SIGN_FCFBS, \
+            f"{base.name}: {node.ident} read outside a comparison or a " \
+            f"sign-only FCFB (parent {type(parent).__name__})"
+        wiring = SIGN_FCFBS[parent.ident]
+        for i, ident in wiring.items():
+            assert _is_name(parent.args[i], ident), \
+                f"{base.name}: {parent.ident} argument {i} is not {ident}"
+        assert not any(_is_name(a, d) for i, a in enumerate(parent.args)
+                       if i not in wiring for d in POSITION)
+
+
+def test_destination_fcfbs_see_only_signs():
+    """Over the whole coordinate grid, the FCFBs the decision bases
+    hand the destination to answer the same for every congruent one."""
+    size = range(8)
+    seen = {}
+    for x, y, xd, yd, vn in itertools.product(size, size, size, size,
+                                              (0, 1)):
+        key = (_sign(xd - x), _sign(yd - y), vn)
+        got = minimal_cands(x, y, xd, yd, vn)
+        assert seen.setdefault(key, got) == got, (x, y, xd, yd, vn)
+    sets = [frozenset(c) for n in range(1, 5)
+            for c in itertools.combinations(range(4), n)]
+    seen = {}
+    for cands, sdir, indir, x, xd in itertools.product(
+            sets, range(3), range(5), size, size):
+        key = (cands, sdir, indir, _sign(xd - x))
+        got = detour_pick(cands, sdir, indir, x, xd)
+        assert seen.setdefault(key, got) == got, (cands, sdir, indir, x, xd)
+
+
+@pytest.mark.parametrize("base", _decision_bases(), ids=DECISION_BASES)
+def test_runok_is_read_only_in_the_destination_column(base):
+    samecol = N.Compare(op="=", left=N.Name(ident="samecol"),
+                        right=N.Name(ident="true"))
+    for rule in base.rules:
+        for cmd in rule.conclusion:
+            assert not any(_is_name(n, "runok") for n, _ in _walk(cmd))
+        if not any(_is_name(n, "runok") for n, _ in _walk(rule.premise)):
+            continue
+        assert isinstance(rule.premise, N.And) \
+            and samecol in rule.premise.terms, \
+            f"{base.name} line {rule.line}: runok without samecol = true"
+
+
+def test_the_relative_checks_bind():
+    """Not vacuous: the chain compares, calls sign-only FCFBs with the
+    destination and reads runok."""
+    read = {(n.ident, getattr(p, "ident", None))
+            for b in _decision_bases() for n, p in _walk(b)
+            if isinstance(n, N.Name)}
+    assert ("xdes", "minimal_cands") in read
+    assert ("xdes", "detour_pick") in read
+    assert ("ydes", None) in read            # a bare comparison
+    assert ("runok", None) in read
 
 
 # -- the qmax clamp --------------------------------------------------------

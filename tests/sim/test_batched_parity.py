@@ -303,6 +303,56 @@ def test_rule_decisions_follow_undetected_link_faults():
 
 
 # ---------------------------------------------------------------------------
+# relative destination keys: one cached decision per destination class
+# ---------------------------------------------------------------------------
+
+def _deactivating_run(cls, algo, seed, cycles=400):
+    """8x8 nafta under harsh faults: (3, 3) dies at boot and (4, 4) at
+    cycle 150, so the convex completion deactivates the healthy (3, 4)
+    and (4, 3) while worms are in flight toward them."""
+    topo = Mesh2D(8, 8)
+    net = cls(topo, algo, config=SimConfig(fault_mode="harsh",
+                                           retry_limit=2, retry_backoff=8))
+    net.stats.digest = DecisionDigest()
+    sched = FaultSchedule()
+    sched.add_node_fault(0, topo.node_at(3, 3))
+    sched.add_node_fault(150, topo.node_at(4, 4))
+    net.schedule_faults(sched)
+    net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
+                                        message_length=4, seed=seed))
+    net.run(cycles)
+    return net
+
+
+def test_worms_toward_a_newly_deactivated_destination():
+    """A destination deactivated mid-run is irregular: its decisions
+    (unroutable) must not be answered by a cached decision of a
+    congruent healthy destination."""
+    for seed in (1, 2):
+        out = [_deactivating_run(cls, make_algorithm("nafta"), seed)
+               .stats.summary(64) for cls in (Network, BatchedNetwork)]
+        assert out[0] == out[1], f"traffic seed {seed}"
+        assert out[0]["messages_stuck"] > 0
+
+
+def test_relative_keys_save_route_calls():
+    """The same faulted batched run, keyed by relative destination and
+    by exact destination: identical results, far fewer route() calls."""
+    calls, summaries = {}, {}
+    for relative in (True, False):
+        algo = make_algorithm("nafta")
+        if not relative:
+            algo.native_relative_dst = False
+        route, n = algo.route, []
+        algo.route = lambda *a, route=route, n=n: n.append(1) or route(*a)
+        net = _deactivating_run(BatchedNetwork, algo, seed=1, cycles=600)
+        calls[relative] = len(n)
+        summaries[relative] = net.stats.summary(64)
+    assert summaries[True] == summaries[False]
+    assert calls[True] < 0.7 * calls[False], calls
+
+
+# ---------------------------------------------------------------------------
 # fast reroute: worms split at a dying link, absorbed when stuck, and
 # re-injected through the backup subbases — all on the arrays
 # ---------------------------------------------------------------------------
