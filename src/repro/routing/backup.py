@@ -32,19 +32,20 @@ configuration's channel-dependency analysis:
   fault on the backup link itself falls through to the inner algorithm
   and the slow path.
 
-The wrapper forwards the inner algorithm's native descriptor
-(:attr:`~repro.routing.base.RoutingAlgorithm.native_fields` and
-friends), so the batched engine keeps replaying the inner decisions
-in C.  A substitution itself is never cached: the batched engine does
-not note decisions at the local in-port of an armed endpoint
-(:meth:`FastReroute.armed_endpoint`) into its native cache, clears that
-cache when the armed set changes and bypasses its clean table while
-any link is armed.
+The wrapper forwards the inner algorithm's native contract
+(:meth:`~repro.routing.base.RoutingAlgorithm.native_contract`, with the
+in-port forced into the key), so the batched engine keeps replaying
+the inner decisions in C.  A substitution itself is never cached: the
+batched engine does not note decisions at the local in-port of an
+armed endpoint (:meth:`FastReroute.armed_endpoint`) into its native
+cache, clears that cache when the armed set changes and bypasses its
+clean table while any link is armed.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 from ..core.compiler.backup import load_or_build
 from ..sim.router import LOCAL
@@ -138,39 +139,19 @@ class FastReroute(RoutingAlgorithm):
         lo, hi = self.inner.decision_steps_range()
         return (min(lo, 1), hi)
 
-    # -- batched-engine descriptor -----------------------------------------
-    # RoutingAlgorithm defines these, so __getattr__ never sees them:
-    # forward them explicitly, or a wrapped native algorithm would make
-    # every batched decision in Python
-
-    native_fields = property(lambda self: self.inner.native_fields)
-    native_term_rule = property(lambda self: self.inner.native_term_rule)
-    native_key_uses_vc = property(
-        lambda self: self.inner.native_key_uses_vc)
-    native_clean_table = property(
-        lambda self: self.inner.native_clean_table)
-    # substitutions read port_alive and the exact dst, but they are
-    # never cached
-    native_reads_links = property(
-        lambda self: self.inner.native_reads_links)
-    #: the in-port stays in the native key whatever the inner algorithm
-    #: declares: substitution applies at the local in-port only, so a
-    #: transit decision must never answer for an injection
-    native_key_uses_port = True
-
-    native_relative_dst = property(
-        lambda self: self.inner.native_relative_dst)
-
-    def native_irregular_dsts(self):
-        return self.inner.native_irregular_dsts()
+    def native_contract(self, topology):
+        # RoutingAlgorithm defines it, so __getattr__ never sees it.
+        # Substitutions read port_alive and the exact dst, but they are
+        # never cached.  The in-port stays in the key whatever the inner
+        # algorithm declares: substitution applies at the local in-port
+        # only, so a transit decision must never answer for an injection
+        inner = self.inner.native_contract(topology)
+        return None if inner is None else replace(inner, key_uses_port=True)
 
     def armed_endpoint(self, node: int) -> bool:
         """Is ``node`` an endpoint of an armed link (where injections
         may be substituted)?"""
         return any(node in link for link in self.armed)
-
-    def native_livelock_limit(self, topology):
-        return self.inner.native_livelock_limit(topology)
 
     def __getattr__(self, item):
         return getattr(self.inner, item)

@@ -18,10 +18,11 @@ states, ROUTE_C's unsafe states) in ``node_states`` and refresh it in
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..sim._batched_kernel import MAXF
 from ..sim.flit import Header
 from ..sim.topology import Topology
 
@@ -76,6 +77,83 @@ class RouteDecision:
         return cls(stuck=True, steps=steps)
 
 
+@dataclass(frozen=True)
+class NativeContract:
+    """What the batched engine's C decision cache may assume about an
+    algorithm's ``route`` (:meth:`RoutingAlgorithm.native_contract`).
+
+    Declaring one asserts that, while the fault knowledge (and the link
+    status, see ``reads_links``) stands, the decision (including its
+    ``steps`` and field writes) is a pure function of (node, dst,
+    in_port, in_vc, the ``fields`` values, and whether ``path_len``
+    exceeds ``livelock_limit``; dst narrowed to its class under
+    ``relative_dst``) up to the load re-ordering a ``REFRESH_RESORT``
+    or ``REFRESH_ARGMIN`` hint declares, and that ``on_depart`` does
+    nothing beyond the base path-length bump plus the optional
+    ``term_rule``.  REROUTE-hinted decisions are never cached, so
+    exceptional branches (unroutable, one-way switches) always
+    re-enter Python.
+    """
+
+    #: header field names covering BOTH every field ``route`` reads and
+    #: every field it writes; the only statement of either.  Values must
+    #: be small ints, bools or None
+    fields: tuple[str, ...]
+    #: optional ``(flag_field, vn_field, {vn: port})`` commit rule the
+    #: batched engine applies natively on head departure:
+    #: ``flag_field := True`` when the worm departs through the port
+    #: the map assigns to its current ``vn_field`` value (the terminal-
+    #: run commitment of the turn-model algorithms)
+    term_rule: tuple[str, str, dict] | None = None
+    #: set False when ``route`` provably never consults in_port / in_vc
+    #: (shrinks the key space, so the cache converges faster); leave
+    #: True whenever in doubt — a finer key is always correct
+    key_uses_port: bool = True
+    key_uses_vc: bool = True
+    #: set True when, while the fault knowledge stands, the decision
+    #: reads ``dst`` only through its class relative to the deciding
+    #: node on the 2-D mesh: (sign dx, sign dy), plus the exact dy when
+    #: dx == 0 (a terminal-run check needs the hop count) — except for
+    #: the destinations ``irregular_dsts`` lists.  The batched engine
+    #: then keys its cache by that class, so one cached decision serves
+    #: every congruent destination; irregular ones keep the exact dst
+    #: in the key
+    relative_dst: bool = False
+    #: set False when ``route`` reads the fault knowledge only, never
+    #: the physical link status (``port_alive``), which under a
+    #: detection delay changes cycles before the knowledge does; the
+    #: batched engine then keeps its cache, clean table and refresh
+    #: hints across such a change
+    reads_links: bool = True
+    #: opt-in for the batched engine's build-time clean table
+    #: (:mod:`repro.routing.clean_table`): asserts that while the known
+    #: fault set is EMPTY, the decision is a pure function of
+    #: (sign dx, sign dy, the ``vn`` field, the optional ``term``
+    #: field) — translation-invariant on the 2-D mesh, with every other
+    #: field absent.  The table builder
+    #: (:mod:`repro.core.compiler.backup`, under the empty fault set)
+    #: still probe-verifies the claim at build time and falls back
+    #: entry-by-entry when a probe disagrees; the table is bypassed
+    #: entirely the moment a fault becomes known.
+    clean_table: bool = False
+    #: path-length threshold the decision branches on (the livelock
+    #: guard feeding the ``over`` component of the key); None when the
+    #: algorithm never consults the counter
+    livelock_limit: int | None = None
+    #: zero-argument callable listing the destinations excluded from
+    #: the ``relative_dst`` fold under the current fault knowledge (the
+    #: batched engine re-reads them whenever it clears its cache);
+    #: the default ``tuple`` lists none
+    irregular_dsts: Callable[[], Iterable[int]] = tuple
+
+    def __post_init__(self):
+        if len(self.fields) > MAXF:
+            raise ValueError(
+                f"a native contract names at most {MAXF} header fields "
+                f"(the batched kernel mirrors {MAXF} per message), got "
+                f"{len(self.fields)}: {self.fields}")
+
+
 class RoutingError(Exception):
     """A routing algorithm met a situation it cannot handle (e.g. its
     topology requirements are violated, or a message has no legal
@@ -99,61 +177,6 @@ class RoutingAlgorithm:
     #: are re-routed only when the fault knowledge changes (the
     #: network's ``route_epoch`` advances).
     adaptive: bool = True
-    #: Native-cache descriptor for the batched engine (None = every
-    #: fresh decision enters Python).  A tuple of at most 5 header
-    #: field names covering BOTH every field ``route`` reads and every
-    #: field it writes; it is the only statement of either.
-    #: Declaring it asserts that, while the fault knowledge (and the
-    #: link status, see ``native_reads_links``) stands, the decision
-    #: (including its ``steps`` and field writes) is a pure function of
-    #: (node, dst, in_port, in_vc, these field values, and whether
-    #: ``path_len`` exceeds ``native_livelock_limit``; dst narrowed to
-    #: its class under ``native_relative_dst``) up to the load
-    #: re-ordering a ``REFRESH_RESORT`` or ``REFRESH_ARGMIN`` hint
-    #: declares, and
-    #: that ``on_depart`` does nothing beyond the base path-length bump
-    #: plus the optional ``native_term_rule``.  Values must be small
-    #: ints, bools or None.  REROUTE-hinted decisions are never cached,
-    #: so exceptional branches (unroutable, one-way switches) always
-    #: re-enter Python.
-    native_fields: "tuple[str, ...] | None" = None
-    #: optional ``(flag_field, vn_field, {vn: port})`` commit rule the
-    #: batched engine applies natively on head departure:
-    #: ``flag_field := True`` when the worm departs through the port
-    #: the map assigns to its current ``vn_field`` value (the terminal-
-    #: run commitment of the turn-model algorithms)
-    native_term_rule: "tuple[str, str, dict] | None" = None
-    #: set False when ``route`` provably never consults in_port / in_vc
-    #: (shrinks the native key space, so the cache converges faster);
-    #: leave True whenever in doubt — a finer key is always correct
-    native_key_uses_port: bool = True
-    native_key_uses_vc: bool = True
-    #: set True when, while the fault knowledge stands, the decision
-    #: reads ``dst`` only through its class relative to the deciding
-    #: node on the 2-D mesh: (sign dx, sign dy), plus the exact dy when
-    #: dx == 0 (a terminal-run check needs the hop count) — except for
-    #: the destinations ``native_irregular_dsts`` lists.  The batched
-    #: engine then keys its cache by that class, so one cached decision
-    #: serves every congruent destination; irregular ones keep the
-    #: exact dst in the key
-    native_relative_dst: bool = False
-    #: set False when ``route`` reads the fault knowledge only, never
-    #: the physical link status (``port_alive``), which under a
-    #: detection delay changes cycles before the knowledge does; the
-    #: batched engine then keeps its cache, clean table and refresh
-    #: hints across such a change
-    native_reads_links: bool = True
-    #: opt-in for the batched engine's build-time clean table
-    #: (:mod:`repro.routing.clean_table`): asserts that while the known
-    #: fault set is EMPTY, the decision is a pure function of
-    #: (sign dx, sign dy, the ``vn`` field, the optional ``term``
-    #: field) — translation-invariant on the 2-D mesh, with every other
-    #: native field absent.  The table builder
-    #: (:mod:`repro.core.compiler.backup`, under the empty fault set)
-    #: still probe-verifies the claim at build time and falls back
-    #: entry-by-entry when a probe disagrees; the table is bypassed
-    #: entirely the moment a fault becomes known.
-    native_clean_table: bool = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -187,17 +210,11 @@ class RoutingAlgorithm:
               in_port: int, in_vc: int) -> RouteDecision:
         raise NotImplementedError
 
-    def native_livelock_limit(self, topology: Topology) -> "int | None":
-        """Path-length threshold the decision branches on (the livelock
-        guard feeding the ``over`` component of the native cache key);
-        None when the algorithm never consults the counter."""
+    def native_contract(self, topology: Topology) -> NativeContract | None:
+        """What the batched engine's C decision cache may assume about
+        ``route`` on ``topology``; None (the default) sends every fresh
+        decision to Python."""
         return None
-
-    def native_irregular_dsts(self) -> Iterable[int]:
-        """Destinations excluded from the ``native_relative_dst`` fold
-        under the current fault knowledge (the batched engine re-reads
-        them whenever it clears its cache)."""
-        return ()
 
     def accepts(self, src: int, dst: int) -> bool:
         """May a message from src to dst enter the network?  Fault-

@@ -2,10 +2,11 @@
 
 While the *known* fault set is empty (and, for an algorithm that
 reads the link status, no link is dead), the native mesh algorithms'
-decisions (``nafta``, ``nara`` and the rule program ``nafta_rules``)
-are translation-invariant: NAFTA collapses onto NARA (the u-turn
-filter never binds, clear runs span whole columns, detours and
-virtual-network switches are unreachable) and all reduce to a pure
+decisions (``nafta``, ``nara`` and the rule program ``nafta_rules``,
+whose :class:`~repro.routing.base.NativeContract` sets
+``clean_table``) are translation-invariant: NAFTA collapses onto NARA
+(the u-turn filter never binds, clear runs span whole columns, detours
+and virtual-network switches are unreachable) and all reduce to a pure
 function of (sign dx, sign dy, the ``vn`` field, the optional ``term``
 commitment).  That is a 3 x 3 x 3 x 2 = 54-entry dense table.  The
 batched engine hands it to its C kernels fully populated, so
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from ..core.compiler.backup import agreed, cached
 from ..sim.router import LOCAL
 from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D
-from .base import REFRESH_REROUTE
+from .base import REFRESH_REROUTE, NativeContract
 
 #: table geometry — must match the C kernel's CT_KEYS / CT_CANDS
 CT_KEYS = 54
@@ -134,27 +135,20 @@ class _ProbeRouter:
     def port_loads(self) -> dict[int, int]:
         return dict.fromkeys(self.ports, 0)
 
-    def occupancy(self) -> int:
-        return 0
-
     def port_alive(self, pid: int) -> bool:
         return pid == LOCAL or pid in self.ports
 
-    def alive_ports(self) -> list[int]:
-        return list(self.ports)
 
-    def neighbor(self, pid: int):
-        p = self.ports.get(pid)
-        return p.neighbor if p else None
-
-
-def eligible(algorithm, topology) -> bool:
-    """Whether (algorithm, topology) can carry a clean table at all."""
-    nf = algorithm.native_fields
-    return (bool(getattr(algorithm, "native_clean_table", False))
-            and nf is not None and "vn" in nf
-            and isinstance(topology, Mesh2D)
-            and not isinstance(topology, Torus2D))
+def eligible(algorithm, topology) -> NativeContract | None:
+    """The algorithm's native contract when (algorithm, topology) can
+    carry a clean table at all, else None."""
+    if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+        return None
+    contract = algorithm.native_contract(topology)
+    if contract is None or not contract.clean_table \
+            or "vn" not in contract.fields:
+        return None
+    return contract
 
 
 def _probe_nodes(topo: Mesh2D) -> list[int]:
@@ -230,10 +224,11 @@ def build_clean_table(algorithm, topology) -> CleanTable | None:
     """Probe-build the dense clean table for this (algorithm,
     topology); entries any probe disqualifies stay invalid (the engine
     falls through to its normal decision path for those keys)."""
-    if not eligible(algorithm, topology):
+    contract = eligible(algorithm, topology)
+    if contract is None:
         return None
     topo: Mesh2D = topology
-    has_term = "term" in algorithm.native_fields
+    has_term = "term" in contract.fields
     n_vcs = algorithm.n_vcs
     routers = [_ProbeRouter(topo, n, n_vcs) for n in _probe_nodes(topo)]
     table = CleanTable()
@@ -271,7 +266,7 @@ def build_clean_table(algorithm, topology) -> CleanTable | None:
 def load_or_build(algorithm, topology) -> CleanTable | None:
     """The clean table for this (algorithm, topology), via the
     builder's cache; None when the pair cannot carry one."""
-    if not eligible(algorithm, topology):
+    if eligible(algorithm, topology) is None:
         return None
     return cached("ct", algorithm, topology,
                   lambda: build_clean_table(algorithm, topology),

@@ -29,11 +29,13 @@ exception path (detour search / terminal-run checks) runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..sim.flit import Header
 from ..sim.topology import (EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D,
                             Topology)
-from .base import (REFRESH_RESORT, REFRESH_STATIC, RouteDecision,
-                   RoutingAlgorithm, RoutingError)
+from .base import (REFRESH_RESORT, REFRESH_STATIC, NativeContract,
+                   RouteDecision, RoutingAlgorithm, RoutingError)
 from .mesh_state import MeshFaultMap
 from .nara import VN_FREE, VN_TERMINAL
 
@@ -44,28 +46,26 @@ OPPOSITE = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
 #: the other network's class)
 LOCAL_NONE = -99
 
+#: the native contract both NAFTAs (this one and the rule program
+#: ``nafta_rules``) share: route() reads and writes the four header
+#: fields, never in_vc; on_depart is the base path-length bump plus the
+#: terminal commitment.  dst is read through geometry signs (minimal
+#: ports, vn, detour rank) and, in the destination column, the hop
+#: count of the terminal-run check; blocked destinations are the
+#: exception.  Fault-free, route() reduces to NARA (minimal set +
+#: terminal run, u-turn filter never binds, clear runs span whole
+#: columns), so the decision depends only on (sign dx, sign dy, vn,
+#: term): the clean table applies
+NAFTA_CONTRACT = NativeContract(
+    fields=("vn", "term", "sdir", "misrouted"),
+    term_rule=("term", "vn", VN_TERMINAL),
+    key_uses_vc=False, relative_dst=True, clean_table=True)
+
 
 class NaftaRouting(RoutingAlgorithm):
     name = "nafta"
     n_vcs = 2
     fault_tolerant = True
-    # everything route() branches on beyond geometry/arrival port and
-    # the epoch-static fault knowledge: the four header fields plus the
-    # livelock-overflow flag (native_livelock_limit below); on_depart is
-    # exactly the base path-length bump plus the terminal-commit rule
-    native_fields = ("vn", "term", "sdir", "misrouted")
-    native_term_rule = ("term", "vn", VN_TERMINAL)
-    native_key_uses_vc = False         # in_vc is never consulted
-    native_reads_links = False         # only the known faults (fault_map)
-    # dst is read through geometry signs (minimal ports, vn, detour
-    # rank) and, in the destination column, the hop count of the
-    # terminal-run check; blocked destinations are the exception
-    native_relative_dst = True
-    # fault-free, route() reduces to NARA (minimal set + terminal run,
-    # u-turn filter never binds, clear runs span whole columns), so the
-    # decision depends only on (sign dx, sign dy, vn, term)
-    native_clean_table = True
-
     def __init__(self, livelock_factor: int = 4):
         self.livelock_factor = livelock_factor
         self.fault_map: MeshFaultMap | None = None
@@ -86,7 +86,14 @@ class NaftaRouting(RoutingAlgorithm):
         assert self.fault_map is not None
         self.fault_map.recompute()
 
-    def native_irregular_dsts(self):
+    def native_contract(self, topology) -> NativeContract:
+        # reads only the known faults (fault_map), and branches on the
+        # livelock-overflow flag
+        return replace(NAFTA_CONTRACT, reads_links=False,
+                       livelock_limit=self._livelock_limit(topology),
+                       irregular_dsts=self._blocked_dsts)
+
+    def _blocked_dsts(self):
         assert self.fault_map is not None
         return self.fault_map.blocked_nodes()
 
@@ -98,9 +105,6 @@ class NaftaRouting(RoutingAlgorithm):
 
     def _livelock_limit(self, topo: Mesh2D) -> int:
         return self.livelock_factor * (topo.width + topo.height) + 16
-
-    def native_livelock_limit(self, topology) -> int:
-        return self._livelock_limit(topology)
 
     def _assign_vn(self, router, header: Header) -> int:
         topo: Mesh2D = router.topology

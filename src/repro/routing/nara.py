@@ -28,8 +28,8 @@ from __future__ import annotations
 from ..sim.flit import Header
 from ..sim.topology import (EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D,
                             Topology)
-from .base import (REFRESH_RESORT, REFRESH_STATIC, RouteDecision,
-                   RoutingAlgorithm, RoutingError)
+from .base import (REFRESH_RESORT, REFRESH_STATIC, NativeContract,
+                   RouteDecision, RoutingAlgorithm, RoutingError)
 
 #: free move set and terminal direction of each virtual network
 VN_FREE = {0: (EAST, WEST, SOUTH), 1: (EAST, WEST, NORTH)}
@@ -48,16 +48,6 @@ class NaraRouting(RoutingAlgorithm):
     name = "nara"
     n_vcs = 2
     fault_tolerant = False
-    # route() consults nothing but geometry and the vn field (in_port,
-    # in_vc, path_len are never read), so the native key is safely finer
-    native_fields = ("vn",)
-    native_key_uses_port = False
-    native_key_uses_vc = False
-    native_reads_links = False         # no fault input at all
-    # the candidate set is pure geometry per (node, dst, vn) — signs
-    # alone on the mesh — so the build-time clean table applies
-    native_clean_table = True
-
     def __init__(self):
         # unordered candidate sets are pure geometry (node, dst, vn) —
         # memoized across the run; only the load ordering is dynamic
@@ -67,6 +57,15 @@ class NaraRouting(RoutingAlgorithm):
     def check_topology(self, topology: Topology) -> None:
         if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
             raise RoutingError("NARA runs on 2-D meshes")
+
+    def native_contract(self, topology) -> NativeContract:
+        # route() consults nothing but geometry and the vn field (in_port,
+        # in_vc, path_len are never read) and has no fault input at all;
+        # the candidate set is pure geometry per (node, dst, vn) — signs
+        # alone on the mesh — so the build-time clean table applies
+        return NativeContract(fields=("vn",), key_uses_port=False,
+                              key_uses_vc=False, reads_links=False,
+                              clean_table=True)
 
     def _virtual_network(self, router, header: Header) -> int:
         vn = header.fields.get("vn")

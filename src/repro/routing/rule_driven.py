@@ -33,22 +33,25 @@ a fixed port or the least-loaded member of a fixed set
 checks the premises on ``nafta.rules``).  Its decisions read the
 destination only relative to the router position, so one cached
 decision serves every congruent destination
-(``native_relative_dst``).  ROUTE_C's ``adaptivity`` rule base returns
-``pick_min``, the lowest index of the admissible set, without reading
-loads; ``RuleDrivenRouteC.route`` puts that member first and orders
-the others by load.  ROUTE_C declares no native descriptor, so its
+(``NativeContract.relative_dst``).  ROUTE_C's ``adaptivity`` rule base
+returns ``pick_min``, the lowest index of the admissible set, without
+reading loads; ``RuleDrivenRouteC.route`` puts that member first and
+orders the others by load.  ROUTE_C declares no native contract, so its
 decisions stay in Python.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..core.engine import RuleEngine
 from ..sim.faults import FaultState
 from ..sim.flit import Header
 from ..sim.router import LOCAL
 from ..sim.topology import EAST, WEST, Mesh2D, Torus2D, Topology
-from .base import (REFRESH_ARGMIN, REFRESH_STATIC, RouteDecision,
-                   RoutingAlgorithm, RoutingError)
+from .base import (REFRESH_ARGMIN, REFRESH_STATIC, NativeContract,
+                   RouteDecision, RoutingAlgorithm, RoutingError)
+from .nafta import NAFTA_CONTRACT
 from .nara import VN_TERMINAL, assign_virtual_network
 from .rulesets.loader import RULESETS, compile_ruleset, qbest
 
@@ -73,21 +76,6 @@ class RuleDrivenNafta(RoutingAlgorithm):
     name = "nafta_rules"
     n_vcs = 2
     fault_tolerant = True
-    # the descriptor of NaftaRouting: the decision bases read the four
-    # header fields through termin/sdirin/vnin (misrouted is written
-    # only), never in_vc and never the path length; on_depart is the
-    # base bump plus the terminal commitment.  Unlike NaftaRouting,
-    # freemask reads port_alive (native_reads_links stays True)
-    native_fields = ("vn", "term", "sdir", "misrouted")
-    native_term_rule = ("term", "vn", VN_TERMINAL)
-    native_key_uses_vc = False
-    # fault-free, incoming_message decides from the destination quadrant
-    # and vn alone (step 1; freemask is then the whole mesh interior)
-    native_clean_table = True
-    # the decision bases compare xdes/ydes with xpos/ypos only (or hand
-    # them to sign-only FCFBs) and read runok only with samecol = true
-    native_relative_dst = True
-
     def __init__(self, qmax: int = 63, engine_mode: str = "table"):
         self.qmax = qmax
         self.engine_mode = engine_mode
@@ -237,7 +225,19 @@ class RuleDrivenNafta(RoutingAlgorithm):
                      list(self._clean_seen))
         self._views = {}
 
-    def native_irregular_dsts(self):
+    def native_contract(self, topology) -> NativeContract:
+        # NAFTA's contract: the decision bases read the four header
+        # fields through termin/sdirin/vnin and write misrouted; they
+        # meet xdes/ydes only in comparisons with xpos/ypos or sign-only
+        # FCFBs and runok only with samecol = true; fault-free,
+        # incoming_message decides from the destination quadrant and vn
+        # alone.  Unlike NaftaRouting, freemask reads port_alive, no
+        # rule base reads the path length, and the registers say which
+        # destinations are blocked
+        return replace(NAFTA_CONTRACT, reads_links=True, livelock_limit=None,
+                       irregular_dsts=self._blocked_dsts)
+
+    def _blocked_dsts(self):
         return [n for n in range(len(self.engines))
                 if self._engine_blocked(n)]
 
@@ -438,7 +438,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
                 if not network.known_faults.node_ok(node):
                     continue
                 eng = self.engines[node]
-                before = eng.registers.snapshot()
+                eng.registers.changed = False
                 new_state = {}
                 for dim, port in topo.ports(node).items():
                     nb = port.neighbor
@@ -456,7 +456,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
                     eng.post("update_state", dim)
                 eng.run()
                 eng.drain_external()
-                if eng.registers.snapshot() != before:
+                if eng.registers.changed:
                     changed = True
             if not changed:
                 break

@@ -9,17 +9,17 @@ the route-stage scan (transitions + load re-sorts), and the
 allocate/grant/transfer walk with the stock round-robin pointers.
 
 Decisions themselves stay in Python (the routing *algorithm* is the
-reproduced artifact), but algorithms that declare a native descriptor
-(:attr:`~repro.routing.base.RoutingAlgorithm.native_fields`) get a
-C-side decision cache, the engine's only decision memo: the header
-fields the algorithm consults are mirrored in per-message int32 arrays,
-each fresh decision is keyed by ``(node, dst slot, in_port, in_vc,
-livelock-overflow, field values)`` — by the descriptor contract, that
-covers everything ``route`` reads — and a hit replays the recorded
+reproduced artifact), but algorithms that declare a native contract
+(:class:`~repro.routing.base.NativeContract`) get a C-side decision
+cache, the engine's only decision memo: the header fields the
+algorithm consults are mirrored in per-message int32 arrays, each
+fresh decision is keyed by ``(node, dst slot, in_port, in_vc,
+livelock-overflow, field values)`` — by the contract, that covers
+everything ``route`` reads — and a hit replays the recorded
 decision (field writes, candidate set, re-sort by current loads,
 digest line, stats counters) without entering Python at all.  The dst
-slot is the exact destination, or, for an algorithm that declares
-``native_relative_dst``, the destination's class relative to the
+slot is the exact destination, or, for an algorithm whose contract
+sets ``relative_dst``, the destination's class relative to the
 deciding node (sign dx, sign dy, plus the exact dy when dx == 0), so
 one cached decision serves every congruent destination; destinations
 the algorithm reports irregular (blocked) keep the exact id.  Only
@@ -47,7 +47,8 @@ import tempfile
 #: number of int32s in a native cache key:
 #: node, dst, in_port, in_vc, over, f0..f4
 KEYW = 10
-#: mirrored native fields per message (key uses up to this many)
+#: mirrored native fields per message (key uses up to this many; the
+#: most a NativeContract may name)
 MAXF = 5
 #: encoding of an absent header field in the mirrors
 FIELD_ABSENT = -1000000
@@ -94,7 +95,7 @@ typedef struct {
     /* build-time clean decision table (fault-free relative-key form) */
     int32_t ct_on;            /* table lookups live this epoch         */
     int32_t ct_vnf, ct_termf; /* native slots of vn / term (-1: none)  */
-    /* relative-destination keys (native_relative_dst) */
+    /* relative-destination keys (NativeContract.relative_dst) */
     int32_t rel_on;           /* key regular destinations by class     */
     /* static layout */
     int32_t *iv_off;          /* n_nodes+1: gid span per node          */
@@ -411,7 +412,7 @@ void k_port_loads(BState *s, int node, int32_t *out)
 
 /* ---- native decision cache ------------------------------------- */
 
-/* the key's dst slot.  Under native_relative_dst a regular
+/* the key's dst slot.  Under a relative_dst contract a regular
    destination is keyed by its class relative to the deciding node:
    -1 - ((dx > 0) * 3 + sign dy + 1) in -1..-6 when dx != 0, else
    REL_COL + dy (the hop count the terminal-run check reads; dy == 0

@@ -39,11 +39,12 @@ mirror the oracle one-for-one:
   port, vc) in C, ARGMIN does the same to the decision's whole
   ``argmin_set`` and offers only its first member, STATIC skips,
   REROUTE re-enters the algorithm in Python;
-* for algorithms with a native descriptor (``native_fields``), one
-  C-side decision cache keyed on the mirrored header fields (and the
-  destination, or under ``native_relative_dst`` its class relative to
-  the node) replays repeated decisions; every miss is a fresh
-  ``route()`` call whose result is noted into that cache.
+* for algorithms that declare a native contract
+  (:meth:`~repro.routing.base.RoutingAlgorithm.native_contract`, read
+  once per build), one C-side decision cache keyed on the mirrored
+  header fields (and the destination, or under ``relative_dst`` its
+  class relative to the node) replays repeated decisions; every miss
+  is a fresh ``route()`` call whose result is noted into that cache.
 
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
@@ -90,9 +91,8 @@ _LOAD_ORDERED = (REFRESH_RESORT, REFRESH_ARGMIN)
 
 
 def _encode(v) -> int:
-    """Header field value -> int32 mirror encoding (see the native
-    descriptor contract in :class:`~repro.routing.base.
-    RoutingAlgorithm.native_fields`)."""
+    """Header field value -> int32 mirror encoding (see
+    :attr:`~repro.routing.base.NativeContract.fields`)."""
     if v is _MISSING:
         return FIELD_ABSENT
     if v is None:
@@ -136,28 +136,12 @@ class BatchedRouter:
 
     # -- views used by routing algorithms -----------------------------
 
-    @property
-    def n_flits(self) -> int:
-        return int(self.network._r_nflits[self.node])
-
-    def occupancy(self) -> int:
-        return int(self.network._r_nflits[self.node])
-
     def port_alive(self, pid: int) -> bool:
         if pid == LOCAL:
             return True
         if pid not in self.ports:
             return False
         return self.network.faults.port_ok(self.node, pid)
-
-    def alive_ports(self) -> list[int]:
-        faults = self.network.faults
-        return [pid for pid in self.ports
-                if faults.port_ok(self.node, pid)]
-
-    def neighbor(self, pid: int) -> int | None:
-        p = self.ports.get(pid)
-        return p.neighbor if p else None
 
     def credits(self, pid: int, vc: int) -> int:
         if pid == LOCAL:
@@ -166,15 +150,6 @@ class BatchedRouter:
         d = int(net._ov_down[net._portbase[self.node, pid + 1] + vc])
         return net.config.buffer_depth - int(net._buf_cnt[d]) \
             - int(net._inc_val[d])
-
-    def output_free(self, pid: int, vc: int) -> bool:
-        if not self.port_alive(pid):
-            return False
-        net = self.network
-        ovg = int(net._portbase[self.node, pid + 1]) + vc
-        if net._ov_owner[ovg] >= 0:
-            return False
-        return self.credits(pid, vc) > 0
 
     def output_load(self, pid: int) -> int:
         """Same metric as the object router: occupied downstream buffer
@@ -339,12 +314,13 @@ class BatchedNetwork(Network):
         self._msg_f = np.full((4096, MAXF), FIELD_ABSENT, dtype=np.int32)
 
         # native decision cache: enabled when the algorithm declares a
-        # native descriptor (mirrorable header fields); otherwise the
-        # arrays are token-sized and the kernel never touches them
-        nf = self.algorithm.native_fields
-        native = nf is not None and len(nf) <= MAXF
+        # native contract; otherwise the arrays are token-sized and the
+        # kernel never touches them
+        contract = self.algorithm.native_contract(topo)
+        native = contract is not None
+        self._contract = contract
         self._native = native
-        self._nf = tuple(nf) if native else ()
+        self._nf = contract.fields if native else ()
         self._ent_cap = (1 << 15) if native else 8
         ent_cap = self._ent_cap
         self._tab = np.full(ent_cap * 4, -1, dtype=np.int32)
@@ -415,14 +391,13 @@ class BatchedNetwork(Network):
         cs.n_native = len(self._nf)
         cs.cps = self.config.cycles_per_step
         cs.hop_budget = int(self.config.hop_budget or 0)
-        lim = self.algorithm.native_livelock_limit(topo) if native \
-            else None
+        lim = contract.livelock_limit if native else None
         cs.limit = int(lim) if lim is not None else (2 ** 31 - 1)
         cs.dig_on = 0                  # refreshed each _route_phase
         # head-departure events are only replayed in Python when the
         # algorithm's on_depart must run there or paths are traced
         cs.trace_on = 0 if (native and not self.config.trace_paths) else 1
-        rule = self.algorithm.native_term_rule if native else None
+        rule = contract.term_rule if native else None
         if rule is not None:
             flag_f, vn_f, mapping = rule
             cs.term_on = 1
@@ -437,8 +412,8 @@ class BatchedNetwork(Network):
             cs.term_on = 0
             cs.term_f = 0
             cs.vn_f = 0
-        cs.key_port = 1 if self.algorithm.native_key_uses_port else 0
-        cs.key_vc = 1 if self.algorithm.native_key_uses_vc else 0
+        cs.key_port = int(contract.key_uses_port) if native else 1
+        cs.key_vc = int(contract.key_uses_vc) if native else 1
         cs.tab_mask = self._tab.shape[0] - 1
         cs.n_ent = 0
         cs.ent_cap = ent_cap
@@ -452,9 +427,9 @@ class BatchedNetwork(Network):
         cs.ct_vnf = -1
         cs.ct_termf = -1
         #: key regular destinations by their relative class (see
-        #: RoutingAlgorithm.native_relative_dst); the irregular mask is
+        #: NativeContract.relative_dst); the irregular mask is
         #: refreshed on every cache clear
-        self._rel = native and self.algorithm.native_relative_dst
+        self._rel = native and contract.relative_dst
         cs.rel_on = 1 if self._rel else 0
         if self._rel:
             self._fill_coords()
@@ -498,8 +473,8 @@ class BatchedNetwork(Network):
         self._c_epoch = None           # native cache's route_epoch ...
         self._c_links = None           # ... and link-status version
         #: the native decisions read the link status (see
-        #: RoutingAlgorithm.native_reads_links)
-        self._reads_links = native and self.algorithm.native_reads_links
+        #: NativeContract.reads_links)
+        self._reads_links = native and contract.reads_links
         self._ct_ready = False         # set by _install_clean_table
         # fast reroute (backup_routes): the wrapper whose armed links
         # make injections at their endpoints uncacheable, and the armed
@@ -703,7 +678,7 @@ class BatchedNetwork(Network):
                 if self._rel:
                     irreg = self._irreg
                     irreg[:] = 0
-                    irreg[list(self.algorithm.native_irregular_dsts())] = 1
+                    irreg[list(self._contract.irregular_dsts())] = 1
                 if self._c_links != links:
                     self._c_links = links
                     self._restale()

@@ -127,17 +127,6 @@ class Router:
 
     # -- views used by routing algorithms ---------------------------------------
 
-    def _refresh_alive(self) -> None:
-        faults = self.network.faults
-        if self._alive_version != faults.version:
-            self._alive = {pid: faults.port_ok(self.node, pid)
-                           for pid in self.ports}
-            self._alive_version = faults.version
-
-    def alive_ports(self) -> list[int]:
-        self._refresh_alive()
-        return [pid for pid, ok in self._alive.items() if ok]
-
     def port_alive(self, pid: int) -> bool:
         if pid == LOCAL:
             return True
@@ -147,10 +136,6 @@ class Router:
                            for p in self.ports}
             self._alive_version = faults.version
         return self._alive.get(pid, False)
-
-    def neighbor(self, pid: int) -> int | None:
-        p = self.ports.get(pid)
-        return p.neighbor if p else None
 
     def output_free(self, pid: int, vc: int) -> bool:
         """Can a new head claim this output VC right now?"""

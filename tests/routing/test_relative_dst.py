@@ -76,8 +76,9 @@ def fold(topo, irregular, node: int, dst: int):
 def test_congruent_destinations_decide_alike(name, fault_set):
     net = _faulted(name, FAULT_SETS[fault_set])
     topo, algo = net.topology, net.algorithm
-    assert algo.native_relative_dst
-    irregular = set(algo.native_irregular_dsts())
+    contract = algo.native_contract(topo)
+    assert contract.relative_dst
+    irregular = set(contract.irregular_dsts())
     if fault_set == "deactivating-nodes":
         # the faulty pair plus the two healthy nodes it deactivates
         assert len(irregular) == 4

@@ -1,7 +1,7 @@
 """The contract that lets the batched engine replay ``nafta_rules``
 decisions natively, checked on ``nafta.rules`` itself.
 
-``RuleDrivenNafta`` declares a native descriptor and hints each
+``RuleDrivenNafta`` declares a native contract and hints each
 decision ``REFRESH_ARGMIN`` when its RETURN came from ``qbest``: the
 engine then stores the set and re-chooses its least-loaded member by
 current loads.  That is sound only if the output loads reach a
@@ -11,7 +11,7 @@ decision through ``qbest`` alone, nothing the cache key leaves out
 the parsed decision rule bases; the run checks pin the other
 precondition, that no load can reach the ``qmax`` clamp.
 
-It also declares ``native_relative_dst``: the engine keys a decision by
+Its contract also sets ``relative_dst``: the engine keys a decision by
 the destination's class relative to the node (sign dx, sign dy, plus
 the exact dy in the destination column).  That is sound only if the
 destination coordinates reach a decision through comparisons with the

@@ -16,6 +16,7 @@ must reproduce the object engine's digests on generated cases.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -342,7 +343,9 @@ def test_relative_keys_save_route_calls():
     for relative in (True, False):
         algo = make_algorithm("nafta")
         if not relative:
-            algo.native_relative_dst = False
+            contract = algo.native_contract
+            algo.native_contract = lambda topo, contract=contract: \
+                replace(contract(topo), relative_dst=False)
         route, n = algo.route, []
         algo.route = lambda *a, route=route, n=n: n.append(1) or route(*a)
         net = _deactivating_run(BatchedNetwork, algo, seed=1, cycles=600)

@@ -24,8 +24,8 @@ from repro.experiments import run_workload
 from repro.experiments.campaign import make_scenario
 from repro.routing import FastReroute, make_algorithm
 from repro.routing.base import (REFRESH_RESORT, REFRESH_STATIC,
-                                RouteDecision, RoutingAlgorithm,
-                                order_by_adaptivity)
+                                NativeContract, RouteDecision,
+                                RoutingAlgorithm, order_by_adaptivity)
 from repro.sim import FaultSchedule, Mesh2D, Network, SimConfig
 from repro.sim.batched import BatchedNetwork, batched_fallback_reason
 from repro.sim.flit import Header
@@ -345,13 +345,15 @@ class _NeutralWestFirst(RoutingAlgorithm):
     nothing to the header, so a blocked injection stays
     injection-equivalent: the object engine's per-cycle refresh may
     switch it to a backup the moment its endpoint arms.  Declares a
-    native descriptor (one field, never written) to run the batched
+    native contract (one field, never written) to run the batched
     engine's C cache."""
 
     name = "westfirst-neutral"
     n_vcs = 1
     fault_tolerant = True
-    native_fields = ("mark",)
+
+    def native_contract(self, topology):
+        return NativeContract(fields=("mark",))
 
     def reset(self, network):
         self.known = network.known_faults
@@ -402,7 +404,7 @@ class TestNativeCachesBothEngines:
         net = BatchedNetwork(topo, make_algorithm("nafta"),
                              config=SimConfig(fault_mode="harsh",
                                               backup_routes=True))
-        assert net._native, "FastReroute must forward the descriptor"
+        assert net._native, "FastReroute must forward the contract"
         net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
                                             message_length=4, seed=3))
         net.run(50)
