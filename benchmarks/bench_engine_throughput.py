@@ -93,7 +93,6 @@ def time_decisions(engine, cases, repeats: int) -> float:
             set_inputs(inputs, trusted=True)
             call("incoming_message", indir, vn)
     dt = time.perf_counter() - t0
-    engine.events.log.clear()
     return dt
 
 

@@ -50,7 +50,7 @@ import json
 import math
 import os
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 
 from ...sim.flit import Header
@@ -129,20 +129,35 @@ def agreed(algorithm, points, admit):
     return outcome
 
 
+def each_faulted(net, links):
+    """Yield each of ``links`` in turn, failed in ``net`` with its
+    algorithm's fault knowledge converged; afterwards every link is
+    repaired and the knowledge converged once more.  ``known_faults``
+    aliases ``faults`` on a network without detection delay, so this is
+    exactly the state the live network reaches on the slow path.
+
+    A repair is not followed by a recompute of its own: every
+    fault-tolerant algorithm rebuilds its knowledge from
+    ``known_faults`` alone, so the next failure's recompute starts from
+    the repaired fault set just as it would after one."""
+    try:
+        for link in links:
+            net.faults.fail_link(*link)
+            try:
+                net.algorithm.on_fault_update(net)
+                yield link
+            finally:
+                net.faults.repair_link(*link)
+    finally:
+        net.algorithm.on_fault_update(net)
+
+
 @contextmanager
 def faulted(net, link):
     """``net`` with ``link`` failed and its algorithm's fault knowledge
-    converged, restored on exit.  ``known_faults`` aliases ``faults``
-    on a network without detection delay, so this is exactly the state
-    the live network reaches on the slow path."""
-    a, b = link
-    net.faults.fail_link(a, b)
-    net.algorithm.on_fault_update(net)
-    try:
-        yield
-    finally:
-        net.faults.repair_link(a, b)
-        net.algorithm.on_fault_update(net)
+    converged, restored on exit: :func:`each_faulted` of one link."""
+    with closing(each_faulted(net, [link])) as links:
+        yield next(links)
 
 
 def certify(net, link) -> None:
@@ -404,14 +419,14 @@ def build_backup_table_for(topology, algorithm) -> BackupTable:
     links = sorted(topology.links())
     stride = max(1, len(links) // CERTIFY_SAMPLE)
     sampled = set(links[::stride][:CERTIFY_SAMPLE])
-    for link in links:
-        with faulted(net, link):
+    with closing(each_faulted(net, links)) as failed:
+        for link in failed:
             per_link = _probe_link(net, link, primary)
             if link in sampled:
                 _certify_faulted(net, link)
                 table.verified_links.append(link)
-        if per_link:
-            table.entries[link] = per_link
+            if per_link:
+                table.entries[link] = per_link
     return table
 
 

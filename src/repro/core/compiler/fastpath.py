@@ -20,8 +20,8 @@ performs no AST traversal at all:
   time and replayed without any evaluation.
 
 Every shape the generator does not inline — rare expression nodes,
-operands of an unexpected class, callable input sources, error paths,
-conclusions that call a subbase — runs through the oracle itself
+operands of an unexpected class, error paths, conclusions that call a
+subbase — runs through the oracle itself
 (:func:`eval_expr`, :func:`gather_effects`), so the generated code keeps
 its semantics bit-for-bit: evaluation order, coercions and error
 behaviour included, which the table/AST equivalence suites verify.
@@ -41,7 +41,7 @@ from ..dsl.domains import Value
 from ..dsl.errors import EvalError
 from ..dsl.semantics import AnalyzedProgram
 from ..interpreter.evaluator import Env, eval_expr, to_bool
-from ..interpreter.execution import Emission, InvocationResult, _Effects, \
+from ..interpreter.execution import Emission, InvocationResult, \
     apply_effects, gather_effects
 from .atoms import DirectFeature
 from .tablegen import NO_RULE
@@ -55,12 +55,11 @@ MAX_MEMO_ENTRIES = 1 << 16
 # source-level code generation
 # ---------------------------------------------------------------------------
 # The generated source inlines the dictionary reads of the happy path and
-# defers every unusual case (leaked params, callable input sources,
-# bool-typed operands, dict subclasses, all error paths) to the AST
-# oracle or to a helper that replicates eval_expr verbatim.  Speed comes
-# from collapsing call chains, never from skipping a check: any operand
-# that is not of the statically expected concrete class is re-dispatched
-# to the slow path.
+# defers every unusual case (leaked params, bool-typed operands, dict
+# subclasses, all error paths) to the AST oracle or to a helper that
+# replicates eval_expr verbatim.  Speed comes from collapsing call
+# chains, never from skipping a check: any operand that is not of the
+# statically expected concrete class is re-dispatched to the slow path.
 
 def _norm_bool(v: Value) -> Value:
     return "true" if v is True else "false" if v is False else v
@@ -300,8 +299,6 @@ class _SrcGen:
                 slow = self.bindobj(_oracle(e), "f")
                 t = self.tmp()
                 if self.psafe:
-                    # m is non-None here: the generated function bails
-                    # to the oracle up front when it is not
                     self.put(f"{t} = m.get({name!r})")
                     self.put(f"if {t} is None or isinstance({t}, dict):")
                     self.put(f"    {t} = {slow}(env)")
@@ -438,9 +435,10 @@ class _SrcGen:
         return self.fallback(e)
 
     def commands(self, commands) -> None:
-        """Statements gathering :func:`_inlinable` commands into ``eff``
-        in :func:`gather_effects` order.  ``eff`` starts empty and only
-        this code touches it, so a second RETURN is known statically."""
+        """Statements gathering :func:`_inlinable` commands into the
+        result ``res`` in :func:`gather_effects` order.  ``res`` starts
+        empty and only this code touches it, so a second RETURN is known
+        statically."""
         for cmd in commands:
             if isinstance(cmd, N.ForallCmd):
                 self.commands(cmd.body)
@@ -449,22 +447,22 @@ class _SrcGen:
                 tgt = cmd.target
                 idx = self._tuple_src([self.expr(x) for x in tgt.args]) \
                     if isinstance(tgt, N.Index) else "()"
-                self.put(f"eff.writes.append(({tgt.ident!r}, {idx}, "
+                self.put(f"res.writes.append(({tgt.ident!r}, {idx}, "
                          f"{value}))")
             elif isinstance(cmd, N.Emit):
                 args = self._tuple_src([self.expr(x) for x in cmd.args])
-                self.put(f"eff.emissions.append(_Emission({cmd.event!r}, "
+                self.put(f"res.emissions.append(_Emission({cmd.event!r}, "
                          f"{args}))")
             else:
                 if self.returns:
                     self.put(f"_mret({cmd.line})")
                 self.returns += 1
-                self.put(f"eff.returned = {self.expr(cmd.value)}")
-                self.put("eff.has_return = True")
+                self.put(f"res.returned = {self.expr(cmd.value)}")
+                self.put("res.has_return = True")
 
 
 _GEN_PRELUDE = ("    p = env.params\n"
-                "    m = env.inputs_map\n"
+                "    m = env.inputs\n"
                 "    fns = env.functions\n"
                 "    regs = env.registers\n")
 
@@ -477,30 +475,10 @@ def _exec_gen(gen: _SrcGen, result_src: str, tag: str, args: str = "env"):
     return gen.ns["_gen"]
 
 
-def _bit_code(v: Value) -> int:
-    return 1 if v is True or v == "true" else \
-        0 if v is False or v == "false" else _h_bb(v)
-
-
-def _codes_ast(features, env: Env) -> tuple[int, ...]:
-    """The feature-code tuple through the AST oracle (callable inputs)."""
-    return tuple(feat.domain.encode(eval_expr(feat.signal, env))
-                 if isinstance(feat, DirectFeature)
-                 else _bit_code(eval_expr(feat.atom, env))
-                 for feat in features)
-
-
 def generate_codes_fn(base, analyzed: AnalyzedProgram,
                       bound: frozenset[str], param_safe: bool = False):
-    """One generated function computing the whole feature-code tuple.
-
-    Generated input reads assume a mapping-backed source, so a callable
-    source is handed to the AST oracle up front.
-    """
+    """One generated function computing the whole feature-code tuple."""
     gen = _SrcGen(analyzed, bound, param_safe)
-    fb = gen.bindobj(partial(_codes_ast, tuple(base.analysis.features)),
-                     "fb")
-    gen.put(f"if m is None: return {fb}(env)")
     parts = []
     for feat in base.analysis.features:
         if isinstance(feat, DirectFeature):
@@ -519,22 +497,18 @@ def generate_value_fn(expr: N.Expr, analyzed: AnalyzedProgram,
                       param_safe: bool = False):
     """One generated function computing a single expression value."""
     gen = _SrcGen(analyzed, bound, param_safe)
-    fb = gen.bindobj(_oracle(expr), "fb")
-    gen.put(f"if m is None: return {fb}(env)")
     return _exec_gen(gen, gen.totmp(gen.expr(expr)), f"value:{tag}")
 
 
 def generate_commands_fn(commands, analyzed: AnalyzedProgram,
                          bound: frozenset[str], tag: str,
                          param_safe: bool = False):
-    """One generated function ``(env, effects, subbase_runner)``
+    """One generated function ``(env, result, subbase_runner)``
     gathering a conclusion's effects against the snapshot state, for
     commands :func:`_inlinable` accepts (so the runner goes unused)."""
     gen = _SrcGen(analyzed, bound, param_safe)
-    fb = gen.bindobj(partial(gather_effects, commands), "fb")
-    gen.put(f"if m is None: return {fb}(env, eff, runner)")
     gen.commands(commands)
-    return _exec_gen(gen, "None", f"commands:{tag}", "env, eff, runner")
+    return _exec_gen(gen, "None", f"commands:{tag}", "env, res, runner")
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +543,9 @@ class _Conclusion:
     * ``value_fn`` — a single RETURN of a dynamic expression with no
       writes, emissions or subbase calls; one generated function
       computes the value, skipping the effects machinery entirely;
-    * ``run`` — ``(env, effects, subbase_runner)`` gathering the
-      effects against the snapshot state (phase 1 of the gather/apply
-      semantics): a generated function, or :func:`gather_effects`
+    * ``run`` — ``(env, result, subbase_runner)`` gathering the
+      effects into the result against the snapshot state (phase 1 of
+      the gather/apply semantics): a generated function, or :func:`gather_effects`
       itself for commands that are not :func:`_inlinable`.
     """
 
@@ -734,19 +708,17 @@ class DecisionKernel:
         else:
             # param-less caller == the engine's base environment, whose
             # non-input fields are identity-stable for the engine's
-            # lifetime (set_inputs swaps inputs/inputs_map in place).
+            # lifetime (set_inputs swaps its inputs in place).
             # The call environment per args tuple is therefore reusable
             # once its inputs fields are refreshed.
             call_env = self._env_memo.get(args)
             if call_env is None:
                 call_env = Env(env.analyzed, env.registers, bindings,
-                               env.inputs, env.functions, env.call_subbase,
-                               env.inputs_map)
+                               env.inputs, env.functions, env.call_subbase)
                 if len(self._env_memo) < 4096:
                     self._env_memo[args] = call_env
             elif call_env.inputs is not env.inputs:
                 call_env.inputs = env.inputs
-                call_env.inputs_map = env.inputs_map
 
         entry = self.entry(call_env)
         result = InvocationResult(base=base.name, fired_source_rule=None)
@@ -764,9 +736,8 @@ class DecisionKernel:
             result.returned = con.value_fn(call_env)
             result.has_return = True
             return result
-        effects = _Effects()
         runner = (subbase_runner_factory(call_env)
                   if con.calls_subbase else None)
-        con.run(call_env, effects, runner)
-        apply_effects(effects, call_env, result)
+        con.run(call_env, result, runner)
+        apply_effects(result, call_env)
         return result

@@ -11,8 +11,9 @@ router (or a test) drives:
 * answer direct decision queries (``call``) for RETURNS rule bases;
 * count interpretation steps and expose the hardware cost figures.
 
-``mode="table"`` executes compiled rule tables (the RBR-kernel model);
-``mode="ast"`` executes the reference semantics.  Both share registers,
+``mode="table"`` executes compiled rule tables (the RBR-kernel model),
+one :class:`~repro.core.compiler.fastpath.DecisionKernel` per rule
+base; ``mode="ast"`` executes the reference semantics.  Both share registers,
 inputs and functions, so they are interchangeable — and tested to be.
 """
 
@@ -20,114 +21,139 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ..obs import events as trace_ev
+from ..obs.tracer import NULL_TRACER
 from .compiler.compile import CompiledProgram, CompiledRuleBase, compile_program
+from .compiler.fastpath import DecisionKernel
 from .dsl.domains import Value
 from .dsl.errors import EvalError
 from .interpreter.astinterp import AstInterpreter
 from .interpreter.evaluator import Env, FunctionImpl, make_input_reader
 from .interpreter.event_manager import EventManager
 from .interpreter.execution import Emission, InvocationResult
-from .interpreter.rbr import RbrInterpreter
 from .interpreter.registers import RegisterFile
 
 
 class RuleEngine:
+    #: observability hooks (see repro.obs): the tracer defaults to the
+    #: shared no-op, so the untraced cost is one attribute check per
+    #: table-mode invocation; trace_node tags emissions with the router
+    #: the engine belongs to
+    tracer = NULL_TRACER
+    trace_node = -1
+
     def __init__(self, program: str | CompiledProgram,
                  params: Mapping[str, Value] | None = None,
                  functions: Mapping[str, FunctionImpl] | None = None,
                  mode: str = "table",
-                 coerce: str = "saturate",
-                 materialize: bool = True):
+                 coerce: str = "saturate"):
         if mode not in ("table", "ast"):
             raise ValueError(f"unknown mode {mode!r}")
         if isinstance(program, CompiledProgram):
             self.compiled = program
         else:
-            self.compiled = compile_program(program, params,
-                                            materialize=materialize)
+            self.compiled = compile_program(program, params)
         self.analyzed = self.compiled.analyzed
         self.mode = mode
         self.registers = RegisterFile(self.analyzed, coerce=coerce)
         self.functions: dict[str, FunctionImpl] = dict(functions or {})
-        self._inputs = make_input_reader({})
-        self._inputs_map = getattr(self._inputs, "mapping", None)
-        self._cached_env: Env | None = None
+        #: base name -> decision kernel (table mode), built on first use
+        self.kernels: dict[str, DecisionKernel] = {}
         self._ast = AstInterpreter(self.analyzed)
-        self._rbr = RbrInterpreter(self.compiled)
+        #: ``(base_name, args, env) -> InvocationResult`` for this mode
+        self._invoke = (self._invoke_table if mode == "table"
+                        else self._invoke_ast)
+        # the base environment: built once; set_inputs swaps its inputs
+        # in place and every other field is mutated in place, never
+        # replaced, so the decision kernels may cache per-args call
+        # environments against it
+        self.env = Env(self.analyzed, self.registers,
+                       functions=self.functions)
+        self.env.call_subbase = self.subbase_caller(self.env)
         self.events = EventManager(
             rulebase_names=set(self.analyzed.rulebases),
             event_names=set(self.analyzed.events),
-            invoke=self._invoke)
+            invoke=lambda name, args: self._invoke(name, args, self.env))
 
     # -- configuration ------------------------------------------------------
 
     def attach_tracer(self, tracer, node: int = -1) -> None:
-        """Attach a :mod:`repro.obs` tracer: rule-base invocations emit
-        ``rule.invoke`` trace events tagged with the router ``node`` the
-        engine belongs to."""
-        self._rbr.tracer = tracer
-        self._rbr.trace_node = node
+        """Attach a :mod:`repro.obs` tracer: table-mode rule-base
+        invocations emit ``rule.invoke`` trace events tagged with the
+        router ``node`` the engine belongs to."""
+        self.tracer = tracer
+        self.trace_node = node
 
     def set_inputs(self, source, *, trusted: bool = False) -> None:
-        """Attach the hardware input source (mapping or callable).
+        """Attach the hardware inputs mapping.
 
         ``trusted=True`` promises the mapping is already canonical
         (indexed inputs keyed by tuples only) and skips normalization;
         see :func:`make_input_reader`.
         """
-        self._inputs = make_input_reader(source, trusted=trusted)
-        self._inputs_map = getattr(self._inputs, "mapping", None)
-        # the cached base environment is refreshed in place: its other
-        # fields (registers, functions, subbase caller) are identity-
-        # stable for the engine's lifetime, and keeping the env object
-        # itself stable lets the decision kernels cache per-args call
-        # environments against it
-        env = self._cached_env
-        if env is not None:
-            env.inputs = self._inputs
-            env.inputs_map = self._inputs_map
+        self.env.inputs = make_input_reader(source, trusted=trusted)
 
     # -- execution ------------------------------------------------------------
 
-    def _env(self) -> Env:
-        # built once per engine; set_inputs swaps the inputs fields in
-        # place (everything else is mutated in place, never replaced)
-        env = self._cached_env
-        if env is None:
-            env = Env(self.analyzed, self.registers, {}, self._inputs,
-                      self.functions, None, self._inputs_map)
-            if self.mode == "ast":
-                env.call_subbase = self._ast.subbase_caller(env)
-            else:
-                env.call_subbase = self._rbr.subbase_caller(env)
-            self._cached_env = env
-        return env
-
-    def _invoke(self, base_name: str, args: tuple[Value, ...]
-                ) -> InvocationResult:
-        env = self._env()
-        if self.mode == "ast":
-            info = self.analyzed.rulebases.get(base_name) \
-                or self.analyzed.subbases.get(base_name)
-            if info is None:
-                raise EvalError(f"unknown rule base {base_name!r}")
-            return self._ast.invoke(info, args, env)
-        rbr = self._rbr
-        if rbr.tracer.enabled:
-            # the traced path goes through rbr.invoke (same kernel, plus
-            # the rule.invoke emission)
-            return rbr.invoke(self.compiled.base(base_name), args, env)
-        kern = rbr.kernels.get(base_name)
+    def _invoke_table(self, name: str, args: tuple[Value, ...], env: Env
+                      ) -> InvocationResult:
+        """One table-lookup step: the base's decision kernel."""
+        kern = self.kernels.get(name)
         if kern is None:
-            kern = rbr.kernel(self.compiled.base(base_name))
-        return kern.invoke(args, env, rbr._subbase_runner)
+            kern = self.kernels[name] = DecisionKernel(
+                self.compiled.base(name), self.analyzed)
+        res = kern.invoke(args, env, self._subbase_runner)
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(trace_ev.RULE_INVOKE, node=self.trace_node,
+                    base=name, rule=res.fired_source_rule,
+                    writes=len(res.writes), emissions=len(res.emissions))
+        return res
+
+    def _invoke_ast(self, name: str, args: tuple[Value, ...], env: Env
+                    ) -> InvocationResult:
+        """One step of the reference semantics, straight from the AST."""
+        info = self.analyzed.rulebases.get(name) \
+            or self.analyzed.subbases.get(name)
+        if info is None:
+            raise EvalError(f"unknown rule base {name!r}")
+        return self._ast.invoke(info, args, env, self._subbase_runner)
+
+    def _invoke_subbase(self, name: str, args: tuple[Value, ...], env: Env
+                        ) -> InvocationResult:
+        if name not in self.analyzed.subbases:
+            raise EvalError(f"unknown subbase {name!r}")
+        return self._invoke(name, args, env)
+
+    def _subbase_runner(self, env: Env):
+        """Command-position subbase calls: their writes and emissions
+        join the calling conclusion's."""
+        def run(name: str, args: tuple[Value, ...],
+                result: InvocationResult) -> None:
+            res = self._invoke_subbase(name, args, env)
+            result.writes.extend(res.writes)
+            result.emissions.extend(res.emissions)
+        return run
+
+    def subbase_caller(self, env: Env):
+        """Expression-position subbase calls: must be pure (RETURN only)."""
+        def call(name: str, args: tuple[Value, ...]) -> Value:
+            res = self._invoke_subbase(name, args, env)
+            if res.writes or res.emissions:
+                raise EvalError(f"subbase {name!r} used in an expression "
+                                f"must only RETURN (it performed writes or "
+                                f"emitted events)")
+            if not res.has_return:
+                raise EvalError(f"subbase {name!r} returned no value for "
+                                f"arguments {args!r}")
+            return res.returned  # type: ignore[return-value]
+        return call
 
     def call(self, base_name: str, *args: Value) -> InvocationResult:
         """Invoke one rule base directly (one interpretation step)."""
-        res = self._invoke(base_name, args)
+        res = self._invoke(base_name, args, self.env)
         events = self.events
-        events.counter.count(base_name)
-        events.log.append(res)
+        events.steps += 1
         if res.emissions:
             events._route_emissions(res.emissions)
         return res
@@ -154,16 +180,15 @@ class RuleEngine:
 
     @property
     def steps(self) -> int:
-        return self.events.counter.total_steps
+        return self.events.steps
 
     def reset_steps(self) -> None:
-        self.events.counter.reset()
+        self.events.steps = 0
 
     def reset_state(self) -> None:
         self.registers.reset()
         self.events.queue.clear()
         self.events.external.clear()
-        self.events.log.clear()
         self.reset_steps()
 
     # -- hardware cost ------------------------------------------------------------

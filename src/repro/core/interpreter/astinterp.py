@@ -1,8 +1,9 @@
 """Reference interpreter: executes rule bases directly from the AST.
 
-This is the executable semantics of the DSL.  The compiled-table
-interpreter (:mod:`.rbr`) must agree with it bit-for-bit; the property
-tests in ``tests/core/test_equivalence.py`` enforce that.
+This is the executable semantics of the DSL.  The compiled decision
+kernels (:mod:`repro.core.compiler.fastpath`) must agree with it
+bit-for-bit; the property tests in ``tests/core/test_equivalence.py``
+enforce that.
 
 Rule selection: the textually first rule whose premise holds fires
 ("Only one rule is selected at one invocation; if more than one rule is
@@ -19,7 +20,7 @@ from ..dsl.domains import Value
 from ..dsl.errors import EvalError
 from ..dsl.semantics import AnalyzedProgram, BaseInfo
 from .evaluator import Env, eval_expr, iteration_values, to_bool
-from .execution import InvocationResult, _Effects, apply_effects, gather_effects
+from .execution import InvocationResult, apply_effects, gather_effects
 
 
 class AstInterpreter:
@@ -45,8 +46,10 @@ class AstInterpreter:
 
     # -- invocation -------------------------------------------------------------
 
-    def invoke(self, base: BaseInfo, args: tuple[Value, ...], env: Env
-               ) -> InvocationResult:
+    def invoke(self, base: BaseInfo, args: tuple[Value, ...], env: Env,
+               subbase_runner) -> InvocationResult:
+        """One interpretation step of ``base``; ``subbase_runner(env)``
+        runs the conclusion's subbase commands."""
         if len(args) != len(base.params):
             raise EvalError(f"rule base {base.name!r} expects "
                             f"{len(base.params)} arguments, got {len(args)}")
@@ -62,38 +65,8 @@ class AstInterpreter:
                 result.fired_source_rule = i
                 result.witness = tuple(witness.items())
                 rule_env = call_env.bind(witness)
-                effects = _Effects()
-                gather_effects(rule.conclusion, rule_env, effects,
-                               self._subbase_runner(rule_env))
-                apply_effects(effects, rule_env, result)
+                gather_effects(rule.conclusion, rule_env, result,
+                               subbase_runner(rule_env))
+                apply_effects(result, rule_env)
                 break
         return result
-
-    # -- subbases -----------------------------------------------------------------
-
-    def _subbase_runner(self, env: Env):
-        def run(name: str, args: tuple[Value, ...], effects: _Effects) -> None:
-            sub = self.analyzed.subbases.get(name)
-            if sub is None:
-                raise EvalError(f"unknown subbase {name!r}")
-            res = self.invoke(sub, args, env)
-            effects.writes.extend(res.writes)
-            effects.emissions.extend(res.emissions)
-        return run
-
-    def subbase_caller(self, env: Env):
-        """Expression-position subbase calls: must be pure (RETURN only)."""
-        def call(name: str, args: tuple[Value, ...]) -> Value:
-            sub = self.analyzed.subbases.get(name)
-            if sub is None:
-                raise EvalError(f"unknown subbase {name!r}")
-            res = self.invoke(sub, args, env)
-            if res.writes or res.emissions:
-                raise EvalError(f"subbase {name!r} used in an expression "
-                                f"must only RETURN (it performed writes or "
-                                f"emitted events)")
-            if not res.has_return:
-                raise EvalError(f"subbase {name!r} returned no value for "
-                                f"arguments {args!r}")
-            return res.returned  # type: ignore[return-value]
-        return call

@@ -1,9 +1,9 @@
 """Expression evaluation shared by the reference (AST) interpreter and
-the table-based (RBR) interpreter.
+the compiled decision kernels' fallbacks.
 
-Both interpreters evaluate the same expression language against the
-same runtime environment: event/quantifier parameter bindings, the
-register file, hardware inputs, FCFB-backed functions, and subbases.
+Both evaluate the same expression language against the same runtime
+environment: event/quantifier parameter bindings, the register file,
+hardware inputs, FCFB-backed functions, and subbases.
 Keeping one evaluator is what makes the compiled-table vs reference
 equivalence tests meaningful.
 """
@@ -11,7 +11,7 @@ equivalence tests meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from ..dsl import nodes as N
 from ..dsl.domains import Value
@@ -19,77 +19,78 @@ from ..dsl.errors import EvalError
 from ..dsl.semantics import AnalyzedProgram
 from .registers import RegisterFile
 
-InputReader = Callable[[str, tuple[Value, ...]], Value]
 FunctionImpl = Callable[..., Value]
 SubbaseCaller = Callable[[str, tuple[Value, ...]], Value]
+#: hardware inputs: ``name -> value`` for scalar inputs and
+#: ``name -> {idx_tuple: value}`` for indexed ones
+Inputs = dict[str, Value | dict[tuple[Value, ...], Value]]
 
 
-def make_input_reader(source, *, trusted: bool = False) -> InputReader:
-    """Normalize an input source to a reader callable.
+def make_input_reader(source, *, trusted: bool = False) -> Inputs:
+    """The canonical inputs mapping of ``source``.
 
-    Accepts a callable ``(name, idx_tuple) -> value`` or a mapping
-    ``name -> value`` / ``name -> {idx_tuple: value}``.  Index keys may
-    be given as bare scalars for 1-D inputs (``{0: x}`` instead of
-    ``{(0,): x}``); they are canonicalized to tuples here, once, so the
-    per-read lookup is a single dict access and a scalar key can never
-    silently shadow (or be shadowed by) its 1-tuple spelling.
+    ``source`` maps ``name -> value`` / ``name -> {idx_tuple: value}``.
+    Index keys may be given as bare scalars for 1-D inputs (``{0: x}``
+    instead of ``{(0,): x}``); they are canonicalized to tuples here,
+    once, so the per-read lookup is a single dict access and a scalar
+    key can never silently shadow (or be shadowed by) its 1-tuple
+    spelling.  Tables that are already canonical are shared, not copied.
 
-    ``trusted=True`` skips the canonicalization scan and uses a mapping
-    source as-is.  The caller warrants that every indexed input is a
+    ``trusted=True`` skips the canonicalization scan and adopts
+    ``source`` as-is.  The caller warrants that every indexed input is a
     dict keyed exclusively by tuples; use it only on the hot path of a
     producer that builds its input dicts in canonical form (the router
     simulator does, per decision).
     """
-    if callable(source):
-        return source
+    if source is None:
+        return {}
+    if type(source) is not dict and not isinstance(source, Mapping):
+        raise TypeError(f"rule engine inputs must be a mapping, not "
+                        f"{type(source).__name__}")
     if trusted:
-        mapping: dict[str, Value | dict[tuple[Value, ...], Value]] = \
-            source if source is not None else {}
-    else:
-        mapping = {}
-        for name, v in (source or {}).items():
-            if not isinstance(v, dict):
-                mapping[name] = v
-                continue
-            for k in v:
-                if type(k) is not tuple:
-                    break
-            else:
-                mapping[name] = v  # already canonical; share, don't copy
-                continue
-            table: dict[tuple[Value, ...], Value] = {}
-            for key, value in v.items():
-                canon = key if isinstance(key, tuple) else (key,)
-                if canon in table and table[canon] != value:
-                    raise EvalError(
-                        f"input {name!r} supplies conflicting values for "
-                        f"index {canon!r} (scalar and tuple spellings of "
-                        f"the same key)")
-                table[canon] = value
-            mapping[name] = table
+        return source
+    mapping: Inputs = {}
+    for name, v in source.items():
+        if not isinstance(v, dict):
+            mapping[name] = v
+            continue
+        for k in v:
+            if type(k) is not tuple:
+                break
+        else:
+            mapping[name] = v  # already canonical; share, don't copy
+            continue
+        table: dict[tuple[Value, ...], Value] = {}
+        for key, value in v.items():
+            canon = key if isinstance(key, tuple) else (key,)
+            if canon in table and table[canon] != value:
+                raise EvalError(
+                    f"input {name!r} supplies conflicting values for "
+                    f"index {canon!r} (scalar and tuple spellings of "
+                    f"the same key)")
+            table[canon] = value
+        mapping[name] = table
+    return mapping
 
-    def read(name: str, idx: tuple[Value, ...]) -> Value:
-        if name not in mapping:
-            raise EvalError(f"no value supplied for input {name!r}")
-        v = mapping[name]
-        if idx:
-            if not isinstance(v, dict):
-                raise EvalError(f"input {name!r} is indexed but a scalar "
-                                f"value was supplied")
-            try:
-                return v[idx]
-            except KeyError:
-                raise EvalError(f"input {name!r} has no value at index "
-                                f"{idx!r}") from None
-        if isinstance(v, dict):
-            raise EvalError(f"input {name!r} is scalar but an indexed "
-                            f"value table was supplied")
-        return v
 
-    # the compiled fast path reads mapping-backed inputs directly (see
-    # Env.inputs_map); callable sources have no mapping to expose
-    read.mapping = mapping  # type: ignore[attr-defined]
-    return read
+def read_input(inputs: Inputs, name: str, idx: tuple[Value, ...]) -> Value:
+    """The value of input ``name`` at ``idx`` (``()`` for a scalar)."""
+    if name not in inputs:
+        raise EvalError(f"no value supplied for input {name!r}")
+    v = inputs[name]
+    if idx:
+        if not isinstance(v, dict):
+            raise EvalError(f"input {name!r} is indexed but a scalar "
+                            f"value was supplied")
+        try:
+            return v[idx]
+        except KeyError:
+            raise EvalError(f"input {name!r} has no value at index "
+                            f"{idx!r}") from None
+    if isinstance(v, dict):
+        raise EvalError(f"input {name!r} is scalar but an indexed "
+                        f"value table was supplied")
+    return v
 
 
 @dataclass(slots=True)
@@ -99,19 +100,17 @@ class Env:
     analyzed: AnalyzedProgram
     registers: RegisterFile
     params: dict[str, Value] = field(default_factory=dict)
-    inputs: InputReader = field(default_factory=lambda: make_input_reader({}))
+    #: the canonical inputs mapping (see :func:`make_input_reader`);
+    #: generated fast-path code reads it directly
+    inputs: Inputs = field(default_factory=dict)
     functions: dict[str, FunctionImpl] = field(default_factory=dict)
     call_subbase: SubbaseCaller | None = None
-    #: when ``inputs`` is mapping-backed, the canonicalized mapping
-    #: itself — generated fast-path code reads it without the reader
-    #: indirection
-    inputs_map: dict | None = None
 
     def bind(self, extra: dict[str, Value]) -> "Env":
         merged = dict(self.params)
         merged.update(extra)
         return Env(self.analyzed, self.registers, merged, self.inputs,
-                   self.functions, self.call_subbase, self.inputs_map)
+                   self.functions, self.call_subbase)
 
 
 def to_bool(v: Value, line: int = 0) -> bool:
@@ -149,7 +148,7 @@ def eval_expr(expr: N.Expr, env: Env) -> Value:
             if inp.index_domains:
                 raise EvalError(f"indexed input {name!r} used without "
                                 f"indices", expr.line)
-            return env.inputs(name, ())
+            return read_input(env.inputs, name, ())
         if name in a.types:
             return frozenset(a.types[name].values())
         raise EvalError(f"unknown name {name!r}", expr.line)
@@ -159,7 +158,7 @@ def eval_expr(expr: N.Expr, env: Env) -> Value:
         if name in a.variables:
             return env.registers.read(name, args)
         if name in a.inputs:
-            return env.inputs(name, args)
+            return read_input(env.inputs, name, args)
         if name in a.functions:
             impl = env.functions.get(name)
             if impl is None:

@@ -18,9 +18,10 @@ the engines' registers by firing the state rule bases
 ``consider_neighbor_state`` and the internally-emitted
 ``update_dir_table``) in neighbour-exchange waves until the registers
 settle — the paper's wave-like propagation executed by the rule
-machine itself.  Every fault update starts from the fault-free
-fixpoint and re-runs only the nodes whose registers or neighbour view
-changed.
+machine itself.  The fault-free fixpoint is settled once per mesh
+size and ``qmax`` and loaded by every later build; every fault update
+starts from it and re-runs only the nodes whose registers or neighbour
+view changed.
 
 Every fresh decision is a rule interpretation in Python, an order of
 magnitude slower than the hand-coded
@@ -60,6 +61,11 @@ DELIVER = 4
 _SDIR_CODE = {None: 0, EAST: 1, WEST: 2}
 #: (port, index key of ``oq``) for the four mesh directions
 _OQ_KEYS = tuple((d, (d,)) for d in range(4))
+#: NAFTA's fault-free fixpoint by (width, height, qmax, engine_mode):
+#: the register snapshots and the neighbour views the nodes settled
+#: on.  Nothing else enters it, so every network build after the first
+#: loads it instead of re-running the waves.
+_CLEAN: dict[tuple, tuple[list[dict], list]] = {}
 
 
 def _attach_tracers(network, engines: list[RuleEngine]) -> None:
@@ -117,10 +123,17 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self._argmin = \
             self.n_vcs * (network.config.buffer_depth + 1) <= self.qmax
         _attach_tracers(network, self.engines)
-        seen = [None] * topo.n_nodes
-        self._settle(topo, FaultState(topo), seen)
-        self._clean = [eng.registers.snapshot() for eng in self.engines]
-        self._clean_seen = seen
+        key = (topo.width, topo.height, self.qmax, self.engine_mode)
+        clean = _CLEAN.get(key)
+        if clean is None:
+            seen = [None] * topo.n_nodes
+            self._settle(topo, FaultState(topo), seen)
+            clean = _CLEAN[key] = (
+                [eng.registers.snapshot() for eng in self.engines], seen)
+        else:
+            for eng, snap in zip(self.engines, clean[0]):
+                eng.registers.load(snap)
+        self._clean, self._clean_seen = clean
         self._views = {}
         if network.known_faults.n_faults():
             self.on_fault_update(network)

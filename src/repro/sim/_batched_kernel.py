@@ -69,7 +69,7 @@ CT_CANDS = 8
 #: kernel never allocates.
 _STRUCT = """
 typedef struct {
-    int32_t n_nodes, n_iv, cap, n_vcs, max_pid, maxc, inj_vc;
+    int32_t n_nodes, n_iv, cap, n_vcs, max_pid, maxc;
     /* native decision cache configuration */
     int32_t n_native;         /* mirrored fields (0 = cache disabled)  */
     int32_t cps;              /* SimConfig.cycles_per_step             */
@@ -320,7 +320,7 @@ int k_inject(BState *s, int32_t *out_heads)
         int node = s->act_list[ai];
         int cur = s->src_cur[node];
         if (cur < 0 || !s->node_ok[node]) continue;
-        int g = s->portbase[SLOT(s, node, -1)] + s->inj_vc;
+        int g = s->portbase[SLOT(s, node, -1)];   /* local VC 0 */
         if (s->buf_cnt[g] + s->inc_val[g] >= s->cap) continue;
         int seq = s->src_pos[node];
         s->inc_msg[g] = cur;

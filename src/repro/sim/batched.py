@@ -387,7 +387,6 @@ class BatchedNetwork(Network):
         cs.n_vcs = n_vcs
         cs.max_pid = max_pid
         cs.maxc = maxc
-        cs.inj_vc = self.config.injection_vc
         cs.n_native = len(self._nf)
         cs.cps = self.config.cycles_per_step
         cs.hop_budget = int(self.config.hop_budget or 0)

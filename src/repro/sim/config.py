@@ -22,7 +22,6 @@ class SimConfig:
 
     buffer_depth: int = 4          # flits per virtual-channel buffer
     cycles_per_step: int = 1       # router cycles per interpretation step
-    injection_vc: int = 0          # local-port VC messages enter through
     fault_mode: str = "quiesce"    # "quiesce" honours assumption iv;
     #                                "harsh" kills worms on dying links
     detection_delay: int = 0       # cycles between a fault occurring and

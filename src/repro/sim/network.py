@@ -274,7 +274,6 @@ class Network:
         return msg
 
     def _inject_phase(self) -> None:
-        vc = self.config.injection_vc
         # ascending node order: the order a scan of every source visits
         for node in sorted(self._active_sources):
             src = self.sources[node]
@@ -295,7 +294,7 @@ class Network:
             if not src.current:
                 continue
             router = self.routers[node]
-            iv = router.input_vcs[LOCAL][vc]
+            iv = router.input_vcs[LOCAL][0]     # worms enter on VC 0
             if len(iv.buffer) + len(iv.incoming) < iv.capacity:
                 flit = src.current.pop(0)
                 iv.incoming.append(flit)  # enters the buffer next cycle

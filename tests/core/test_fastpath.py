@@ -1,15 +1,14 @@
 """The compiled decision kernel behind ``mode="table"`` must be an
 invisible optimization: identical InvocationResults to the reference
-AST interpreter on arbitrary programs, with mapping and callable input
-sources alike; zero ``eval_expr`` AST walks on the hot decision path,
-effectful conclusions included (``eval_expr`` is the generated code's
-only fallback); and one lowering per compiled rule base, shared by
-every engine built from the program.
+AST interpreter on arbitrary programs; zero ``eval_expr`` AST walks on
+the hot decision path, effectful conclusions included (``eval_expr`` is
+the generated code's only fallback); and one lowering per compiled rule
+base, shared by every engine built from the program.
 
 Also covers the ``make_input_reader`` normalization contract the fast
 path leans on: scalar index keys canonicalize to 1-tuples exactly once,
-conflicting spellings are rejected, and ``trusted=True`` adopts a
-canonical mapping as-is.
+conflicting spellings are rejected, ``trusted=True`` adopts a canonical
+mapping as-is, and a source that is not a mapping is refused.
 """
 
 import pytest
@@ -117,31 +116,20 @@ def fastpath_programs(draw):
         + "\n".join(step_rules) + "\nEND step;\n")
 
 
-def _input_source(kind: str, sensor: int, q: list[int]):
-    """The same input values as a canonical mapping or as a callable
-    reader (the latter has no mapping for the generated code to read)."""
-    inputs = {"sensor": sensor, "q": {(i,): val for i, val in enumerate(q)}}
-    if kind == "mapping":
-        return inputs
-    return lambda name, idx: inputs[name][idx] if idx else inputs[name]
-
-
-@pytest.mark.parametrize("input_kind", ["mapping", "callable"])
 @settings(max_examples=100, deadline=None)
 @given(source=fastpath_programs(),
        v0=st.integers(0, INT_MAX), mode=st.sampled_from(STATES),
        sensor=st.integers(0, INT_MAX),
        q=st.lists(st.integers(0, INT_MAX), min_size=4, max_size=4),
        a=st.integers(0, 3), rounds=st.integers(1, 3))
-def test_fastpath_equivalence(input_kind, source, v0, mode, sensor, q, a,
-                              rounds):
+def test_fastpath_equivalence(source, v0, mode, sensor, q, a, rounds):
     """table and ast must produce identical InvocationResults — fired
     rule index, return value, writes and emissions (order included) —
     from identical states."""
     compiled = compile_program(source)
     engines = [RuleEngine(compiled, mode="table"),
                RuleEngine(compiled, mode="ast")]
-    inputs = _input_source(input_kind, sensor, q)
+    inputs = {"sensor": sensor, "q": {(i,): val for i, val in enumerate(q)}}
     for eng in engines:
         eng.registers.write("v0", v0)
         eng.registers.write("mode", mode)
@@ -170,12 +158,9 @@ def test_fastpath_equivalence(input_kind, source, v0, mode, sensor, q, a,
 # ---------------------------------------------------------------------------
 
 def test_input_reader_canonicalizes_scalar_keys():
-    reader = make_input_reader({"q": {0: 5, (1,): 6}, "s": 3})
-    assert reader("q", (0,)) == 5
-    assert reader("q", (1,)) == 6
-    assert reader("s", ()) == 3
-    # the exposed mapping is fully canonical: tuple keys only
-    assert set(reader.mapping["q"]) == {(0,), (1,)}
+    inputs = make_input_reader({"q": {0: 5, (1,): 6}, "s": 3})
+    # fully canonical: tuple keys only
+    assert inputs == {"q": {(0,): 5, (1,): 6}, "s": 3}
 
 
 def test_input_reader_rejects_conflicting_spellings():
@@ -184,24 +169,32 @@ def test_input_reader_rejects_conflicting_spellings():
 
 
 def test_input_reader_accepts_agreeing_spellings():
-    reader = make_input_reader({"q": {0: 5, (0,): 5}})
-    assert reader("q", (0,)) == 5
+    assert make_input_reader({"q": {0: 5, (0,): 5}}) == {"q": {(0,): 5}}
 
 
 def test_input_reader_trusted_adopts_mapping():
     table = {(0,): 1, (1,): 2}
     source = {"q": table, "s": 9}
-    reader = make_input_reader(source, trusted=True)
-    assert reader.mapping is source
-    assert reader.mapping["q"] is table
-    assert reader("q", (1,)) == 2
-    assert reader("s", ()) == 9
+    inputs = make_input_reader(source, trusted=True)
+    assert inputs is source
+    assert inputs["q"] is table
 
 
 def test_input_reader_shares_already_canonical_tables():
     table = {(0,): 1, (1,): 2}
-    reader = make_input_reader({"q": table})
-    assert reader.mapping["q"] is table  # no copy when already canonical
+    inputs = make_input_reader({"q": table})
+    assert inputs["q"] is table  # no copy when already canonical
+
+
+@pytest.mark.parametrize("mode", ["table", "ast"])
+@pytest.mark.parametrize("trusted", [False, True])
+def test_set_inputs_rejects_non_mapping(mode, trusted):
+    """A callable (or any other non-mapping) input source is refused at
+    ``set_inputs``, not inside generated code at the next decision."""
+    engine = RuleEngine(compile_program(PERF_PROGRAM), mode=mode,
+                        functions=FUNCTIONS)
+    with pytest.raises(TypeError, match="must be a mapping"):
+        engine.set_inputs(lambda name, idx: 0, trusted=trusted)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +269,6 @@ def test_hot_decision_makes_zero_eval_expr_calls(monkeypatch):
         res = engine.call("decide", a)
         assert res.has_return
     assert counter["calls"] == 0
-    engine.events.log.clear()
 
 
 def test_hot_effectful_conclusion_makes_zero_eval_expr_calls(monkeypatch):
@@ -291,7 +283,6 @@ def test_hot_effectful_conclusion_makes_zero_eval_expr_calls(monkeypatch):
         assert res.has_return == bool(cands)
     assert counter["calls"] == 0
     assert engine.registers.read("adapt_reg", (3,)) == 3
-    engine.events.log.clear()
 
 
 def test_ast_mode_exercises_eval_expr(monkeypatch):
@@ -302,7 +293,6 @@ def test_ast_mode_exercises_eval_expr(monkeypatch):
     counter = _count_eval_expr(monkeypatch)
     engine.call("decide", 1)
     assert counter["calls"] > 0
-    engine.events.log.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +327,7 @@ def test_engines_share_one_lowering():
                     _outcome(ast.call("step", a))
                 assert table.registers.snapshot() == ast.registers.snapshot()
                 assert table.drain_external() == ast.drain_external()
-    kernels = [table._rbr.kernels["decide"] for table, _ in pairs]
+    kernels = [table.kernels["decide"] for table, _ in pairs]
     assert kernels[0] is not kernels[1]
     assert kernels[0]._codes is kernels[1]._codes
 

@@ -11,7 +11,7 @@ from repro.experiments import WorkloadSpec, make_scenario
 from repro.sim import Mesh2D, SimConfig
 
 #: SimConfig fields a spec leaves at their defaults
-NOT_IN_SPEC = ("injection_vc", "trace_paths", "deadlock_threshold")
+NOT_IN_SPEC = ("trace_paths", "deadlock_threshold")
 
 #: a valid non-default value for every SimConfig field a spec carries
 NON_DEFAULT = {
