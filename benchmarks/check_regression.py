@@ -70,23 +70,6 @@ TRACKED = (
     ("reroute.cycles_of_loss", "reroute loss-window cycles", "lower"),
     ("reroute.time_to_recover_cycles",
      "reroute worst recovery gap (cycles)", "lower"),
-    # load-balance sweep (BENCH_loadbalance.json): per-policy mean
-    # accepted throughput near saturation (a drop means a policy
-    # stopped spreading or started misrouting) and link-imbalance
-    # aggregates (growth means the candidate re-ordering stopped
-    # reaching the fabric)
-    ("loadbalance.deterministic_throughput",
-     "loadbalance deterministic throughput", "higher"),
-    ("loadbalance.ecmp_throughput", "loadbalance ecmp throughput",
-     "higher"),
-    ("loadbalance.flowlet_throughput", "loadbalance flowlet throughput",
-     "higher"),
-    ("loadbalance.credit_throughput", "loadbalance credit throughput",
-     "higher"),
-    ("loadbalance.mean_imbalance", "loadbalance mean link imbalance",
-     "lower"),
-    ("loadbalance.ecmp_imbalance", "loadbalance ecmp link imbalance",
-     "lower"),
 )
 
 

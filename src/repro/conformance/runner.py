@@ -31,14 +31,12 @@ INTERP_VARIANTS = (
 
 #: how a case is run, as opposed to what the case is: a payload may
 #: carry any of these beside the case fields (see run_case)
-RUN_DEFAULTS = {"engine": "object", "metrics_stride": 0,
-                "policy": "deterministic", "policy_seed": 0, "frr": False}
+RUN_DEFAULTS = {"engine": "object", "metrics_stride": 0, "frr": False}
 
 
-def _simulate(case: ConformanceCase, algorithm, *, metrics_stride: int,
-              frr: bool, **config) -> dict:
-    """One simulation of ``case`` with a prebuilt algorithm instance;
-    ``config`` holds the SimConfig run options (engine, policy, ...)."""
+def _simulate(case: ConformanceCase, algorithm, *, engine: str,
+              metrics_stride: int, frr: bool) -> dict:
+    """One simulation of ``case`` with a prebuilt algorithm instance."""
     topo = case.build_topology()
     if frr:
         # wrap directly rather than via SimConfig(backup_routes=True):
@@ -49,7 +47,7 @@ def _simulate(case: ConformanceCase, algorithm, *, metrics_stride: int,
         from ..routing.backup import FastReroute
         algorithm = FastReroute(algorithm, topo)
     config = SimConfig(buffer_depth=case.buffer_depth, trace_paths=True,
-                       **config)
+                       engine=engine)
     metrics = None
     if metrics_stride:
         from ..obs import MetricsTimeseries
@@ -126,10 +124,6 @@ def run_case(case: ConformanceCase, *, shadow: bool = True,
     ``metrics_stride`` > 0 attaches a metrics timeseries to the primary
     run — sampling must never perturb a digest, so running the corpus
     with metrics on is a conformance check of the observer itself.
-    ``policy`` selects an output-selection policy
-    (:mod:`repro.routing.select`) for every run; the policy re-orders
-    each decision's legal candidate list, so the oracles fuzz the
-    selection path under the same legality/delivery contracts.
     ``frr`` runs the case with ``SimConfig(backup_routes=True)``:
     conformance faults are static (never *confirmed* at runtime), so
     the FastReroute wrapper must stay transparent — compiling and

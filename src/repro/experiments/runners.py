@@ -84,7 +84,7 @@ class WorkloadSpec:
     algorithm: str
     pattern: str = "uniform"
     #: extra TrafficGenerator arguments for parameterized patterns
-    #: (bursty: duty/burst_len, trace_replay: trace)
+    #: (hotspot: hotspot/fraction)
     pattern_kwargs: dict = field(default_factory=dict)
     load: float = 0.1
     message_length: int = 4
@@ -115,15 +115,10 @@ class WorkloadSpec:
     #: simulation engine: "object" (the oracle) or "batched" (the
     #: struct-of-arrays engine; bit-identical summaries, metrics
     #: included — falls back to the object engine when tracing is
-    #: requested, the policy is not deterministic, the arbiter is not
-    #: the stock round-robin or the C kernel is unavailable, and the
-    #: summary's ``engine_fallback`` key says why)
+    #: requested, the arbiter is not the stock round-robin or the C
+    #: kernel is unavailable, and the summary's ``engine_fallback`` key
+    #: says why)
     engine: str = "object"
-    #: output-selection policy over legal route candidates
-    #: (repro.routing.select; non-default policies run on the object
-    #: engine — build_network declines them for "batched")
-    policy: str = "deterministic"
-    policy_seed: int = 0
 
     def __post_init__(self):
         # fail at spec-parse time, not deep inside TrafficGenerator,
@@ -234,7 +229,8 @@ def _run_and_summarize(spec: WorkloadSpec, net: Network,
     out["pattern"] = spec.pattern
     out["deadlocked"] = deadlocked
     out["engine"] = net.engine_name
-    out["policy"] = spec.policy
+    # a constant: the pinned e2e summary digests hash this key
+    out["policy"] = "deterministic"
     out["undelivered"] = len(net.undelivered())
     out["n_faults"] = net.faults.n_faults()
     out.update(_logical_accounting(net))

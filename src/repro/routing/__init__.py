@@ -15,8 +15,6 @@ from .registry import ALGORITHMS, make_algorithm
 from .route_c import (CubeStateMap, RouteCRouting, StrippedRouteC,
                       FAULTY, LFAULT, OUNSAFE, SAFE, SUNSAFE)
 from .rule_driven import RuleDrivenNafta, RuleDrivenRouteC
-from .select import (POLICIES, SelectionPolicy, DeterministicPolicy,
-                     EcmpPolicy, FlowletPolicy, CreditPolicy, make_policy)
 from .spanning_tree import SpanningTreeRouting
 from .updown import UpDownRouting
 
@@ -31,6 +29,4 @@ __all__ = [
     "CubeStateMap", "RouteCRouting", "StrippedRouteC",
     "FAULTY", "LFAULT", "OUNSAFE", "SAFE", "SUNSAFE",
     "SpanningTreeRouting", "UpDownRouting", "RuleDrivenNafta", "RuleDrivenRouteC",
-    "POLICIES", "SelectionPolicy", "DeterministicPolicy", "EcmpPolicy",
-    "FlowletPolicy", "CreditPolicy", "make_policy",
 ]

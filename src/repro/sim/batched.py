@@ -12,10 +12,10 @@ events themselves, where fast reroute (``backup_routes``) heals and
 absorbs worms with the object engine's walks over the arrays.
 
 What happens to a message after a fault — rip-up, heal, absorb,
-retry, dead letter — is :class:`~repro.sim.network.Network`'s policy,
-stated once for both engines.  This engine replaces only the data
-path: the per-cycle phases, the worm walks and the few primitives the
-policy drives (purge a message, queue it at its source, report
+retry, dead letter — is decided by :class:`~repro.sim.network.Network`,
+once for both engines.  This engine replaces only the data path: the
+per-cycle phases, the worm walks and the few primitives that lifecycle
+drives (purge a message, queue it at its source, report
 injection in progress, list a node's buffered messages and the heal
 sites, find where a stuck head waits).
 
@@ -60,9 +60,8 @@ gauge and per-link flit counters in arrays, drained into
 Use :func:`build_network` to construct a network honouring
 ``SimConfig.engine``; it transparently falls back to the object engine
 (and documents why, in ``SimStats.summary()['engine_fallback']``) when
-tracing is attached, a non-deterministic selection policy or a
-non-stock arbiter is requested, or the C kernel cannot be built or
-loaded.
+tracing is attached, a non-stock arbiter is requested, or the C kernel
+cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               unavailable_reason)
 from ..routing.base import (REFRESH_ARGMIN, REFRESH_REROUTE, REFRESH_RESORT,
                             RouteDecision)
-from ..routing.select import POLICIES
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _MISSING = object()
@@ -198,19 +196,18 @@ class BatchedNetwork(Network):
     Only the data path is replaced: the per-cycle phases (``_advance``
     and the helpers it drives), fast reroute's worm walks and the
     data-path primitives of the message lifecycle.  The lifecycle
-    itself — fault machinery, rip-up, heal and absorb policy, retry
+    itself — fault machinery, rip-up, heal and absorb, retry
     queue, dead letters — plus the diagnosis flood and the watchdog
     run unchanged in :class:`Network`.  Requires what
     :func:`batched_fallback_reason` checks (the stock round-robin
-    arbiter, the deterministic selection policy, no tracer, the C
-    kernel; metrics timeseries attach natively) — use
-    :func:`build_network` for transparent fallback."""
+    arbiter, no tracer, the C kernel; metrics timeseries attach
+    natively) — use :func:`build_network` for transparent fallback."""
 
     engine_name = "batched"
 
     def __init__(self, topology, algorithm, config: SimConfig | None = None,
                  arbiter="round_robin", tracer=None, metrics=None):
-        why = batched_fallback_reason(arbiter, tracer, config)
+        why = batched_fallback_reason(arbiter, tracer)
         if why is not None:
             error = (RuntimeError if why.startswith(_NO_KERNEL)
                      else ValueError)
@@ -1249,28 +1246,22 @@ class BatchedNetwork(Network):
             diagnosis=self.diagnosis)
 
 
-def batched_fallback_reason(arbiter="round_robin", tracer=None,
-                            config=None) -> str | None:
+def batched_fallback_reason(arbiter="round_robin",
+                            tracer=None) -> str | None:
     """Why ``engine="batched"`` would fall back to the object engine
     for this configuration — None when the batched engine applies.
 
     The fallback rules (documented in docs/PERFORMANCE.md): the batched
-    engine emits no trace events, implements only the deterministic
-    selection policy and the stock round-robin arbiter, and needs its
-    C kernel (built on first use, then cached; when that fails the
-    reason names the cause).  Fast reroute (``backup_routes``) runs
-    batched: its worm surgery walks the arrays at each fault event.
-    So do metrics timeseries: the kernels keep the per-link counters
-    and the active-router gauge in arrays and drain them into the
-    timeseries."""
+    engine emits no trace events, implements only the stock
+    round-robin arbiter, and needs its C kernel (built on first use,
+    then cached; when that fails the reason names the cause).  No
+    ``SimConfig`` option forces a fallback: fast reroute
+    (``backup_routes``) runs batched, its worm surgery walking the
+    arrays at each fault event, and so do metrics timeseries, whose
+    per-link counters and active-router gauge the kernels keep in
+    arrays and drain into the timeseries."""
     if tracer is not None and getattr(tracer, "enabled", True):
         return "tracing is enabled (the batched data path emits no events)"
-    if config is not None \
-            and not POLICIES[config.policy].batched_compatible:
-        return (f"selection policy {config.policy!r} is not "
-                f"'deterministic' (the batched decision cache replays "
-                f"candidate orderings, so policy re-ordering would "
-                f"silently diverge)")
     if isinstance(arbiter, Arbiter):
         if type(arbiter) is not Arbiter:
             return (f"arbiter {arbiter.name!r} is not the stock "
@@ -1297,7 +1288,7 @@ def build_network(topology, algorithm, config: SimConfig | None = None,
     without holding the network object."""
     cfg = config or SimConfig()
     if cfg.engine == "batched":
-        reason = batched_fallback_reason(arbiter, tracer, cfg)
+        reason = batched_fallback_reason(arbiter, tracer)
         if reason is None:
             return BatchedNetwork(topology, algorithm, cfg,
                                   arbiter=arbiter, metrics=metrics)

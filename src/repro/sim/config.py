@@ -53,16 +53,6 @@ class SimConfig:
     #                                the struct-of-arrays engine of
     #                                repro.sim.batched — same results,
     #                                selected via build_network()
-    policy: str = "deterministic"  # output-selection policy over the
-    #                                legal candidate list (see
-    #                                repro.routing.select): the default
-    #                                keeps the algorithm's adaptivity
-    #                                order bit-identical; "ecmp",
-    #                                "flowlet" and "credit" re-order it
-    #                                for load balancing (object engine
-    #                                only — build_network falls back)
-    policy_seed: int = 0           # hash seed for ecmp/flowlet (ignored
-    #                                by deterministic/credit)
 
     def __post_init__(self):
         if self.buffer_depth < 1:
@@ -96,9 +86,3 @@ class SimConfig:
         if self.engine not in ("object", "batched"):
             raise ValueError(f"unknown engine {self.engine!r}; "
                              f"choose 'object' or 'batched'")
-        # lazy import: repro.routing pulls in modules that import
-        # repro.sim, so a top-level import here would be circular
-        from ..routing.select import POLICIES
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown selection policy {self.policy!r}; "
-                             f"choose from {sorted(POLICIES)}")

@@ -110,16 +110,6 @@ class Network:
             if not isinstance(algorithm, FastReroute):
                 algorithm = FastReroute(algorithm, topology)
             self.algorithm = algorithm
-        # output-selection policy over each decision's legal candidate
-        # list (repro.routing.select).  None for the default
-        # "deterministic": the route stage then skips the hook with one
-        # attribute check, keeping the seed behaviour bit-identical.
-        self.policy = None
-        if self.config.policy != "deterministic":
-            from ..routing.select import make_policy
-            self.policy = make_policy(self.config.policy,
-                                      seed=self.config.policy_seed)
-            self.policy.reset(self)
         # observability (see repro.obs): the tracer is always present —
         # NULL_TRACER's enabled=False keeps every emission site to one
         # attribute check; metrics is None unless a timeseries is

@@ -212,13 +212,6 @@ class Router:
                     stuck_messages.append(header.msg_id)
                     continue
                 decision = algo.route(self, header, iv.port, iv.vc)
-                policy = net.policy
-                if policy is not None and not decision.deliver:
-                    # re-order the legal candidates before the digest
-                    # update, so decision digests reflect (and pin) the
-                    # policy's choice too
-                    decision.candidates = policy.select(
-                        self, header, decision.candidates)
                 net.stats.count_decision(decision.steps)
                 dg = net.stats.digest
                 if dg is not None:
@@ -245,10 +238,6 @@ class Router:
                 # fault knowledge changed — nothing else can alter them.
                 assert iv.header is not None
                 iv.decision = algo.route(self, iv.header, iv.port, iv.vc)
-                policy = net.policy
-                if policy is not None and not iv.decision.deliver:
-                    iv.decision.candidates = policy.select(
-                        self, iv.header, iv.decision.candidates)
                 iv.epoch = epoch
             if iv.state == ROUTED and iv.decision is not None \
                     and iv.decision.stuck:

@@ -6,13 +6,6 @@ random permutations.  Injection is a Bernoulli process per node with a
 given offered load in flits/node/cycle; message lengths are fixed or
 drawn from a small range (wormhole-switched worms).
 
-Two patterns modify the *injection process* rather than the
-destination map: ``bursty`` gates each node's Bernoulli injection
-through a two-state on/off Markov chain (same mean offered load,
-delivered in bursts), and ``trace_replay`` ignores the stochastic
-model entirely and replays an explicit (cycle, src, dst[, length])
-schedule from ``pattern_kwargs["trace"]``.
-
 All randomness flows through one :class:`numpy.random.Generator` so
 every experiment is reproducible from a seed.
 """
@@ -150,47 +143,6 @@ def dimension_reverse_pattern(topology: Topology) -> PatternFn:
     return dest
 
 
-def bursty_pattern(topology: Topology, rng: np.random.Generator,
-                   base: str = "uniform", duty: float = 0.3,
-                   burst_len: int = 24, **kw) -> PatternFn:
-    """Destination side of the bursty workload: delegate to ``base``.
-    The on/off Markov gating is an injection-process concern handled by
-    :class:`TrafficGenerator` (``duty``/``burst_len`` are consumed
-    there; accepted here so one kwargs dict serves both sides)."""
-    if base in ("bursty", "trace_replay"):
-        raise ValueError(f"bursty cannot stack on {base!r}")
-    return PATTERNS[base](topology, rng, **kw)
-
-
-def trace_replay_schedule(trace, default_length: int
-                          ) -> dict[int, list[tuple[int, int, int]]]:
-    """Normalize a trace — (cycle, src, dst[, length]) entries, tuples
-    or JSON lists — into a per-cycle injection schedule."""
-    sched: dict[int, list[tuple[int, int, int]]] = {}
-    for i, entry in enumerate(trace):
-        entry = list(entry)
-        if len(entry) == 3:
-            entry.append(default_length)
-        if len(entry) != 4:
-            raise ValueError(
-                f"trace entry {i} must be (cycle, src, dst[, length]), "
-                f"got {entry!r}")
-        cycle, src, dst, length = (int(v) for v in entry)
-        if cycle < 0 or length < 1:
-            raise ValueError(f"trace entry {i}: cycle must be >= 0 and "
-                             f"length >= 1, got {entry!r}")
-        sched.setdefault(cycle, []).append((src, dst, length))
-    if not sched:
-        raise ValueError("trace_replay needs a non-empty "
-                         "pattern_kwargs['trace'] schedule")
-    return sched
-
-
-def _no_trace(topo, rng, **kw):
-    raise ValueError("trace_replay needs pattern_kwargs['trace'] with "
-                     "(cycle, src, dst[, length]) entries")
-
-
 PATTERNS = {
     "uniform": lambda topo, rng, **kw: uniform_pattern(topo, rng),
     "transpose": lambda topo, rng, **kw: transpose_pattern(topo),
@@ -201,12 +153,6 @@ PATTERNS = {
     "permutation": lambda topo, rng, **kw: permutation_pattern(topo, rng),
     "dimension_reverse":
         lambda topo, rng, **kw: dimension_reverse_pattern(topo),
-    "bursty": lambda topo, rng, **kw: bursty_pattern(topo, rng, **kw),
-    # schedule-driven: TrafficGenerator replays the schedule itself and
-    # never calls this factory — it exists so the registry stays the
-    # single source of valid pattern names (and fails loudly if someone
-    # asks it for a destination function)
-    "trace_replay": _no_trace,
 }
 
 
@@ -235,67 +181,19 @@ class TrafficGenerator:
                              f"from {sorted(PATTERNS)}")
         self.rng = np.random.default_rng(self.seed)
         self._p = self.load / self.message_length
-        self._on = None          # bursty: per-node on/off Markov state
-        self._trace_sched = None  # trace_replay: cycle -> triples
-        kw = dict(self.pattern_kwargs or {})
-        if self.pattern == "trace_replay":
-            self._trace_sched = trace_replay_schedule(
-                kw.pop("trace", ()), self.message_length)
-            self._trace_period = int(kw.pop("repeat", 0))
-            if self._trace_period < 0:
-                raise ValueError("trace_replay repeat must be >= 0 "
-                                 "(0 = play the schedule once)")
-            if kw:
-                raise ValueError(f"trace_replay got unknown "
-                                 f"pattern_kwargs {sorted(kw)}")
-            self._dest = None
-            return
-        if self.pattern == "bursty":
-            duty = float(kw.pop("duty", 0.3))
-            burst_len = int(kw.pop("burst_len", 24))
-            if not 0.0 < duty <= 1.0:
-                raise ValueError("bursty duty must be in (0, 1]")
-            if burst_len < 1:
-                raise ValueError("bursty burst_len must be >= 1 cycle")
-            # two-state Markov chain calibrated so the stationary
-            # on-fraction is `duty` and the mean on-stretch is
-            # `burst_len` cycles; injecting at p/duty while on keeps
-            # the mean offered load equal to the plain Bernoulli model
-            self._p_exit = 1.0 / burst_len
-            self._p_enter = (1.0 if duty >= 1.0 else
-                             min(1.0, duty / (1.0 - duty) * self._p_exit))
-            self._p_active = min(1.0, self._p / duty)
-            self._on = self.rng.random(self.topology.n_nodes) < duty
-        self._dest = PATTERNS[self.pattern](self.topology, self.rng, **kw)
+        self._dest = PATTERNS[self.pattern](self.topology, self.rng,
+                                           **(self.pattern_kwargs or {}))
 
     def destinations(self) -> PatternFn:
         return self._dest
 
     def tick(self, cycle: int) -> list[tuple[int, int, int]]:
         """(src, dst, length) triples to inject this cycle."""
-        if self._trace_sched is not None:
-            c = cycle % self._trace_period if self._trace_period else cycle
-            return list(self._trace_sched.get(c, ()))
-        if self._on is not None:
-            return self._tick_bursty()
         # one bulk draw per cycle regardless of hits keeps the RNG
         # stream (and thus every experiment) identical to the naive
         # per-node loop while skipping the non-injecting nodes
         draws = self.rng.random(self.topology.n_nodes)
         srcs = (draws < self._p).nonzero()[0].tolist()
-        return self._emit(srcs)
-
-    def _tick_bursty(self) -> list[tuple[int, int, int]]:
-        on = self._on
-        flips = self.rng.random(len(on))
-        enter = ~on & (flips < self._p_enter)
-        leave = on & (flips < self._p_exit)
-        on ^= enter | leave
-        draws = self.rng.random(len(on))
-        srcs = (on & (draws < self._p_active)).nonzero()[0].tolist()
-        return self._emit(srcs)
-
-    def _emit(self, srcs: list[int]) -> list[tuple[int, int, int]]:
         if not srcs:
             return []
         length = self.message_length

@@ -40,7 +40,6 @@ from ..conformance.mutations import MUTATIONS
 from ..conformance.runner import RUN_DEFAULTS
 from ..experiments.pool import run_parallel
 from ..routing.registry import ALGORITHM_META
-from ..routing.select import POLICIES
 
 #: cases dispatched per pool round while a time budget is in force
 _CHUNK = 8
@@ -215,12 +214,6 @@ def main(argv=None) -> int:
                             "every run; sampling must never perturb a "
                             "digest, so this doubles as an "
                             "observer-invisibility check")
-    p_run.add_argument("--policy", choices=sorted(POLICIES),
-                       help="output-selection policy for every run "
-                            "(repro.routing.select); the policy "
-                            "re-orders legal candidates, so the "
-                            "oracles fuzz the selection path")
-    p_run.add_argument("--policy-seed", type=int)
     p_run.add_argument("--frr", action="store_true",
                        help="run every case with backup_routes=True; "
                             "conformance faults are static (never "

@@ -263,16 +263,9 @@ def _common(p: argparse.ArgumentParser) -> None:
                         "or the batched struct-of-arrays engine "
                         "(bit-identical results, metrics included; "
                         "falls back to object when tracing, a "
-                        "non-deterministic policy, a non-stock arbiter "
-                        "or an unavailable C kernel rules it out, and "
-                        "the summary's engine_fallback says which)")
-    p.add_argument("--policy",
-                   choices=["deterministic", "ecmp", "flowlet", "credit"],
-                   help="output-selection policy over legal route "
-                        "candidates (docs/PERFORMANCE.md; non-default "
-                        "policies run on the object engine)")
-    p.add_argument("--policy-seed", type=int,
-                   help="hash seed for the ecmp/flowlet policies")
+                        "non-stock arbiter or an unavailable C kernel "
+                        "rules it out, and the summary's "
+                        "engine_fallback says which)")
 
 
 def _obs_args(p: argparse.ArgumentParser) -> None:

@@ -234,8 +234,6 @@ class TestEndToEndRecovery:
 
     @needs_kernel
     def test_batched_engine_runs_backups_natively(self):
-        cfg = SimConfig(fault_mode="harsh", backup_routes=True)
-        assert batched_fallback_reason(config=cfg) is None
         res = run_workload(make_scenario(
             0, width=4, height=4, cycles=400, warmup=50,
             backup_routes=True, engine="batched"))

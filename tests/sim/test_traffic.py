@@ -86,8 +86,6 @@ class TestPatterns:
         for name, factory in PATTERNS.items():
             if name == "dimension_reverse":
                 continue  # cube only
-            if name == "trace_replay":
-                continue  # schedule-driven; no destination function
             fn = factory(topo, rng)
             d = fn(0)
             assert 0 <= d < 16
@@ -121,87 +119,6 @@ class TestGenerator:
     def test_zero_load_generates_nothing(self):
         gen = TrafficGenerator(Mesh2D(4, 4), "uniform", load=0.0, seed=1)
         assert all(not gen.tick(c) for c in range(100))
-
-    def test_bursty_mean_rate_close_to_load(self):
-        topo = Mesh2D(4, 4)
-        gen = TrafficGenerator(topo, "bursty", load=0.2, message_length=4,
-                               seed=6, pattern_kwargs={"duty": 0.25,
-                                                       "burst_len": 20})
-        msgs = sum(len(gen.tick(c)) for c in range(8000))
-        offered = msgs * 4 / (8000 * 16)
-        # the Markov gating redistributes injections into bursts but
-        # must keep the mean offered load of the Bernoulli model
-        assert offered == pytest.approx(0.2, rel=0.15)
-
-    def test_bursty_is_actually_bursty(self):
-        # a node that just injected is very likely still inside its
-        # on-stretch, so its next-cycle injection probability must sit
-        # far above the marginal rate (for plain Bernoulli the two are
-        # equal — cycles are independent)
-        topo = Mesh2D(4, 4)
-        gen = TrafficGenerator(topo, "bursty", load=0.2, message_length=4,
-                               seed=6, pattern_kwargs={"duty": 0.1,
-                                                       "burst_len": 30})
-        injected = [{m[0] for m in gen.tick(c)} for c in range(6000)]
-        node0 = [0 in s for s in injected]
-        marginal = sum(node0) / len(node0)
-        follow = [b for a, b in zip(node0, node0[1:]) if a]
-        conditional = sum(follow) / len(follow)
-        assert conditional > 3 * marginal
-
-    def test_bursty_seeded_reproducibility(self):
-        topo = Mesh2D(4, 4)
-        kw = {"duty": 0.3, "burst_len": 10}
-        a = TrafficGenerator(topo, "bursty", load=0.3, seed=7,
-                             pattern_kwargs=dict(kw))
-        b = TrafficGenerator(topo, "bursty", load=0.3, seed=7,
-                             pattern_kwargs=dict(kw))
-        for c in range(200):
-            assert a.tick(c) == b.tick(c)
-
-    def test_bursty_validation(self):
-        topo = Mesh2D(2, 2)
-        with pytest.raises(ValueError, match="duty"):
-            TrafficGenerator(topo, "bursty", pattern_kwargs={"duty": 0.0})
-        with pytest.raises(ValueError, match="burst_len"):
-            TrafficGenerator(topo, "bursty",
-                             pattern_kwargs={"burst_len": 0})
-        with pytest.raises(ValueError, match="stack"):
-            TrafficGenerator(topo, "bursty",
-                             pattern_kwargs={"base": "bursty"})
-
-    def test_trace_replay_exact_schedule(self):
-        topo = Mesh2D(4, 4)
-        trace = [(0, 1, 2), (0, 3, 4, 6), (5, 2, 9)]
-        gen = TrafficGenerator(topo, "trace_replay", message_length=4,
-                               pattern_kwargs={"trace": trace})
-        assert sorted(gen.tick(0)) == [(1, 2, 4), (3, 4, 6)]
-        assert gen.tick(1) == []
-        assert gen.tick(5) == [(2, 9, 4)]
-        assert gen.tick(6) == []
-
-    def test_trace_replay_repeat_period(self):
-        topo = Mesh2D(4, 4)
-        gen = TrafficGenerator(topo, "trace_replay", message_length=2,
-                               pattern_kwargs={"trace": [(1, 0, 5)],
-                                               "repeat": 4})
-        hits = [c for c in range(12) if gen.tick(c)]
-        assert hits == [1, 5, 9]
-
-    def test_trace_replay_validation(self):
-        topo = Mesh2D(4, 4)
-        with pytest.raises(ValueError, match="trace"):
-            TrafficGenerator(topo, "trace_replay")
-        with pytest.raises(ValueError, match="non-empty"):
-            TrafficGenerator(topo, "trace_replay",
-                             pattern_kwargs={"trace": []})
-        with pytest.raises(ValueError, match="entry 0"):
-            TrafficGenerator(topo, "trace_replay",
-                             pattern_kwargs={"trace": [(0, 1)]})
-        with pytest.raises(ValueError, match="unknown"):
-            TrafficGenerator(topo, "trace_replay",
-                             pattern_kwargs={"trace": [(0, 1, 2)],
-                                             "oops": 1})
 
     def test_torus_patterns_work(self):
         gen = TrafficGenerator(Torus2D(4, 4), "transpose", load=0.5, seed=2)

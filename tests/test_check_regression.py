@@ -1,7 +1,7 @@
 """benchmarks/check_regression.py: direction-aware gating.
 
-The checker mixes higher-is-better rates and lower-is-better gap /
-imbalance metrics in one TRACKED table; these tests drive one
+The checker mixes higher-is-better rates and lower-is-better recovery
+gap metrics in one TRACKED table; these tests drive one
 invocation over a report containing both directions and check each
 regression class fires (and only fires) on its own side.
 """
@@ -22,10 +22,9 @@ _SPEC.loader.exec_module(check_regression)
 
 BASELINE = {
     "decision_throughput": {"fastpath_decisions_per_sec": 100_000.0},
+    "batched_engine": {"cycles_per_sec": 5_000.0},
     "reroute": {"cycles_of_loss": 0.0,
                 "time_to_recover_cycles": 40.0},
-    "loadbalance": {"ecmp_throughput": 0.25,
-                    "mean_imbalance": 2.0},
 }
 
 
@@ -43,14 +42,13 @@ def _run(tmp_path, current, threshold=0.30):
 
 
 def test_mixed_directions_all_within_threshold(tmp_path, capsys):
-    # one invocation covering both directions: a slightly slower rate,
-    # a slightly larger gap and a slightly larger imbalance all pass
+    # one invocation covering both directions: two slightly slower
+    # rates and a slightly larger recovery gap all pass
     current = {
         "decision_throughput": {"fastpath_decisions_per_sec": 90_000.0},
+        "batched_engine": {"cycles_per_sec": 4_400.0},
         "reroute": {"cycles_of_loss": 0.0,
                     "time_to_recover_cycles": 48.0},
-        "loadbalance": {"ecmp_throughput": 0.22,
-                        "mean_imbalance": 2.3},
     }
     assert _run(tmp_path, current) == 0
     out = capsys.readouterr().out
@@ -60,8 +58,9 @@ def test_mixed_directions_all_within_threshold(tmp_path, capsys):
 def test_higher_is_better_drop_fails(tmp_path, capsys):
     current = {
         "decision_throughput": {"fastpath_decisions_per_sec": 60_000.0},
-        "loadbalance": {"ecmp_throughput": 0.25,
-                        "mean_imbalance": 2.0},
+        "batched_engine": {"cycles_per_sec": 5_000.0},
+        "reroute": {"cycles_of_loss": 0.0,
+                    "time_to_recover_cycles": 40.0},
     }
     assert _run(tmp_path, current) == 1
     err = capsys.readouterr().err
@@ -70,22 +69,23 @@ def test_higher_is_better_drop_fails(tmp_path, capsys):
 
 
 def test_lower_is_better_rise_fails(tmp_path, capsys):
-    # the rate metrics are fine; only the lower-is-better imbalance
+    # the rate metrics are fine; only the lower-is-better recovery gap
     # regressed — the direction flip must catch the *rise*
     current = {
         "decision_throughput": {"fastpath_decisions_per_sec": 100_000.0},
-        "loadbalance": {"ecmp_throughput": 0.30,
-                        "mean_imbalance": 3.5},
+        "batched_engine": {"cycles_per_sec": 6_000.0},
+        "reroute": {"cycles_of_loss": 0.0,
+                    "time_to_recover_cycles": 56.0},
     }
     assert _run(tmp_path, current) == 1
     err = capsys.readouterr().err
-    assert "imbalance" in err
+    assert "recovery gap" in err
     assert "above the baseline" in err
 
 
 def test_lower_is_better_improvement_passes(tmp_path):
-    current = {"loadbalance": {"mean_imbalance": 1.0,
-                               "ecmp_throughput": 0.50}}
+    current = {"reroute": {"time_to_recover_cycles": 20.0},
+               "batched_engine": {"cycles_per_sec": 10_000.0}}
     assert _run(tmp_path, current) == 0
 
 
@@ -100,11 +100,11 @@ def test_zero_baseline_held_exactly(tmp_path, capsys):
 def test_both_directions_fail_in_one_invocation(tmp_path, capsys):
     current = {
         "decision_throughput": {"fastpath_decisions_per_sec": 50_000.0},
-        "loadbalance": {"mean_imbalance": 4.0},
+        "reroute": {"time_to_recover_cycles": 60.0},
     }
     assert _run(tmp_path, current) == 1
     err = capsys.readouterr().err
-    assert "fastpath decisions/sec" in err and "imbalance" in err
+    assert "fastpath decisions/sec" in err and "recovery gap" in err
 
 
 def test_missing_metrics_skipped(tmp_path, capsys):
@@ -115,16 +115,16 @@ def test_missing_metrics_skipped(tmp_path, capsys):
 
 def test_quick_report_uses_quick_reference(tmp_path, capsys):
     baseline = {
-        "loadbalance": {"ecmp_throughput": 0.10},
-        "quick_reference": {"loadbalance": {"ecmp_throughput": 0.30}},
+        "batched_engine": {"cycles_per_sec": 1_000.0},
+        "quick_reference": {"batched_engine": {"cycles_per_sec": 3_000.0}},
     }
-    current = {"quick": True, "loadbalance": {"ecmp_throughput": 0.29}}
+    current = {"quick": True, "batched_engine": {"cycles_per_sec": 2_900.0}}
     base = _write(tmp_path, "baseline.json", baseline)
     cur = _write(tmp_path, "current.json", current)
     assert check_regression.main([cur, "--baseline", base]) == 0
     assert "quick_reference" in capsys.readouterr().out
     # ... and a quick report that only beats the *full* numbers fails
-    current["loadbalance"]["ecmp_throughput"] = 0.11
+    current["batched_engine"]["cycles_per_sec"] = 1_100.0
     cur = _write(tmp_path, "current2.json", current)
     assert check_regression.main([cur, "--baseline", base]) == 1
 

@@ -63,15 +63,12 @@ class TestSpecRoundTrip:
         assert spec.spec_key() == spec.spec_key(code_version_token())
 
     def test_policy_and_pattern_kwargs_round_trip(self):
-        spec = small_spec(algorithm="nafta", pattern="bursty",
-                          pattern_kwargs={"duty": 0.25, "burst_len": 20},
-                          policy="flowlet", policy_seed=9)
+        spec = small_spec(algorithm="nafta", pattern="hotspot",
+                          pattern_kwargs={"hotspot": 5, "fraction": 0.3})
         d = spec.to_dict()
         rebuilt = WorkloadSpec.from_dict(d)
         assert rebuilt.to_dict() == d
-        assert rebuilt.policy == "flowlet"
-        assert rebuilt.policy_seed == 9
-        assert rebuilt.pattern_kwargs == {"duty": 0.25, "burst_len": 20}
+        assert rebuilt.pattern_kwargs == {"hotspot": 5, "fraction": 0.3}
         assert rebuilt.spec_key() == spec.spec_key()
 
     def test_every_field_serialized(self):
@@ -79,23 +76,8 @@ class TestSpecRoundTrip:
         # token, so no cached key outlives a change to the field set
         d = small_spec().to_dict()
         assert set(d) == {f.name for f in fields(WorkloadSpec)}
-        assert d["policy"] == "deterministic"
-        assert d["policy_seed"] == 0
         assert d["pattern_kwargs"] == {}
         assert WorkloadSpec.from_dict(d).to_dict() == d
-
-    def test_policy_changes_spec_key(self):
-        base = small_spec()
-        assert base.spec_key() != small_spec(policy="ecmp").spec_key()
-        assert small_spec(policy="ecmp", policy_seed=1).spec_key() != \
-            small_spec(policy="ecmp", policy_seed=2).spec_key()
-
-    def test_unknown_policy_rejected_at_spec_parse(self):
-        with pytest.raises(ValueError, match="unknown selection policy"):
-            small_spec(policy="nope")
-        with pytest.raises(ValueError, match="unknown selection policy"):
-            WorkloadSpec.from_dict({**small_spec().to_dict(),
-                                    "policy": "nope"})
 
     def test_unknown_pattern_rejected_at_spec_parse(self):
         with pytest.raises(ValueError, match="unknown traffic pattern"):

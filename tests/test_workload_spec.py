@@ -7,8 +7,9 @@ from dataclasses import fields
 
 import pytest
 
-from repro.experiments import WorkloadSpec, make_scenario
+from repro.experiments import WorkloadSpec, make_scenario, run_workload
 from repro.sim import Mesh2D, SimConfig
+from repro.sim._batched_kernel import unavailable_reason
 
 #: SimConfig fields a spec leaves at their defaults
 NOT_IN_SPEC = ("trace_paths", "deadlock_threshold")
@@ -25,8 +26,6 @@ NON_DEFAULT = {
     "hop_budget": 50,
     "backup_routes": True,
     "engine": "batched",
-    "policy": "ecmp",
-    "policy_seed": 7,
 }
 
 #: options SimConfig accepts only in harsh fault mode
@@ -53,6 +52,22 @@ def test_sim_config_field_reaches_config_and_round_trips(name):
     assert rebuilt.to_dict() == spec.to_dict()
 
 
+@pytest.mark.skipif(unavailable_reason() is not None,
+                    reason=f"batched kernel unavailable: "
+                           f"{unavailable_reason()}")
+@pytest.mark.parametrize("name", SHARED)
+def test_no_run_option_forces_a_fallback(name):
+    # every run option the batched engine accepts, it runs: the only
+    # fallbacks left are tracing, a non-stock arbiter and a missing
+    # kernel, none of which is a SimConfig field
+    over = {name: NON_DEFAULT[name], "engine": "batched"}
+    if name in HARSH_ONLY:
+        over["fault_mode"] = "harsh"
+    res = run_workload(_spec(load=0.05, cycles=120, warmup=20, **over))
+    assert res["engine"] == "batched"
+    assert "engine_fallback" not in res
+
+
 def test_spec_cycles_per_step_zero_runs_one_cycle_per_step():
     assert _spec().cycles_per_step == 0
     assert _spec().sim_config().cycles_per_step == 1
@@ -70,8 +85,8 @@ def test_harsh_only_option_fails_at_construction():
 
 def test_unknown_dict_key_is_an_error():
     d = _spec().to_dict()
-    with pytest.raises(ValueError, match="policy_sed"):
-        WorkloadSpec.from_dict({**d, "policy_sed": 3})
+    with pytest.raises(ValueError, match="message_lenght"):
+        WorkloadSpec.from_dict({**d, "message_lenght": 3})
 
 
 def test_absent_dict_keys_take_field_defaults():
