@@ -36,6 +36,31 @@ from .expand import GroundRule
 MAX_DIRECT_BITS = 12
 
 
+def expr_names(e: N.Expr) -> frozenset[str]:
+    """The identifiers an expression reads: every name and indexed
+    reference in it (inputs, registers, parameters, functions and
+    subbases alike)."""
+    if isinstance(e, N.Name):
+        return frozenset((e.ident,))
+    if isinstance(e, N.Index):
+        return frozenset((e.ident,)).union(*map(expr_names, e.args))
+    if isinstance(e, N.SetLit):
+        parts = e.items
+    elif isinstance(e, (N.BinOp, N.Compare)):
+        parts = (e.left, e.right)
+    elif isinstance(e, N.UnOp):
+        parts = (e.operand,)
+    elif isinstance(e, N.InSet):
+        parts = (e.item, e.collection)
+    elif isinstance(e, (N.And, N.Or)):
+        parts = e.terms
+    elif isinstance(e, N.Not):
+        parts = (e.operand,)
+    else:
+        return frozenset()
+    return frozenset().union(*map(expr_names, parts))
+
+
 def make_scope(analyzer: Analyzer, base: BaseInfo) -> Scope:
     return Scope(analyzer.analyzed,
                  {n: Binding("param", d) for n, d in base.params})

@@ -27,7 +27,7 @@ from ..dsl.domains import Domain, Value
 from ..dsl.errors import CompileError
 from ..dsl.parser import parse
 from ..dsl.semantics import AnalyzedProgram, Analyzer, BaseInfo, analyze
-from .atoms import AtomAnalysis, DirectFeature
+from .atoms import AtomAnalysis, DirectFeature, expr_names
 from .encoding import ConclusionEncoding, build_encoding
 from .expand import GroundRule, expand_base
 from .fcfb import FcfbInstance, collect_fcfbs, fcfb_summary
@@ -149,32 +149,9 @@ def _collect_accesses(analyzed: AnalyzedProgram,
     calls: set[str] = set()
 
     def walk_expr(e: N.Expr) -> None:
-        if isinstance(e, N.Name):
-            if e.ident in analyzed.variables:
-                reads.add(e.ident)
-        elif isinstance(e, N.Index):
-            if e.ident in analyzed.variables:
-                reads.add(e.ident)
-            if e.ident in analyzed.subbases:
-                calls.add(e.ident)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, N.SetLit):
-            for i in e.items:
-                walk_expr(i)
-        elif isinstance(e, (N.BinOp, N.Compare)):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, N.UnOp):
-            walk_expr(e.operand)
-        elif isinstance(e, N.InSet):
-            walk_expr(e.item)
-            walk_expr(e.collection)
-        elif isinstance(e, (N.And, N.Or)):
-            for t in e.terms:
-                walk_expr(t)
-        elif isinstance(e, N.Not):
-            walk_expr(e.operand)
+        names = expr_names(e)
+        reads.update(names & analyzed.variables.keys())
+        calls.update(names & analyzed.subbases.keys())
 
     for g in ground_rules:
         walk_expr(g.premise)

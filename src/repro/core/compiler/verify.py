@@ -88,34 +88,12 @@ def collect_axes(compiled: CompiledProgram,
 
 def _inputs_used(compiled: CompiledProgram, rb: CompiledRuleBase) -> set[str]:
     from ..dsl import nodes as N
-    analyzed = compiled.analyzed
+    from .atoms import expr_names
+    inputs = compiled.analyzed.inputs.keys()
     used: set[str] = set()
 
     def walk(e) -> None:
-        if isinstance(e, N.Name):
-            if e.ident in analyzed.inputs:
-                used.add(e.ident)
-        elif isinstance(e, N.Index):
-            if e.ident in analyzed.inputs:
-                used.add(e.ident)
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, N.SetLit):
-            for i in e.items:
-                walk(i)
-        elif isinstance(e, (N.BinOp, N.Compare)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, N.UnOp):
-            walk(e.operand)
-        elif isinstance(e, N.InSet):
-            walk(e.item)
-            walk(e.collection)
-        elif isinstance(e, (N.And, N.Or)):
-            for t in e.terms:
-                walk(t)
-        elif isinstance(e, N.Not):
-            walk(e.operand)
+        used.update(expr_names(e) & inputs)
 
     for g in rb.ground_rules:
         walk(g.premise)

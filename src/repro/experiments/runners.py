@@ -22,7 +22,7 @@ import numpy as np
 from ..routing.registry import make_algorithm
 from ..sim import (FaultSchedule, Mesh2D, Network, SimConfig,
                    TrafficGenerator, Hypercube, random_link_faults)
-from ..sim.traffic import PATTERNS
+from ..sim.traffic import PATTERNS, check_pattern_kwargs
 from ..sim.batched import build_network
 from ..sim.network import DeadlockError
 from ..sim.topology import Topology, topology_from_dict
@@ -126,6 +126,7 @@ class WorkloadSpec:
         if self.pattern not in PATTERNS:
             raise ValueError(f"unknown traffic pattern {self.pattern!r}; "
                              f"choose from {sorted(PATTERNS)}")
+        check_pattern_kwargs(self.pattern, self.pattern_kwargs)
         self.sim_config()
 
     def sim_config(self) -> SimConfig:

@@ -18,7 +18,7 @@ states, ROUTE_C's unsafe states) in ``node_states`` and refresh it in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,7 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: refresh hints: what re-routing a *blocked* head would do while the
 #: route epoch, the link status and the header fields are unchanged.
 #: REROUTE (the safe default) re-enters ``route``; RESORT promises the
-#: same candidate set re-sorted by (output_load, port, vc); STATIC
+#: same candidate set re-sorted by (output_load, port, vc) — past the
+#: contract's ``resort_pin`` leading members, loads clamped at its
+#: ``load_cap`` (:class:`NativeContract`); STATIC
 #: promises the identical decision; ARGMIN promises the single
 #: least-loaded member, by (output_load, port, vc), of the fixed set
 #: ``argmin_set`` (a rule program's "minimum selection" FCFB over
@@ -87,12 +89,13 @@ class NativeContract:
     ``steps`` and field writes) is a pure function of (node, dst,
     in_port, in_vc, the ``fields`` values, and whether ``path_len``
     exceeds ``livelock_limit``; dst narrowed to its class under
-    ``relative_dst``) up to the load re-ordering a ``REFRESH_RESORT``
-    or ``REFRESH_ARGMIN`` hint declares, and that ``on_depart`` does
-    nothing beyond the base path-length bump plus the optional
-    ``term_rule``.  REROUTE-hinted decisions are never cached, so
-    exceptional branches (unroutable, one-way switches) always
-    re-enter Python.
+    ``relative_dst`` and node to its ``node_class``) up to the load
+    re-ordering a ``REFRESH_RESORT`` (past ``resort_pin``, loads
+    clamped at ``load_cap``) or ``REFRESH_ARGMIN`` hint declares, and
+    that ``on_depart`` does nothing beyond the base path-length bump
+    plus the optional ``term_rule`` and ``bump_rule``.  REROUTE-hinted
+    decisions are never cached, so exceptional branches (unroutable,
+    one-way switches) always re-enter Python.
     """
 
     #: header field names covering BOTH every field ``route`` reads and
@@ -112,12 +115,13 @@ class NativeContract:
     key_uses_vc: bool = True
     #: set True when, while the fault knowledge stands, the decision
     #: reads ``dst`` only through its class relative to the deciding
-    #: node on the 2-D mesh: (sign dx, sign dy), plus the exact dy when
-    #: dx == 0 (a terminal-run check needs the hop count) — except for
-    #: the destinations ``irregular_dsts`` lists.  The batched engine
-    #: then keys its cache by that class, so one cached decision serves
-    #: every congruent destination; irregular ones keep the exact dst
-    #: in the key
+    #: node — on the 2-D mesh (sign dx, sign dy), plus the exact dy when
+    #: dx == 0 (a terminal-run check needs the hop count); on the
+    #: hypercube ``(up, down) = (diff & ~node, diff & node)`` with
+    #: ``diff = node ^ dst`` — except for the destinations
+    #: ``irregular_dsts`` lists.  The batched engine then keys its cache
+    #: by that class, so one cached decision serves every congruent
+    #: destination; irregular ones keep the exact dst in the key
     relative_dst: bool = False
     #: set False when ``route`` reads the fault knowledge only, never
     #: the physical link status (``port_alive``), which under a
@@ -145,6 +149,28 @@ class NativeContract:
     #: batched engine re-reads them whenever it clears its cache);
     #: the default ``tuple`` lists none
     irregular_dsts: Callable[[], Iterable[int]] = tuple
+    #: optional zero-argument callable giving one hashable key per node
+    #: (in node order): nodes with equal keys decide alike for every
+    #: regular destination under ``relative_dst``, so the batched engine
+    #: keys their decisions by one shared class.  Re-read on every cache
+    #: clear, like ``irregular_dsts``; None (the default) is one class
+    #: per node.  A decision about an irregular destination, or at an
+    #: armed fast-reroute endpoint, keeps the exact node in the key
+    node_class: Callable[[], Sequence[Hashable]] | None = None
+    #: a REFRESH_RESORT re-sort keeps the first ``resort_pin``
+    #: candidates in place and orders only the rest by load (a decision
+    #: whose own criterion picks its first member, ahead of the others)
+    resort_pin: int = 0
+    #: the re-sort compares loads clamped at this value (the top of the
+    #: load input's domain when the decision reads loads through one);
+    #: None compares raw loads
+    load_cap: int | None = None
+    #: optional ``(flag_field, counter_field)`` departure rule the
+    #: batched engine applies natively next to ``term_rule``: on head
+    #: departure the flag is removed, and when it was set the counter
+    #: (absent counts as 0) goes up by one — a decision that takes a
+    #: detour commits its channel-class bump only when the head leaves
+    bump_rule: tuple[str, str] | None = None
 
     def __post_init__(self):
         if len(self.fields) > MAXF:

@@ -37,8 +37,14 @@ decision serves every congruent destination
 (``NativeContract.relative_dst``).  ROUTE_C's ``adaptivity`` rule base
 returns ``pick_min``, the lowest index of the admissible set, without
 reading loads; ``RuleDrivenRouteC.route`` puts that member first and
-orders the others by load.  ROUTE_C declares no native contract, so its
-decisions stay in Python.
+orders the others by load clamped at the ``qload`` domain's top, so
+the batched engine replays it as a re-sort that keeps the first member
+(``resort_pin``, ``load_cap``).  Its decisions read the node only
+through its view of safe and usable neighbours and the destination
+only through the dimensions left to correct, so one cached decision
+serves every node of a class and every congruent destination
+(``node_class``), and a detour's channel-class bump is the kernel's
+departure rule (``bump_rule``).
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ from ..sim.faults import FaultState
 from ..sim.flit import Header
 from ..sim.router import LOCAL
 from ..sim.topology import EAST, WEST, Mesh2D, Torus2D, Topology
-from .base import (REFRESH_ARGMIN, REFRESH_STATIC, NativeContract,
-                   RouteDecision, RoutingAlgorithm, RoutingError)
+from .base import (REFRESH_ARGMIN, REFRESH_RESORT, REFRESH_STATIC,
+                   NativeContract, RouteDecision, RoutingAlgorithm,
+                   RoutingError)
 from .nafta import NAFTA_CONTRACT
 from .nara import VN_TERMINAL, assign_virtual_network
 from .rulesets.loader import RULESETS, compile_ruleset, qbest
@@ -418,10 +425,20 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         if not isinstance(topology, Hypercube):
             raise RoutingError("the ROUTE_C ruleset runs on hypercubes")
 
+    def _program(self, d: int):
+        """The compiled ``route_c.rules`` for dimension ``d`` (compiled
+        once per instance and dimension)."""
+        if self.compiled is None or self._d != d:
+            self.compiled = compile_ruleset("route_c", {"d": d, "a": 2})
+            self._d = d
+        return self.compiled
+
     def reset(self, network) -> None:
         topo = network.topology
-        self._d = topo.dimension
-        self.compiled = compile_ruleset("route_c", {"d": self._d, "a": 2})
+        self._program(topo.dimension)
+        #: the top of the ``qload`` input's domain: loads enter the
+        #: rule machine clamped there
+        self._cap = self.compiled.analyzed.inputs["qload"].domain.hi
         spec = RULESETS["route_c"]
         self.engines = [RuleEngine(self.compiled, functions=spec.functions,
                                    mode=self.engine_mode)
@@ -492,6 +509,34 @@ class RuleDrivenRouteC(RoutingAlgorithm):
     def node_state(self, node: int) -> str:
         return self._reported_state(self.network, node)
 
+    def native_contract(self, topology) -> NativeContract:
+        # no premise of decide_dir, decide_vc or adaptivity reads a
+        # register, a load or new_state, and adaptivity RETURNs only
+        # pick_min(cands) (tests/routing/test_route_c_rules_contract.py).
+        # So, while the fault knowledge stands, a decision reads the
+        # node only through its view (usable, safe), dst only through
+        # (up, down) unless dst is a sunsafe neighbour, the in-port (no
+        # u-turn) and vc_class; adaptivity's pick leads and the rest go
+        # by load clamped at the qload domain's top; a detour's class
+        # bump commits on departure.  The skipped adapt_reg write is
+        # read by no premise
+        qload = self._program(topology.dimension).analyzed.inputs["qload"]
+        return NativeContract(
+            fields=("vc_class", "_detour_next", "misrouted"),
+            bump_rule=("_detour_next", "vc_class"), key_uses_vc=False,
+            relative_dst=True, reads_links=False,
+            irregular_dsts=self._sunsafe_nodes,
+            node_class=self._node_views, resort_pin=1,
+            load_cap=qload.domain.hi)
+
+    def _sunsafe_nodes(self):
+        return [n for n in range(len(self.engines))
+                if self.node_state(n) == "sunsafe"]
+
+    def _node_views(self):
+        return [(usable, safe) for usable, _, safe
+                in map(self._view, range(len(self.engines)))]
+
     def accepts(self, src: int, dst: int) -> bool:
         return (self.network.known_faults.node_ok(src)
                 and self.network.known_faults.node_ok(dst))
@@ -544,7 +589,8 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         node = router.node
         dst = header.dst
         if node == dst:
-            return RouteDecision.delivery(steps=2)
+            return RouteDecision(deliver=True, steps=2,
+                                 refresh_hint=REFRESH_STATIC)
         eng = self.engines[node]
         diff = node ^ dst
         up = self._bits(diff & ~node)
@@ -558,7 +604,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         if in_port >= 0:
             usable = usable - {in_port}
         loads = router.port_loads()
-        cap = 2 * self._d - 1
+        cap = self._cap
         qload = {k: min(cap, loads.get(d, cap)) for d, k in self._qkeys}
         eng.set_inputs({"up_set": up, "down_set": down, "usable": usable,
                         "safe_mask": safe, "at_dest": "false",
@@ -594,7 +640,7 @@ class RuleDrivenRouteC(RoutingAlgorithm):
             # precompiled entry — only ``vc_class`` is committed state
             header.fields["_detour_next"] = True
         return RouteDecision(candidates=[(d, out_vc) for d in ordered],
-                             steps=2)
+                             steps=2, refresh_hint=REFRESH_RESORT)
 
     def on_depart(self, router, header: Header, out_port: int,
                   out_vc: int) -> None:

@@ -20,9 +20,12 @@ decision (field writes, candidate set, re-sort by current loads,
 digest line, stats counters) without entering Python at all.  The dst
 slot is the exact destination, or, for an algorithm whose contract
 sets ``relative_dst``, the destination's class relative to the
-deciding node (sign dx, sign dy, plus the exact dy when dx == 0), so
+deciding node (on the mesh sign dx, sign dy, plus the exact dy when
+dx == 0; on the hypercube the dimensions to correct up and down), so
 one cached decision serves every congruent destination; destinations
-the algorithm reports irregular (blocked) keep the exact id.  Only
+the algorithm reports irregular keep the exact id.  With a relative
+dst slot the node slot holds the node's class (``node_class``), so
+one entry also serves every node that decides alike.  Only
 genuine misses (first sighting of a key this epoch, REROUTE-hinted
 branches, stuck declarations) cross into Python.
 
@@ -80,6 +83,10 @@ typedef struct {
     int32_t trace_on;         /* log head-departure events for replay  */
     int32_t term_on;          /* departure rule: term := out==term[vn] */
     int32_t term_f, vn_f;     /* field indices for the departure rule  */
+    int32_t bump_on;          /* departure rule: pop flag, cnt += flag */
+    int32_t bump_f, cnt_f;    /* field indices for the bump rule       */
+    int32_t pin;              /* re-sort keeps this many leading cands */
+    int32_t load_cap;         /* re-sort compares loads clamped here   */
     int32_t key_port, key_vc; /* include in_port / in_vc in the key
                                  (algorithms that never consult them
                                  declare it, shrinking the key space) */
@@ -96,7 +103,7 @@ typedef struct {
     int32_t ct_on;            /* table lookups live this epoch         */
     int32_t ct_vnf, ct_termf; /* native slots of vn / term (-1: none)  */
     /* relative-destination keys (NativeContract.relative_dst) */
-    int32_t rel_on;           /* key regular destinations by class     */
+    int32_t rel_on;           /* 0 exact, 1 mesh class, 2 cube (up,down) */
     /* static layout */
     int32_t *iv_off;          /* n_nodes+1: gid span per node          */
     int32_t *iv_node;         /* n_iv                                  */
@@ -180,6 +187,7 @@ typedef struct {
     int32_t *ct_cp;           /* CT_KEYS x CT_CANDS                    */
     int32_t *ct_cv;
     uint8_t *irreg;           /* n_nodes: destinations keyed exactly   */
+    int32_t *node_cls;        /* n_nodes: key slot 0 of a relative key */
 } BState;
 """
 
@@ -218,6 +226,7 @@ _SOURCE = """
 #define KEYW 10
 #define MAXF 5
 #define F_ABSENT (-1000000)
+#define F_NONE (-999999)
 #define CT_CANDS 8
 /* refresh hints the kernel acts on (repro.routing.base) */
 #define H_RESORT 1
@@ -354,15 +363,19 @@ static int load_of(BState *s, int node, int pid)
 /* re-sort the candidate list by (output load, port, vc) — the refresh
    a REFRESH_RESORT decision declares equivalent to re-routing; for
    REFRESH_ARGMIN the list is the decision's whole set and only its
-   first member is offered (see offered) */
+   first member is offered (see offered).  The first pin members stay
+   in place, and loads compare clamped at load_cap. */
 static void resort_cands(BState *s, int g, int node)
 {
-    int n = s->ncand[g];
+    int k = s->pin, n = s->ncand[g] - k;
     if (n < 2) return;
-    int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
-    int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
+    int32_t *cp = s->cand_p + (int64_t)g * s->maxc + k;
+    int32_t *cv = s->cand_v + (int64_t)g * s->maxc + k;
     int loads[64];
-    for (int i = 0; i < n; i++) loads[i] = load_of(s, node, cp[i]);
+    for (int i = 0; i < n; i++) {
+        int l = load_of(s, node, cp[i]);
+        loads[i] = l < s->load_cap ? l : s->load_cap;
+    }
     for (int i = 1; i < n; i++) {
         int lo = loads[i], pp = cp[i], vv = cv[i];
         int j = i - 1;
@@ -413,28 +426,38 @@ void k_port_loads(BState *s, int node, int32_t *out)
 /* ---- native decision cache ------------------------------------- */
 
 /* the key's dst slot.  Under a relative_dst contract a regular
-   destination is keyed by its class relative to the deciding node:
-   -1 - ((dx > 0) * 3 + sign dy + 1) in -1..-6 when dx != 0, else
-   REL_COL + dy (the hop count the terminal-run check reads; dy == 0
-   is delivery).  Every class is negative, so it never equals an exact
-   id; an irregular (blocked) destination keeps its exact id. */
+   destination is keyed by its class relative to the deciding node.
+   On the mesh: -1 - ((dx > 0) * 3 + sign dy + 1) in -1..-6 when
+   dx != 0, else REL_COL + dy (the hop count the terminal-run check
+   reads; dy == 0 is delivery).  On the hypercube: -1 - (up | down <<
+   16), the dimensions to correct 0 -> 1 and 1 -> 0 (dimension <= 15).
+   Every class is negative, so it never equals an exact id; an
+   irregular destination keeps its exact id. */
 #define REL_COL (-(1 << 24))
+#define REL_CUBE 2
 
 static int32_t dst_slot(BState *s, int node, int dst)
 {
     if (!s->rel_on || s->irreg[dst]) return dst;
+    if (s->rel_on == REL_CUBE) {
+        int diff = node ^ dst;
+        return -1 - ((diff & ~node) | ((diff & node) << 16));
+    }
     int ddx = s->node_x[dst] - s->node_x[node];
     int ddy = s->node_y[dst] - s->node_y[node];
     if (ddx == 0) return REL_COL + ddy;
     return -1 - ((ddx > 0) * 3 + (ddy > 0) - (ddy < 0) + 1);
 }
 
-/* key slots 0..4: node, dst slot, in_port, in_vc, livelock over */
+/* key slots 0..4: node, dst slot, in_port, in_vc, livelock over.  A
+   relative (negative) dst slot pairs with the node's class, an exact
+   one with the exact node; class ids are member node ids and a node
+   that must keep its own entries is its class's only member. */
 static void key_head(BState *s, int g, int mid, int32_t *k)
 {
     int node = s->iv_node[g];
-    k[0] = node;
     k[1] = dst_slot(s, node, s->msg_dst[mid]);
+    k[0] = k[1] < 0 ? s->node_cls[node] : node;
     k[2] = s->key_port ? s->iv_port[g] : 0;
     k[3] = s->key_vc ? s->iv_vc[g] : 0;
     k[4] = s->msg_plen[mid] > s->limit ? 1 : 0;
@@ -740,12 +763,20 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
         s->o_vc[g] = s->iv_vc[ovg];
         if (s->n_native) {
             /* the declared departure effect, applied in grant order:
-               path-length bump + the terminal-commit rule */
+               path-length bump + the terminal-commit and bump rules */
+            int32_t *f = s->msg_f + (int64_t)msg * MAXF;
             s->msg_plen[msg]++;
             if (s->term_on) {
-                int v = s->msg_f[(int64_t)msg * MAXF + s->vn_f];
+                int v = f[s->vn_f];
                 if (v >= 0 && v < 8 && out_pid == s->term_port[v])
-                    s->msg_f[(int64_t)msg * MAXF + s->term_f] = 1;
+                    f[s->term_f] = 1;
+            }
+            if (s->bump_on) {
+                int v = f[s->bump_f];
+                if (v != 0 && v != F_ABSENT && v != F_NONE)
+                    f[s->cnt_f] = (f[s->cnt_f] == F_ABSENT ? 0
+                                   : f[s->cnt_f]) + 1;
+                f[s->bump_f] = F_ABSENT;
             }
         }
         if (s->trace_on) {

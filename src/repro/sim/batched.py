@@ -42,9 +42,10 @@ mirror the oracle one-for-one:
 * for algorithms that declare a native contract
   (:meth:`~repro.routing.base.RoutingAlgorithm.native_contract`, read
   once per build), one C-side decision cache keyed on the mirrored
-  header fields (and the destination, or under ``relative_dst`` its
-  class relative to the node) replays repeated decisions; every miss
-  is a fresh ``route()`` call whose result is noted into that cache.
+  header fields (and the node and destination, or under
+  ``relative_dst`` the node's class and the destination's class
+  relative to it) replays repeated decisions; every miss is a fresh
+  ``route()`` call whose result is noted into that cache.
 
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
@@ -73,6 +74,7 @@ from .config import SimConfig
 from .flit import Flit, FlitKind
 from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
+from .topology import Hypercube
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, load_kernel,
                               unavailable_reason)
@@ -312,13 +314,14 @@ class BatchedNetwork(Network):
 
         # native decision cache: enabled when the algorithm declares a
         # native contract; otherwise the arrays are token-sized and the
-        # kernel never touches them
+        # kernel never touches them.  It starts small and doubles as it
+        # fills (_grow_cache), so a run that sees few keys holds little
         contract = self.algorithm.native_contract(topo)
         native = contract is not None
         self._contract = contract
         self._native = native
         self._nf = contract.fields if native else ()
-        self._ent_cap = (1 << 15) if native else 8
+        self._ent_cap = (1 << 12) if native else 8
         ent_cap = self._ent_cap
         self._tab = np.full(ent_cap * 4, -1, dtype=np.int32)
         self._ek = i32(ent_cap, 10)
@@ -341,11 +344,12 @@ class BatchedNetwork(Network):
         self._m_flag = u8(n_nodes)
         self._link_cnt = np.zeros(n_iv, dtype=np.int64)
         # node coordinates (filled for a clean table or relative keys),
-        # the irregular-destination mask of relative keys, and the
-        # dense 54-entry clean decision table
+        # the irregular-destination mask and node classes of relative
+        # keys, and the dense 54-entry clean decision table
         self._node_x = i32(n_nodes)
         self._node_y = i32(n_nodes)
         self._irreg = u8(n_nodes)
+        self._node_cls = np.arange(n_nodes, dtype=np.int32)
         self._ct_valid = u8(CT_KEYS)
         self._ct_deliver = u8(CT_KEYS)
         self._ct_hint = u8(CT_KEYS)
@@ -408,6 +412,14 @@ class BatchedNetwork(Network):
             cs.term_on = 0
             cs.term_f = 0
             cs.vn_f = 0
+        bump = contract.bump_rule if native else None
+        cs.bump_on = 1 if bump is not None else 0
+        cs.bump_f, cs.cnt_f = ((self._nf.index(bump[0]),
+                                self._nf.index(bump[1]))
+                               if bump is not None else (0, 0))
+        cs.pin = contract.resort_pin if native else 0
+        cap = contract.load_cap if native else None
+        cs.load_cap = cap if cap is not None else (2 ** 31 - 1)
         cs.key_port = int(contract.key_uses_port) if native else 1
         cs.key_vc = int(contract.key_uses_vc) if native else 1
         cs.tab_mask = self._tab.shape[0] - 1
@@ -423,11 +435,13 @@ class BatchedNetwork(Network):
         cs.ct_vnf = -1
         cs.ct_termf = -1
         #: key regular destinations by their relative class (see
-        #: NativeContract.relative_dst); the irregular mask is
-        #: refreshed on every cache clear
-        self._rel = native and contract.relative_dst
-        cs.rel_on = 1 if self._rel else 0
-        if self._rel:
+        #: NativeContract.relative_dst); the irregular mask and the
+        #: node classes are refreshed on every cache clear
+        cube = isinstance(topo, Hypercube)
+        self._rel = native and contract.relative_dst \
+            and not (cube and topo.dimension > 15)
+        cs.rel_on = (2 if cube else 1) if self._rel else 0
+        if self._rel and not cube:
             self._fill_coords()
         self._cs = cs
         self._bufs: list = []
@@ -443,7 +457,8 @@ class BatchedNetwork(Network):
                      "msg_plen", "msg_f", "term_port", "tab", "ek",
                      "ea", "e_steps", "e_ncand", "e_cp", "e_cv",
                      "act_list", "node_x", "node_y", "ct_steps",
-                     "ct_ncand", "ct_vn_after", "ct_cp", "ct_cv"):
+                     "ct_ncand", "ct_vn_after", "ct_cp", "ct_cv",
+                     "node_cls"):
             attr = {"epoch": "_epoch_a"}.get(name, "_" + name)
             self._bind(name, getattr(self, attr), "int32_t *")
         self._bind("st", self._ivst, "uint8_t *")
@@ -675,6 +690,7 @@ class BatchedNetwork(Network):
                     irreg = self._irreg
                     irreg[:] = 0
                     irreg[list(self._contract.irregular_dsts())] = 1
+                    self._fill_classes(armed)
                 if self._c_links != links:
                     self._c_links = links
                     self._restale()
@@ -701,6 +717,22 @@ class BatchedNetwork(Network):
             self._route_gids(n, cycle, epoch)
             start = int(cs.scan_ai) + 1
         self._flush_native_stats()
+
+    def _fill_classes(self, armed) -> None:
+        """Key slot 0 of a relative key: the least member of the node's
+        class (NativeContract.node_class).  An armed fast-reroute
+        endpoint is its class's only member, so no other node's
+        decision answers for an injection there."""
+        cls = self._node_cls
+        cls[:] = np.arange(cls.shape[0])
+        node_class = self._contract.node_class
+        if node_class is None:
+            return
+        ends = {n for link in armed for n in link}
+        first: dict = {}
+        for node, key in enumerate(node_class()):
+            if node not in ends:
+                cls[node] = first.setdefault(key, node)
 
     def _restale(self) -> None:
         """A link status ``route`` reads changed.  The object engine

@@ -12,6 +12,7 @@ every experiment is reproducible from a seed.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,17 +144,30 @@ def dimension_reverse_pattern(topology: Topology) -> PatternFn:
     return dest
 
 
+#: pattern name -> factory ``(topology, rng, **pattern_kwargs)``; the
+#: factory's parameters after those two are the keyword arguments the
+#: pattern accepts (:func:`check_pattern_kwargs`)
 PATTERNS = {
-    "uniform": lambda topo, rng, **kw: uniform_pattern(topo, rng),
-    "transpose": lambda topo, rng, **kw: transpose_pattern(topo),
-    "bit_complement": lambda topo, rng, **kw: bit_complement_pattern(topo),
-    "bit_reverse": lambda topo, rng, **kw: bit_reverse_pattern(topo),
-    "hotspot": lambda topo, rng, **kw: hotspot_pattern(topo, rng, **kw),
-    "neighbor": lambda topo, rng, **kw: neighbor_pattern(topo, rng),
-    "permutation": lambda topo, rng, **kw: permutation_pattern(topo, rng),
-    "dimension_reverse":
-        lambda topo, rng, **kw: dimension_reverse_pattern(topo),
+    "uniform": uniform_pattern,
+    "transpose": lambda topo, rng: transpose_pattern(topo),
+    "bit_complement": lambda topo, rng: bit_complement_pattern(topo),
+    "bit_reverse": lambda topo, rng: bit_reverse_pattern(topo),
+    "hotspot": hotspot_pattern,
+    "neighbor": neighbor_pattern,
+    "permutation": permutation_pattern,
+    "dimension_reverse": lambda topo, rng: dimension_reverse_pattern(topo),
 }
+
+
+def check_pattern_kwargs(pattern: str, kwargs) -> None:
+    """Raise ValueError when ``kwargs`` names a key ``pattern`` does not
+    accept (the message lists the keys it does)."""
+    accepted = list(inspect.signature(PATTERNS[pattern]).parameters)[2:]
+    unknown = sorted(set(kwargs or ()) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"pattern {pattern!r} takes no argument {', '.join(unknown)}; "
+            f"it accepts {', '.join(accepted) or 'none'}")
 
 
 @dataclass
@@ -179,6 +193,7 @@ class TrafficGenerator:
         if self.pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {self.pattern!r}; choose "
                              f"from {sorted(PATTERNS)}")
+        check_pattern_kwargs(self.pattern, self.pattern_kwargs)
         self.rng = np.random.default_rng(self.seed)
         self._p = self.load / self.message_length
         self._dest = PATTERNS[self.pattern](self.topology, self.rng,

@@ -72,10 +72,11 @@ def _scenarios(algo):
     out.append(("static", "static", {}))
     out.append(("timed-quiesce", "timed", {"fault_mode": "quiesce"}))
     out.append(("timed-harsh", "timed", harsh))
-    if algo in ("nafta", "nafta_rules"):
+    if algo in ("nafta", "nafta_rules", "route_c_rules"):
         # for nafta_rules also the cached decisions' link-status window:
         # route() reads the dead link before its detection advances the
-        # route epoch
+        # route epoch; for route_c_rules the node classes and sunsafe
+        # destinations the flood's convergence changes
         out.append(("timed-diagnosis", "timed", diagnosis))
     if algo == "nafta":
         # fast reroute: worms healed and absorbed on the arrays, backup
@@ -356,6 +357,107 @@ def test_relative_keys_save_route_calls():
 
 
 # ---------------------------------------------------------------------------
+# rule-driven ROUTE_C: pinned re-sort under the load cap, node classes
+# ---------------------------------------------------------------------------
+
+def test_route_c_rules_resort_past_the_load_cap():
+    """route_c_rules offers adaptivity's pick first and the rest by load
+    clamped at the qload domain's top (2d-1 = 5 on the 3-cube); the C
+    replay re-sorts with that pin and cap.  8-flit buffers let one
+    virtual channel's load pass the cap, and this run makes decisions
+    whose re-sorted candidates carry such a load."""
+    topo = Hypercube(3)
+    out, over = [], []
+    for cls in (Network, BatchedNetwork):
+        algo = make_algorithm("route_c_rules")
+        if cls is Network:
+            route = algo.route
+
+            def watched(router, header, in_port, in_vc, route=route):
+                loads = router.port_loads()
+                dec = route(router, header, in_port, in_vc)
+                over.extend(p for p, _ in dec.candidates[1:] if loads[p] > 5)
+                return dec
+            algo.route = watched
+        net = cls(topo, algo, config=SimConfig(buffer_depth=8))
+        net.stats.digest = DecisionDigest()
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.6,
+                                            message_length=8, seed=2))
+        net.run(200)
+        out.append(net.stats.summary(topo.n_nodes))
+    assert out[0] == out[1]
+    assert algo.native_contract(topo).load_cap == 5
+    assert over, "no re-sorted candidate saw a load above the cap"
+
+
+def test_kernel_resort_keeps_the_pin_and_clamps_at_the_cap():
+    """The C re-sort of a route_c_rules decision keeps adaptivity's pick
+    first and compares the other loads clamped at the cap (5 on the
+    3-cube): two ports loaded past it tie and go by port id."""
+    topo = Hypercube(3)
+    net = BatchedNetwork(topo, make_algorithm("route_c_rules"),
+                         config=SimConfig(buffer_depth=8))
+    node, g = 0, int(net._portbase[0, 0])        # node 0's LOCAL VC 0
+    for pid, load in ((0, 7), (1, 6), (2, 8)):
+        net._buf_cnt[net._ov_down[net._portbase[node, pid + 1]]] = load
+    assert net.routers[node].port_loads() == {0: 7, 1: 6, 2: 8}
+    net._ncand[g] = 3
+    net._cand_p[g, :3] = (2, 1, 0)
+    net._cand_v[g, :3] = 0
+    net._lib.k_resort(net._cs, g)
+    assert net._cand_p[g, :3].tolist() == [2, 0, 1]
+
+
+def test_route_c_rules_detours_commit_their_class_bump():
+    """Three dead links at node 0 of a 4-cube force detours; each
+    detour's channel-class bump is applied by the kernel's departure
+    rule when the head leaves, not by a Python on_depart."""
+    topo = Hypercube(4)
+    out = []
+    for cls in (Network, BatchedNetwork):
+        net = cls(topo, make_algorithm("route_c_rules"), config=SimConfig())
+        net.stats.digest = DecisionDigest()
+        net.schedule_faults(FaultSchedule.static(
+            links=[(0, 1), (0, 2), (0, 4)]))
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.2,
+                                            message_length=4, seed=1))
+        net.run(300)
+        out.append(net.stats.summary(topo.n_nodes))
+    assert out[0] == out[1]
+    assert out[0]["misrouted_fraction"] > 0.05
+
+
+def _route_c_classes_run(classes: bool):
+    """6-cube route_c_rules with two faulty nodes, batched; ``classes``
+    False keys every node's decisions apart."""
+    topo = Hypercube(6)
+    algo = make_algorithm("route_c_rules")
+    if not classes:
+        contract = algo.native_contract
+        algo.native_contract = lambda topo, contract=contract: \
+            replace(contract(topo), node_class=None)
+    route, n = algo.route, []
+    algo.route = lambda *a, route=route, n=n: n.append(1) or route(*a)
+    net = BatchedNetwork(topo, algo, config=SimConfig())
+    net.stats.digest = DecisionDigest()
+    net.schedule_faults(FaultSchedule.static(nodes=[5, 40]))
+    net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.2,
+                                        message_length=4, seed=1))
+    net.run(400)
+    return net.stats.summary(topo.n_nodes), len(n)
+
+
+def test_node_classes_save_route_calls():
+    """The same faulted batched route_c_rules run with node classes and
+    with one class per node: identical results, under half the route()
+    calls."""
+    with_classes, calls = _route_c_classes_run(True)
+    per_node, calls_per_node = _route_c_classes_run(False)
+    assert with_classes == per_node
+    assert calls < 0.5 * calls_per_node, (calls, calls_per_node)
+
+
+# ---------------------------------------------------------------------------
 # fast reroute: worms split at a dying link, absorbed when stuck, and
 # re-injected through the backup subbases — all on the arrays
 # ---------------------------------------------------------------------------
@@ -378,6 +480,27 @@ def test_fast_reroute_heals_on_the_arrays(algo):
     bat = _digest_run(BatchedNetwork, algo, kw, schedule)
     assert obj == bat
     assert obj["reroute"]["worms_healed"] > 0
+    assert obj["reroute"]["backup_route_decisions"] > 0
+
+
+def test_route_c_rules_armed_endpoints_keep_their_own_keys():
+    """Under fast reroute an injection at an armed endpoint may take a
+    backup substitution, so it must never be answered by a decision a
+    node of the same class cached; a slow flood (20 cycles a hop) keeps
+    the links armed long enough for class-mates to fill the cache."""
+    def schedule():
+        sched = FaultSchedule()
+        sched.add_link_fault(60, 0, 1)
+        sched.add_link_fault(90, 5, 7)
+        sched.add_link_fault(120, 10, 14)
+        return sched
+    kw = {"fault_mode": "harsh", "backup_routes": True, "retry_limit": 2,
+          "retry_backoff": 8, "detection_delay": 5,
+          "diagnosis_hop_delay": 20}
+    obj, bat = (_digest_run(cls, "route_c_rules", kw, schedule, load=0.3,
+                            topo=Hypercube(4))
+                for cls in (Network, BatchedNetwork))
+    assert obj == bat
     assert obj["reroute"]["backup_route_decisions"] > 0
 
 

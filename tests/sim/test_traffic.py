@@ -92,6 +92,17 @@ class TestPatterns:
 
 
 class TestGenerator:
+    def test_pattern_kwargs_must_name_accepted_keys(self):
+        # an argument-less pattern refuses any key instead of ignoring it
+        with pytest.raises(ValueError, match="'uniform' takes no argument "
+                                             "hotspot; it accepts none"):
+            TrafficGenerator(Mesh2D(4, 4), "uniform",
+                             pattern_kwargs={"hotspot": 3})
+        gen = TrafficGenerator(Mesh2D(4, 4), "hotspot",
+                               pattern_kwargs={"hotspot": 3,
+                                               "fraction": 1.0})
+        assert gen.destinations()(0) == 3
+
     def test_rate_close_to_load(self):
         topo = Mesh2D(4, 4)
         gen = TrafficGenerator(topo, "uniform", load=0.2, message_length=4,

@@ -86,6 +86,13 @@ class TestSpecRoundTrip:
             WorkloadSpec.from_dict({**small_spec().to_dict(),
                                     "pattern": "nope"})
 
+    def test_unknown_pattern_kwarg_rejected_at_spec_parse(self):
+        # a misspelt key fails here, not as a TypeError in a worker
+        with pytest.raises(ValueError,
+                           match="takes no argument hotpsot; it accepts "
+                                 "hotspot, fraction"):
+            small_spec(pattern="hotspot", pattern_kwargs={"hotpsot": 3})
+
     def test_spec_key_stable_across_processes(self):
         spec = small_spec(algorithm="nafta", fault_links=[(5, 9)])
         with ProcessPoolExecutor(max_workers=1) as pool:
