@@ -25,9 +25,17 @@ dx == 0; on the hypercube the dimensions to correct up and down), so
 one cached decision serves every congruent destination; destinations
 the algorithm reports irregular keep the exact id.  With a relative
 dst slot the node slot holds the node's class (``node_class``), so
-one entry also serves every node that decides alike.  Only
-genuine misses (first sighting of a key this epoch, REROUTE-hinted
-branches, stuck declarations) cross into Python.
+one entry also serves every node that decides alike.
+
+Only the decisions the cache cannot answer cross into Python (the
+first sighting of a key this epoch, epoch-stale and REROUTE-hinted
+refreshes, every decision of an algorithm without a contract), one
+input VC per crossing: ``k_route_scan`` stops at that VC and records
+it in ``xing``, Python runs ``route`` and hands the decision back in
+one ``k_commit`` call (decision arrays, field mirrors, digest line,
+cache entry), and the resumed scan goes on at the next VC of the same
+node.  Stuck heads are collected in C and handed back once, at the
+node's end, for purging.
 
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the
@@ -66,6 +74,16 @@ DIG_RESERVE = 1 << 17
 #: keys and the per-entry candidate capacity
 CT_KEYS = 54
 CT_CANDS = 8
+#: k_route_scan's return codes: the route stage is done; the VC in
+#: ``xing`` needs a Python decision, returned through k_commit; the
+#: node just finished holds stuck heads (``stuck[:n_stuck]``) to purge;
+#: the digest buffer needs a flush; a body flit fronts an idle VC
+#: (``xing`` names it)
+SCAN_DONE, SCAN_ROUTE, SCAN_PURGE, SCAN_FLUSH, SCAN_BODY = 0, 1, 2, -1, -2
+#: the crossing record ``xing``: gid, msg, fresh (1) or refresh (0),
+#: node, in_port, in_vc, path_len, then the MAXF mirrored field values
+#: before the decision
+XING_W = 7 + MAXF
 
 #: struct layout shared between the cffi cdef and the C source.  Every
 #: pointer aliases a numpy array owned by the Python-side state; the
@@ -93,9 +111,14 @@ typedef struct {
     int32_t tab_mask;         /* hash slots - 1                        */
     int32_t n_ent, ent_cap;   /* cache entries used / capacity         */
     int32_t dig_used, dig_cap;
+    int32_t adaptive;         /* RoutingAlgorithm.adaptive             */
     /* active-set scheduling */
     int32_t n_act;            /* live entries in act_list              */
-    int32_t scan_ai;          /* route-scan resume cursor (act index)  */
+    /* the route stage in progress (k_route_scan / k_commit) */
+    int32_t scan_ai;          /* resume cursor: active-list index ...  */
+    int32_t scan_g;           /* ... and next gid (-1: node's start)   */
+    int32_t cur_cycle, cur_epoch;
+    int32_t n_stuck;          /* heads in stuck, purged at node end    */
     /* metrics bookkeeping (array-native MetricsTimeseries gauges) */
     int32_t m_on;             /* a timeseries is attached              */
     int32_t m_count;          /* |_active| mirror for the gauge        */
@@ -188,6 +211,9 @@ typedef struct {
     int32_t *ct_cv;
     uint8_t *irreg;           /* n_nodes: destinations keyed exactly   */
     int32_t *node_cls;        /* n_nodes: key slot 0 of a relative key */
+    uint8_t *armed_end;       /* n_nodes: endpoint of an armed link    */
+    int32_t *xing;            /* XING_W: the VC handed to Python       */
+    int32_t *stuck;           /* maxc: the node's stuck message ids    */
 } BState;
 """
 
@@ -200,12 +226,9 @@ typedef long long int64_t;
 void k_flush(BState *s);
 int  k_start_scan(BState *s, int32_t *out_nodes);
 int  k_inject(BState *s, int32_t *out_heads);
-int  k_route_scan(BState *s, int start_ai, int cycle, int epoch,
-                  int adaptive, int32_t *need);
-int  k_try_hit(BState *s, int g, int cycle, int epoch);
-void k_note(BState *s, int g, int steps, int32_t b0, int32_t b1,
-            int32_t b2, int32_t b3, int32_t b4, int cacheable,
-            int fresh);
+int  k_route_scan(BState *s, int cycle, int epoch, int resume);
+int  k_commit(BState *s, int deliver, int stuck, int hint, int steps,
+              int n, int32_t *cands, int32_t *fields);
 void k_resort(BState *s, int g);
 void k_port_loads(BState *s, int node, int32_t *out);
 int  k_alloc(BState *s);
@@ -229,8 +252,15 @@ _SOURCE = """
 #define F_NONE (-999999)
 #define CT_CANDS 8
 /* refresh hints the kernel acts on (repro.routing.base) */
+#define H_REROUTE 0
 #define H_RESORT 1
 #define H_ARGMIN 3
+/* k_route_scan's return codes (SCAN_* in Python) */
+#define SCAN_DONE 0
+#define SCAN_ROUTE 1
+#define SCAN_PURGE 2
+#define SCAN_FLUSH (-1)
+#define SCAN_BODY (-2)
 
 /* -- active-set scheduling ---------------------------------------- */
 
@@ -603,37 +633,16 @@ static int ct_lookup(BState *s, int g, int node, int mid,
     return 1;
 }
 
-int k_try_hit(BState *s, int g, int cycle, int epoch)
+/* install a Python-computed decision as a cache entry keyed by the
+   field values *before* it ran (the crossing record's), capturing the
+   after-values from the mirrors */
+static void note_entry(BState *s, int g, int mid, int steps,
+                       const int32_t *before)
 {
-    if (!s->n_native) return 0;
-    int hd = s->buf_head[g];
-    int mid = s->buf_msg[(int64_t)g * s->cap + hd];
-    if (s->buf_seq[(int64_t)g * s->cap + hd] != 0) return 0;
-    if (ct_lookup(s, g, s->iv_node[g], mid, cycle, epoch)) return 1;
-    int32_t k[KEYW];
-    mk_key(s, g, mid, k);
-    int e = probe(s, k);
-    if (e < 0) return 0;
-    apply_hit(s, g, s->iv_node[g], mid, e, cycle, epoch);
-    return 1;
-}
-
-/* record a Python-computed decision: append its digest line (fresh
-   decisions only — refreshes are silent) and, when cacheable, install
-   a cache entry keyed by the field values *before* the decision ran
-   (b0..b4), capturing the after-values from the mirrors the caller
-   just synced. */
-void k_note(BState *s, int g, int steps, int32_t b0, int32_t b1,
-            int32_t b2, int32_t b3, int32_t b4, int cacheable,
-            int fresh)
-{
-    int node = s->iv_node[g];
-    if (fresh) dig_line(s, node, g, steps);
-    if (!cacheable || !s->n_native || s->n_ent >= s->ent_cap) return;
-    int mid = s->head_msg[g];
+    if (!s->n_native || s->n_ent >= s->ent_cap) return;
     int32_t k[KEYW];
     key_head(s, g, mid, k);
-    k[5] = b0; k[6] = b1; k[7] = b2; k[8] = b3; k[9] = b4;
+    memcpy(k + 5, before, MAXF * sizeof(int32_t));
     uint32_t m = (uint32_t)s->tab_mask;
     uint32_t j = key_hash(k) & m;
     for (;; j = (j + 1) & m) {
@@ -678,72 +687,152 @@ void k_rehash(BState *s)
     }
 }
 
-/* Route stage over active-list indices >= start_ai (the list is
-   sorted ascending at cycle start, so this is ascending node order),
-   mirroring Router.route_stage gid-for-gid: idle heads are served
-   from the clean table or the native cache, ROUTING timers expire,
-   RESORT- and ARGMIN-hinted blocked heads are re-sorted.  The scan
-   stops at the first input VC that needs Python — a cache miss, a
-   REROUTE/epoch-stale refresh, a hop-budget overflow or a stuck
-   decision about to fire — stores the cursor in scan_ai and returns
-   that gid plus the node's remaining occupied gids (Python finishes
-   the node in order, applies any stuck purges, and resumes at
-   scan_ai+1, so purge effects are visible to later nodes exactly as
-   in the object engine).  Returns 0 when every remaining node was
-   handled, or -(ai+1) when the digest buffer needs a flush before
-   act_list[ai] can be processed. */
-int k_route_scan(BState *s, int start_ai, int cycle, int epoch,
-                 int adaptive, int32_t *need)
+/* a ROUTED head whose decision is stuck is purged at its node's end,
+   after the whole node's route stage (Router.route_stage's order) */
+static void note_stuck(BState *s, int g)
 {
-    int na = s->n_act;
-    for (int ai = start_ai; ai < na; ai++) {
+    if (s->st[g] == 2 && s->stuckf[g])
+        s->stuck[s->n_stuck++] = s->head_msg[g];
+}
+
+/* hand input VC g to Python and stop there; a resumed scan goes on at
+   g + 1 of the same node */
+static int cross(BState *s, int ai, int g, int mid, int fresh)
+{
+    int32_t *x = s->xing;
+    x[0] = g;
+    x[1] = mid;
+    x[2] = fresh;
+    x[3] = s->iv_node[g];
+    x[4] = s->iv_port[g];
+    x[5] = s->iv_vc[g];
+    x[6] = s->msg_plen[mid];
+    memcpy(x + 7, s->msg_f + (int64_t)mid * MAXF, MAXF * sizeof(int32_t));
+    s->scan_ai = ai;
+    s->scan_g = g + 1;
+    return SCAN_ROUTE;
+}
+
+/* The route stage over the active list (sorted ascending at cycle
+   start, so ascending node order), mirroring Router.route_stage gid
+   for gid: idle heads are served from the clean table or the native
+   cache, ROUTING timers expire, RESORT- and ARGMIN-hinted blocked heads
+   are re-sorted, hop-budget overflows and stuck heads are collected.
+   The scan stops at each input VC that needs Python -- a cache miss
+   (every fresh decision of an algorithm without a native contract) or
+   an epoch-stale or REROUTE-hinted refresh -- and returns SCAN_ROUTE
+   with that one VC in xing; Python runs route() and hands the decision
+   back through k_commit, and the resumed scan (resume = 1) goes on at
+   the next VC of the same node.  At the end of a node with stuck heads
+   it returns SCAN_PURGE: Python purges stuck[:n_stuck] before the next
+   node is scanned, as the object engine does.  SCAN_FLUSH asks for a
+   digest flush before the next node, SCAN_BODY reports a body flit at
+   the front of an idle VC, SCAN_DONE ends the stage.  resume = 0
+   starts the stage at the first active node. */
+int k_route_scan(BState *s, int cycle, int epoch, int resume)
+{
+    int ai = resume ? s->scan_ai : 0;
+    int g0 = resume ? s->scan_g : -1;
+    s->cur_cycle = cycle;
+    s->cur_epoch = epoch;
+    for (; ai < s->n_act; ai++, g0 = -1) {
         int node = s->act_list[ai];
-        if (s->r_nflits[node] <= 0) continue;
-        if (s->dig_on && s->dig_used > s->dig_cap - RESERVE_BYTES)
-            return -(ai + 1);
-        int lo = s->iv_off[node], hi = s->iv_off[node + 1];
-        for (int g = lo; g < hi; g++) {
+        int hi = s->iv_off[node + 1];
+        if (g0 < 0) {                          /* the node's start */
+            if (s->r_nflits[node] <= 0) continue;
+            if (s->dig_on && s->dig_used > s->dig_cap - RESERVE_BYTES) {
+                s->scan_ai = ai;
+                s->scan_g = -1;
+                return SCAN_FLUSH;
+            }
+            s->n_stuck = 0;
+            g0 = s->iv_off[node];
+        }
+        for (int g = g0; g < hi; g++) {
             if (!s->buf_cnt[g]) continue;
             uint8_t st = s->st[g];
-            int hard = 0;
             if (st == 0) {
                 int hd = s->buf_head[g];
                 int mid = s->buf_msg[(int64_t)g * s->cap + hd];
-                if (s->buf_seq[(int64_t)g * s->cap + hd] != 0
-                        || (s->hop_budget
-                            && s->msg_plen[mid] > s->hop_budget)) {
-                    hard = 1;
-                } else if (ct_lookup(s, g, node, mid, cycle, epoch)) {
-                    /* served from the clean table */
-                } else if (!s->n_native || s->n_ent >= s->ent_cap) {
-                    hard = 1;
-                } else {
+                if (s->buf_seq[(int64_t)g * s->cap + hd] != 0) {
+                    cross(s, ai, g, mid, 1);
+                    return SCAN_BODY;
+                }
+                if (s->hop_budget && s->msg_plen[mid] > s->hop_budget) {
+                    s->stuck[s->n_stuck++] = mid;
+                    continue;
+                }
+                if (!ct_lookup(s, g, node, mid, cycle, epoch)) {
+                    if (!s->n_native || s->n_ent >= s->ent_cap)
+                        return cross(s, ai, g, mid, 1);
                     int32_t k[KEYW];
                     mk_key(s, g, mid, k);
                     int e = probe(s, k);
-                    if (e < 0) hard = 1;
-                    else apply_hit(s, g, node, mid, e, cycle, epoch);
+                    if (e < 0) return cross(s, ai, g, mid, 1);
+                    apply_hit(s, g, node, mid, e, cycle, epoch);
                 }
             } else if (st == 2) {
-                if (s->epoch[g] != epoch) hard = 1;
-                else if (adaptive && s->hint[g] == 0) hard = 1;
-                else if (s->stuckf[g]) hard = 1;
-                else if (adaptive && load_ordered(s, g))
+                if (s->epoch[g] != epoch
+                        || (s->adaptive && s->hint[g] == H_REROUTE))
+                    return cross(s, ai, g, s->head_msg[g], 0);
+                if (s->adaptive && load_ordered(s, g))
                     resort_cands(s, g, node);
             } else if (st == 1 && cycle >= s->ready[g]) {
-                if (s->stuckf[g]) hard = 1;
-                else s->st[g] = 2;
+                s->st[g] = 2;
             }
-            if (hard) {
-                int n = 0;
-                for (int g2 = g; g2 < hi; g2++)
-                    if (s->buf_cnt[g2]) need[n++] = g2;
-                s->scan_ai = ai;
-                return n;
-            }
+            note_stuck(s, g);
+        }
+        if (s->n_stuck) {
+            s->scan_ai = ai + 1;
+            s->scan_g = -1;
+            return SCAN_PURGE;
         }
     }
-    return 0;
+    return SCAN_DONE;
+}
+
+/* Python's decision for the VC of the last SCAN_ROUTE: write the VC's
+   decision arrays and the message's field mirrors (fields: n_native
+   after-values), the digest line of a fresh decision and -- unless it
+   is REROUTE-hinted or an injection at an armed fast-reroute endpoint,
+   which may take a backup substitution -- its cache entry; then finish
+   the VC's route-stage step as the scan would.  cands holds n (port,
+   vc) pairs.  Returns 1 when the cache must grow before the next
+   entry, -1 (writing nothing) when n exceeds the maxc slots a VC
+   holds. */
+int k_commit(BState *s, int deliver, int stuck, int hint, int steps,
+             int n, int32_t *cands, int32_t *fields)
+{
+    const int32_t *x = s->xing;
+    int g = x[0], mid = x[1], node = x[3];
+    if (n > s->maxc) return -1;
+    if (s->n_native)
+        memcpy(s->msg_f + (int64_t)mid * MAXF, fields,
+               s->n_native * sizeof(int32_t));
+    s->deliver[g] = deliver ? 1 : 0;
+    s->stuckf[g] = stuck ? 1 : 0;
+    s->hint[g] = (uint8_t)hint;
+    s->ncand[g] = n;
+    int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
+    int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
+    for (int i = 0; i < n; i++) {
+        cp[i] = cands[2 * i];
+        cv[i] = cands[2 * i + 1];
+    }
+    s->epoch[g] = s->cur_epoch;
+    if (x[2]) {                                /* a fresh decision */
+        s->st[g] = 1;
+        s->head_msg[g] = mid;
+        int lat = steps * s->cps;
+        if (lat < 1) lat = 1;
+        s->ready[g] = s->cur_cycle + lat - 1;
+        dig_line(s, node, g, steps);
+        if (s->cur_cycle >= s->ready[g]) s->st[g] = 2;
+    }
+    if (hint != H_REROUTE && !(s->armed_end[node] && x[4] == -1))
+        note_entry(s, g, mid, steps, x + 7);
+    note_stuck(s, g);
+    return s->n_ent >= s->ent_cap - 1;
 }
 
 static void do_grant(BState *s, int node, int g, int ovg, int is_head)
@@ -761,11 +850,11 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
         s->st[g] = 3;
         s->o_port[g] = out_pid;
         s->o_vc[g] = s->iv_vc[ovg];
+        s->msg_plen[msg]++;        /* the base on_depart's hop count */
         if (s->n_native) {
             /* the declared departure effect, applied in grant order:
-               path-length bump + the terminal-commit and bump rules */
+               the terminal-commit and bump rules */
             int32_t *f = s->msg_f + (int64_t)msg * MAXF;
-            s->msg_plen[msg]++;
             if (s->term_on) {
                 int v = f[s->vn_f];
                 if (v >= 0 && v < 8 && out_pid == s->term_port[v])

@@ -6,10 +6,12 @@ module re-represents the same machine as flat numpy arrays — channel
 occupancy, credits, worm heads and tails, flit queues, round-robin
 pointers — advanced each cycle by compiled C kernels
 (:mod:`repro.sim._batched_kernel`), with Python entered only where the
-routing *algorithm* must run: fresh head decisions, epoch-stale or
-REROUTE-hinted refreshes, and stuck-message purges — plus the fault
-events themselves, where fast reroute (``backup_routes``) heals and
-absorbs worms with the object engine's walks over the arrays.
+routing *algorithm* must run — one input VC per crossing: a fresh head
+decision or an epoch-stale or REROUTE-hinted refresh, whose ``route``
+result goes back to the kernel in one ``k_commit`` call — and once per
+node with stuck heads to purge; plus the fault events themselves,
+where fast reroute (``backup_routes``) heals and absorbs worms with the
+object engine's walks over the arrays.
 
 What happens to a message after a fault — rip-up, heal, absorb,
 retry, dead letter — is decided by :class:`~repro.sim.network.Network`,
@@ -45,7 +47,7 @@ mirror the oracle one-for-one:
   header fields (and the node and destination, or under
   ``relative_dst`` the node's class and the destination's class
   relative to it) replays repeated decisions; every miss is a fresh
-  ``route()`` call whose result is noted into that cache.
+  ``route()`` call, committed into that cache.
 
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
@@ -67,6 +69,8 @@ cannot be built or loaded.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .arbiter import Arbiter
@@ -76,32 +80,38 @@ from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from .topology import Hypercube
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
-                              FIELD_NONE, MAXF, load_kernel,
+                              FIELD_NONE, MAXF, SCAN_DONE, SCAN_FLUSH,
+                              SCAN_PURGE, SCAN_ROUTE, XING_W, load_kernel,
                               unavailable_reason)
-from ..routing.base import (REFRESH_ARGMIN, REFRESH_REROUTE, REFRESH_RESORT,
-                            RouteDecision)
+from ..routing.base import REFRESH_ARGMIN, RouteDecision
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
-_MISSING = object()
 _NO_PORT = -100      # o_port value meaning "no output assigned"
 _NO_ARMS = frozenset()
 _NO_KERNEL = "the batched kernel is unavailable: "
-#: refresh hints the kernel serves by re-sorting on current loads
-_LOAD_ORDERED = (REFRESH_RESORT, REFRESH_ARGMIN)
 
 
-def _encode(v) -> int:
-    """Header field value -> int32 mirror encoding (see
-    :attr:`~repro.routing.base.NativeContract.fields`)."""
-    if v is _MISSING:
-        return FIELD_ABSENT
-    if v is None:
-        return FIELD_NONE
-    if v is True:
-        return 1
-    if v is False:
-        return 0
-    return int(v)
+def _encoded(f: dict, names) -> list[int]:
+    """The int32 mirror encoding of the header fields ``f`` named by
+    ``names`` (see :attr:`~repro.routing.base.NativeContract.fields`):
+    absent is FIELD_ABSENT, None is FIELD_NONE, bools and ints are
+    ints."""
+    return [FIELD_NONE if v is None else int(v)
+            for v in map(f.get, names, repeat(FIELD_ABSENT))]
+
+
+def _load_fields(f: dict, names, vals, plen: int) -> None:
+    """Header fields ``f`` <- the mirrored values ``vals`` of the
+    native fields ``names`` and the path length ``plen``."""
+    for name, v in zip(names, vals):
+        if v == FIELD_ABSENT:
+            f.pop(name, None)
+        elif v == FIELD_NONE:
+            f[name] = None
+        else:
+            f[name] = v
+    if plen or "path_len" in f:
+        f["path_len"] = plen
 
 
 class _TailShim:
@@ -301,7 +311,9 @@ class BatchedNetwork(Network):
         self._req_g = i32(maxc)
         self._req_ov = i32(maxc)
         self._req_head = u8(maxc)
-        self._need = i32(maxc)
+        # the route stage's crossing record and its node's stuck heads
+        self._xing = i32(XING_W)
+        self._stuck = i32(maxc)
         self._heads = i32(n_nodes)
         self._loads = i32(max_pid + 1)
         # per-message mirrors (grown together in _grow_msgs)
@@ -333,7 +345,7 @@ class BatchedNetwork(Network):
         self._e_cp = i32(ent_cap, maxc)
         self._e_cv = i32(ent_cap, maxc)
         self._term_port = i32(8)
-        self._dig = u8(DIG_CAP if native else 16)
+        self._dig = u8(DIG_CAP)
         self._dstat = np.zeros(4, dtype=np.int64)
 
         # active set: the compacted, sorted node list the per-cycle C
@@ -350,6 +362,7 @@ class BatchedNetwork(Network):
         self._node_y = i32(n_nodes)
         self._irreg = u8(n_nodes)
         self._node_cls = np.arange(n_nodes, dtype=np.int32)
+        self._armed_end = u8(n_nodes)
         self._ct_valid = u8(CT_KEYS)
         self._ct_deliver = u8(CT_KEYS)
         self._ct_hint = u8(CT_KEYS)
@@ -394,6 +407,7 @@ class BatchedNetwork(Network):
         lim = contract.livelock_limit if native else None
         cs.limit = int(lim) if lim is not None else (2 ** 31 - 1)
         cs.dig_on = 0                  # refreshed each _route_phase
+        cs.adaptive = 1 if self.algorithm.adaptive else 0
         # head-departure events are only replayed in Python when the
         # algorithm's on_depart must run there or paths are traced
         cs.trace_on = 0 if (native and not self.config.trace_paths) else 1
@@ -458,25 +472,23 @@ class BatchedNetwork(Network):
                      "ea", "e_steps", "e_ncand", "e_cp", "e_cv",
                      "act_list", "node_x", "node_y", "ct_steps",
                      "ct_ncand", "ct_vn_after", "ct_cp", "ct_cv",
-                     "node_cls"):
+                     "node_cls", "xing", "stuck"):
             attr = {"epoch": "_epoch_a"}.get(name, "_" + name)
             self._bind(name, getattr(self, attr), "int32_t *")
         self._bind("st", self._ivst, "uint8_t *")
         for name in ("inc_val", "deliver", "stuckf", "hint", "node_ok",
                      "alive", "req_head", "e_deliver", "e_hint", "dig",
                      "act_flag", "m_flag", "ct_valid", "ct_deliver",
-                     "ct_hint", "irreg"):
+                     "ct_hint", "irreg", "armed_end"):
             self._bind(name, getattr(self, "_" + name), "uint8_t *")
         self._bind("rr_ptr", self._rr_ptr, "int64_t *")
         self._bind("counters", self._counters, "int64_t *")
         self._bind("dstat", self._dstat, "int64_t *")
         self._bind("link_cnt", self._link_cnt, "int64_t *")
-        self._need_ptr = ffi.cast("int32_t *", ffi.from_buffer(self._need))
         self._heads_ptr = ffi.cast("int32_t *",
                                    ffi.from_buffer(self._heads))
         self._loads_ptr = ffi.cast("int32_t *",
                                    ffi.from_buffer(self._loads))
-        self._bufs.append(self._need_ptr)
         self._bufs.append(self._heads_ptr)
         self._bufs.append(self._loads_ptr)
 
@@ -587,9 +599,7 @@ class BatchedNetwork(Network):
         if self._native and f:
             # mirrors are pre-filled ABSENT, so only headers that carry
             # fields (retries, tests) need per-field encoding
-            mf = self._msg_f
-            for i, name in enumerate(self._nf):
-                mf[mid, i] = _encode(f.get(name, _MISSING))
+            self._msg_f[mid, :len(self._nf)] = _encoded(f, self._nf)
 
     def _sync_fields(self, mid: int):
         """Header fields <- mirrors.  The mirrors are authoritative
@@ -597,27 +607,9 @@ class BatchedNetwork(Network):
         applies cached field writes and departure effects); call this
         before any Python code reads the header.  Returns the header."""
         hdr = self.messages[mid].header
-        f = hdr.fields
-        for name, v in zip(self._nf, self._msg_f[mid].tolist()):
-            if v == FIELD_ABSENT:
-                f.pop(name, None)
-            elif v == FIELD_NONE:
-                f[name] = None
-            else:
-                f[name] = v
-        plen = int(self._msg_plen[mid])
-        if plen or "path_len" in f:
-            f["path_len"] = plen
+        _load_fields(hdr.fields, self._nf, self._msg_f[mid].tolist(),
+                     int(self._msg_plen[mid]))
         return hdr
-
-    def _sync_mirrors(self, mid: int) -> None:
-        """Mirrors <- header fields, after Python ran the algorithm
-        (``route`` never touches path_len, so only the native fields
-        move)."""
-        f = self.messages[mid].header.fields
-        mf = self._msg_f
-        for i, name in enumerate(self._nf):
-            mf[mid, i] = _encode(f.get(name, _MISSING))
 
     def _sync_faults(self) -> None:
         faults = self.faults
@@ -672,10 +664,9 @@ class BatchedNetwork(Network):
 
     def _route_phase(self) -> None:
         lib, cs = self._lib, self._cs
-        need_ptr = self._need_ptr
         cycle = self.cycle
         epoch = self.route_epoch
-        adaptive = 1 if self.algorithm.adaptive else 0
+        nf = self._nf
         if self._native:
             armed = self._frr.armed if self._frr is not None else _NO_ARMS
             links = self.faults.version if self._reads_links else 0
@@ -703,19 +694,47 @@ class BatchedNetwork(Network):
                                  self.known_faults.n_faults() == 0 and
                                  not (self._reads_links and
                                       self.faults.n_faults())) else 0
-            cs.dig_on = 1 if self.stats.digest is not None else 0
-        start = 0                        # active-list index, not a gid
-        while True:
-            n = lib.k_route_scan(cs, start, cycle, epoch, adaptive,
-                                 need_ptr)
-            if n == 0:
-                break
-            if n < 0:                    # digest buffer nearly full
+        cs.dig_on = 1 if self.stats.digest is not None else 0
+        # The kernel runs Router.route_stage node by node and hands
+        # Python one input VC per SCAN_ROUTE: sync its header, route()
+        # it, count a fresh decision (refreshes are silent, as in the
+        # object engine) and return the decision in one k_commit call
+        scan, commit = lib.k_route_scan, lib.k_commit
+        xing = self._xing
+        messages, routers = self.messages, self.routers
+        route = self.algorithm.route
+        count = self.stats.count_decision
+        r = scan(cs, cycle, epoch, 0)
+        while r != SCAN_DONE:
+            x = xing.tolist()
+            if r == SCAN_ROUTE:
+                header = messages[x[1]].header
+                if nf:
+                    _load_fields(header.fields, nf, x[7:], x[6])
+                dec = route(routers[x[3]], header, x[4], x[5])
+                if x[2]:
+                    count(dec.steps)
+                cands = dec.stored
+                rc = commit(cs, dec.deliver, dec.stuck, dec.refresh_hint,
+                            dec.steps, len(cands),
+                            [i for pv in cands for i in pv],
+                            _encoded(header.fields, nf))
+                if rc:
+                    if rc < 0:
+                        raise ValueError(
+                            f"route() returned {len(cands)} candidates; "
+                            f"an input VC holds {self._cand_p.shape[1]}")
+                    self._grow_cache()
+            elif r == SCAN_PURGE:
+                for mid in self._stuck[:cs.n_stuck].tolist():
+                    self.message_stuck(mid)
+            elif r == SCAN_FLUSH:
                 self._flush_digest()
-                start = -n - 1
-                continue
-            self._route_gids(n, cycle, epoch)
-            start = int(cs.scan_ai) + 1
+            else:
+                raise RuntimeError(
+                    f"node {x[3]}: body flit of message {x[1]} at the "
+                    f"front of an idle VC")
+            r = scan(cs, cycle, epoch, 1)
         self._flush_native_stats()
 
     def _fill_classes(self, armed) -> None:
@@ -751,6 +770,9 @@ class BatchedNetwork(Network):
         instead of the kernel's candidate re-sort."""
         new = {n for link in armed - self._c_armed for n in link}
         self._c_armed = frozenset(armed)
+        # decisions at an armed endpoint's local port stay uncached
+        self._armed_end[:] = 0
+        self._armed_end[[n for link in armed for n in link]] = 1
         if not self.algorithm.adaptive:
             return
         n_vcs = self.algorithm.n_vcs
@@ -783,145 +805,6 @@ class BatchedNetwork(Network):
             ds[2] = 0
         if self._cs.dig_used:
             self._flush_digest()
-
-    def _route_gids(self, n: int, cycle: int, epoch: int) -> int:
-        """Mirror of ``Router.route_stage`` for the input VCs the kernel
-        flagged (all on one node); returns that node."""
-        gids = self._need[:n].tolist()
-        ivst = self._ivst
-        buf_msg = self._buf_msg
-        buf_seq = self._buf_seq
-        buf_head = self._buf_head
-        head_msg = self._head_msg
-        iv_port = self._iv_port
-        iv_vc = self._iv_vc
-        ready = self._ready
-        epoch_a = self._epoch_a
-        stuckf = self._stuckf
-        hint_a = self._hint
-        msg_f = self._msg_f
-        messages = self.messages
-        stats = self.stats
-        digest = stats.digest
-        algo = self.algorithm
-        adaptive = algo.adaptive
-        native = self._native
-        lib, cs = self._lib, self._cs
-        cps = self.config.cycles_per_step
-        hop_budget = self.config.hop_budget
-        node = int(self._iv_node[gids[0]])
-        router = self.routers[node]
-        # an injection at an armed endpoint may take a backup
-        # substitution: never cache it, so each one is counted
-        subst = self._frr is not None and self._frr.armed_endpoint(node)
-        stuck: list[int] = []
-        for g in gids:
-            st = ivst[g]
-            if st == 0:                                    # IDLE
-                hd = buf_head[g]
-                mid = int(buf_msg[g, hd])
-                if buf_seq[g, hd] != 0:
-                    raise RuntimeError(
-                        f"node {node}: body flit of message {mid} at "
-                        f"the front of an idle VC")
-                if native:
-                    if hop_budget \
-                            and int(self._msg_plen[mid]) > hop_budget:
-                        stuck.append(mid)
-                        continue
-                    if lib.k_try_hit(cs, g, cycle, epoch):
-                        continue       # hit applied in C, never stuck
-                    header = self._sync_fields(mid)
-                    bf = msg_f[mid]
-                    b0, b1, b2, b3, b4 = (int(bf[0]), int(bf[1]),
-                                          int(bf[2]), int(bf[3]),
-                                          int(bf[4]))
-                    dec = algo.route(router, header, int(iv_port[g]),
-                                     int(iv_vc[g]))
-                    stats.count_decision(dec.steps)
-                    self._write_decision(g, dec, mid, cycle, cps, epoch)
-                    self._sync_mirrors(mid)
-                    if cs.n_ent >= self._ent_cap - 1:
-                        self._grow_cache()
-                    # digest line (in order, via the C byte stream) +
-                    # cache entry keyed by the before-values b0..b4
-                    cacheable = dec.refresh_hint != REFRESH_REROUTE \
-                        and not (subst and iv_port[g] == LOCAL)
-                    lib.k_note(cs, g, dec.steps, b0, b1, b2, b3, b4,
-                               1 if cacheable else 0, 1)
-                else:
-                    header = messages[mid].header
-                    if hop_budget and header.path_len > hop_budget:
-                        stuck.append(mid)
-                        continue
-                    dec = algo.route(router, header, int(iv_port[g]),
-                                     int(iv_vc[g]))
-                    stats.count_decision(dec.steps)
-                    if digest is not None:
-                        digest.update(node, mid, dec)
-                    self._write_decision(g, dec, mid, cycle, cps, epoch)
-                st = 1
-            if st == 1:                                    # ROUTING
-                if cycle >= ready[g]:
-                    ivst[g] = 2
-            elif st == 2:                                  # ROUTED
-                # refresh; no count, no digest — exactly the object
-                # engine's semantics (which re-routes blocked adaptive
-                # heads every cycle; the hints declare the equivalent
-                # cheap refresh)
-                if native:
-                    if epoch_a[g] != epoch \
-                            or (adaptive and hint_a[g] == 0):
-                        mid = int(head_msg[g])
-                        header = self._sync_fields(mid)
-                        bf = msg_f[mid]
-                        b0, b1, b2, b3, b4 = (int(bf[0]), int(bf[1]),
-                                              int(bf[2]), int(bf[3]),
-                                              int(bf[4]))
-                        dec = algo.route(router, header,
-                                         int(iv_port[g]), int(iv_vc[g]))
-                        self._write_refresh(g, dec, epoch)
-                        self._sync_mirrors(mid)
-                        if dec.refresh_hint != REFRESH_REROUTE \
-                                and not (subst and iv_port[g] == LOCAL):
-                            if cs.n_ent >= self._ent_cap - 1:
-                                self._grow_cache()
-                            lib.k_note(cs, g, dec.steps, b0, b1, b2,
-                                       b3, b4, 1, 0)
-                    elif adaptive and hint_a[g] in _LOAD_ORDERED:
-                        lib.k_resort(cs, g)
-                elif epoch_a[g] != epoch or adaptive:
-                    header = messages[int(head_msg[g])].header
-                    dec = algo.route(router, header, int(iv_port[g]),
-                                     int(iv_vc[g]))
-                    self._write_refresh(g, dec, epoch)
-            if ivst[g] == 2 and stuckf[g]:
-                stuck.append(int(head_msg[g]))
-        for mid in stuck:
-            self.message_stuck(mid)
-        return node
-
-    def _write_decision(self, g: int, dec: RouteDecision, mid: int,
-                        cycle: int, cps: int, epoch: int) -> None:
-        self._ivst[g] = 1
-        self._head_msg[g] = mid
-        self._ready[g] = cycle + max(1, dec.steps * cps) - 1
-        self._write_refresh(g, dec, epoch)
-
-    def _write_refresh(self, g: int, dec: RouteDecision,
-                       epoch: int) -> None:
-        self._deliver[g] = 1 if dec.deliver else 0
-        self._stuckf[g] = 1 if dec.stuck else 0
-        self._hint[g] = dec.refresh_hint
-        # the kernel offers only the first member of an ARGMIN set
-        cands = dec.stored
-        self._ncand[g] = len(cands)
-        cp = self._cand_p
-        cv = self._cand_v
-        for i, (p, v) in enumerate(cands):
-            cp[g, i] = p
-            cv[g, i] = v
-        self._epoch_a[g] = epoch
 
     def _alloc_phase(self) -> int:
         moved = int(self._lib.k_alloc(self._cs))

@@ -60,8 +60,11 @@ class DiagnosisEngine:
         self.faults = ground_truth       # live reference, never mutated here
         self.hop_delay = hop_delay
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.views: list[FaultState] = [FaultState(topology)
-                                        for _ in topology.nodes()]
+        # the views share one component labelling per distinct fault set
+        labels: dict = {}
+        self.views: list[FaultState] = [
+            FaultState(topology, shared_labels=labels)
+            for _ in topology.nodes()]
         # (deliver_cycle, seq, node, event); seq keeps the heap stable
         self._heap: list[tuple[int, int, int, FaultEvent]] = []
         self._seq = 0

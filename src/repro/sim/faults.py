@@ -39,15 +39,22 @@ class FaultEvent:
 
 
 class FaultState:
-    """Current set of dead links and nodes over a topology."""
+    """Current set of dead links and nodes over a topology.
 
-    def __init__(self, topology: Topology):
+    States that pass one ``shared_labels`` dict share their component
+    labellings: each distinct ``(dead_links, dead_nodes)`` is labelled
+    once among them (the per-node diagnosis views mostly hold the same
+    few fault sets)."""
+
+    def __init__(self, topology: Topology,
+                 shared_labels: dict | None = None):
         self.topology = topology
         self.dead_links: set[tuple[int, int]] = set()
         self.dead_nodes: set[int] = set()
         #: bumped on every mutation; consumers cache against it
         self.version = 0
         self._components: list[int] | None = None
+        self._shared = shared_labels
 
     # -- mutation -----------------------------------------------------
 
@@ -121,8 +128,19 @@ class FaultState:
         return comp[a] == comp[b] and comp[a] >= 0
 
     def _component_labels(self) -> list[int]:
-        if self._components is not None:
-            return self._components
+        if self._components is None:
+            shared = self._shared
+            if shared is None:
+                self._components = self._label_components()
+            else:
+                key = self.snapshot()
+                labels = shared.get(key)
+                if labels is None:
+                    labels = shared[key] = self._label_components()
+                self._components = labels
+        return self._components
+
+    def _label_components(self) -> list[int]:
         n = self.topology.n_nodes
         labels = [-1] * n
         next_label = 0
@@ -139,7 +157,6 @@ class FaultState:
                         labels[nb] = next_label
                         stack.append(nb)
             next_label += 1
-        self._components = labels
         return labels
 
     def snapshot(self) -> tuple[frozenset, frozenset]:

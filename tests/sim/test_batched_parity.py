@@ -15,6 +15,7 @@ The conformance hook rides along: ``run_case_payload`` with an
 must reproduce the object engine's digests on generated cases.
 """
 
+import collections
 import itertools
 from dataclasses import replace
 
@@ -22,7 +23,9 @@ import pytest
 
 from repro.conformance.generate import generate_cases
 from repro.conformance.runner import run_case_payload
+from repro.routing.base import REFRESH_ARGMIN, REFRESH_RESORT
 from repro.routing.registry import ALGORITHM_META, make_algorithm
+from repro.sim._batched_kernel import SCAN_PURGE, SCAN_ROUTE
 from repro.sim.batched import (BatchedNetwork, batched_fallback_reason,
                                build_network)
 from repro.sim.config import SimConfig
@@ -339,7 +342,9 @@ def test_worms_toward_a_newly_deactivated_destination():
 
 def test_relative_keys_save_route_calls():
     """The same faulted batched run, keyed by relative destination and
-    by exact destination: identical results, far fewer route() calls."""
+    by exact destination: identical results, far fewer route() calls.
+    Only the run's calls count, not the clean-table probes a build
+    makes when the table cache is cold."""
     calls, summaries = {}, {}
     for relative in (True, False):
         algo = make_algorithm("nafta")
@@ -347,13 +352,148 @@ def test_relative_keys_save_route_calls():
             contract = algo.native_contract
             algo.native_contract = lambda topo, contract=contract: \
                 replace(contract(topo), relative_dst=False)
+        net = _deactivating_run(BatchedNetwork, algo, seed=1, cycles=0)
         route, n = algo.route, []
         algo.route = lambda *a, route=route, n=n: n.append(1) or route(*a)
-        net = _deactivating_run(BatchedNetwork, algo, seed=1, cycles=600)
+        net.run(600)
         calls[relative] = len(n)
         summaries[relative] = net.stats.summary(64)
     assert summaries[True] == summaries[False]
     assert calls[True] < 0.7 * calls[False], calls
+
+
+# ---------------------------------------------------------------------------
+# the crossing protocol: the kernel hands Python one input VC at a time
+# and resumes inside the node after the decision's commit
+# ---------------------------------------------------------------------------
+
+class _ScanWatch:
+    """The kernel library with its route-scan returns counted.  For a
+    node whose first crossing in a cycle is a fresh decision, it also
+    records what the kernel then did itself at the node's later input
+    VCs: a cache hit, an expired ROUTING timer, a re-sorted blocked
+    head, a stuck head among the node's purges."""
+
+    def __init__(self, net):
+        self.net, self.lib = net, net._lib
+        self.returns = collections.Counter()
+        self.nodes = []                 # (cycle, node, events)
+        self._watch = None
+        self._last = None               # (cycle, node) of the last crossing
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def _later(self, g):
+        """(gid, state, hint) and head messages of the occupied input
+        VCs after ``g`` in its node."""
+        net = self.net
+        vcs, mids = [], set()
+        for h in range(g + 1, int(net._iv_off[net._iv_node[g] + 1])):
+            if net._buf_cnt[h]:
+                st = int(net._ivst[h])
+                vcs.append((h, st, int(net._hint[h])))
+                mids.add(int(net._head_msg[h]) if st else
+                         int(net._buf_msg[h, net._buf_head[h]]))
+        return vcs, mids
+
+    def k_route_scan(self, cs, cycle, epoch, resume):
+        r = self.lib.k_route_scan(cs, cycle, epoch, resume)
+        self.returns[r] += 1
+        net = self.net
+        g, _, fresh = net._xing[:3].tolist()
+        node = int(net._iv_node[g]) if r == SCAN_ROUTE else None
+        if self._watch is not None:
+            watched, vcs, mids, events = self._watch
+            stop = g if node == watched else None
+            while vcs and (stop is None or vcs[0][0] < stop):
+                h, st, hint = vcs.pop(0)
+                now = int(net._ivst[h])
+                if st == 0 and now:
+                    events.add("hit")
+                elif st == 1 and now == 2:
+                    events.add("timer")
+                elif st == now == 2 \
+                        and hint in (REFRESH_RESORT, REFRESH_ARGMIN):
+                    events.add("resort")
+            if vcs and vcs[0][0] == stop:
+                vcs.pop(0)
+            if r == SCAN_PURGE \
+                    and mids & set(net._stuck[:cs.n_stuck].tolist()):
+                events.add("stuck")
+            if stop is None:
+                self.nodes.append((cycle, watched, events))
+                self._watch = None
+        if r == SCAN_ROUTE:
+            if fresh and self._last != (cycle, node):
+                self._watch = (node, *self._later(g), set())
+            self._last = (cycle, node)
+        return r
+
+
+def _crossing_net(cls):
+    """8x8 nafta with two dead nodes, a 3-hop budget and two cycles per
+    rule step: misses, hits, ROUTING timers, blocked heads and stuck
+    heads all crowd the same nodes."""
+    topo = Mesh2D(8, 8)
+    net = cls(topo, make_algorithm("nafta"), config=SimConfig(
+        fault_mode="harsh", retry_limit=2, retry_backoff=8,
+        cycles_per_step=2, hop_budget=3))
+    net.stats.digest = DecisionDigest()
+    sched = FaultSchedule()
+    sched.add_node_fault(0, topo.node_at(3, 3))
+    sched.add_node_fault(150, topo.node_at(4, 4))
+    net.schedule_faults(sched)
+    net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.6,
+                                        message_length=4, seed=1))
+    return net
+
+
+def test_kernel_resumes_inside_the_node_after_a_python_decision():
+    """In one cycle a node's first input VC misses the cache, and after
+    that decision's commit the kernel serves the node's later VCs
+    itself: one hits, one's ROUTING timer expires, a blocked head is
+    re-sorted and a stuck head is purged at the node's end.  Both
+    engines agree summary for summary and decision for decision."""
+    out = []
+    for cls in (Network, BatchedNetwork):
+        net = _crossing_net(cls)
+        if cls is BatchedNetwork:
+            watch = net._lib = _ScanWatch(net)
+        net.run(300)
+        out.append(net.stats.summary(64))
+    assert out[0] == out[1]
+    full = {"hit", "timer", "resort", "stuck"}
+    assert any(events >= full for _, _, events in watch.nodes), \
+        "no node saw a miss followed by all four kernel-side steps"
+
+
+def test_one_crossing_per_route_call_or_node_purge():
+    """Every kernel-to-Python crossing of the route stage is one
+    route() call or one node's stuck purge."""
+    net = _crossing_net(BatchedNetwork)
+    algo = net.algorithm
+    route, calls = algo.route, []
+    algo.route = lambda *a: calls.append(1) or route(*a)
+    watch = net._lib = _ScanWatch(net)
+    net.run(300)
+    crossings = sum(n for r, n in watch.returns.items() if r > 0)
+    assert calls and watch.returns[SCAN_PURGE]
+    assert crossings == len(calls) + watch.returns[SCAN_PURGE]
+
+
+def test_commit_refuses_more_candidates_than_a_vc_holds():
+    """A decision with more candidates than an input VC's slots is an
+    error, not a write past them."""
+    topo = Mesh2D(4, 4)
+    net = BatchedNetwork(topo, make_algorithm("xy"))
+    route = net.algorithm.route
+    net.algorithm.route = lambda *a: replace(
+        route(*a), candidates=route(*a).candidates * 64)
+    net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
+                                        message_length=4, seed=1))
+    with pytest.raises(ValueError, match="candidates"):
+        net.run(50)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,45 @@ class TestDiagnosisEngine:
         assert eng.eta(0, ev) is None     # cut off: never notified
         assert not eng.view(0).dead_links
 
+    def test_views_share_labellings_equal_to_fresh_ones(self, monkeypatch):
+        """Views holding the same fault set share one component
+        labelling, and at every step of the floods each view answers
+        exactly as a fresh labelling of its own fault set."""
+        topo = Mesh2D(4, 4)
+        truth = FaultState(topo)
+        eng = DiagnosisEngine(topo, truth, hop_delay=1)
+        labelled = []
+        label = FaultState._label_components
+
+        def counted(state):
+            if state._shared is not None:
+                labelled.append(state.snapshot())
+            return label(state)
+        monkeypatch.setattr(FaultState, "_label_components", counted)
+        # the corner node 0 is cut off once both of its links are known
+        events = [FaultEvent(10, "link", link_key(0, 1)),
+                  FaultEvent(12, "link", link_key(0, 4)),
+                  FaultEvent(12, "node", 10)]
+        seen = set()
+        for cycle in range(10, 24):
+            for ev in events:
+                if ev.cycle == cycle:
+                    truth.apply(ev)
+                    eng.start_flood(ev, cycle)
+            eng.deliver_due(cycle)
+            for node, view in enumerate(eng.views):
+                fresh = FaultState(topo)
+                fresh.dead_links |= view.dead_links
+                fresh.dead_nodes |= view.dead_nodes
+                assert view._component_labels() == \
+                    fresh._component_labels()
+                assert [view.connected(node, b) for b in topo.nodes()] \
+                    == [fresh.connected(node, b) for b in topo.nodes()]
+                seen.add(view.snapshot())
+        assert not eng.pending()
+        assert not eng.view(5).connected(5, 0)
+        assert len(labelled) == len(set(labelled)) == len(seen) > 3
+
     def test_boot_faults_prediagnosed_everywhere(self):
         topo = Mesh2D(3, 3)
         truth = FaultState(topo)

@@ -3,12 +3,15 @@ statement of each run option, so every SimConfig option a spec carries
 reaches the simulator and survives the spec's dict form, and a bad
 option fails when the spec is built, not inside a sweep worker."""
 
+import gc
+import weakref
 from dataclasses import fields
 
 import pytest
 
+import repro.experiments.runners as runners
 from repro.experiments import WorkloadSpec, make_scenario, run_workload
-from repro.sim import Mesh2D, SimConfig
+from repro.sim import Hypercube, Mesh2D, SimConfig
 from repro.sim._batched_kernel import unavailable_reason
 
 #: SimConfig fields a spec leaves at their defaults
@@ -66,6 +69,41 @@ def test_no_run_option_forces_a_fallback(name):
     res = run_workload(_spec(load=0.05, cycles=120, warmup=20, **over))
     assert res["engine"] == "batched"
     assert "engine_fallback" not in res
+
+
+@pytest.mark.skipif(unavailable_reason() is not None,
+                    reason=f"batched kernel unavailable: "
+                           f"{unavailable_reason()}")
+@pytest.mark.parametrize("algorithm,topology", [
+    ("nafta_rules", Mesh2D(4, 4)),
+    ("route_c_rules", Hypercube(3)),
+    ("updown", Mesh2D(4, 4)),
+])
+def test_finished_batched_network_is_freed_without_the_cyclic_gc(
+        monkeypatch, algorithm, topology):
+    """Nothing keeps a batched network alive once ``run_workload``
+    returns: its reference cycles are broken at teardown, so
+    refcounting frees it and its arrays with the cyclic GC off."""
+    built = []
+
+    def capture(*args, **kwargs):
+        net = build(*args, **kwargs)
+        built.append(weakref.ref(net))
+        return net
+    build = runners.build_network
+    monkeypatch.setattr(runners, "build_network", capture)
+    spec = WorkloadSpec(topology=topology, algorithm=algorithm,
+                        load=0.1, cycles=60, engine="batched",
+                        fault_links=[sorted(topology.links())[2]])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_workload(spec)
+        assert len(built) == 1
+        assert built[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_spec_cycles_per_step_zero_runs_one_cycle_per_step():
