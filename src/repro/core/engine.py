@@ -19,6 +19,7 @@ inputs and functions, so they are interchangeable — and tested to be.
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping
 
 from ..obs import events as trace_ev
@@ -60,20 +61,25 @@ class RuleEngine:
         #: base name -> decision kernel (table mode), built on first use
         self.kernels: dict[str, DecisionKernel] = {}
         self._ast = AstInterpreter(self.analyzed)
-        #: ``(base_name, args, env) -> InvocationResult`` for this mode
-        self._invoke = (self._invoke_table if mode == "table"
-                        else self._invoke_ast)
+        #: ``(engine, base_name, args, env) -> InvocationResult`` for
+        #: this mode (a plain function: a bound method stored on the
+        #: engine would be a reference cycle)
+        self._invoke = (RuleEngine._invoke_table if mode == "table"
+                        else RuleEngine._invoke_ast)
         # the base environment: built once; set_inputs swaps its inputs
         # in place and every other field is mutated in place, never
         # replaced, so the decision kernels may cache per-args call
         # environments against it
-        self.env = Env(self.analyzed, self.registers,
-                       functions=self.functions)
-        self.env.call_subbase = self.subbase_caller(self.env)
+        env = self.env = Env(self.analyzed, self.registers,
+                             functions=self.functions)
+        env.call_subbase = self.subbase_caller(env)
+        # the callbacks the engine hands out reach it weakly, so it
+        # holds no reference cycle and refcounting frees it
+        me = weakref.ref(self)
         self.events = EventManager(
             rulebase_names=set(self.analyzed.rulebases),
             event_names=set(self.analyzed.events),
-            invoke=lambda name, args: self._invoke(name, args, self.env))
+            invoke=lambda name, args: me()._invoke(me(), name, args, env))
 
     # -- configuration ------------------------------------------------------
 
@@ -123,7 +129,7 @@ class RuleEngine:
                         ) -> InvocationResult:
         if name not in self.analyzed.subbases:
             raise EvalError(f"unknown subbase {name!r}")
-        return self._invoke(name, args, env)
+        return self._invoke(self, name, args, env)
 
     def _subbase_runner(self, env: Env):
         """Command-position subbase calls: their writes and emissions
@@ -136,9 +142,13 @@ class RuleEngine:
         return run
 
     def subbase_caller(self, env: Env):
-        """Expression-position subbase calls: must be pure (RETURN only)."""
+        """Expression-position subbase calls: must be pure (RETURN only).
+        The caller reaches the engine weakly (``env`` and the decision
+        kernels' call environments hold it)."""
+        me = weakref.ref(self)
+
         def call(name: str, args: tuple[Value, ...]) -> Value:
-            res = self._invoke_subbase(name, args, env)
+            res = me()._invoke_subbase(name, args, env)
             if res.writes or res.emissions:
                 raise EvalError(f"subbase {name!r} used in an expression "
                                 f"must only RETURN (it performed writes or "
@@ -151,7 +161,7 @@ class RuleEngine:
 
     def call(self, base_name: str, *args: Value) -> InvocationResult:
         """Invoke one rule base directly (one interpretation step)."""
-        res = self._invoke(base_name, args, self.env)
+        res = self._invoke(self, base_name, args, self.env)
         events = self.events
         events.steps += 1
         if res.emissions:

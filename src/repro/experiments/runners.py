@@ -207,14 +207,7 @@ def run_workload(spec: WorkloadSpec) -> dict:
     try:
         return _run_and_summarize(spec, net, topology, tracer)
     finally:
-        # the router facades and a rule-driven algorithm's ``network``
-        # (set by its reset) point back at their network: unlinking
-        # them lets refcounting free a finished network (a batched
-        # one's numpy arrays and C buffers) at once, instead of at a
-        # cyclic GC pass its few Python allocations rarely trigger
-        net.routers = []
-        if getattr(algo, "network", None) is net:
-            algo.network = None
+        net.release()
 
 
 def _run_and_summarize(spec: WorkloadSpec, net: Network,

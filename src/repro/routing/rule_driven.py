@@ -78,6 +78,16 @@ _CLEAN: dict[tuple, tuple[list[dict], list]] = {}
 _CLEAN_ROUTE_C: dict[tuple, list[dict]] = {}
 
 
+def _recording_qbest(picked: list):
+    """``qbest`` that appends each set it chooses from to ``picked``.
+    It closes over the list, not the algorithm, so the engines holding
+    it make no reference cycle with the algorithm that owns them."""
+    def recording(cands, q0, q1, q2, q3):
+        picked.append(cands)
+        return qbest(cands, q0, q1, q2, q3)
+    return recording
+
+
 def _attach_tracers(network, engines: list[RuleEngine]) -> None:
     """Tag each node's rule engine with the network's tracer so
     rule-base invocations show up in the trace (no-op when tracing is
@@ -122,7 +132,8 @@ class RuleDrivenNafta(RoutingAlgorithm):
         spec = RULESETS["nafta"]
         # qbest records the set it chose from: a decision RETURNed
         # from it is the least-loaded member of that set
-        functions = {**spec.functions, "qbest": self._qbest}
+        functions = {**spec.functions,
+                     "qbest": _recording_qbest(self._picked)}
         self.engines = [RuleEngine(self.compiled, functions=functions,
                                    mode=self.engine_mode)
                         for _ in topo.nodes()]
@@ -147,10 +158,6 @@ class RuleDrivenNafta(RoutingAlgorithm):
         self._views = {}
         if network.known_faults.n_faults():
             self.on_fault_update(network)
-
-    def _qbest(self, cands, q0, q1, q2, q3):
-        self._picked.append(cands)
-        return qbest(cands, q0, q1, q2, q3)
 
     # -- distributed state via the rule machine ----------------------------
 

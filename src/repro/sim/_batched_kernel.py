@@ -8,6 +8,11 @@ the object engine's walk over int32 arrays: flush, injection pushes,
 the route-stage scan (transitions + load re-sorts), and the
 allocate/grant/transfer walk with the stock round-robin pointers.
 
+The kernel also draws one cycle of the ``uniform`` traffic pattern
+(``k_uniform_tick``) from the generator's numpy bit generator, through
+numpy's public ``bitgen_t`` interface and in ``TrafficGenerator.tick``'s
+order, so the offers and the generator's state are unchanged.
+
 Decisions themselves stay in Python (the routing *algorithm* is the
 reproduced artifact), but algorithms that declare a native contract
 (:class:`~repro.routing.base.NativeContract`) get a C-side decision
@@ -114,6 +119,7 @@ typedef struct {
     int32_t adaptive;         /* RoutingAlgorithm.adaptive             */
     /* active-set scheduling */
     int32_t n_act;            /* live entries in act_list              */
+    int32_t n_arr;            /* live entries in arr_list              */
     /* the route stage in progress (k_route_scan / k_commit) */
     int32_t scan_ai;          /* resume cursor: active-list index ...  */
     int32_t scan_g;           /* ... and next gid (-1: node's start)   */
@@ -139,9 +145,9 @@ typedef struct {
     int32_t *buf_seq;
     int32_t *buf_head;
     int32_t *buf_cnt;
-    int32_t *inc_msg;         /* 1-deep staging slot (<=1 arrival/cyc) */
-    int32_t *inc_seq;
-    uint8_t *inc_val;
+    uint8_t *inc_val;         /* 1-deep staging slot (<=1 arrival/cyc):
+                                 the flit waits in the ring just past
+                                 its buffered flits, uncounted         */
     uint8_t *st;              /* 0 idle 1 routing 2 routed 3 active    */
     int32_t *ready;
     int32_t *epoch;
@@ -190,11 +196,14 @@ typedef struct {
     /* decision digest byte stream + stats accumulators */
     uint8_t *dig;
     int64_t *dstat;           /* 0 decisions 1 steps-sum 2 max 3 lines */
-    /* active-set + metrics arrays */
+    /* active-set + arrival + metrics arrays */
     int32_t *act_list;        /* n_nodes: active node ids; sorted at
                                  cycle start, same-cycle appends at the
                                  tail (processed from the next cycle)  */
-    uint8_t *act_flag;        /* n_nodes: act_list membership          */
+    uint64_t *act_bits;       /* n_nodes bits: act_list membership     */
+    int32_t *arr_list;        /* n_iv: staging slots filled since the
+                                 last flush, each listed once          */
+    uint8_t *arr_on;          /* n_iv: arr_list membership             */
     uint8_t *m_flag;          /* n_nodes: object-engine _active mirror */
     int64_t *link_cnt;        /* n_iv: flits forwarded per output VC   */
     /* node coordinates (clean table, relative keys) + the clean
@@ -217,12 +226,28 @@ typedef struct {
 } BState;
 """
 
+#: numpy's public bit-generator interface (numpy/random/bitgen.h), the
+#: struct ``BitGenerator.ctypes.bit_generator`` points to
+_BITGEN = """
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+"""
+
 _CDEF = """
 typedef signed char int8_t;
 typedef unsigned char uint8_t;
 typedef int int32_t;
+typedef unsigned int uint32_t;
 typedef long long int64_t;
-""" + _STRUCT + """
+typedef unsigned long long uint64_t;
+""" + _STRUCT + _BITGEN + """
+int  k_uniform_tick(bitgen_t *bg, int n, double p, int32_t *src,
+                    int32_t *dst);
 void k_flush(BState *s);
 int  k_start_scan(BState *s, int32_t *out_nodes);
 int  k_inject(BState *s, int32_t *out_heads);
@@ -234,7 +259,7 @@ void k_port_loads(BState *s, int node, int32_t *out);
 int  k_alloc(BState *s);
 int  k_purge(BState *s, int node, int msg);
 int  k_purge_all(BState *s, int msg);
-void k_activate(BState *s, int node);
+void k_enqueue(BState *s, int n, int32_t *adm);
 void k_cache_clear(BState *s);
 void k_rehash(BState *s);
 """
@@ -243,7 +268,7 @@ _SOURCE = """
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-""" + _STRUCT + """
+""" + _STRUCT + _BITGEN + """
 
 #define SLOT(s, node, pid) ((node) * ((s)->max_pid + 2) + (pid) + 1)
 #define KEYW 10
@@ -266,68 +291,143 @@ _SOURCE = """
 
 /* every kernel walk iterates the compact active-node list instead of
    all n_nodes, so idle fabric costs nothing per cycle; nodes enter on
-   flit arrival or source activity and leave via the cycle-start sweep */
+   flit arrival or source activity and leave via the cycle-start sweep.
+   Membership is a bitmap, so the sweep rebuilds the list in ascending
+   node order without sorting */
 static void activate(BState *s, int node)
 {
-    if (!s->act_flag[node]) {
-        s->act_flag[node] = 1;
+    uint64_t bit = (uint64_t)1 << (node & 63);
+    if (!(s->act_bits[node >> 6] & bit)) {
+        s->act_bits[node >> 6] |= bit;
         s->act_list[s->n_act++] = node;
     }
 }
 
-void k_activate(BState *s, int node) { activate(s, node); }
+/* admissions, four int32s each (source, message id, length,
+   destination): the message's length and destination mirrors, one
+   more queued message in the source's queue-length mirror, and the
+   source active from the next cycle */
+void k_enqueue(BState *s, int n, int32_t *adm)
+{
+    for (int i = 0; i < n; i++, adm += 4) {
+        s->msg_len[adm[1]] = adm[2];
+        s->msg_dst[adm[1]] = adm[3];
+        s->src_qlen[adm[0]]++;
+        activate(s, adm[0]);
+    }
+}
 
 /* cycle-start sweep: drop nodes with no flits and no source work (the
    object engine's lazy _active prune), maintain the metrics _active
-   mirror, and keep the list sorted ascending — every kernel walk then
-   preserves the sequential node order the same-cycle credit chains and
-   the decision digest depend on */
-static void act_compact(BState *s)
+   mirror, and rebuild the list ascending from the membership bitmap --
+   every kernel walk then preserves the sequential node order the
+   same-cycle credit chains and the decision digest depend on.  Cost:
+   one word per 64 nodes plus one test per member */
+static void act_compact(BState *restrict s)
 {
-    int n = s->n_act, w = 0;
-    for (int i = 0; i < n; i++) {
-        int node = s->act_list[i];
-        if (s->m_flag[node] && s->r_nflits[node] <= 0) {
-            s->m_flag[node] = 0;
-            s->m_count--;
+    int w = 0, nw = (s->n_nodes + 63) >> 6;
+    uint64_t *restrict bits = s->act_bits;
+    int32_t *restrict list = s->act_list;
+    const int32_t *restrict nfl = s->r_nflits;
+    const int32_t *restrict cur = s->src_cur;
+    const int32_t *restrict qlen = s->src_qlen;
+    uint8_t *restrict mf = s->m_flag;
+    for (int i = 0; i < nw; i++) {
+        uint64_t b = bits[i];
+        while (b) {
+            int node = (i << 6) + __builtin_ctzll(b);
+            b &= b - 1;
+            if (mf[node] && nfl[node] <= 0) {
+                mf[node] = 0;
+                s->m_count--;
+            }
+            if (nfl[node] > 0 || cur[node] >= 0 || qlen[node] > 0)
+                list[w++] = node;
+            else
+                bits[i] &= ~((uint64_t)1 << (node & 63));
         }
-        if (s->r_nflits[node] > 0 || s->src_cur[node] >= 0
-                || s->src_qlen[node] > 0)
-            s->act_list[w++] = node;
-        else
-            s->act_flag[node] = 0;
-    }
-    for (int i = 1; i < w; i++) {   /* few unsorted same-cycle appends */
-        int v = s->act_list[i], j = i - 1;
-        while (j >= 0 && s->act_list[j] > v) {
-            s->act_list[j + 1] = s->act_list[j];
-            j--;
-        }
-        s->act_list[j + 1] = v;
     }
     s->n_act = w;
 }
 
 /* one flit arrives per input VC per cycle at most (each input VC is
    fed by exactly one upstream output VC, local VCs by injection), so
-   the 1-deep staging slot mirrors the object engine's incoming list */
-void k_flush(BState *s)
+   a 1-deep staging slot mirrors the object engine's incoming list.
+   The staged flit is written to the ring position just past the
+   buffered flits (the caller checked buf_cnt + inc_val < cap; pops
+   keep that position, purges move it) and counted in buf_cnt at the
+   flush.  Filling a slot lists it once until the next flush */
+static inline void stage(BState *restrict s, int g, int msg, int seq)
+{
+    int idx = s->buf_head[g] + s->buf_cnt[g];
+    if (idx >= s->cap) idx -= s->cap;
+    s->buf_msg[(int64_t)g * s->cap + idx] = msg;
+    s->buf_seq[(int64_t)g * s->cap + idx] = seq;
+    s->inc_val[g] = 1;
+    if (!s->arr_on[g]) {
+        s->arr_on[g] = 1;
+        s->arr_list[s->n_arr++] = g;
+    }
+}
+
+/* admit the slots staged since the last flush into their buffers; a
+   slot a purge or a fast-reroute walk cleared meanwhile is skipped,
+   and one refilled after such a clear is listed (and admitted) once */
+void k_flush(BState *restrict s)
 {
     act_compact(s);
-    int na = s->n_act;
-    for (int ai = 0; ai < na; ai++) {
-        int node = s->act_list[ai];
-        if (s->r_nflits[node] <= 0) continue;
-        int hi = s->iv_off[node + 1];
-        for (int g = s->iv_off[node]; g < hi; g++) {
-            if (!s->inc_val[g]) continue;
-            int idx = (s->buf_head[g] + s->buf_cnt[g]) % s->cap;
-            s->buf_msg[(int64_t)g * s->cap + idx] = s->inc_msg[g];
-            s->buf_seq[(int64_t)g * s->cap + idx] = s->inc_seq[g];
-            s->buf_cnt[g]++;
-            s->inc_val[g] = 0;
+    const int na = s->n_arr;
+    const int32_t *restrict arr = s->arr_list;
+    uint8_t *restrict on = s->arr_on;
+    uint8_t *restrict val = s->inc_val;
+    int32_t *restrict cnt = s->buf_cnt;
+    for (int i = 0; i < na; i++) {
+        int g = arr[i];
+        on[g] = 0;
+        cnt[g] += val[g];
+        val[g] = 0;
+    }
+    s->n_arr = 0;
+}
+
+/* -- uniform traffic ---------------------------------------------- */
+
+/* Generator.integers(0, bound)'s draw for bound <= 2^32 - 1: Lemire's
+   multiply-and-reject over next_uint32, numpy's bounded method
+   (bound 1 draws nothing) */
+static uint32_t bounded(bitgen_t *bg, uint32_t bound)
+{
+    if (bound == 1) return 0;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * bound;
+    uint32_t left = (uint32_t)m;
+    if (left < bound) {
+        uint32_t threshold = (uint32_t)(0u - bound) % bound;
+        while (left < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * bound;
+            left = (uint32_t)m;
         }
     }
+    return (uint32_t)(m >> 32);
+}
+
+/* One cycle of the uniform pattern drawn from a numpy bit generator
+   exactly as TrafficGenerator.tick draws it: Generator.random(n)
+   compared with p node by node, then Generator.integers(0, n - 1) for
+   each offering node in ascending order, shifted past the source (the
+   next_uint32 calls keep numpy's buffered half-word, so the Generator
+   ends in the same state).  Writes the sources and destinations of the
+   offered messages; returns how many (n >= 2). */
+int k_uniform_tick(bitgen_t *bg, int n, double p, int32_t *src,
+                   int32_t *dst)
+{
+    int k = 0;
+    for (int i = 0; i < n; i++)
+        if (bg->next_double(bg->state) < p) src[k++] = i;
+    for (int j = 0; j < k; j++) {
+        int d = (int)bounded(bg, (uint32_t)(n - 1));
+        dst[j] = d < src[j] ? d : d + 1;
+    }
+    return k;
 }
 
 /* per-flit injection pushes; worm starts (queue pops) happen on the
@@ -362,9 +462,7 @@ int k_inject(BState *s, int32_t *out_heads)
         int g = s->portbase[SLOT(s, node, -1)];   /* local VC 0 */
         if (s->buf_cnt[g] + s->inc_val[g] >= s->cap) continue;
         int seq = s->src_pos[node];
-        s->inc_msg[g] = cur;
-        s->inc_seq[g] = seq;
-        s->inc_val[g] = 1;
+        stage(s, g, cur, seq);
         s->r_nflits[node]++;
         if (s->m_on && !s->m_flag[node]) {
             s->m_flag[node] = 1;
@@ -695,6 +793,23 @@ static void note_stuck(BState *s, int g)
         s->stuck[s->n_stuck++] = s->head_msg[g];
 }
 
+/* the input VCs lo..hi-1 of one node (at most 64) holding flits, as a
+   bit mask from lo; with heads_only, only those not carrying an ACTIVE
+   worm, which the route stage leaves alone.  The walks visit only
+   these, in ascending gid order, so one data-dependent branch per
+   visited VC replaces one per VC */
+static inline uint64_t occupied(const BState *s, int lo, int hi,
+                                int heads_only)
+{
+    uint64_t occ = 0;
+    for (int g = lo; g < hi; g++) {
+        int on = s->buf_cnt[g] != 0;
+        if (heads_only) on &= s->st[g] != 3;
+        occ |= (uint64_t)on << (g - lo);
+    }
+    return occ;
+}
+
 /* hand input VC g to Python and stop there; a resumed scan goes on at
    g + 1 of the same node */
 static int cross(BState *s, int ai, int g, int mid, int fresh)
@@ -748,8 +863,8 @@ int k_route_scan(BState *s, int cycle, int epoch, int resume)
             s->n_stuck = 0;
             g0 = s->iv_off[node];
         }
-        for (int g = g0; g < hi; g++) {
-            if (!s->buf_cnt[g]) continue;
+        for (uint64_t occ = occupied(s, g0, hi, 1); occ; occ &= occ - 1) {
+            int g = g0 + __builtin_ctzll(occ);
             uint8_t st = s->st[g];
             if (st == 0) {
                 int hd = s->buf_head[g];
@@ -901,9 +1016,7 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
     } else {
         int d = s->ov_down[ovg];
         int dn = s->iv_node[d];
-        s->inc_msg[d] = msg;
-        s->inc_seq[d] = seq;
-        s->inc_val[d] = 1;
+        stage(s, d, msg, seq);
         s->r_nflits[dn]++;
         activate(s, dn);
         if (s->m_on) {
@@ -933,8 +1046,8 @@ int k_alloc(BState *s)
         if (s->r_nflits[node] <= 0 || !s->node_ok[node]) continue;
         int lo = s->iv_off[node], hi = s->iv_off[node + 1];
         int nreq = 0;
-        for (int g = lo; g < hi; g++) {
-            if (!s->buf_cnt[g]) continue;
+        for (uint64_t occ = occupied(s, lo, hi, 0); occ; occ &= occ - 1) {
+            int g = lo + __builtin_ctzll(occ);
             uint8_t st = s->st[g];
             if (st == 2) {
                 if (s->deliver[g]) {
@@ -1046,9 +1159,16 @@ int k_purge(BState *s, int node, int msg)
             }
         }
         s->buf_cnt[g] = w;
-        if (s->inc_val[g] && s->inc_msg[g] == msg) {
-            s->inc_val[g] = 0;
-            dropped++;
+        if (s->inc_val[g]) {                /* the staged flit */
+            int64_t from = (int64_t)g * s->cap + (h + c) % s->cap;
+            if (s->buf_msg[from] == msg) {
+                s->inc_val[g] = 0;
+                dropped++;
+            } else if (w < c) {
+                int64_t to = (int64_t)g * s->cap + (h + w) % s->cap;
+                s->buf_msg[to] = s->buf_msg[from];
+                s->buf_seq[to] = s->buf_seq[from];
+            }
         }
         if (s->head_msg[g] == msg) {
             if (s->o_port[g] > -100) {

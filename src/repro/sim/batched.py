@@ -52,10 +52,15 @@ mirror the oracle one-for-one:
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
 sources — so idle fabric costs nothing per cycle and throughput scales
-with occupancy, not mesh size.  While the known fault set is empty, a
-build-time 54-entry clean table (:mod:`repro.routing.clean_table`)
-replays the native algorithms' translation-invariant decisions
-entirely in C, eliminating the decision-cache fill cliff.  Metrics
+with occupancy, not mesh size.  The flush touches only the staging
+slots filled since the last one (an arrival list), a traffic phase's
+admissions reach the kernel in one call, and the ``uniform`` pattern
+is drawn in the kernel from the generator's bit stream, so those costs
+scale with the flits and messages that moved.  While the known fault
+set is empty, a build-time 54-entry clean table
+(:mod:`repro.routing.clean_table`) replays the native algorithms'
+translation-invariant decisions entirely in C, eliminating the
+decision-cache fill cliff.  Metrics
 timeseries attach natively: the kernels maintain the active-router
 gauge and per-link flit counters in arrays, drained into
 :class:`repro.obs.metrics.MetricsTimeseries` at read time.
@@ -79,6 +84,7 @@ from .flit import Flit, FlitKind
 from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from .topology import Hypercube
+from .traffic import TrafficGenerator
 from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
                               FIELD_NONE, MAXF, SCAN_DONE, SCAN_FLUSH,
                               SCAN_PURGE, SCAN_ROUTE, XING_W, load_kernel,
@@ -186,6 +192,10 @@ class BatchedRouter:
         net._lib.k_port_loads(net._cs, self.node, net._loads_ptr)
         return dict(zip(self._pids, net._loads.tolist()))
 
+    def unlink(self) -> None:
+        """Drop the reference to the network (its teardown)."""
+        self.network = None
+
     # -- fault handling -----------------------------------------------
 
     def worms_using_port(self, pid: int) -> set[int]:
@@ -275,8 +285,6 @@ class BatchedNetwork(Network):
         self._buf_seq = i32(n_iv, cap)
         self._buf_head = i32(n_iv)
         self._buf_cnt = i32(n_iv)
-        self._inc_msg = i32(n_iv)
-        self._inc_seq = i32(n_iv)
         self._inc_val = u8(n_iv)
         self._ivst = u8(n_iv)
         self._ready = i32(n_iv)
@@ -352,7 +360,11 @@ class BatchedNetwork(Network):
         # scans iterate, plus the metrics mirrors (the object engine's
         # _active set and its per-link flit counters)
         self._act_list = i32(n_nodes)
-        self._act_flag = u8(n_nodes)
+        self._act_bits = np.zeros((n_nodes + 63) // 64, dtype=np.uint64)
+        # the staging slots filled since the last flush (k_flush moves
+        # only these), each listed once
+        self._arr_list = i32(n_iv)
+        self._arr_on = u8(n_iv)
         self._m_flag = u8(n_nodes)
         self._link_cnt = np.zeros(n_iv, dtype=np.int64)
         # node coordinates (filled for a clean table or relative keys),
@@ -442,6 +454,7 @@ class BatchedNetwork(Network):
         cs.dig_used = 0
         cs.dig_cap = self._dig.shape[0]
         cs.n_act = 0
+        cs.n_arr = 0
         cs.scan_ai = 0
         cs.m_on = 1 if self.metrics is not None else 0
         cs.m_count = 0
@@ -462,7 +475,7 @@ class BatchedNetwork(Network):
 
         for name in ("iv_off", "iv_node", "iv_port", "iv_vc", "portbase",
                      "ov_down", "buf_msg", "buf_seq", "buf_head",
-                     "buf_cnt", "inc_msg", "inc_seq", "ready", "epoch",
+                     "buf_cnt", "ready", "epoch",
                      "o_port", "o_vc", "ncand", "cand_p", "cand_v",
                      "head_msg", "ov_owner", "r_nflits", "src_cur",
                      "src_pos", "src_qlen",
@@ -472,19 +485,20 @@ class BatchedNetwork(Network):
                      "ea", "e_steps", "e_ncand", "e_cp", "e_cv",
                      "act_list", "node_x", "node_y", "ct_steps",
                      "ct_ncand", "ct_vn_after", "ct_cp", "ct_cv",
-                     "node_cls", "xing", "stuck"):
+                     "node_cls", "xing", "stuck", "arr_list"):
             attr = {"epoch": "_epoch_a"}.get(name, "_" + name)
             self._bind(name, getattr(self, attr), "int32_t *")
         self._bind("st", self._ivst, "uint8_t *")
         for name in ("inc_val", "deliver", "stuckf", "hint", "node_ok",
                      "alive", "req_head", "e_deliver", "e_hint", "dig",
-                     "act_flag", "m_flag", "ct_valid", "ct_deliver",
+                     "arr_on", "m_flag", "ct_valid", "ct_deliver",
                      "ct_hint", "irreg", "armed_end"):
             self._bind(name, getattr(self, "_" + name), "uint8_t *")
         self._bind("rr_ptr", self._rr_ptr, "int64_t *")
         self._bind("counters", self._counters, "int64_t *")
         self._bind("dstat", self._dstat, "int64_t *")
         self._bind("link_cnt", self._link_cnt, "int64_t *")
+        self._bind("act_bits", self._act_bits, "uint64_t *")
         self._heads_ptr = ffi.cast("int32_t *",
                                    ffi.from_buffer(self._heads))
         self._loads_ptr = ffi.cast("int32_t *",
@@ -506,6 +520,13 @@ class BatchedNetwork(Network):
         self._frr = (self.algorithm if isinstance(self.algorithm,
                                                   FastReroute) else None)
         self._c_armed = _NO_ARMS
+        #: (source, message id, length, destination) of each message
+        #: admitted during a traffic phase, else None
+        self._admitted: list | None = None
+        # the traffic generator (and its rng) the kernel's uniform tick
+        # is bound to, and its arguments (None: the generator's own
+        # tick); the rng's bit generator outlives the pointer to it
+        self._tick_gen = self._tick_rng = self._tick_args = None
         self.routers = [BatchedRouter(self, n) for n in topo.nodes()]
 
     def _bind(self, field: str, arr, ctype: str) -> None:
@@ -587,14 +608,13 @@ class BatchedNetwork(Network):
     # -- per-message mirrors ------------------------------------------
 
     def _init_mirrors(self, hdr) -> None:
-        """Seed the per-message mirror arrays when a worm starts
-        injecting (the only way a message enters the data path)."""
+        """Seed a queued message's path-length and field mirrors (the
+        only way a message enters the data path; ``k_enqueue`` writes
+        its length and destination), growing the arrays as needed."""
         mid = hdr.msg_id
         if mid >= self._msg_len.shape[0]:
             self._grow_msgs(mid)
         f = hdr.fields
-        self._msg_len[mid] = hdr.length
-        self._msg_dst[mid] = hdr.dst
         self._msg_plen[mid] = f.get("path_len", 0)
         if self._native and f:
             # mirrors are pre-filled ABSENT, so only headers that carry
@@ -632,10 +652,55 @@ class BatchedNetwork(Network):
         self._inject_phase()
         if with_traffic and self.traffic is not None \
                 and not self._injection_paused:
-            for src, dst, length in self.traffic.tick(self.cycle):
-                self.offer(src, dst, length)
+            self._offer_phase()
         self._route_phase()
         return self._alloc_phase()
+
+    def _offer_phase(self) -> None:
+        """The cycle's traffic, one ``offer`` per message; the admitted
+        messages' mirrors, queue lengths and source activations are
+        written in one kernel call at the end."""
+        admitted = self._admitted = []
+        offer = self.offer
+        try:
+            for src, dst, length in self._traffic_tick(self.traffic):
+                offer(src, dst, length)
+        finally:
+            self._admitted = None
+            if admitted:
+                last = admitted[-3]          # the largest message id
+                if last >= self._msg_len.shape[0]:
+                    self._grow_msgs(last)
+                self._lib.k_enqueue(self._cs, len(admitted) // 4, admitted)
+
+    def _traffic_tick(self, gen):
+        """``gen.tick(cycle)``; uniform traffic is drawn in one kernel
+        pass over the generator's bit stream instead, in tick's order,
+        so the offers and the generator's state are the same."""
+        rng = getattr(gen, "rng", None)
+        if gen is not self._tick_gen or rng is not self._tick_rng:
+            self._bind_tick(gen, rng)
+        if self._tick_args is None:
+            return gen.tick(self.cycle)
+        n = self._lib.k_uniform_tick(*self._tick_args)
+        return zip(self._tick_src[:n].tolist(), self._tick_dst[:n].tolist(),
+                   repeat(gen.message_length))
+
+    def _bind_tick(self, gen, rng) -> None:
+        self._tick_gen, self._tick_rng = gen, rng
+        trials = (gen.uniform_trials() if isinstance(gen, TrafficGenerator)
+                  else None)
+        if trials is None:
+            self._tick_args = None
+            return
+        n_nodes, p = trials
+        ffi = self._ffi
+        self._tick_src = np.zeros(n_nodes, dtype=np.int32)
+        self._tick_dst = np.zeros(n_nodes, dtype=np.int32)
+        bitgen = rng.bit_generator.ctypes.bit_generator.value
+        self._tick_args = (ffi.cast("bitgen_t *", bitgen), n_nodes, p,
+                           ffi.from_buffer("int32_t[]", self._tick_src),
+                           ffi.from_buffer("int32_t[]", self._tick_dst))
 
     def _inject_phase(self) -> None:
         # per-node injection is independent and ascending-order, so the
@@ -652,9 +717,8 @@ class BatchedNetwork(Network):
                 src_cur = self._src_cur
                 sources = self.sources
                 for node in self._heads[:n].tolist():
-                    hdr = sources[node].queue.popleft().header
-                    self._init_mirrors(hdr)
-                    src_cur[node] = hdr.msg_id
+                    src_cur[node] = sources[node].queue.popleft() \
+                        .header.msg_id
         n = int(lib.k_inject(cs, buf_ptr))
         if n:
             cycle = self.cycle
@@ -821,6 +885,14 @@ class BatchedNetwork(Network):
             native = self._native
             trace = self.config.trace_paths
             cycle = self.cycle
+            if native:
+                # delivery accounting reads hop count and the misrouted
+                # mark from the header: the mirrors of every event's
+                # message in one read (nothing below writes them)
+                sel = self._ev_msg[:nev]
+                fvals = self._msg_f[sel].tolist()
+                plens = self._msg_plen[sel].tolist()
+                nf = self._nf
             # replay in exact grant order: head departures run the
             # algorithm's header bookkeeping (already applied in C for
             # native algorithms — only the path trace remains), tail
@@ -843,9 +915,8 @@ class BatchedNetwork(Network):
                                                  []).append(node)
                 else:
                     if native:
-                        # delivery accounting reads hop count and the
-                        # misrouted mark from the header
-                        self._sync_fields(mid)
+                        _load_fields(messages[mid].header.fields, nf,
+                                     fvals[i], plens[i])
                     self.eject(node, _TailShim(mid), cycle)
         stats = self.stats
         if hops:
@@ -902,10 +973,18 @@ class BatchedNetwork(Network):
 
     def _enqueue(self, src: int, msg) -> None:
         self.sources[src].queue.append(msg)
-        self._src_qlen[src] += 1
-        # a queued source makes the node active (the C scans only visit
-        # the active list); compacted away once it drains
-        self._lib.k_activate(self._cs, src)
+        # the message's mirrors are seeded here; a queued source counts
+        # in the queue-length mirror and makes the node active (the C
+        # scans only visit the active list; compacted away once it
+        # drains).  A fresh message of a traffic phase waits for the
+        # phase's one k_enqueue call
+        hdr = msg.header
+        adm = (src, hdr.msg_id, hdr.length, hdr.dst)
+        if self._admitted is not None and not hdr.fields:
+            self._admitted.extend(adm)
+        else:
+            self._init_mirrors(hdr)
+            self._lib.k_enqueue(self._cs, 1, adm)
 
     def _injecting(self) -> bool:
         return bool((self._src_cur >= 0).any())
@@ -924,8 +1003,6 @@ class BatchedNetwork(Network):
         out: list[int] = []
         for g in range(int(self._iv_off[node]), int(self._iv_off[node + 1])):
             out.extend(m for m, _ in self._ring(g))
-            if self._inc_val[g]:
-                out.append(int(self._inc_msg[g]))
         return out
 
     def _heal_sites(self, node: int, pid: int):
@@ -960,21 +1037,20 @@ class BatchedNetwork(Network):
 
     def _ring(self, g: int) -> list[tuple[int, int]]:
         """(msg, seq) of the flits buffered in input VC ``g``, front
-        first."""
+        first, then of the flit in its staging slot (the ring position
+        past the buffered ones), if any: the object engine's ``buffer +
+        incoming`` order."""
         cap = self.config.buffer_depth
         hd = int(self._buf_head[g])
-        idx = [(hd + i) % cap for i in range(int(self._buf_cnt[g]))]
+        n = int(self._buf_cnt[g]) + int(self._inc_val[g])
+        idx = [(hd + i) % cap for i in range(n)]
         return list(zip(self._buf_msg[g, idx].tolist(),
                         self._buf_seq[g, idx].tolist()))
 
     def _seqs_of(self, g: int, msg_id: int) -> list[int]:
         """Sequence numbers of ``msg_id``'s flits in input VC ``g``,
-        buffer first, then the staging slot (the object engine's
-        ``buffer + incoming`` order)."""
-        out = [q for m, q in self._ring(g) if m == msg_id]
-        if self._inc_val[g] and self._inc_msg[g] == msg_id:
-            out.append(int(self._inc_seq[g]))
-        return out
+        buffer first, then the staging slot."""
+        return [q for m, q in self._ring(g) if m == msg_id]
 
     def _finish_fragment(self, g: int, msg) -> None:
         msg_id = msg.header.msg_id
@@ -1017,10 +1093,11 @@ class BatchedNetwork(Network):
                 self._buf_msg[g, (hd + i) % cap] = m
                 self._buf_seq[g, (hd + i) % cap] = q
             removed = len(ring) - len(kept)
-            self._buf_cnt[g] = len(kept)
-            if self._inc_val[g] and self._inc_msg[g] == msg_id:
-                self._inc_val[g] = 0
-                removed += 1
+            # a surviving staged flit stays staged, past the kept ones
+            staged = int(self._inc_val[g])
+            if staged and ring[-1][0] == msg_id:
+                self._inc_val[g] = staged = 0
+            self._buf_cnt[g] = len(kept) - staged
             n_rem += removed
             self._r_nflits[node] -= removed
             in_port, in_vc = int(self._iv_port[g]), int(self._iv_vc[g])
@@ -1091,8 +1168,6 @@ class BatchedNetwork(Network):
             mids: set[int] = set()
             for g in range(int(self._iv_off[-1])):
                 mids.update(m for m, _ in self._ring(g))
-                if self._inc_val[g]:
-                    mids.add(int(self._inc_msg[g]))
                 if self._head_msg[g] >= 0:
                     mids.add(int(self._head_msg[g]))
             for mid in mids:
@@ -1109,12 +1184,11 @@ class BatchedNetwork(Network):
                 pid = int(self._iv_port[g])
                 vc = int(self._iv_vc[g])
                 iv = InputVC(pid, vc, cap)
-                iv.buffer.extend(self._make_flit(m, q)
-                                 for m, q in self._ring(g))
+                ring = [self._make_flit(m, q)
+                        for m, q in self._ring(g)]
                 if self._inc_val[g]:
-                    iv.incoming.append(
-                        self._make_flit(int(self._inc_msg[g]),
-                                        int(self._inc_seq[g])))
+                    iv.incoming.append(ring.pop())
+                iv.buffer.extend(ring)
                 st = int(self._ivst[g])
                 iv.state = _STATE_NAMES[st]
                 mid = int(self._head_msg[g])

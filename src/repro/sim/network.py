@@ -193,6 +193,24 @@ class Network:
         for r in self.routers:
             r.finalize()
 
+    def release(self) -> None:
+        """Unlink a finished network from what points back at it: its
+        routers (which on the object engine also point at each other),
+        a rule-driven algorithm's ``network`` (set by its reset) and a
+        metrics timeseries' link-count source (a batched network's
+        counters, folded in first).  Refcounting then frees the
+        network, a batched one's arrays and C buffers included, at once
+        instead of at a cyclic GC pass its few Python allocations
+        rarely trigger.  The network cannot run again."""
+        for r in self.routers:
+            r.unlink()
+        self.routers = []
+        if getattr(self.algorithm, "network", None) is self:
+            self.algorithm.network = None
+        if self.metrics is not None:
+            self.metrics.flush_links()
+            self.metrics.attach_link_source(None)
+
     # -- configuration ------------------------------------------------------
 
     def attach_traffic(self, traffic) -> None:

@@ -125,6 +125,13 @@ class Router:
                   routers[port.neighbor].input_vcs[port.neighbor_port])
             for pid, port in self.ports.items()}
 
+    def unlink(self) -> None:
+        """Drop the references to the network and the downstream
+        routers (a finished network's teardown, see
+        :meth:`Network.release`)."""
+        self.network = None
+        self._down = {}
+
     # -- views used by routing algorithms ---------------------------------------
 
     def port_alive(self, pid: int) -> bool:

@@ -202,6 +202,16 @@ class TrafficGenerator:
     def destinations(self) -> PatternFn:
         return self._dest
 
+    def uniform_trials(self) -> tuple[int, float] | None:
+        """``(n_nodes, p)`` when :meth:`tick` is one Bernoulli(p) trial
+        per node with a uniform destination for each hit (the
+        ``uniform`` pattern), the draw an engine may make itself from
+        ``rng`` in the same order; None otherwise."""
+        if self.pattern != "uniform" or self.topology.n_nodes < 2 \
+                or type(self).tick is not TrafficGenerator.tick:
+            return None
+        return self.topology.n_nodes, self._p
+
     def tick(self, cycle: int) -> list[tuple[int, int, int]]:
         """(src, dst, length) triples to inject this cycle."""
         # one bulk draw per cycle regardless of hits keeps the RNG

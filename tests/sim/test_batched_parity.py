@@ -23,7 +23,7 @@ import pytest
 
 from repro.conformance.generate import generate_cases
 from repro.conformance.runner import run_case_payload
-from repro.routing.base import REFRESH_ARGMIN, REFRESH_RESORT
+from repro.routing.base import REFRESH_ARGMIN, REFRESH_RESORT, RouteDecision
 from repro.routing.registry import ALGORITHM_META, make_algorithm
 from repro.sim._batched_kernel import SCAN_PURGE, SCAN_ROUTE
 from repro.sim.batched import (BatchedNetwork, batched_fallback_reason,
@@ -279,6 +279,128 @@ def test_active_set_quiesce_empty_then_refill():
     bat = _digest_run(BatchedNetwork, "nafta", kw, schedule, cycles=400,
                       load=0.05)
     assert obj == bat
+
+
+# ---------------------------------------------------------------------------
+# the arrival list: k_flush admits only the staging slots filled since
+# the last flush, skipping those a purge or a fast-reroute walk cleared
+# ---------------------------------------------------------------------------
+
+class _FlushWatch:
+    """The kernel library with every flush's arrival list inspected: it
+    must list each slot at most once, and the ``(cycle, gid)`` of every
+    listed slot found cleared is recorded."""
+
+    def __init__(self, net):
+        self.net, self.lib = net, net._lib
+        self.cleared = []
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def k_flush(self, cs):
+        net = self.net
+        listed = net._arr_list[:cs.n_arr].tolist()
+        assert len(set(listed)) == len(listed) <= net._arr_list.shape[0]
+        assert sorted(listed) == net._arr_on.nonzero()[0].tolist()
+        self.cleared += [(net.cycle, g) for g in listed
+                         if not net._inc_val[g]]
+        self.lib.k_flush(cs)
+        assert cs.n_arr == 0 and not net._arr_on.any()
+
+
+def test_arrival_list_skips_the_staged_flit_of_a_stuck_purge():
+    """Every seventh worm is declared stuck at its source in one step,
+    so it is purged in the route stage of the cycle after its head
+    entered, after the inject phase staged its next flit: the flush
+    must skip that slot.  Both engines agree."""
+    out = []
+    for cls in (Network, BatchedNetwork):
+        topo = Mesh2D(5, 4)
+        algo = make_algorithm("xy")
+        route = algo.route
+        algo.route = lambda router, header, in_port, in_vc: (
+            RouteDecision.unroutable()
+            if in_port == -1 and header.msg_id % 7 == 0
+            else route(router, header, in_port, in_vc))
+        net = cls(topo, algo, config=SimConfig(
+            fault_mode="harsh", retry_limit=2, retry_backoff=8))
+        net.stats.digest = DecisionDigest()
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.2,
+                                            message_length=4, seed=23))
+        if cls is BatchedNetwork:
+            watch = net._lib = _FlushWatch(net)
+        net.run(300)
+        out.append(net.stats.summary(topo.n_nodes))
+    assert out[0] == out[1]
+    assert out[0]["messages_stuck"] > 0
+    assert any(net._iv_port[g] == -1 for _, g in watch.cleared)
+
+
+def test_arrival_list_skips_flits_ripped_up_at_a_dying_link():
+    """Harsh link faults with fast reroute: the worms caught on the
+    dying link are healed, absorbed or ripped up at the fault, before
+    the flush that would admit their staged flits."""
+    def schedule():
+        sched = FaultSchedule()
+        sched.add_link_fault(60, 6, 7)
+        sched.add_link_fault(90, 12, 13)
+        sched.add_link_fault(120, 7, 12)
+        return sched
+    kw = {"fault_mode": "harsh", "backup_routes": True, "retry_limit": 2,
+          "retry_backoff": 8}
+    out = []
+    for cls in (Network, BatchedNetwork):
+        topo = Mesh2D(5, 4)
+        net = cls(topo, make_algorithm("nafta"), config=SimConfig(**kw))
+        net.stats.digest = DecisionDigest()
+        net.schedule_faults(schedule())
+        net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
+                                            message_length=4, seed=23))
+        if cls is BatchedNetwork:
+            watch = net._lib = _FlushWatch(net)
+        net.run(300)
+        out.append(net.stats.summary(topo.n_nodes))
+    assert out[0] == out[1]
+    assert out[0]["reroute"]["worms_healed"] > 0
+    assert {cycle for cycle, _ in watch.cleared} & {60, 90, 120}
+
+
+def test_arrival_list_lists_a_refilled_slot_once():
+    """A staged flit purged and replaced by a new arrival before the
+    flush: the slot is listed once and admitted once."""
+    net = BatchedNetwork(Mesh2D(4, 4), make_algorithm("xy"))
+    mid = net.offer(0, 15, 4).header.msg_id
+    net.step()                  # the head is staged at node 0's LOCAL VC
+    lib, cs = net._lib, net._cs
+    g = int(net._portbase[0, 0])
+    assert net._inc_val[g] and cs.n_arr == 1
+    lib.k_purge_all(cs, mid)
+    assert not net._inc_val[g] and cs.n_arr == 1
+    assert lib.k_inject(cs, net._heads_ptr) == 0   # flit 1 refills it
+    assert net._inc_val[g] and net._arr_list[:cs.n_arr].tolist() == [g]
+    lib.k_flush(cs)
+    assert cs.n_arr == 0 and not net._arr_on[g] and not net._inc_val[g]
+    assert net._ring(g) == [(mid, 1)]
+
+
+def test_purge_keeps_another_worms_staged_flit_staged():
+    """A purge that empties an input VC's ring while a different worm's
+    flit waits in its staging slot moves that flit to the ring position
+    past the kept ones, where the flush admits it."""
+    net = BatchedNetwork(Mesh2D(4, 4), make_algorithm("xy"))
+    lib, cs = net._lib, net._cs
+    g = int(net._portbase[0, 0])            # node 0's LOCAL VC 0
+    net._buf_msg[g, 0], net._buf_seq[g, 0] = 7, 3   # worm 7's tail
+    net._buf_cnt[g] = net._r_nflits[0] = 1
+    lib.k_enqueue(cs, 1, [0, 8, 2, 5])      # worm 8 queued at node 0
+    assert lib.k_start_scan(cs, net._heads_ptr) == 1
+    net._src_cur[0] = 8
+    assert lib.k_inject(cs, net._heads_ptr) == 1
+    assert net._ring(g) == [(7, 3), (8, 0)]
+    assert lib.k_purge(cs, 0, 7) == 1
+    lib.k_flush(cs)
+    assert net._ring(g) == [(8, 0)]
 
 
 def test_rule_decisions_follow_undetected_link_faults():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim import Hypercube, Mesh2D, TrafficGenerator, Torus2D
+from repro.sim._batched_kernel import load_kernel, unavailable_reason
 from repro.sim.traffic import (PATTERNS, bit_complement_pattern,
                                bit_reverse_pattern,
                                dimension_reverse_pattern, hotspot_pattern,
@@ -141,3 +142,78 @@ class TestGenerator:
         for src, dst, length in out:
             x, y = topo.coords(src)
             assert topo.coords(dst) == (y, x)
+
+
+class TestUniformStream:
+    """The RNG contract batched destination draws rest on: a batch of
+    uniform destinations consumes the generator's bit stream exactly as
+    one scalar draw per source does (numpy's bounded integers take
+    32-bit halves of each 64-bit word and buffer the spare half in the
+    generator), so the destinations and the generator's final state,
+    buffered half included, are the same."""
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_batch_equals_scalar_draws(self, k):
+        topo = Mesh2D(6, 6)
+        batched, scalar = (np.random.default_rng(5) for _ in range(2))
+        batch = uniform_pattern(topo, batched).batch
+        dest = uniform_pattern(topo, scalar)
+        pick = np.random.default_rng(k)
+        for n in (36, 7, 1, 36, 0):
+            # interleaved with the per-cycle Bernoulli draws
+            assert batched.random(n).tolist() == scalar.random(n).tolist()
+            srcs = sorted(pick.choice(36, size=k, replace=False).tolist())
+            assert batch(srcs) == [dest(s) for s in srcs]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.skipif(unavailable_reason() is not None,
+                        reason=f"batched kernel unavailable: "
+                               f"{unavailable_reason()}")
+    @pytest.mark.parametrize("load", [0.0, 0.05, 0.3, 1.0])
+    def test_kernel_tick_equals_tick(self, load):
+        """The batched engine draws uniform traffic in its kernel, from
+        the generator's bit generator: the same offers, cycle by cycle,
+        and the same generator state after every cycle."""
+        ffi, lib = load_kernel()
+        topo = Mesh2D(8, 8)
+        gen, ref = (TrafficGenerator(topo, "uniform", load=load,
+                                     message_length=3, seed=11)
+                    for _ in range(2))
+        n, p = gen.uniform_trials()
+        src, dst = (np.zeros(n, dtype=np.int32) for _ in range(2))
+        bg = ffi.cast("bitgen_t *",
+                      gen.rng.bit_generator.ctypes.bit_generator.value)
+        for cycle in range(60):
+            k = lib.k_uniform_tick(bg, n, p,
+                                   ffi.from_buffer("int32_t[]", src),
+                                   ffi.from_buffer("int32_t[]", dst))
+            assert [(s, d, 3) for s, d in zip(src[:k].tolist(),
+                                               dst[:k].tolist())] \
+                == ref.tick(cycle)
+            assert gen.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.skipif(unavailable_reason() is not None,
+                        reason=f"batched kernel unavailable: "
+                               f"{unavailable_reason()}")
+    def test_kernel_tick_rejects_as_numpy_does(self):
+        """A bound whose rejection zone is wide: 2**32 mod 988485 is
+        988456, so about 227 of 988486 draws are redrawn."""
+        ffi, lib = load_kernel()
+        n = 988486
+        gen, ref = (np.random.default_rng(3) for _ in range(2))
+        src, dst = (np.zeros(n, dtype=np.int32) for _ in range(2))
+        bg = ffi.cast("bitgen_t *",
+                      gen.bit_generator.ctypes.bit_generator.value)
+        k = lib.k_uniform_tick(bg, n, 1.0, ffi.from_buffer("int32_t[]", src),
+                               ffi.from_buffer("int32_t[]", dst))
+        assert k == n
+        ref.random(n)                   # at p = 1 every node offers
+        d = ref.integers(0, n - 1, size=n)
+        assert np.array_equal(dst, d + (d >= np.arange(n)))
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_uniform_trials_name_the_uniform_pattern_only(self):
+        topo = Mesh2D(4, 4)
+        gen = TrafficGenerator(topo, "uniform", load=0.3, message_length=6)
+        assert gen.uniform_trials() == (16, 0.3 / 6)
+        assert TrafficGenerator(topo, "hotspot").uniform_trials() is None

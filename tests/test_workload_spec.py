@@ -71,6 +71,38 @@ def test_no_run_option_forces_a_fallback(name):
     assert "engine_fallback" not in res
 
 
+def _assert_freed_without_the_cyclic_gc(monkeypatch, algorithm, topology,
+                                        engine):
+    """Nothing keeps the network, its algorithm or a rule-driven
+    algorithm's per-node engines alive once ``run_workload`` returns:
+    their reference cycles are broken at teardown (or never made), so
+    refcounting frees them with the cyclic GC off."""
+    built = []
+
+    def capture(*args, **kwargs):
+        net = build(*args, **kwargs)
+        algo = net.algorithm
+        built.extend(weakref.ref(x) for x in
+                     [net, algo, *getattr(algo, "engines", ())])
+        return net
+    build = runners.build_network
+    monkeypatch.setattr(runners, "build_network", capture)
+    spec = WorkloadSpec(topology=topology, algorithm=algorithm,
+                        load=0.1, cycles=60, engine=engine,
+                        fault_links=[sorted(topology.links())[2]],
+                        metrics_stride=10)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = run_workload(spec)
+        assert res["engine"] == engine
+        assert len(built) >= 2
+        assert [ref() for ref in built] == [None] * len(built)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.skipif(unavailable_reason() is not None,
                     reason=f"batched kernel unavailable: "
                            f"{unavailable_reason()}")
@@ -81,29 +113,22 @@ def test_no_run_option_forces_a_fallback(name):
 ])
 def test_finished_batched_network_is_freed_without_the_cyclic_gc(
         monkeypatch, algorithm, topology):
-    """Nothing keeps a batched network alive once ``run_workload``
-    returns: its reference cycles are broken at teardown, so
-    refcounting frees it and its arrays with the cyclic GC off."""
-    built = []
+    _assert_freed_without_the_cyclic_gc(monkeypatch, algorithm, topology,
+                                        "batched")
 
-    def capture(*args, **kwargs):
-        net = build(*args, **kwargs)
-        built.append(weakref.ref(net))
-        return net
-    build = runners.build_network
-    monkeypatch.setattr(runners, "build_network", capture)
-    spec = WorkloadSpec(topology=topology, algorithm=algorithm,
-                        load=0.1, cycles=60, engine="batched",
-                        fault_links=[sorted(topology.links())[2]])
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        run_workload(spec)
-        assert len(built) == 1
-        assert built[0]() is None
-    finally:
-        if enabled:
-            gc.enable()
+
+@pytest.mark.parametrize("algorithm,topology", [
+    ("xy", Mesh2D(4, 4)),
+    ("updown", Mesh2D(4, 4)),
+    ("nafta_rules", Mesh2D(4, 4)),
+    ("route_c_rules", Hypercube(3)),
+])
+def test_finished_object_network_is_freed_without_the_cyclic_gc(
+        monkeypatch, algorithm, topology):
+    # each object-engine Router points at its network and, through
+    # _down, at its downstream routers
+    _assert_freed_without_the_cyclic_gc(monkeypatch, algorithm, topology,
+                                        "object")
 
 
 def test_spec_cycles_per_step_zero_runs_one_cycle_per_step():
