@@ -1,7 +1,6 @@
 """Engine and simulator throughput: compiled rule decisions, the
-active-router simulation loop, the batched engine against the object
-oracle, and the parallel sweep engine vs serial point-by-point
-execution.
+active-router simulation loop, and the batched engine against the
+object oracle.
 
 Layers of the same story (paper Section 4.3, "software solutions
 would limit the network performance drastically"):
@@ -10,17 +9,17 @@ would limit the network performance drastically"):
   through the :class:`~repro.core.compiler.fastpath.DecisionKernel`
   (generated feature-code function + prebaked strides + code-tuple memo);
 * **cycles/sec** — a full wormhole simulation on the object engine
-  (only routers holding flits are iterated each cycle);
-* **points/sec** — the latency/load sweep through
-  :func:`repro.experiments.pool.run_sweep`: serial vs ``--workers N``
-  process fan-out vs a warm content-addressed cache, all three
-  byte-identical.
+  (only routers holding flits are iterated each cycle), and the batched
+  engine on the same 8x8 mesh and on a hypercube.
+
+The large-mesh batched runs and the latency/load sweep are timed end to
+end by ``benchmarks/e2e`` (the ``native_mesh`` and ``latency_load``
+workloads).
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
-    PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
-        --quick --workers 2
+    PYTHONPATH=src python benchmarks/bench_engine_throughput.py --quick
 
 Results land in ``BENCH_engine.json`` (see ``--out``).
 """
@@ -29,12 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
-import tempfile
 import time
 
-from repro.experiments import WorkloadSpec, add_sweep_args, run_sweep
 from repro.routing.registry import make_algorithm
 from repro.routing.rulesets.loader import load_ruleset
 from repro.sim.batched import batched_fallback_reason, build_network
@@ -219,42 +214,6 @@ def bench_batched_engine(quick: bool) -> dict:
     }
 
 
-def bench_large_mesh(quick: bool) -> dict:
-    """The ROADMAP-scale fabrics the object engine cannot sweep in
-    reasonable wall-clock: 32x32 and (full mode) 64x64, one row per
-    (mesh, engine).
-
-    Both engines run the identical workload, so their end-of-run
-    summaries must match bit-for-bit (``results_identical``); the
-    per-mesh speedups are also flattened to ``speedup_WxH`` keys so the
-    regression gate (benchmarks/check_regression.py) can track them
-    directly."""
-    meshes = [(32, 32)] if quick else [(32, 32), (64, 64)]
-    warmup, cycles = (60, 120) if quick else (150, 300)
-    load = 0.2
-    rows = []
-    out = {"load": load, "warmup_cycles_excluded": warmup}
-    identical = True
-    for w, h in meshes:
-        pair = {}
-        summaries = {}
-        for engine in ("object", "batched"):
-            rate, ran, summary = time_engine(engine, Mesh2D(w, h),
-                                             warmup, cycles, load)
-            pair[engine] = rate
-            summaries[engine] = summary
-            rows.append({"mesh": f"{w}x{h}", "engine": engine,
-                         "load": load, "cycles": cycles,
-                         "cycles_per_sec": rate, "ran_as": ran})
-        speedup = pair["batched"] / pair["object"]
-        rows[-1]["speedup_vs_object"] = speedup
-        out[f"speedup_{w}x{h}"] = speedup
-        identical &= summaries["object"] == summaries["batched"]
-    out["results_identical"] = identical
-    out["rows"] = rows
-    return out
-
-
 def bench_hypercube(quick: bool) -> dict:
     """A high-dimensional fabric (paper Section 2: the approach covers
     'all topologies that can be represented by a graph'): e-cube on a
@@ -289,106 +248,10 @@ def bench_hypercube(quick: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end latency/load sweep vs the seed implementation
-# ---------------------------------------------------------------------------
-
-#: wall-clock of benchmarks/bench_latency_load.py run() at the growth
-#: seed (commit 2f8009c), measured on the reference machine the current
-#: number is measured on — the denominator of the tracked speedup
-SEED_LATENCY_SWEEP_S = 28.70
-
-
-def bench_latency_sweep(rounds: int = 3) -> dict:
-    try:
-        from benchmarks.bench_latency_load import run as sweep
-    except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
-        from bench_latency_load import run as sweep
-    best = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        sweep()
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return {
-        "seed_wallclock_s": SEED_LATENCY_SWEEP_S,
-        "current_wallclock_s": best,
-        "speedup_vs_seed": SEED_LATENCY_SWEEP_S / best,
-    }
-
-
-# ---------------------------------------------------------------------------
-# parallel sweep engine: serial vs N workers vs warm cache
-# ---------------------------------------------------------------------------
-
-def sweep_specs(quick: bool) -> list[WorkloadSpec]:
-    """The latency/load grid as independent sweep points (the full grid
-    mirrors benchmarks/bench_latency_load.py)."""
-    if quick:
-        algos, loads, cycles = ("xy", "nara"), (0.05, 0.15), 600
-    else:
-        algos = ("xy", "nara", "spanning_tree")
-        loads, cycles = (0.05, 0.10, 0.20, 0.30, 0.40), 2200
-    return [WorkloadSpec(topology=Mesh2D(WIDTH, HEIGHT), algorithm=algo,
-                         load=load, cycles=cycles, warmup=600, seed=13,
-                         drain=False)
-            for algo in algos for load in loads]
-
-
-def bench_parallel_sweep(workers: int, quick: bool,
-                         cache: bool = True) -> dict:
-    """Three passes over the same grid: serial in-process, ``workers``
-    processes (cold cache), and a warm-cache replay — results must be
-    byte-identical across all three.
-
-    Quick mode uses the persistent default cache directory so a second
-    quick invocation (CI runs the smoke twice) sees cross-process cache
-    hits; full mode uses a throwaway directory so the cold-run timing
-    is honest on developer machines.
-    """
-    specs = sweep_specs(quick)
-    cache_dir = None if quick else tempfile.mkdtemp(prefix="repro-sweep-")
-    try:
-        t0 = time.perf_counter()
-        serial = run_sweep(specs, workers=0, cache=False)
-        serial_s = time.perf_counter() - t0
-
-        cold_stats: dict = {}
-        t0 = time.perf_counter()
-        cold = run_sweep(specs, workers=workers, cache=cache,
-                         cache_dir=cache_dir, progress=True,
-                         label="parallel_sweep", stats=cold_stats)
-        parallel_s = time.perf_counter() - t0
-
-        warm_stats: dict = {}
-        t0 = time.perf_counter()
-        warm = run_sweep(specs, workers=workers, cache=cache,
-                         cache_dir=cache_dir, stats=warm_stats)
-        warm_s = time.perf_counter() - t0
-    finally:
-        if cache_dir is not None:
-            shutil.rmtree(cache_dir, ignore_errors=True)
-
-    dump = lambda rows: json.dumps(rows, sort_keys=True)  # noqa: E731
-    return {
-        "points": len(specs),
-        "workers": workers,
-        "machine_cpus": os.cpu_count(),
-        "serial_wallclock_s": serial_s,
-        "parallel_wallclock_s": parallel_s,
-        "parallel_speedup": serial_s / parallel_s,
-        "warm_cache_wallclock_s": warm_s,
-        "warm_cache_fraction_of_serial": warm_s / serial_s,
-        "cache_hits_initial": cold_stats.get("cache_hits", 0),
-        "warm_cache_hits": warm_stats.get("cache_hits", 0),
-        "results_identical": dump(serial) == dump(cold) == dump(warm),
-    }
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
-def run(quick: bool = False, workers: int = 0, cache: bool = True) -> dict:
+def run(quick: bool = False) -> dict:
     if quick:
         decisions = bench_decisions(repeats=50, rounds=2)
         sim_low = bench_sim(cycles=300, rounds=1, load=0.04)
@@ -397,7 +260,7 @@ def run(quick: bool = False, workers: int = 0, cache: bool = True) -> dict:
         decisions = bench_decisions(repeats=400, rounds=5)
         sim_low = bench_sim(cycles=2000, rounds=3, load=0.04)
         sim_mod = bench_sim(cycles=2000, rounds=3, load=0.2)
-    report = {
+    return {
         "mesh": f"{WIDTH}x{HEIGHT}",
         "quick": quick,
         "decision_throughput": decisions,
@@ -406,14 +269,8 @@ def run(quick: bool = False, workers: int = 0, cache: bool = True) -> dict:
         "simulation_throughput_low_load": sim_low,
         "simulation_throughput_moderate_load": sim_mod,
         "batched_engine": bench_batched_engine(quick),
-        "large_mesh": bench_large_mesh(quick),
         "hypercube": bench_hypercube(quick),
-        "parallel_sweep": bench_parallel_sweep(workers or 4, quick,
-                                               cache=cache),
     }
-    if not quick:
-        report["latency_load_sweep"] = bench_latency_sweep()
-    return report
 
 
 def main(argv=None) -> None:
@@ -424,9 +281,8 @@ def main(argv=None) -> None:
                     help="write the JSON report here (default: "
                          "BENCH_engine.json next to the repo root; "
                          "'-' prints to stdout only)")
-    add_sweep_args(ap)
     args = ap.parse_args(argv)
-    report = run(quick=args.quick, workers=args.workers, cache=args.cache)
+    report = run(quick=args.quick)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out != "-":

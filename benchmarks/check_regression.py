@@ -56,12 +56,6 @@ TRACKED = (
      "sim cycles/sec (moderate load)", "higher"),
     ("batched_engine.cycles_per_sec", "batched engine cycles/sec",
      "higher"),
-    # large-mesh speedups are ratios, not rates, but regress the same
-    # way: a drop means the batched data path lost ground to the object
-    # oracle on the fabrics it exists for (64x64 only appears in full
-    # reports, so quick runs skip it)
-    ("large_mesh.speedup_32x32", "large-mesh 32x32 speedup", "higher"),
-    ("large_mesh.speedup_64x64", "large-mesh 64x64 speedup", "higher"),
     ("hypercube.cycles_per_sec", "hypercube batched cycles/sec",
      "higher"),
     # fast-reroute recovery gaps (BENCH_reroute.json): cycles of

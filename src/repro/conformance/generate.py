@@ -29,7 +29,6 @@ _MESH_DIMS_TINY = ((3, 3), (4, 3))
 _CUBE_DIMS = (3, 4)
 _CUBE_DIMS_TINY = (3,)
 _TORUS_DIMS = ((4, 4), (5, 4), (6, 6))
-_KARYN = ((4, 2), (3, 3))
 
 
 def _topology_desc(rng: np.random.Generator, kind: str,
@@ -43,9 +42,6 @@ def _topology_desc(rng: np.random.Generator, kind: str,
     if kind == "hypercube":
         d = _pick(rng, _CUBE_DIMS_TINY if tiny else _CUBE_DIMS)
         return {"kind": "hypercube", "dimension": int(d)}
-    if kind == "karyncube":
-        k, n = _pick(rng, _KARYN)
-        return {"kind": "karyncube", "k": int(k), "n": int(n)}
     raise ValueError(f"no generator for topology kind {kind!r}")
 
 

@@ -75,8 +75,8 @@ def effective_workers(requested: int, n_payloads: int) -> int:
     Never more workers than payloads, and never more than
     ``os.cpu_count()``: on a 1-CPU machine a process pool cannot run
     two workers concurrently, so fan-out only pays fork + pickle
-    overhead (measured as ``parallel_speedup`` 0.83 in
-    BENCH_engine.json).  Anything that clamps to <= 1 runs serially
+    overhead (a 0.83x "speed-up" when it was measured).  Anything
+    that clamps to <= 1 runs serially
     in-process through the same worker entry point, which is
     byte-identical by construction."""
     return min(int(requested), n_payloads, os.cpu_count() or 1)

@@ -6,11 +6,9 @@ from .backup import FastReroute, NEUTRAL_FIELDS
 from .base import RouteDecision, RoutingAlgorithm, RoutingError
 from .dimension_order import ECubeRouting, TorusDatelineXY, XYRouting
 from .duato import DuatoMeshRouting
-from .karyn import KAryNCubeDOR
 from .mesh_state import MeshFaultMap, MeshNodeState
 from .nafta import NaftaRouting
 from .nara import NaraRouting, assign_virtual_network
-from .planar_adaptive import PlanarAdaptiveRouting
 from .registry import ALGORITHMS, make_algorithm
 from .route_c import (CubeStateMap, RouteCRouting, StrippedRouteC,
                       FAULTY, LFAULT, OUNSAFE, SAFE, SUNSAFE)
@@ -22,9 +20,7 @@ __all__ = [
     "FastReroute", "NEUTRAL_FIELDS",
     "RouteDecision", "RoutingAlgorithm", "RoutingError",
     "ECubeRouting", "TorusDatelineXY", "XYRouting", "DuatoMeshRouting",
-    "KAryNCubeDOR",
     "MeshFaultMap", "MeshNodeState", "NaftaRouting", "NaraRouting",
-    "PlanarAdaptiveRouting",
     "assign_virtual_network", "ALGORITHMS", "make_algorithm",
     "CubeStateMap", "RouteCRouting", "StrippedRouteC",
     "FAULTY", "LFAULT", "OUNSAFE", "SAFE", "SUNSAFE",

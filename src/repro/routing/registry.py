@@ -10,10 +10,8 @@ from typing import Callable
 from .base import RoutingAlgorithm
 from .dimension_order import ECubeRouting, TorusDatelineXY, XYRouting
 from .duato import DuatoMeshRouting
-from .karyn import KAryNCubeDOR
 from .nafta import NaftaRouting
 from .nara import NaraRouting
-from .planar_adaptive import PlanarAdaptiveRouting
 from .route_c import RouteCRouting, StrippedRouteC
 from .rule_driven import RuleDrivenNafta, RuleDrivenRouteC
 from .spanning_tree import SpanningTreeRouting
@@ -24,14 +22,12 @@ ALGORITHMS: dict[str, Callable[[], RoutingAlgorithm]] = {
     "ecube": ECubeRouting,
     "torus_xy": TorusDatelineXY,
     "duato": DuatoMeshRouting,
-    "karyn_dor": KAryNCubeDOR,
     "nara": NaraRouting,
     "nafta": NaftaRouting,
     "route_c": RouteCRouting,
     "route_c_nft": StrippedRouteC,
     "spanning_tree": SpanningTreeRouting,
     "updown": UpDownRouting,
-    "par": PlanarAdaptiveRouting,
     "nafta_rules": RuleDrivenNafta,
     "route_c_rules": RuleDrivenRouteC,
 }
@@ -107,7 +103,6 @@ ALGORITHM_META: dict[str, AlgoMeta] = {
     "ecube": AlgoMeta(topologies=("hypercube",), minimal_fault_free=True),
     "torus_xy": AlgoMeta(topologies=("torus2d",), minimal_fault_free=True),
     "duato": AlgoMeta(topologies=("mesh2d",), minimal_fault_free=True),
-    "karyn_dor": AlgoMeta(topologies=("karyncube",), minimal_fault_free=True),
     "nara": AlgoMeta(topologies=("mesh2d",), minimal_fault_free=True),
     # NAFTA completes fault regions to convex rings: nodes *inside* a
     # completed ring are refused at injection, and worms already in
@@ -137,13 +132,6 @@ ALGORITHM_META: dict[str, AlgoMeta] = {
     "updown": AlgoMeta(topologies=("mesh2d", "hypercube"),
                        max_link_faults=2, max_node_faults=1,
                        may_refuse_under_faults=True),
-    # planar-adaptive misroutes around fault rings; worms boxed in by a
-    # fault wave mid-flight may stick
-    "par": AlgoMeta(topologies=("mesh2d",),
-                    minimal_fault_free=True,
-                    max_link_faults=1, max_node_faults=1,
-                    may_refuse_under_faults=True,
-                    may_stick_under_faults=True),
     # rule-driven variants interpret .rules programs per decision —
     # roughly an order of magnitude slower, so the generator keeps
     # their cases tiny; they are the cross-interpreter oracle's target

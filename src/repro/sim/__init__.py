@@ -15,9 +15,8 @@ from .network import DeadlockError, Network
 from .router import LOCAL, Router
 from .stats import StatsCollector
 from .watchdog import StallDiagnosis, StalledWorm, diagnose_stall
-from .topology import (EAST, NORTH, SOUTH, WEST, Hypercube, KAryNCube,
-                       Mesh2D, MeshND, Port, Topology, Torus2D, link_key,
-                       topology_from_dict)
+from .topology import (EAST, NORTH, SOUTH, WEST, Hypercube, Mesh2D, Port,
+                       Topology, Torus2D, link_key, topology_from_dict)
 from .traffic import PATTERNS, TrafficGenerator
 
 #: re-exported lazily: repro.sim.batched imports the routing layer for
@@ -42,7 +41,6 @@ __all__ = [
     "Network", "BatchedNetwork", "batched_fallback_reason",
     "build_network", "LOCAL", "Router", "StatsCollector", "StallDiagnosis",
     "StalledWorm", "diagnose_stall", "EAST", "NORTH", "SOUTH", "WEST",
-    "Hypercube", "KAryNCube", "Mesh2D", "MeshND", "Port", "Topology",
-    "Torus2D", "link_key", "topology_from_dict", "PATTERNS",
-    "TrafficGenerator",
+    "Hypercube", "Mesh2D", "Port", "Topology", "Torus2D", "link_key",
+    "topology_from_dict", "PATTERNS", "TrafficGenerator",
 ]

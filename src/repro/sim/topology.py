@@ -1,4 +1,4 @@
-"""Network topologies: 2-D mesh/torus, hypercube, k-ary n-cube.
+"""Network topologies: 2-D mesh/torus and hypercube.
 
 A topology enumerates nodes (dense integer ids), per-node ports (dense
 integer ids, one per neighbour link; the router adds a separate local
@@ -12,9 +12,7 @@ Port numbering conventions match the routing literature:
 
 * 2-D mesh/torus: EAST=0, WEST=1, NORTH=2, SOUTH=3 (missing mesh-edge
   ports simply do not exist on border nodes);
-* hypercube / k-ary n-cube: dimension-major (for the hypercube, port i
-  crosses dimension i; for k-ary n-cubes, ports 2i / 2i+1 are the
-  +/- directions of dimension i).
+* hypercube: dimension-major (port i crosses dimension i).
 """
 
 from __future__ import annotations
@@ -284,140 +282,10 @@ class Hypercube(Topology):
         return [i for i in range(self.dimension) if x >> i & 1]
 
 
-class MeshND(Topology):
-    """n-dimensional mesh (no wrap-around): ports 2i / 2i+1 are the
-    + / - directions of dimension i; border ports do not exist."""
-
-    name = "meshnd"
-
-    def __init__(self, dims: tuple[int, ...]):
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("mesh dimensions must be positive")
-        super().__init__()
-        self.dims = tuple(int(d) for d in dims)
-
-    def describe(self) -> dict:
-        return {"kind": self.name, "dims": list(self.dims)}
-
-    @property
-    def n_nodes(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    @property
-    def n_dims(self) -> int:
-        return len(self.dims)
-
-    @property
-    def max_ports(self) -> int:
-        return 2 * len(self.dims)
-
-    def coords(self, node: int) -> tuple[int, ...]:
-        out = []
-        for d in self.dims:
-            out.append(node % d)
-            node //= d
-        return tuple(out)
-
-    def node_at(self, coords) -> int:
-        node = 0
-        for c, d in zip(reversed(tuple(coords)), reversed(self.dims)):
-            if not 0 <= c < d:
-                raise ValueError(f"{coords} outside mesh {self.dims}")
-            node = node * d + c
-        return node
-
-    def _neighbor(self, node: int, port_id: int) -> tuple[int, int] | None:
-        if not 0 <= port_id < 2 * len(self.dims):
-            return None
-        dim, sign = divmod(port_id, 2)
-        coords = list(self.coords(node))
-        if sign == 0:
-            if coords[dim] + 1 >= self.dims[dim]:
-                return None
-            coords[dim] += 1
-            return self.node_at(coords), port_id + 1
-        if coords[dim] - 1 < 0:
-            return None
-        coords[dim] -= 1
-        return self.node_at(coords), port_id - 1
-
-    def distance(self, a: int, b: int) -> int:
-        return sum(abs(x - y) for x, y in zip(self.coords(a),
-                                              self.coords(b)))
-
-
-class KAryNCube(Topology):
-    """k-ary n-cube: n dimensions of k nodes with wrap-around.
-
-    Ports 2i and 2i+1 are the + and - directions of dimension i.
-    ``k == 2`` degenerates to a hypercube-like graph but keeps two
-    (parallel) ports per dimension; use :class:`Hypercube` for binary
-    cubes.
-    """
-
-    name = "karyncube"
-
-    def __init__(self, k: int, n: int):
-        if k < 2 or n < 1:
-            raise ValueError("need k >= 2 and n >= 1")
-        super().__init__()
-        self.k = k
-        self.n = n
-
-    def describe(self) -> dict:
-        return {"kind": self.name, "k": self.k, "n": self.n}
-
-    @property
-    def n_nodes(self) -> int:
-        return self.k ** self.n
-
-    @property
-    def max_ports(self) -> int:
-        return 2 * self.n
-
-    def coords(self, node: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            out.append(node % self.k)
-            node //= self.k
-        return tuple(out)
-
-    def node_at(self, coords) -> int:
-        node = 0
-        for c in reversed(coords):
-            node = node * self.k + c
-        return node
-
-    def _neighbor(self, node: int, port_id: int) -> tuple[int, int] | None:
-        if not 0 <= port_id < 2 * self.n:
-            return None
-        dim, sign = divmod(port_id, 2)
-        coords = list(self.coords(node))
-        if sign == 0:
-            coords[dim] = (coords[dim] + 1) % self.k
-            return self.node_at(coords), port_id + 1
-        coords[dim] = (coords[dim] - 1) % self.k
-        return self.node_at(coords), port_id - 1
-
-    def distance(self, a: int, b: int) -> int:
-        ca = self.coords(a)
-        cb = self.coords(b)
-        total = 0
-        for x, y in zip(ca, cb):
-            d = abs(x - y)
-            total += min(d, self.k - d)
-        return total
-
-
 _TOPOLOGY_KINDS = {
     "mesh2d": lambda d: Mesh2D(int(d["width"]), int(d["height"])),
     "torus2d": lambda d: Torus2D(int(d["width"]), int(d["height"])),
     "hypercube": lambda d: Hypercube(int(d["dimension"])),
-    "meshnd": lambda d: MeshND(tuple(int(x) for x in d["dims"])),
-    "karyncube": lambda d: KAryNCube(int(d["k"]), int(d["n"])),
 }
 
 

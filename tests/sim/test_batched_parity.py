@@ -2,7 +2,7 @@
 an invisible optimization.
 
 Every algorithm in the registry runs the same workload on both engines
-— small meshes, tori, hypercubes and k-ary n-cubes, fault-free and with
+— small meshes, tori and hypercubes, fault-free and with
 static and timed (mid-run) fault schedules in both fault modes — and
 the complete ``SimStats.summary`` must match bit-for-bit, per-decision
 SHA-256 digest and fault log included (fast reroute's healing and
@@ -32,7 +32,7 @@ from repro.sim.config import SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.sim.network import Network
 from repro.sim.stats import DecisionDigest
-from repro.sim.topology import Hypercube, KAryNCube, Mesh2D, Torus2D
+from repro.sim.topology import Hypercube, Mesh2D, Torus2D
 from repro.sim.traffic import TrafficGenerator
 
 pytestmark = pytest.mark.skipif(
@@ -44,7 +44,6 @@ TOPOLOGIES = {
     "mesh2d": lambda: Mesh2D(5, 4),
     "torus2d": lambda: Torus2D(4, 4),
     "hypercube": lambda: Hypercube(3),
-    "karyncube": lambda: KAryNCube(3, 2),
 }
 
 

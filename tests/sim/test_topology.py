@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import (EAST, NORTH, SOUTH, WEST, Hypercube, KAryNCube,
-                       Mesh2D, Torus2D, link_key)
+from repro.sim import (EAST, NORTH, SOUTH, WEST, Hypercube, Mesh2D, Torus2D,
+                       link_key)
 
 
 class TestMesh2D:
@@ -104,29 +104,6 @@ class TestHypercube:
     def test_link_count(self):
         h = Hypercube(4)
         assert len(h.links()) == 16 * 4 // 2
-
-
-class TestKAryNCube:
-    def test_node_count(self):
-        assert KAryNCube(4, 3).n_nodes == 64
-
-    def test_coords_roundtrip(self):
-        t = KAryNCube(3, 3)
-        for n in t.nodes():
-            assert t.node_at(t.coords(n)) == n
-
-    def test_ports_symmetric(self):
-        t = KAryNCube(4, 2)
-        for n in t.nodes():
-            for pid, p in t.ports(n).items():
-                back = t.port(p.neighbor, p.neighbor_port)
-                assert back.neighbor == n
-
-    def test_distance_wraps(self):
-        t = KAryNCube(5, 2)
-        a = t.node_at((0, 0))
-        b = t.node_at((4, 3))
-        assert t.distance(a, b) == 1 + 2
 
 
 class TestLinkKey:

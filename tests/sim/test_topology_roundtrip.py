@@ -10,8 +10,8 @@ sample here.
 
 import pytest
 
-from repro.sim.topology import (Hypercube, KAryNCube, Mesh2D, MeshND,
-                                Torus2D, _TOPOLOGY_KINDS,
+from repro.routing.registry import ALGORITHM_META
+from repro.sim.topology import (Hypercube, Mesh2D, Torus2D, _TOPOLOGY_KINDS,
                                 topology_from_dict)
 
 # at least one representative instance per registered kind, including
@@ -20,8 +20,6 @@ SAMPLES = {
     "mesh2d": [Mesh2D(2, 2), Mesh2D(5, 3)],
     "torus2d": [Torus2D(3, 3), Torus2D(4, 6)],
     "hypercube": [Hypercube(1), Hypercube(4)],
-    "meshnd": [MeshND((3,)), MeshND((2, 3, 4))],
-    "karyncube": [KAryNCube(4, 2), KAryNCube(3, 3)],
 }
 
 
@@ -35,6 +33,16 @@ def test_every_registered_kind_is_sampled():
     assert set(SAMPLES) == set(_TOPOLOGY_KINDS), (
         "add a SAMPLES entry for every kind registered in "
         "_TOPOLOGY_KINDS (and vice versa)")
+
+
+def test_every_registered_kind_is_run_by_some_algorithm():
+    # a kind no algorithm's metadata names is reached by no generated
+    # conformance case, parity scenario or workload
+    named = {kind for meta in ALGORITHM_META.values()
+             for kind in meta.topologies}
+    assert set(_TOPOLOGY_KINDS) <= named, (
+        f"topology kinds no algorithm runs on: "
+        f"{sorted(set(_TOPOLOGY_KINDS) - named)}")
 
 
 @pytest.mark.parametrize("topo", _all_samples())

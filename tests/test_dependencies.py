@@ -45,6 +45,19 @@ def test_python_floor_matches_ci_matrix():
         "py" + oldest.replace(".", "")
 
 
+def test_conformance_lanes_cover_the_registry():
+    """The nightly fuzz lanes name only registered algorithms, and
+    every registered algorithm is fuzzed by at least one lane."""
+    from repro.routing.registry import ALGORITHMS
+    workflow = (ROOT / ".github" / "workflows" /
+                "conformance.yml").read_text()
+    laned = {name for names in re.findall(r"^\s*algorithms: (\S+)$",
+                                          workflow, re.MULTILINE)
+             for name in names.split(",")}
+    assert laned <= set(ALGORITHMS), sorted(laned - set(ALGORITHMS))
+    assert set(ALGORITHMS) <= laned, sorted(set(ALGORITHMS) - laned)
+
+
 #: a chaos campaign with backup tables, through the library and the
 #: CLI, in a process where ``import networkx`` raises
 _WITHOUT_NETWORKX = """
