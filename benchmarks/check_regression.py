@@ -12,6 +12,9 @@ CI runs::
     python benchmarks/check_regression.py /tmp/bench_reroute.json \
         --baseline BENCH_reroute.json
 
+A tracked metric present in the baseline but missing from the report
+fails (a benchmark section that stopped being written); one the
+baseline itself lacks belongs to the other baseline and is skipped.
 Wall-clock totals are never compared — repeat counts differ between
 ``--quick`` and the full run that produced the baseline. Two metric
 directions exist:
@@ -93,8 +96,16 @@ def compare(baseline: dict, current: dict, threshold: float) -> list[str]:
     for dotted, label, direction in TRACKED:
         base = lookup(baseline, dotted)
         cur = lookup(current, dotted)
-        if base is None or cur is None:
-            rows.append(f"  {label:<38} (missing — skipped)")
+        if base is None:
+            # one TRACKED table serves both baselines: a metric the
+            # baseline lacks belongs to the other one
+            rows.append(f"  {label:<38} (not in this baseline — skipped)")
+            continue
+        if cur is None:
+            rows.append(f"  {label:<38} {'missing':>12}  vs "
+                        f"{_fmt(base):>12}  REGRESSION")
+            failures.append(f"{label}: in the baseline ({_fmt(base)}) but "
+                            f"missing from the report")
             continue
         mark = "ok"
         if direction == "lower" and base == 0.0:

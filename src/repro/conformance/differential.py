@@ -52,8 +52,8 @@ class ShadowDifferential(RoutingAlgorithm):
         self.primary.on_fault_update(network, nodes)
         self.shadow.on_fault_update(network, nodes)
 
-    def accepts(self, src: int, dst: int) -> bool:
-        return self.primary.accepts(src, dst)
+    def accepts_node(self, node: int) -> bool:
+        return self.primary.accepts_node(node)
 
     def on_depart(self, router, header, out_port, out_vc) -> None:
         self.primary.on_depart(router, header, out_port, out_vc)

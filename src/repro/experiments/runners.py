@@ -228,7 +228,7 @@ def _run_and_summarize(spec: WorkloadSpec, net: Network,
     out["engine"] = net.engine_name
     # a constant: the pinned e2e summary digests hash this key
     out["policy"] = "deterministic"
-    out["undelivered"] = len(net.undelivered())
+    out["undelivered"] = net.n_undelivered()
     out["n_faults"] = net.faults.n_faults()
     out.update(_logical_accounting(net))
     if net.known_faults is not net.faults:   # diagnosis lags faults
@@ -248,20 +248,17 @@ def _logical_accounting(net: Network) -> dict:
     delivered if any copy arrived.  A root that was neither delivered
     nor dead-lettered (an accounted give-up) is *silent loss* — the
     failure class the retry machinery exists to eliminate."""
-    roots: set[int] = set()
-    delivered: set[int] = set()
-    for m in net.messages.values():
-        fields = m.header.fields
-        root = int(fields.get("root_id", m.header.msg_id))
-        if "retry_of" not in fields:
-            roots.add(root)
-        if m.delivered:
-            delivered.add(root)
-    dead = set(net.dead_letters)
+    root, retry, delivered = net.message_roots()
+    # root ids are message ids: one flag per id marks each set of roots
+    created, arrived, dead = (np.zeros(len(root), dtype=bool)
+                              for _ in range(3))
+    created[root[~retry]] = True
+    arrived[root[delivered]] = True
+    dead[net.dead_letters] = True
     return {
-        "messages_created_logical": len(roots),
-        "messages_delivered_logical": len(delivered),
-        "silent_loss": len(roots - delivered - dead),
+        "messages_created_logical": int(np.count_nonzero(created)),
+        "messages_delivered_logical": int(np.count_nonzero(arrived)),
+        "silent_loss": int(np.count_nonzero(created & ~arrived & ~dead)),
     }
 
 

@@ -128,8 +128,8 @@ class FastReroute(RoutingAlgorithm):
     def on_fault_update(self, network, nodes=None) -> None:
         self.inner.on_fault_update(network, nodes=nodes)
 
-    def accepts(self, src: int, dst: int) -> bool:
-        return self.inner.accepts(src, dst)
+    def accepts_node(self, node: int) -> bool:
+        return self.inner.accepts_node(node)
 
     def on_depart(self, router, header, out_port: int,
                   out_vc: int) -> None:

@@ -242,12 +242,20 @@ class RoutingAlgorithm:
         decision to Python."""
         return None
 
-    def accepts(self, src: int, dst: int) -> bool:
-        """May a message from src to dst enter the network?  Fault-
-        tolerant schemes refuse blocked sources/destinations (their
-        convex completion may exclude healthy nodes — the Condition-3
-        concession the paper discusses)."""
+    def accepts_node(self, node: int) -> bool:
+        """May messages start or end at ``node``?  Fault-tolerant
+        schemes refuse blocked nodes (their convex completion may
+        exclude healthy nodes — the Condition-3 concession the paper
+        discusses).  Its answers may change only with the algorithm's
+        fault knowledge (``reset`` and ``on_fault_update``): the batched
+        engine screens admissions against one array of them per
+        change."""
         return True
+
+    def accepts(self, src: int, dst: int) -> bool:
+        """May a message from src to dst enter the network: are both
+        endpoints accepted (:meth:`accepts_node`)?"""
+        return self.accepts_node(src) and self.accepts_node(dst)
 
     def on_depart(self, router: "Router", header: Header,
                   out_port: int, out_vc: int) -> None:

@@ -97,9 +97,9 @@ class NaftaRouting(RoutingAlgorithm):
         assert self.fault_map is not None
         return self.fault_map.blocked_nodes()
 
-    def accepts(self, src: int, dst: int) -> bool:
+    def accepts_node(self, node: int) -> bool:
         assert self.fault_map is not None
-        return not (self.fault_map.blocked(src) or self.fault_map.blocked(dst))
+        return not self.fault_map.blocked(node)
 
     # -- helpers --------------------------------------------------------
 

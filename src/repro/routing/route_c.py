@@ -170,10 +170,9 @@ class RouteCRouting(RoutingAlgorithm):
         assert self.state_map is not None
         self.state_map.recompute()
 
-    def accepts(self, src: int, dst: int) -> bool:
+    def accepts_node(self, node: int) -> bool:
         assert self.state_map is not None
-        return (self.state_map.state(src) != FAULTY
-                and self.state_map.state(dst) != FAULTY)
+        return self.state_map.state(node) != FAULTY
 
     # -- helpers ---------------------------------------------------------
 

@@ -271,8 +271,8 @@ class RuleDrivenNafta(RoutingAlgorithm):
         return [n for n in range(len(self.engines))
                 if self._engine_blocked(n)]
 
-    def accepts(self, src: int, dst: int) -> bool:
-        return not (self._engine_blocked(src) or self._engine_blocked(dst))
+    def accepts_node(self, node: int) -> bool:
+        return not self._engine_blocked(node)
 
     # -- the decision -----------------------------------------------------------
 
@@ -544,9 +544,8 @@ class RuleDrivenRouteC(RoutingAlgorithm):
         return [(usable, safe) for usable, _, safe
                 in map(self._view, range(len(self.engines)))]
 
-    def accepts(self, src: int, dst: int) -> bool:
-        return (self.network.known_faults.node_ok(src)
-                and self.network.known_faults.node_ok(dst))
+    def accepts_node(self, node: int) -> bool:
+        return self.network.known_faults.node_ok(node)
 
     # -- the decision -----------------------------------------------------------
 

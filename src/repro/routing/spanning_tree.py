@@ -74,9 +74,8 @@ class SpanningTreeRouting(RoutingAlgorithm):
                 self.parent_port[nb] = port.neighbor_port
                 q.append(nb)
 
-    def accepts(self, src: int, dst: int) -> bool:
-        return (0 <= src < len(self.depth) and self.depth[src] >= 0
-                and self.depth[dst] >= 0)
+    def accepts_node(self, node: int) -> bool:
+        return 0 <= node < len(self.depth) and self.depth[node] >= 0
 
     def _on_path_to_root(self, node: int, dst: int) -> bool:
         """Is node an ancestor of dst (i.e. should we descend)?"""

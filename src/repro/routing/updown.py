@@ -105,9 +105,11 @@ class UpDownRouting(RoutingAlgorithm):
             updown[u] = reach
         self.updown_reach = {u: frozenset(r) for u, r in updown.items()}
 
-    def accepts(self, src: int, dst: int) -> bool:
-        return (src in self.key and dst in self.key
-                and dst in self.updown_reach[src])
+    def accepts_node(self, node: int) -> bool:
+        # the ordered component is closed under up*/down* reach: a node
+        # climbs its BFS parents to the root, whose down* reach covers
+        # every BFS child, so both endpoints in it is the whole test
+        return node in self.key
 
     # -- the decision -------------------------------------------------------
 

@@ -11,7 +11,13 @@ allocate/grant/transfer walk with the stock round-robin pointers.
 The kernel also draws one cycle of the ``uniform`` traffic pattern
 (``k_uniform_tick``) from the generator's numpy bit generator, through
 numpy's public ``bitgen_t`` interface and in ``TrafficGenerator.tick``'s
-order, so the offers and the generator's state are unchanged.
+order, so the offers and the generator's state are unchanged.  It keeps
+the message ledger's columns (``msg_*``, indexed by message id): it
+screens, numbers, records and queues admissions (``k_admit``), pops the
+per-source FIFOs linked through ``msg_next`` (``k_start_scan``), stamps
+injections (``k_inject``) and delivers the tails of messages whose
+header Python does not hold (``k_alloc``); the others are replayed to
+Python's ``eject``.
 
 Decisions themselves stay in Python (the routing *algorithm* is the
 reproduced artifact), but algorithms that declare a native contract
@@ -168,8 +174,11 @@ typedef struct {
     int32_t *src_pos;
     int32_t *src_qlen;        /* per node: queued-message mirror       */
     int64_t *rr_ptr;          /* max_pid+2: round-robin pointers       */
-    int64_t *counters;        /* 0 hops 1 nontail 2 nev                */
-    int32_t *ev_kind;         /* 0 head-depart 1 tail-eject            */
+    int64_t *counters;        /* 0 hops 1 flits ejected outside the
+                                 event log 2 nev 3 messages delivered
+                                 in C                                  */
+    int32_t *ev_kind;         /* 0 head-depart 1 tail-eject (a held
+                                 or misdelivered message)              */
     int32_t *ev_node;
     int32_t *ev_msg;
     int32_t *ev_a;            /* out_port for head events              */
@@ -223,6 +232,29 @@ typedef struct {
     uint8_t *armed_end;       /* n_nodes: endpoint of an armed link    */
     int32_t *xing;            /* XING_W: the VC handed to Python       */
     int32_t *stuck;           /* maxc: the node's stuck message ids    */
+    /* the message ledger: one row per message id, grown by Python;
+       msg_len/msg_dst/msg_plen/msg_f above are its data-path columns */
+    int32_t n_msgs;           /* ids allocated: the network's counter  */
+    int32_t now;              /* the cycle in progress                 */
+    int32_t warmup;           /* StatsCollector.warmup                 */
+    int32_t *msg_src;
+    int32_t *msg_size;        /* flits as admitted (a heal shortens
+                                 msg_len, never this)                  */
+    int32_t *msg_born;        /* cycle created                         */
+    int32_t *msg_inj;         /* cycle the head entered, -1 not yet    */
+    int32_t *msg_dlv;         /* cycle delivered, -1 not yet           */
+    int32_t *msg_root;        /* root id a retransmission shares       */
+    int32_t *msg_next;        /* next id in its source's FIFO, -1 last */
+    uint8_t *msg_flags;       /* M_* bits                              */
+    int32_t *src_qhead;       /* per node: FIFO front id, -1 empty     */
+    int32_t *src_qtail;       /* per node: FIFO back id, -1 empty      */
+    /* the admission screen, refreshed by Python per fault-knowledge
+       change: each source screens with one component-label row of
+       its fault view (-1 = dead in that view) and the algorithm's
+       per-node acceptance */
+    int32_t *adm_view;        /* n_nodes: the source's label row       */
+    int32_t *adm_lab;         /* rows x n_nodes component labels       */
+    uint8_t *adm_ok;          /* n_nodes: RoutingAlgorithm.accepts_node */
 } BState;
 """
 
@@ -260,6 +292,11 @@ int  k_alloc(BState *s);
 int  k_purge(BState *s, int node, int msg);
 int  k_purge_all(BState *s, int msg);
 void k_enqueue(BState *s, int n, int32_t *adm);
+int  k_screen(BState *s, int src, int dst);
+int  k_admit(BState *s, int n, int32_t *src, int32_t *dst, int32_t *len,
+             int len1, int screen);
+int  k_uniform_admit(BState *s, bitgen_t *bg, int n, double p,
+                     int32_t *src, int32_t *dst, int len);
 void k_cache_clear(BState *s);
 void k_rehash(BState *s);
 """
@@ -286,6 +323,11 @@ _SOURCE = """
 #define SCAN_PURGE 2
 #define SCAN_FLUSH (-1)
 #define SCAN_BODY (-2)
+/* msg_flags bits (M_* in Python) */
+#define M_HELD 1        /* Python holds the header: it ejects the tail */
+#define M_DROPPED 2     /* ripped up, stuck or absorbed                */
+#define M_RETRY 4       /* a retransmission (its header has retry_of)  */
+#define M_COUNTED 8     /* delivered in C inside the measured window   */
 
 /* -- active-set scheduling ---------------------------------------- */
 
@@ -303,18 +345,67 @@ static void activate(BState *s, int node)
     }
 }
 
-/* admissions, four int32s each (source, message id, length,
-   destination): the message's length and destination mirrors, one
-   more queued message in the source's queue-length mirror, and the
-   source active from the next cycle */
+/* message mid joins the back of its source's FIFO: one more queued
+   message in the queue-length mirror, the source active from the next
+   cycle */
+static void enqueue(BState *s, int src, int mid)
+{
+    s->msg_next[mid] = -1;
+    if (s->src_qtail[src] >= 0) s->msg_next[s->src_qtail[src]] = mid;
+    else s->src_qhead[src] = mid;
+    s->src_qtail[src] = mid;
+    s->src_qlen[src]++;
+    activate(s, src);
+}
+
+/* queue existing ledger rows, four int32s each (source, message id,
+   length, destination), writing their length and destination */
 void k_enqueue(BState *s, int n, int32_t *adm)
 {
     for (int i = 0; i < n; i++, adm += 4) {
         s->msg_len[adm[1]] = adm[2];
         s->msg_dst[adm[1]] = adm[3];
-        s->src_qlen[adm[0]]++;
-        activate(s, adm[0]);
+        enqueue(s, adm[0], adm[1]);
     }
+}
+
+/* Network.offer's screen (assumption iii): the source works, the
+   destination works and is connected to it in the source's fault view,
+   and the algorithm accepts both nodes */
+int k_screen(BState *s, int src, int dst)
+{
+    if (!s->node_ok[src]) return 0;
+    const int32_t *lab = s->adm_lab + (int64_t)s->adm_view[src] * s->n_nodes;
+    int ls = lab[src], ld = lab[dst];
+    if (ls < 0 || ld < 0 || (src != dst && ls != ld)) return 0;
+    return s->adm_ok[src] && s->adm_ok[dst];
+}
+
+/* admit n messages (src[i], dst[i], len[i], or len1 for all when len
+   is NULL), screened unless screen is 0: each admitted message takes
+   the next id, its ledger row (created now, not injected, not
+   delivered, its own root) and the back of its source's FIFO.  The
+   caller made room for n more rows.  Returns how many were admitted;
+   the others are refused */
+int k_admit(BState *s, int n, int32_t *src, int32_t *dst, int32_t *len,
+            int len1, int screen)
+{
+    int k = 0;
+    for (int i = 0; i < n; i++) {
+        int a = src[i], b = dst[i];
+        if (screen && !k_screen(s, a, b)) continue;
+        int mid = s->n_msgs++;
+        int l = len ? len[i] : len1;
+        s->msg_src[mid] = a;
+        s->msg_dst[mid] = b;
+        s->msg_size[mid] = l;
+        s->msg_len[mid] = l;
+        s->msg_born[mid] = s->now;
+        s->msg_root[mid] = mid;
+        enqueue(s, a, mid);
+        k++;
+    }
+    return k;
 }
 
 /* cycle-start sweep: drop nodes with no flits and no source work (the
@@ -430,13 +521,19 @@ int k_uniform_tick(bitgen_t *bg, int n, double p, int32_t *src,
     return k;
 }
 
-/* per-flit injection pushes; worm starts (queue pops) happen on the
-   Python side before this runs.  Heads that actually entered are
-   reported so Message.injected can be stamped. */
-/* nodes that should pop a queued message and start a new worm this
-   cycle (ascending order = the object engine's scan order); the
-   queue-length mirror and worm cursor are pre-adjusted here — the
-   caller MUST pop one message per listed node and set src_cur */
+/* one cycle of uniform traffic of len-flit messages, drawn into
+   src/dst (n entries each) and admitted; the caller made room for n
+   more ledger rows.  Returns how many were refused */
+int k_uniform_admit(BState *s, bitgen_t *bg, int n, double p,
+                    int32_t *src, int32_t *dst, int len)
+{
+    int k = k_uniform_tick(bg, n, p, src, dst);
+    return k - k_admit(s, k, src, dst, NULL, len, 1);
+}
+
+/* worm starts: every live source with no worm entering pops the front
+   of its FIFO (ascending order = the object engine's scan order).
+   Lists the nodes that started; returns how many */
 int k_start_scan(BState *s, int32_t *out_nodes)
 {
     int n = 0, na = s->n_act;
@@ -444,13 +541,21 @@ int k_start_scan(BState *s, int32_t *out_nodes)
         int node = s->act_list[ai];
         if (s->src_cur[node] < 0 && s->src_qlen[node] > 0
                 && s->node_ok[node]) {
+            int mid = s->src_qhead[node];
+            s->src_qhead[node] = s->msg_next[mid];
+            if (s->src_qhead[node] < 0) s->src_qtail[node] = -1;
             s->src_qlen[node]--;
+            s->src_cur[node] = mid;
             s->src_pos[node] = 0;
             out_nodes[n++] = node;
         }
     }
     return n;
 }
+
+/* per-flit injection pushes; a head that enters stamps its message's
+   injected cycle.  Lists the messages whose heads entered; returns
+   how many */
 
 int k_inject(BState *s, int32_t *out_heads)
 {
@@ -468,7 +573,10 @@ int k_inject(BState *s, int32_t *out_heads)
             s->m_flag[node] = 1;
             s->m_count++;
         }
-        if (seq == 0) out_heads[nh++] = cur;
+        if (seq == 0) {
+            out_heads[nh++] = cur;
+            s->msg_inj[cur] = s->now;
+        }
         s->src_pos[node] = seq + 1;
         if (seq + 1 >= s->msg_len[cur]) s->src_cur[node] = -1;
     }
@@ -1004,7 +1112,15 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
         s->o_vc[g] = -100;
     }
     if (out_pid == -1) {                   /* local ejection */
-        if (is_tail) {
+        if (is_tail && !(s->msg_flags[msg] & M_HELD)
+                && s->msg_dst[msg] == node) {
+            /* delivered without a Python header: account it here */
+            s->msg_dlv[msg] = s->now;
+            if (s->msg_born[msg] >= s->warmup)
+                s->msg_flags[msg] |= M_COUNTED;
+            s->counters[1]++;
+            s->counters[3]++;
+        } else if (is_tail) {              /* Python's eject replays it */
             int64_t e = s->counters[2]++;
             s->ev_kind[e] = 1;
             s->ev_node[e] = node;
@@ -1041,6 +1157,7 @@ int k_alloc(BState *s)
     s->counters[0] = 0;
     s->counters[1] = 0;
     s->counters[2] = 0;
+    s->counters[3] = 0;
     for (int ai = 0; ai < na; ai++) {
         int node = s->act_list[ai];
         if (s->r_nflits[node] <= 0 || !s->node_ok[node]) continue;

@@ -17,9 +17,9 @@ What happens to a message after a fault — rip-up, heal, absorb,
 retry, dead letter — is decided by :class:`~repro.sim.network.Network`,
 once for both engines.  This engine replaces only the data path: the
 per-cycle phases, the worm walks and the few primitives that lifecycle
-drives (purge a message, queue it at its source, report
-injection in progress, list a node's buffered messages and the heal
-sites, find where a stuck head waits).
+drives (purge a message, admit one to the ledger, report injection in
+progress, list a node's buffered messages and the heal sites, find
+where a stuck head waits).
 
 The contract is bit-exactness, not approximation: for any workload the
 batched engine reproduces the object engine's ``SimStats.summary()``
@@ -49,14 +49,26 @@ mirror the oracle one-for-one:
   relative to it) replays repeated decisions; every miss is a fresh
   ``route()`` call, committed into that cache.
 
+Messages live in a *ledger*: one row per message id in growable int
+columns the kernel shares (source, destination, length, created,
+injected, delivered, root id, flags, the source-FIFO link and the
+header-field mirrors).  A traffic phase hands its (src, dst, length)
+triples to one ``k_admit`` call, which screens them (assumption iii),
+numbers, records and queues them; the kernel pops the source FIFOs,
+stamps injections and delivers every message whose header Python
+never took.  A :class:`~repro.sim.flit.Message` view is built only
+when Python asks for one (a ``route()`` crossing, a rip-up or heal, a
+retry, the public ``offer``); its delivery replays through ``eject``.
+Latency, hops and the misrouted share of the kernel's deliveries are
+reductions over the columns, taken when a summary is built.
+
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
 sources — so idle fabric costs nothing per cycle and throughput scales
 with occupancy, not mesh size.  The flush touches only the staging
-slots filled since the last one (an arrival list), a traffic phase's
-admissions reach the kernel in one call, and the ``uniform`` pattern
-is drawn in the kernel from the generator's bit stream, so those costs
-scale with the flits and messages that moved.  While the known fault
+slots filled since the last one (an arrival list) and the ``uniform``
+pattern is drawn in the kernel from the generator's bit stream, so
+those costs scale with the flits and messages that moved.  While the known fault
 set is empty, a build-time 54-entry clean table
 (:mod:`repro.routing.clean_table`) replays the native algorithms'
 translation-invariant decisions entirely in C, eliminating the
@@ -74,13 +86,14 @@ cannot be built or loaded.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import repeat
 
 import numpy as np
 
 from .arbiter import Arbiter
 from .config import SimConfig
-from .flit import Flit, FlitKind
+from .flit import Flit, FlitKind, Header, Message
 from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from .topology import Hypercube
@@ -130,6 +143,151 @@ class _TailShim:
 
     def __init__(self, msg_id: int):
         self.msg_id = msg_id
+
+
+# -- the message ledger -----------------------------------------------
+
+#: msg_flags bits (the kernel's M_*): Python holds the header (its
+#: delivery replays through ``eject``), dropped, a retransmission, and
+#: delivered by the kernel inside the measured window
+M_HELD, M_DROPPED, M_RETRY, M_COUNTED = 1, 2, 4, 8
+
+#: the ledger's columns and the value of a row not yet used: the data
+#: path's mirrors (live worm length, destination, path length, the MAXF
+#: native field values), then the message's record (source, admitted
+#: length, created, injected, delivered, root id, next in its source's
+#: FIFO, flags)
+_COLUMNS = (("msg_len", 0), ("msg_dst", 0), ("msg_plen", 0),
+            ("msg_f", FIELD_ABSENT), ("msg_src", 0), ("msg_size", 0),
+            ("msg_born", 0), ("msg_inj", -1), ("msg_dlv", -1),
+            ("msg_root", 0), ("msg_next", -1), ("msg_flags", 0))
+
+
+class _Ledger:
+    """One row per message id in growable columns that the kernel
+    shares (the ``BState`` fields of the same names).  The kernel
+    admits, queues, injects and delivers messages on these columns; a
+    :class:`_MessageView` exists only for a message whose header Python
+    asked for.  It holds no reference to the network, so views and the
+    statistics' reduction outlive the network without a cycle."""
+
+    def __init__(self, cs, nf):
+        self.cs = cs
+        self.nf = nf
+        self.cap = 0
+
+    def grow(self, need: int) -> list:
+        """Room for ``need`` rows (at least double); returns each
+        column's (name, new array) for binding."""
+        n = max(need, 2 * self.cap)
+        out = []
+        for name, fill in _COLUMNS:
+            new = np.full((n, MAXF) if name == "msg_f" else n, fill,
+                          dtype=np.uint8 if name == "msg_flags"
+                          else np.int32)
+            if self.cap:
+                new[:self.cap] = getattr(self, name)
+            setattr(self, name, new)
+            out.append((name, new))
+        self.cap = n
+        return out
+
+    def measured(self):
+        """(latencies, network latencies, hops, misrouted count) of the
+        messages the kernel delivered inside the measured window: the
+        part of :class:`~repro.sim.stats.StatsCollector`'s per-message
+        figures no ``count_message`` call saw."""
+        ids = np.flatnonzero(self.msg_flags[:self.cs.n_msgs] & M_COUNTED)
+        dlv = self.msg_dlv[ids]
+        misrouted = 0
+        if "misrouted" in self.nf:
+            v = self.msg_f[ids, self.nf.index("misrouted")]
+            misrouted = int(np.count_nonzero(
+                (v != FIELD_ABSENT) & (v != FIELD_NONE) & (v != 0)))
+        return (dlv - self.msg_born[ids], dlv - self.msg_inj[ids],
+                self.msg_plen[ids], misrouted)
+
+
+def _cycle_column(name: str) -> property:
+    """A view attribute stored in ledger column ``name`` (-1 = None)."""
+    def get(self):
+        v = int(getattr(self._lg, name)[self.header.msg_id])
+        return None if v < 0 else v
+
+    def put(self, v):
+        getattr(self._lg, name)[self.header.msg_id] = -1 if v is None else v
+    return property(get, put)
+
+
+class _MessageView(Message):
+    """A ledger row as a :class:`~repro.sim.flit.Message`.  Its header
+    is Python's from the view's creation on; the injected, delivered
+    and dropped stamps stay in the ledger's columns."""
+
+    injected = _cycle_column("msg_inj")
+    delivered = _cycle_column("msg_dlv")
+
+    def __init__(self, ledger: _Ledger, header: Header, hops: int):
+        self._lg = ledger
+        self.header = header
+        self.hops = hops
+
+    @property
+    def dropped(self) -> bool:
+        return bool(self._lg.msg_flags[self.header.msg_id] & M_DROPPED)
+
+    @dropped.setter
+    def dropped(self, v: bool) -> None:
+        flags, mid = self._lg.msg_flags, self.header.msg_id
+        bits = int(flags[mid])
+        flags[mid] = (bits | M_DROPPED) if v else (bits & ~M_DROPPED)
+
+
+class _Messages(Mapping):
+    """``BatchedNetwork.messages``: every admitted message by id.  A
+    message's view is built on first access, which hands its header to
+    Python for good: its delivery then replays through ``eject``."""
+
+    def __init__(self, ledger: _Ledger):
+        self._lg = ledger
+        #: the views built so far, by message id
+        self.held: dict[int, _MessageView] = {}
+
+    def __len__(self) -> int:
+        return self._lg.cs.n_msgs
+
+    def __iter__(self):
+        return iter(range(self._lg.cs.n_msgs))
+
+    def __contains__(self, mid) -> bool:
+        return 0 <= mid < self._lg.cs.n_msgs
+
+    def __getitem__(self, mid: int) -> _MessageView:
+        view = self.held.get(mid)
+        if view is None:
+            if not 0 <= mid < self._lg.cs.n_msgs:
+                raise KeyError(mid)
+            view = self.hold(mid)
+        return view
+
+    def hold(self, mid: int, fields: dict | None = None) -> _MessageView:
+        """Build message ``mid``'s view.  Its header fields are
+        ``fields`` (a Python admission's) or else decoded from the field
+        mirrors, path length included."""
+        lg = self._lg
+        if fields is None:
+            fields = {}
+            _load_fields(fields, lg.nf, lg.msg_f[mid].tolist(),
+                         int(lg.msg_plen[mid]))
+        header = Header(mid, int(lg.msg_src[mid]), int(lg.msg_dst[mid]),
+                        int(lg.msg_size[mid]), int(lg.msg_born[mid]),
+                        fields)
+        flags = lg.msg_flags
+        view = _MessageView(lg, header, int(lg.msg_plen[mid])
+                            if flags[mid] & M_COUNTED else 0)
+        flags[mid] |= M_HELD
+        self.held[mid] = view
+        return view
 
 
 class BatchedRouter:
@@ -238,6 +396,8 @@ class BatchedNetwork(Network):
         self._ffi, self._lib = load_kernel()
         super().__init__(topology, algorithm, config, arbiter=arbiter,
                          metrics=metrics)
+        self.messages = _Messages(self._lg)
+        self.stats.ledger = self._lg.measured
         # the clean table probes route() through the algorithm's live
         # state, so it installs only after reset() ran (end of the base
         # constructor)
@@ -304,12 +464,18 @@ class BatchedNetwork(Network):
         self._alive = u8(n_nodes, npid)
         self._src_cur = np.full(n_nodes, -1, dtype=np.int32)
         self._src_pos = i32(n_nodes)
-        #: per-node source queue length mirror (maintained by offer /
-        #: retry release / fault clear), so the inject scan is a single
-        #: vectorized mask instead of a per-node Python loop
+        # each source's FIFO of queued message ids: a list linked
+        # through the ledger's msg_next column, and its length
+        self._src_qhead = np.full(n_nodes, -1, dtype=np.int32)
+        self._src_qtail = np.full(n_nodes, -1, dtype=np.int32)
         self._src_qlen = i32(n_nodes)
+        # the admission screen (filled by _sync_screen): each node's
+        # component-label row, the rows, and the algorithm's acceptance
+        self._adm_view = i32(n_nodes)
+        self._adm_ok = u8(n_nodes)
+        self._screen_key = None
         self._rr_ptr = np.zeros(npid, dtype=np.int64)
-        self._counters = np.zeros(3, dtype=np.int64)
+        self._counters = np.zeros(4, dtype=np.int64)
         evcap = 2 * n_iv + 8
         self._ev_kind = i32(evcap)
         self._ev_node = i32(evcap)
@@ -324,13 +490,6 @@ class BatchedNetwork(Network):
         self._stuck = i32(maxc)
         self._heads = i32(n_nodes)
         self._loads = i32(max_pid + 1)
-        # per-message mirrors (grown together in _grow_msgs)
-        self._msg_len = i32(4096)
-        self._msg_dst = i32(4096)
-        self._msg_plen = i32(4096)
-        # pre-filled ABSENT so injecting a fresh (empty-fields) header
-        # needs no per-field writes; message ids are never reused
-        self._msg_f = np.full((4096, MAXF), FIELD_ABSENT, dtype=np.int32)
 
         # native decision cache: enabled when the algorithm declares a
         # native contract; otherwise the arrays are token-sized and the
@@ -461,6 +620,9 @@ class BatchedNetwork(Network):
         cs.ct_on = 0
         cs.ct_vnf = -1
         cs.ct_termf = -1
+        cs.n_msgs = 0
+        cs.now = 0
+        cs.warmup = 0
         #: key regular destinations by their relative class (see
         #: NativeContract.relative_dst); the irregular mask and the
         #: node classes are refreshed on every cache clear
@@ -471,17 +633,18 @@ class BatchedNetwork(Network):
         if self._rel and not cube:
             self._fill_coords()
         self._cs = cs
-        self._bufs: list = []
+        #: the buffers behind the struct's pointers, by field
+        self._bufs: dict = {}
 
         for name in ("iv_off", "iv_node", "iv_port", "iv_vc", "portbase",
                      "ov_down", "buf_msg", "buf_seq", "buf_head",
                      "buf_cnt", "ready", "epoch",
                      "o_port", "o_vc", "ncand", "cand_p", "cand_v",
                      "head_msg", "ov_owner", "r_nflits", "src_cur",
-                     "src_pos", "src_qlen",
+                     "src_pos", "src_qhead", "src_qtail", "src_qlen",
+                     "adm_view",
                      "ev_kind", "ev_node", "ev_msg", "ev_a",
-                     "ev_b", "req_g", "req_ov", "msg_len", "msg_dst",
-                     "msg_plen", "msg_f", "term_port", "tab", "ek",
+                     "ev_b", "req_g", "req_ov", "term_port", "tab", "ek",
                      "ea", "e_steps", "e_ncand", "e_cp", "e_cv",
                      "act_list", "node_x", "node_y", "ct_steps",
                      "ct_ncand", "ct_vn_after", "ct_cp", "ct_cv",
@@ -492,7 +655,7 @@ class BatchedNetwork(Network):
         for name in ("inc_val", "deliver", "stuckf", "hint", "node_ok",
                      "alive", "req_head", "e_deliver", "e_hint", "dig",
                      "arr_on", "m_flag", "ct_valid", "ct_deliver",
-                     "ct_hint", "irreg", "armed_end"):
+                     "ct_hint", "irreg", "armed_end", "adm_ok"):
             self._bind(name, getattr(self, "_" + name), "uint8_t *")
         self._bind("rr_ptr", self._rr_ptr, "int64_t *")
         self._bind("counters", self._counters, "int64_t *")
@@ -503,8 +666,10 @@ class BatchedNetwork(Network):
                                    ffi.from_buffer(self._heads))
         self._loads_ptr = ffi.cast("int32_t *",
                                    ffi.from_buffer(self._loads))
-        self._bufs.append(self._heads_ptr)
-        self._bufs.append(self._loads_ptr)
+        self._bufs["heads"] = self._heads_ptr
+        self._bufs["loads"] = self._loads_ptr
+        self._lg = _Ledger(cs, self._nf)
+        self._grow_msgs(4096)
 
         self._fault_version = self.faults.version
         self._c_epoch = None           # native cache's route_epoch ...
@@ -520,9 +685,6 @@ class BatchedNetwork(Network):
         self._frr = (self.algorithm if isinstance(self.algorithm,
                                                   FastReroute) else None)
         self._c_armed = _NO_ARMS
-        #: (source, message id, length, destination) of each message
-        #: admitted during a traffic phase, else None
-        self._admitted: list | None = None
         # the traffic generator (and its rng) the kernel's uniform tick
         # is bound to, and its arguments (None: the generator's own
         # tick); the rng's bit generator outlives the pointer to it
@@ -531,18 +693,14 @@ class BatchedNetwork(Network):
 
     def _bind(self, field: str, arr, ctype: str) -> None:
         buf = self._ffi.from_buffer(arr)
-        self._bufs.append(buf)
+        self._bufs[field] = buf
         setattr(self._cs, field, self._ffi.cast(ctype, buf))
 
-    def _grow_msgs(self, mid: int) -> None:
-        n = max(mid + 1, 2 * self._msg_len.shape[0])
-        for name in ("msg_len", "msg_dst", "msg_plen", "msg_f"):
-            old = getattr(self, "_" + name)
-            fill = FIELD_ABSENT if name == "msg_f" else 0
-            new = np.full((n,) + old.shape[1:], fill, dtype=np.int32)
-            new[:old.shape[0]] = old
-            setattr(self, "_" + name, new)
-            self._bind(name, new, "int32_t *")
+    def _grow_msgs(self, need: int) -> None:
+        """Room for ``need`` ledger rows."""
+        for name, arr in self._lg.grow(need):
+            self._bind(name, arr, "uint8_t *" if name == "msg_flags"
+                       else "int32_t *")
 
     def _grow_cache(self) -> None:
         """Double the native cache's entry arrays (and rebuild the hash
@@ -605,31 +763,84 @@ class BatchedNetwork(Network):
         for node in topo.nodes():
             self._node_x[node], self._node_y[node] = topo.coords(node)
 
-    # -- per-message mirrors ------------------------------------------
+    # -- the message ledger -------------------------------------------
 
-    def _init_mirrors(self, hdr) -> None:
-        """Seed a queued message's path-length and field mirrors (the
-        only way a message enters the data path; ``k_enqueue`` writes
-        its length and destination), growing the arrays as needed."""
-        mid = hdr.msg_id
-        if mid >= self._msg_len.shape[0]:
-            self._grow_msgs(mid)
-        f = hdr.fields
-        self._msg_plen[mid] = f.get("path_len", 0)
-        if self._native and f:
+    def offer(self, src: int, dst: int, length: int,
+              **fields) -> Message | None:
+        """:meth:`Network.offer` for one message, through the kernel
+        screen a traffic phase uses."""
+        self._sync_screen()
+        if length < 1 and self._lib.k_screen(self._cs, src, dst):
+            raise ValueError("message length must be >= 1 flit")
+        msg = self._admit(src, dst, length, fields, screen=1)
+        if msg is None:
+            self.stats.count_unroutable()
+        return msg
+
+    def _admit(self, src: int, dst: int, length: int, fields: dict,
+               screen: int = 0) -> Message | None:
+        """Admit one message from Python (screened when ``screen``) and
+        return its view, or None when the screen refuses it.  Its root
+        id, retransmission flag and path-length and field mirrors come
+        from the header ``fields``."""
+        cs, lg = self._cs, self._lg
+        if cs.n_msgs >= lg.cap:
+            self._grow_msgs(cs.n_msgs + 1)
+        cs.now = self.cycle
+        if not self._lib.k_admit(cs, 1, [src], [dst], self._ffi.NULL,
+                                 length, screen):
+            return None
+        mid = cs.n_msgs - 1
+        lg.msg_root[mid] = fields.get("root_id", mid)
+        if "retry_of" in fields:
+            lg.msg_flags[mid] |= M_RETRY
+        lg.msg_plen[mid] = fields.get("path_len", 0)
+        if self._native and fields:
             # mirrors are pre-filled ABSENT, so only headers that carry
-            # fields (retries, tests) need per-field encoding
-            self._msg_f[mid, :len(self._nf)] = _encoded(f, self._nf)
+            # fields (retries, heals, tests) need per-field encoding
+            lg.msg_f[mid, :len(self._nf)] = _encoded(fields, self._nf)
+        return self.messages.hold(mid, dict(fields))
+
+    def _msg(self, mid: int) -> Message:
+        """``messages[mid]`` without the mapping's call overhead."""
+        return self.messages.held.get(mid) or self.messages.hold(mid)
 
     def _sync_fields(self, mid: int):
         """Header fields <- mirrors.  The mirrors are authoritative
         while a message is in flight under a native algorithm (C
         applies cached field writes and departure effects); call this
         before any Python code reads the header.  Returns the header."""
-        hdr = self.messages[mid].header
-        _load_fields(hdr.fields, self._nf, self._msg_f[mid].tolist(),
-                     int(self._msg_plen[mid]))
+        hdr = self._msg(mid).header
+        lg = self._lg
+        _load_fields(hdr.fields, self._nf, lg.msg_f[mid].tolist(),
+                     int(lg.msg_plen[mid]))
         return hdr
+
+    def _sync_screen(self) -> None:
+        """Refresh the admission screen's per-node arrays when what they
+        encode may have changed: the fault set, a diagnosis view, or the
+        algorithm's fault knowledge (``route_epoch``)."""
+        diag = self.diagnosis
+        key = (self.route_epoch, self.faults.version,
+               diag.version if diag is not None else 0)
+        if key == self._screen_key:
+            return
+        self._screen_key = key
+        if self._fault_version != self.faults.version:
+            self._sync_faults()
+        # one label row per distinct fault view (the diagnosis views
+        # share one label list per distinct fault set)
+        rows: dict = {}
+        for node, view in enumerate([self.faults] if diag is None
+                                    else diag.views):
+            labels = view._component_labels()
+            self._adm_view[node] = rows.setdefault(
+                id(labels), (len(rows), labels))[0]
+        self._adm_lab = np.array([labels for _, labels in rows.values()],
+                                 dtype=np.int32)
+        self._bind("adm_lab", self._adm_lab, "int32_t *")
+        accepts = self.algorithm.accepts_node
+        self._adm_ok[:] = [accepts(n) for n in range(self._adm_ok.shape[0])]
 
     def _sync_faults(self) -> None:
         faults = self.faults
@@ -648,7 +859,10 @@ class BatchedNetwork(Network):
     def _advance(self, with_traffic: bool) -> int:
         if self._fault_version != self.faults.version:
             self._sync_faults()
-        self._lib.k_flush(self._cs)
+        cs = self._cs
+        cs.now = self.cycle
+        cs.warmup = self.stats.warmup
+        self._lib.k_flush(cs)
         self._inject_phase()
         if with_traffic and self.traffic is not None \
                 and not self._injection_paused:
@@ -657,37 +871,42 @@ class BatchedNetwork(Network):
         return self._alloc_phase()
 
     def _offer_phase(self) -> None:
-        """The cycle's traffic, one ``offer`` per message; the admitted
-        messages' mirrors, queue lengths and source activations are
-        written in one kernel call at the end."""
-        admitted = self._admitted = []
-        offer = self.offer
-        try:
-            for src, dst, length in self._traffic_tick(self.traffic):
-                offer(src, dst, length)
-        finally:
-            self._admitted = None
-            if admitted:
-                last = admitted[-3]          # the largest message id
-                if last >= self._msg_len.shape[0]:
-                    self._grow_msgs(last)
-                self._lib.k_enqueue(self._cs, len(admitted) // 4, admitted)
+        """The cycle's traffic, screened, numbered, recorded in the
+        ledger and queued by one kernel call; the refused count as
+        unroutable.  Uniform traffic is drawn in that call from the
+        generator's bit stream, in ``tick``'s order, so the offers and
+        the generator's state are the same; other patterns ``tick``."""
+        gen = self.traffic
+        if gen is not self._tick_gen \
+                or getattr(gen, "rng", None) is not self._tick_rng:
+            self._bind_tick(gen)
+        self._sync_screen()
+        lib, cs = self._lib, self._cs
+        if self._tick_args is not None:
+            n_nodes = self._tick_args[1]
+            if cs.n_msgs + n_nodes > self._lg.cap:
+                self._grow_msgs(cs.n_msgs + n_nodes)
+            refused = lib.k_uniform_admit(cs, *self._tick_args,
+                                          gen.message_length)
+        else:
+            trips = list(gen.tick(self.cycle))
+            if not trips:
+                return
+            if min(t[2] for t in trips) < 1:
+                for t in trips:          # Message.create's length check
+                    self.offer(*t)
+                return
+            n = len(trips)
+            if cs.n_msgs + n > self._lg.cap:
+                self._grow_msgs(cs.n_msgs + n)
+            src, dst, length = (list(c) for c in zip(*trips))
+            refused = n - lib.k_admit(cs, n, src, dst, length, 0, 1)
+        if refused:
+            self.stats.messages_unroutable += refused
 
-    def _traffic_tick(self, gen):
-        """``gen.tick(cycle)``; uniform traffic is drawn in one kernel
-        pass over the generator's bit stream instead, in tick's order,
-        so the offers and the generator's state are the same."""
-        rng = getattr(gen, "rng", None)
-        if gen is not self._tick_gen or rng is not self._tick_rng:
-            self._bind_tick(gen, rng)
-        if self._tick_args is None:
-            return gen.tick(self.cycle)
-        n = self._lib.k_uniform_tick(*self._tick_args)
-        return zip(self._tick_src[:n].tolist(), self._tick_dst[:n].tolist(),
-                   repeat(gen.message_length))
-
-    def _bind_tick(self, gen, rng) -> None:
-        self._tick_gen, self._tick_rng = gen, rng
+    def _bind_tick(self, gen) -> None:
+        self._tick_gen = gen
+        self._tick_rng = rng = getattr(gen, "rng", None)
         trials = (gen.uniform_trials() if isinstance(gen, TrafficGenerator)
                   else None)
         if trials is None:
@@ -695,36 +914,23 @@ class BatchedNetwork(Network):
             return
         n_nodes, p = trials
         ffi = self._ffi
-        self._tick_src = np.zeros(n_nodes, dtype=np.int32)
-        self._tick_dst = np.zeros(n_nodes, dtype=np.int32)
         bitgen = rng.bit_generator.ctypes.bit_generator.value
-        self._tick_args = (ffi.cast("bitgen_t *", bitgen), n_nodes, p,
-                           ffi.from_buffer("int32_t[]", self._tick_src),
-                           ffi.from_buffer("int32_t[]", self._tick_dst))
+        # the drawn sources and destinations, where k_admit reads them
+        self._tick_args = (
+            ffi.cast("bitgen_t *", bitgen), n_nodes, p,
+            ffi.from_buffer("int32_t[]", np.zeros(n_nodes, dtype=np.int32)),
+            ffi.from_buffer("int32_t[]", np.zeros(n_nodes, dtype=np.int32)))
 
     def _inject_phase(self) -> None:
         # per-node injection is independent and ascending-order, so the
-        # worm-start scan runs in C over the queue-length / worm-in-
-        # progress / node-liveness mirrors and Python only pops the few
-        # nodes that actually start; the in-flight flit pushes happen
-        # entirely in k_inject.  A dead node can never match (its queue
-        # mirror is zeroed when the fault applies), so this is
-        # behaviour-identical to the object engine's loop.
+        # worm starts (FIFO pops) and the flit pushes (which stamp the
+        # injected cycle of a head that enters) run in C.  A dead node
+        # can never start (its FIFO is emptied when the fault applies),
+        # so this is behaviour-identical to the object engine's loop.
         lib, cs, buf_ptr = self._lib, self._cs, self._heads_ptr
         if not self._injection_paused:
-            n = int(lib.k_start_scan(cs, buf_ptr))
-            if n:
-                src_cur = self._src_cur
-                sources = self.sources
-                for node in self._heads[:n].tolist():
-                    src_cur[node] = sources[node].queue.popleft() \
-                        .header.msg_id
-        n = int(lib.k_inject(cs, buf_ptr))
-        if n:
-            cycle = self.cycle
-            messages = self.messages
-            for mid in self._heads[:n].tolist():
-                messages[mid].injected = cycle
+            lib.k_start_scan(cs, buf_ptr)
+        lib.k_inject(cs, buf_ptr)
 
     def _route_phase(self) -> None:
         lib, cs = self._lib, self._cs
@@ -765,14 +971,14 @@ class BatchedNetwork(Network):
         # object engine) and return the decision in one k_commit call
         scan, commit = lib.k_route_scan, lib.k_commit
         xing = self._xing
-        messages, routers = self.messages, self.routers
+        msg, routers = self._msg, self.routers
         route = self.algorithm.route
         count = self.stats.count_decision
         r = scan(cs, cycle, epoch, 0)
         while r != SCAN_DONE:
             x = xing.tolist()
             if r == SCAN_ROUTE:
-                header = messages[x[1]].header
+                header = msg(x[1]).header
                 if nf:
                     _load_fields(header.fields, nf, x[7:], x[6])
                 dec = route(routers[x[3]], header, x[4], x[5])
@@ -871,15 +1077,15 @@ class BatchedNetwork(Network):
             self._flush_digest()
 
     def _alloc_phase(self) -> int:
-        moved = int(self._lib.k_alloc(self._cs))
-        hops, nont, nev = self._counters.tolist()
+        moved = self._lib.k_alloc(self._cs)
+        hops, nflits, nev, ndel = self._counters.tolist()
         if nev:
             ev_kind = self._ev_kind[:nev].tolist()
             ev_node = self._ev_node[:nev].tolist()
             ev_msg = self._ev_msg[:nev].tolist()
             ev_a = self._ev_a
             ev_b = self._ev_b
-            messages = self.messages
+            msg = self._msg
             algo = self.algorithm
             routers = self.routers
             native = self._native
@@ -890,24 +1096,25 @@ class BatchedNetwork(Network):
                 # mark from the header: the mirrors of every event's
                 # message in one read (nothing below writes them)
                 sel = self._ev_msg[:nev]
-                fvals = self._msg_f[sel].tolist()
-                plens = self._msg_plen[sel].tolist()
+                fvals = self._lg.msg_f[sel].tolist()
+                plens = self._lg.msg_plen[sel].tolist()
                 nf = self._nf
             # replay in exact grant order: head departures run the
             # algorithm's header bookkeeping (already applied in C for
             # native algorithms — only the path trace remains), tail
-            # arrivals at LOCAL go through the normal ejection path
-            # (delivery accounting, retries, recovery timing)
+            # arrivals at LOCAL of messages whose header Python holds
+            # (the kernel delivered the others) go through the normal
+            # ejection path (delivery accounting, recovery timing)
             for i in range(nev):
                 mid = ev_msg[i]
                 node = ev_node[i]
                 if ev_kind[i] == 0:
                     if native:
                         if trace:
-                            messages[mid].header.fields.setdefault(
+                            msg(mid).header.fields.setdefault(
                                 "trace", []).append(node)
                         continue
-                    header = messages[mid].header
+                    header = msg(mid).header
                     algo.on_depart(routers[node], header,
                                    int(ev_a[i]), int(ev_b[i]))
                     if trace:
@@ -915,20 +1122,34 @@ class BatchedNetwork(Network):
                                                  []).append(node)
                 else:
                     if native:
-                        _load_fields(messages[mid].header.fields, nf,
+                        _load_fields(msg(mid).header.fields, nf,
                                      fvals[i], plens[i])
                     self.eject(node, _TailShim(mid), cycle)
         stats = self.stats
         if hops:
             stats.flit_hops += hops
-        # nont: non-tail flits ejected locally
-        if nont:
-            stats.flits_delivered += nont
+        # nflits: flits ejected locally outside the event replay (every
+        # non-tail flit, and the tails of the ndel messages the kernel
+        # delivered)
+        if nflits:
+            stats.flits_delivered += nflits
             if stats.now >= stats.warmup:
-                stats.flits_delivered_measured += nont
+                stats.flits_delivered_measured += nflits
+        if ndel:
+            stats.messages_delivered += ndel
         return moved
 
     # -- queries / fault machinery over the arrays --------------------
+
+    def n_undelivered(self) -> int:
+        lg, n = self._lg, self._cs.n_msgs
+        return int(np.count_nonzero(
+            (lg.msg_dlv[:n] < 0) & ((lg.msg_flags[:n] & M_DROPPED) == 0)))
+
+    def message_roots(self):
+        lg, n = self._lg, self._cs.n_msgs
+        return (lg.msg_root[:n].astype(np.int64),
+                (lg.msg_flags[:n] & M_RETRY) != 0, lg.msg_dlv[:n] > 0)
 
     def _flits_in_flight(self) -> int:
         return int(self._r_nflits.sum())
@@ -954,50 +1175,33 @@ class BatchedNetwork(Network):
         return out
 
     def _pending_sources(self) -> int:
-        n = sum(len(s.queue) for s in self.sources)
         cur = self._src_cur
-        for node in np.flatnonzero(cur >= 0):
-            mid = int(cur[node])
-            n += self.messages[mid].header.length \
-                - int(self._src_pos[node])
-        return n
+        busy = cur >= 0
+        return int(self._src_qlen.sum()) + int(
+            (self._lg.msg_size[cur[busy]] - self._src_pos[busy]).sum())
 
     def _apply_fault_now(self, event) -> None:
         super()._apply_fault_now(event)
         if event.kind == "node":
             node = int(event.target)
             self._src_cur[node] = -1
+            self._src_qhead[node] = self._src_qtail[node] = -1
             self._src_qlen[node] = 0
 
     # -- data-path primitives of the shared message lifecycle ---------
-
-    def _enqueue(self, src: int, msg) -> None:
-        self.sources[src].queue.append(msg)
-        # the message's mirrors are seeded here; a queued source counts
-        # in the queue-length mirror and makes the node active (the C
-        # scans only visit the active list; compacted away once it
-        # drains).  A fresh message of a traffic phase waits for the
-        # phase's one k_enqueue call
-        hdr = msg.header
-        adm = (src, hdr.msg_id, hdr.length, hdr.dst)
-        if self._admitted is not None and not hdr.fields:
-            self._admitted.extend(adm)
-        else:
-            self._init_mirrors(hdr)
-            self._lib.k_enqueue(self._cs, 1, adm)
 
     def _injecting(self) -> bool:
         return bool((self._src_cur >= 0).any())
 
     def _purge_message(self, msg_id: int) -> None:
-        if self._native and msg_id in self.messages:
+        if msg_id not in self.messages:
+            return
+        if self._native:
             self._sync_fields(msg_id)      # fields faithful on exit
         self._lib.k_purge_all(self._cs, msg_id)
-        msg = self.messages.get(msg_id)
-        if msg is not None:
-            src = msg.header.src
-            if int(self._src_cur[src]) == msg_id:
-                self._src_cur[src] = -1
+        src = int(self._lg.msg_src[msg_id])
+        if int(self._src_cur[src]) == msg_id:
+            self._src_cur[src] = -1
 
     def _buffered_msgs(self, node: int) -> list[int]:
         out: list[int] = []
@@ -1069,7 +1273,7 @@ class BatchedNetwork(Network):
             d = self._down_gid(d)
         for i, (d, seqs) in enumerate(chain):
             if seqs:
-                self._msg_len[msg_id] = seqs[-1] + 1
+                self._lg.msg_len[msg_id] = seqs[-1] + 1
                 for dead, _ in chain[:i]:
                     self._force_release(dead)
                 return
@@ -1143,7 +1347,7 @@ class BatchedNetwork(Network):
 
     def _make_flit(self, mid: int, seq: int) -> Flit:
         msg = self.messages.get(mid)
-        length = int(self._msg_len[mid])     # a healed worm's is shorter
+        length = int(self._lg.msg_len[mid])  # a healed worm's is shorter
         if length == 1:
             kind = FlitKind.HEAD_TAIL
         elif seq == 0:

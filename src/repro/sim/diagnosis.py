@@ -75,6 +75,8 @@ class DiagnosisEngine:
         #: (event, node) -> cycle the node's view confirms the event
         #: (absent: the node never learns of it)
         self._eta: dict[tuple[FaultEvent, int], int] = {}
+        #: bumped whenever any view changes; consumers cache against it
+        self.version = 0
 
     # -- queries -------------------------------------------------------
 
@@ -97,6 +99,7 @@ class DiagnosisEngine:
         for node, view in enumerate(self.views):
             view.apply(event)
             self._eta[(event, node)] = 0
+        self.version += 1
 
     def start_flood(self, event: FaultEvent, cycle: int) -> int:
         """Begin flooding a confirmed fault from its detection sites;
@@ -131,6 +134,7 @@ class DiagnosisEngine:
         while self._heap and self._heap[0][0] <= cycle:
             _, _, node, event = heappop(self._heap)
             self.views[node].apply(event)
+            self.version += 1
             if tr.enabled:
                 tr.emit(trace_ev.FAULT_FLOOD_NODE, node=node,
                         **_event_payload(event))

@@ -128,6 +128,10 @@ class FaultState:
         return comp[a] == comp[b] and comp[a] >= 0
 
     def _component_labels(self) -> list[int]:
+        """Per node, the label of its component over healthy links and
+        nodes (-1 for a dead node).  Cached until the fault set changes
+        and, between states that share labellings, one list object per
+        distinct fault set."""
         if self._components is None:
             shared = self._shared
             if shared is None:

@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..obs import events as trace_ev
 from ..obs.tracer import NULL_TRACER
@@ -175,7 +178,9 @@ class Network:
         # sweep points fanned out over worker processes) produce
         # identical, isolated id sequences
         self._msg_ids = itertools.count()
-        self.messages: dict[int, Message] = {}
+        #: every admitted message by id (the batched engine answers
+        #: from its message ledger)
+        self.messages: Mapping[int, Message] = {}
         self.fault_schedule = FaultSchedule()
         self.traffic = None
         self._eject_progress: dict[int, int] = {}  # msg_id -> flits ejected
@@ -272,10 +277,7 @@ class Network:
                 tr.emit(trace_ev.WORM_BLOCKED, src=src, dst=dst,
                         reason="algorithm_refused")
             return None
-        msg = Message.create(src, dst, length, self.cycle,
-                             msg_id=next(self._msg_ids), **fields)
-        self.messages[msg.header.msg_id] = msg
-        self._enqueue(src, msg)
+        msg = self._admit(src, dst, length, fields)
         if tr.enabled:
             tr.emit(trace_ev.WORM_CREATED, msg_id=msg.header.msg_id,
                     src=src, dst=dst, length=length)
@@ -925,10 +927,7 @@ class Network:
             # back — give up loudly instead of retrying forever
             self._dead_letter(root)
             return
-        msg = Message.create(src, dst, length, self.cycle,
-                             msg_id=next(self._msg_ids), **carry)
-        self.messages[msg.header.msg_id] = msg
-        self._enqueue(src, msg)
+        msg = self._admit(src, dst, length, carry)
         self.stats.count_retried()
         tr = self.tracer
         if tr.enabled:
@@ -950,10 +949,16 @@ class Network:
     # them, and the worm walks (_finish_fragment, _absorb_remainder,
     # _force_release), over its arrays.
 
-    def _enqueue(self, src: int, msg: Message) -> None:
-        """Queue ``msg`` at source ``src`` and wake the source."""
+    def _admit(self, src: int, dst: int, length: int,
+               fields: dict) -> Message:
+        """Create a screened message with header ``fields`` under the
+        next message id, record it and queue it at its source."""
+        msg = Message.create(src, dst, length, self.cycle,
+                             msg_id=next(self._msg_ids), **fields)
+        self.messages[msg.header.msg_id] = msg
         self.sources[src].queue.append(msg)
         self._active_sources.add(src)
+        return msg
 
     def _injecting(self) -> bool:
         """Whether any source is part-way through injecting a worm."""
@@ -1024,3 +1029,19 @@ class Network:
     def undelivered(self) -> list[Message]:
         return [m for m in self.messages.values()
                 if m.delivered is None and not m.dropped]
+
+    def n_undelivered(self) -> int:
+        """``len(undelivered())``, without building the list where the
+        engine keeps a message ledger."""
+        return len(self.undelivered())
+
+    def message_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every message's root id (a retransmission shares its
+        original's), whether it is a retransmission, and whether it was
+        delivered: three arrays in message-id order."""
+        msgs, n = self.messages.values(), len(self.messages)
+        return (np.fromiter((m.header.fields.get("root_id", m.header.msg_id)
+                             for m in msgs), np.int64, n),
+                np.fromiter(("retry_of" in m.header.fields for m in msgs),
+                            bool, n),
+                np.fromiter((bool(m.delivered) for m in msgs), bool, n))

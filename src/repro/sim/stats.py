@@ -16,6 +16,10 @@ import numpy as np
 from .flit import Message
 
 
+def _mean(values) -> float:
+    return float(np.mean(values)) if len(values) else float("nan")
+
+
 class DecisionDigest:
     """Canonical running digest of every routing decision in a run.
 
@@ -91,6 +95,11 @@ class StatsCollector:
     #: bit-identical): worms_healed, worms_absorbed,
     #: backup_route_decisions
     reroute: dict | None = None
+    #: the batched engine's message-ledger reduction: ``ledger()`` ->
+    #: (latencies, network latencies, hops, misrouted count) of the
+    #: measured messages its kernel delivered, which no
+    #: ``count_message`` call saw; None on the object engine
+    ledger: object | None = None
 
     # -- recording -----------------------------------------------------
 
@@ -135,28 +144,40 @@ class StatsCollector:
 
     # -- summaries -----------------------------------------------------------
 
+    def _measured(self):
+        """(latencies, network latencies, hops, misrouted count) of every
+        measured delivered message."""
+        if self.ledger is None:
+            return (self._latencies, self._network_latencies, self._hops,
+                    self._misrouted)
+        lat, nlat, hops, misrouted = self.ledger()
+        return (np.concatenate([np.asarray(self._latencies, np.int64), lat]),
+                np.concatenate([np.asarray(self._network_latencies,
+                                           np.int64), nlat]),
+                np.concatenate([np.asarray(self._hops, np.int64), hops]),
+                self._misrouted + misrouted)
+
     @property
     def mean_latency(self) -> float:
-        return float(np.mean(self._latencies)) if self._latencies else float("nan")
+        return _mean(self._measured()[0])
 
     @property
     def mean_network_latency(self) -> float:
-        return (float(np.mean(self._network_latencies))
-                if self._network_latencies else float("nan"))
+        return _mean(self._measured()[1])
 
     @property
     def p99_latency(self) -> float:
-        return (float(np.percentile(self._latencies, 99))
-                if self._latencies else float("nan"))
+        lat = self._measured()[0]
+        return float(np.percentile(lat, 99)) if len(lat) else float("nan")
 
     @property
     def mean_hops(self) -> float:
-        return float(np.mean(self._hops)) if self._hops else float("nan")
+        return _mean(self._measured()[2])
 
     @property
     def misrouted_fraction(self) -> float:
-        n = len(self._hops)
-        return self._misrouted / n if n else 0.0
+        _, _, hops, misrouted = self._measured()
+        return misrouted / len(hops) if len(hops) else 0.0
 
     @property
     def mean_decision_steps(self) -> float:
@@ -183,7 +204,7 @@ class StatsCollector:
         return self.flits_delivered_measured / (cycles * n_nodes)
 
     def measured_messages(self) -> int:
-        return len(self._latencies)
+        return len(self._measured()[0])
 
     def summary(self, n_nodes: int) -> dict:
         out = self._summary(n_nodes)

@@ -84,7 +84,10 @@ def test_lower_is_better_rise_fails(tmp_path, capsys):
 
 
 def test_lower_is_better_improvement_passes(tmp_path):
-    current = {"reroute": {"time_to_recover_cycles": 20.0},
+    current = {"decision_throughput": {"fastpath_decisions_per_sec":
+                                       100_000.0},
+               "reroute": {"cycles_of_loss": 0.0,
+                           "time_to_recover_cycles": 20.0},
                "batched_engine": {"cycles_per_sec": 10_000.0}}
     assert _run(tmp_path, current) == 0
 
@@ -108,9 +111,23 @@ def test_both_directions_fail_in_one_invocation(tmp_path, capsys):
 
 
 def test_missing_metrics_skipped(tmp_path, capsys):
-    assert _run(tmp_path, {"unrelated": 1}) == 0
+    # tracked metrics the baseline lacks (hypercube, the two low/
+    # moderate-load rates) belong to the other baseline: skipped, even
+    # when the report has them
+    current = {**BASELINE, "hypercube": {"cycles_per_sec": 1.0}}
+    assert _run(tmp_path, current) == 0
     out = capsys.readouterr().out
-    assert "missing" in out
+    assert "hypercube batched cycles/sec" in out
+    assert "not in this baseline" in out
+
+
+def test_metric_missing_from_the_report_fails(tmp_path, capsys):
+    # a section the report stopped writing must not pass the gate
+    current = {k: v for k, v in BASELINE.items() if k != "batched_engine"}
+    assert _run(tmp_path, current) == 1
+    err = capsys.readouterr().err
+    assert "batched engine cycles/sec" in err
+    assert "missing from the report" in err
 
 
 def test_quick_report_uses_quick_reference(tmp_path, capsys):
