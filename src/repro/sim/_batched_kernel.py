@@ -48,6 +48,12 @@ cache entry), and the resumed scan goes on at the next VC of the same
 node.  Stuck heads are collected in C and handed back once, at the
 node's end, for purging.
 
+The kernel's state is declared once, in :data:`ARRAYS`: one row per
+array (name, C type, shape in named dimensions, fill value, note).  The
+``BState`` struct text is generated from the rows, and the engine
+allocates, binds and grows every array from them, so an array is added,
+resized or regrouped by editing its row.
+
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the
 shared object.  No third-party build machinery is required.  When the
@@ -96,9 +102,163 @@ SCAN_DONE, SCAN_ROUTE, SCAN_PURGE, SCAN_FLUSH, SCAN_BODY = 0, 1, 2, -1, -2
 #: before the decision
 XING_W = 7 + MAXF
 
-#: struct layout shared between the cffi cdef and the C source.  Every
-#: pointer aliases a numpy array owned by the Python-side state; the
-#: kernel never allocates.
+#: the value of ``o_port`` / ``o_vc`` while an input VC holds no output
+NO_PORT = -100
+
+#: The kernel's arrays: one row per pointer field of ``BState``, the one
+#: statement of the kernel's state.  The struct text below is generated
+#: from these rows, and :class:`~repro.sim.batched.BatchedNetwork`
+#: allocates, binds and grows every array from them.  A row is (name, C
+#: element type, shape, the value of an unused element, what it holds).
+#: A shape names its dimensions:
+#:
+#: * ``nodes``; ``spans`` = nodes + 1; ``words`` = one bit per node in
+#:   uint64 words; ``slots`` = the port slots of a node, LOCAL first
+#:   (max_pid + 2);
+#: * ``ivs``, the input VCs (= output VCs: the same (node, port, vc)
+#:   triples), by gid; ``ring``, the buffer depth; ``cands``, the
+#:   candidate and request slots of a node (slots x VCs);
+#: * ``events``, the allocation walk's event log (2 ivs + 8);
+#: * ``msgs``, the message ledger's rows (by message id) and
+#:   ``entries``, the decision cache's entries, each doubled as they
+#:   fill; ``buckets``, the cache's hash slots (4 entries);
+#: * ``views``, the admission screen's label rows (one per distinct
+#:   fault view, reset at every screen sync);
+#: * the constants ``KEYW``, ``MAXF``, ``DIG_CAP``, ``CT_KEYS``,
+#:   ``CT_CANDS`` and ``XING_W``, or a number.
+ARRAYS = (
+    # static layout
+    ("iv_off", "int32_t", ("spans",), 0, "gid span per node"),
+    ("iv_node", "int32_t", ("ivs",), 0, "owning node"),
+    ("iv_port", "int32_t", ("ivs",), 0, "port id, -1 for LOCAL"),
+    ("iv_vc", "int32_t", ("ivs",), 0, "virtual channel"),
+    ("portbase", "int32_t", ("nodes", "slots"), -1, "gid base or -1"),
+    ("ov_down", "int32_t", ("ivs",), -1, "downstream input gid or -1"),
+    # per input VC
+    ("buf_msg", "int32_t", ("ivs", "ring"), 0, "flit message ids"),
+    ("buf_seq", "int32_t", ("ivs", "ring"), 0, "flit sequence numbers"),
+    ("buf_head", "int32_t", ("ivs",), 0, "ring front"),
+    ("buf_cnt", "int32_t", ("ivs",), 0, "buffered flits"),
+    ("inc_val", "uint8_t", ("ivs",), 0,
+     "1-deep staging slot: the flit waits uncounted in the ring just "
+     "past the buffered ones"),
+    ("st", "uint8_t", ("ivs",), 0, "0 idle 1 routing 2 routed 3 active"),
+    ("ready", "int32_t", ("ivs",), 0, "cycle the routing delay ends"),
+    ("epoch", "int32_t", ("ivs",), 0, "route epoch of the decision"),
+    ("o_port", "int32_t", ("ivs",), NO_PORT,
+     "held output (-1 LOCAL, -100 none)"),
+    ("o_vc", "int32_t", ("ivs",), NO_PORT, "held output VC"),
+    ("deliver", "uint8_t", ("ivs",), 0, "the decision delivers here"),
+    ("stuckf", "uint8_t", ("ivs",), 0, "the decision is stuck"),
+    ("hint", "uint8_t", ("ivs",), 0, "RouteDecision.refresh_hint"),
+    ("ncand", "int32_t", ("ivs",), 0, "candidates"),
+    ("cand_p", "int32_t", ("ivs", "cands"), 0, "candidate ports"),
+    ("cand_v", "int32_t", ("ivs", "cands"), 0, "candidate VCs"),
+    ("head_msg", "int32_t", ("ivs",), -1,
+     "msg id of the routed worm, -1 none"),
+    ("ov_owner", "int32_t", ("ivs",), -1, "owning input gid or -1"),
+    ("link_cnt", "int64_t", ("ivs",), 0, "flits forwarded per output VC"),
+    ("arr_list", "int32_t", ("ivs",), 0,
+     "staging slots filled since the last flush, each listed once"),
+    ("arr_on", "uint8_t", ("ivs",), 0, "arr_list membership"),
+    # per node
+    ("r_nflits", "int32_t", ("nodes",), 0, "buffered flits"),
+    ("node_ok", "uint8_t", ("nodes",), 1, "the node works"),
+    ("alive", "uint8_t", ("nodes", "slots"), 0,
+     "the port works; slot 0 = LOCAL = 1"),
+    ("src_cur", "int32_t", ("nodes",), -1, "injecting msg id or -1"),
+    ("src_pos", "int32_t", ("nodes",), 0, "its flits injected"),
+    ("src_qlen", "int32_t", ("nodes",), 0, "queued messages"),
+    ("src_qhead", "int32_t", ("nodes",), -1, "FIFO front id, -1 empty"),
+    ("src_qtail", "int32_t", ("nodes",), -1, "FIFO back id, -1 empty"),
+    ("act_list", "int32_t", ("nodes",), 0,
+     "active node ids: sorted at cycle start, same-cycle appends at the "
+     "tail (processed from the next cycle)"),
+    ("act_bits", "uint64_t", ("words",), 0, "act_list membership"),
+    ("m_flag", "uint8_t", ("nodes",), 0, "object-engine _active mirror"),
+    ("node_x", "int32_t", ("nodes",), 0, "coordinates (clean table, "
+     "relative keys)"),
+    ("node_y", "int32_t", ("nodes",), 0, "coordinates"),
+    ("irreg", "uint8_t", ("nodes",), 0, "destinations keyed exactly"),
+    ("node_cls", "int32_t", ("nodes",), 0, "key slot 0 of a relative key"),
+    ("armed_end", "uint8_t", ("nodes",), 0, "endpoint of an armed link"),
+    # the admission screen, refreshed by Python per fault-knowledge
+    # change: each source screens with one component-label row of its
+    # fault view and the algorithm's per-node acceptance
+    ("adm_view", "int32_t", ("nodes",), 0, "the source's label row"),
+    ("adm_lab", "int32_t", ("views", "nodes"), 0,
+     "component labels (-1 = dead in that view)"),
+    ("adm_ok", "uint8_t", ("nodes",), 0, "RoutingAlgorithm.accepts_node"),
+    # the allocation walk: arbiter state, its event log for replay in
+    # Python, and one node's request staging
+    ("rr_ptr", "int64_t", ("slots",), 0, "round-robin pointers"),
+    ("counters", "int64_t", (4,), 0,
+     "0 hops 1 flits ejected outside the event log 2 events 3 messages "
+     "delivered in C"),
+    ("ev_kind", "int32_t", ("events",), 0,
+     "0 head-depart 1 tail-eject (a held or misdelivered message)"),
+    ("ev_node", "int32_t", ("events",), 0, "node"),
+    ("ev_msg", "int32_t", ("events",), 0, "message id"),
+    ("ev_a", "int32_t", ("events",), 0, "out_port of a head event"),
+    ("ev_b", "int32_t", ("events",), 0, "out_vc of a head event"),
+    ("req_g", "int32_t", ("cands",), 0, "requesting input gid"),
+    ("req_ov", "int32_t", ("cands",), 0, "requested output gid"),
+    ("req_head", "uint8_t", ("cands",), 0, "the request is a head's"),
+    # the route stage's crossing record and its node's stuck heads
+    ("xing", "int32_t", ("XING_W",), 0, "the VC handed to Python"),
+    ("stuck", "int32_t", ("cands",), 0, "the node's stuck message ids"),
+    # the message ledger: the data path's columns (live length,
+    # destination, path length, native field mirrors), then the record
+    ("msg_len", "int32_t", ("msgs",), 0, "flits (a heal shortens it)"),
+    ("msg_dst", "int32_t", ("msgs",), 0, "destination"),
+    ("msg_plen", "int32_t", ("msgs",), 0, "path_len"),
+    ("msg_f", "int32_t", ("msgs", "MAXF"), FIELD_ABSENT,
+     "encoded native fields"),
+    ("msg_src", "int32_t", ("msgs",), 0, "source"),
+    ("msg_size", "int32_t", ("msgs",), 0, "flits as admitted"),
+    ("msg_born", "int32_t", ("msgs",), 0, "cycle created"),
+    ("msg_inj", "int32_t", ("msgs",), -1,
+     "cycle the head entered, -1 not yet"),
+    ("msg_dlv", "int32_t", ("msgs",), -1, "cycle delivered, -1 not yet"),
+    ("msg_root", "int32_t", ("msgs",), 0,
+     "root id a retransmission shares"),
+    ("msg_next", "int32_t", ("msgs",), -1,
+     "next id in its source's FIFO, -1 last"),
+    ("msg_flags", "uint8_t", ("msgs",), 0, "M_* bits"),
+    # the native decision cache: open addressing over entry rows
+    ("term_port", "int32_t", (8,), 0, "vn -> committing out port"),
+    ("tab", "int32_t", ("buckets",), -1, "entry index or -1"),
+    ("ek", "int32_t", ("entries", "KEYW"), 0, "keys"),
+    ("ea", "int32_t", ("entries", "MAXF"), 0, "field values after"),
+    ("e_deliver", "uint8_t", ("entries",), 0, "deliver"),
+    ("e_steps", "int32_t", ("entries",), 0, "interpretation steps"),
+    ("e_hint", "uint8_t", ("entries",), 0, "refresh hint"),
+    ("e_ncand", "int32_t", ("entries",), 0, "candidates"),
+    ("e_cp", "int32_t", ("entries", "cands"), 0, "candidate ports"),
+    ("e_cv", "int32_t", ("entries", "cands"), 0, "candidate VCs"),
+    # the decision digest byte stream and the stats accumulators
+    ("dig", "uint8_t", ("DIG_CAP",), 0, "digest lines"),
+    ("dstat", "int64_t", (4,), 0, "0 decisions 1 steps-sum 2 max 3 lines"),
+    # the build-time clean decision table (fault-free relative keys)
+    ("ct_valid", "uint8_t", ("CT_KEYS",), 0, "entry filled"),
+    ("ct_deliver", "uint8_t", ("CT_KEYS",), 0, "deliver"),
+    ("ct_hint", "uint8_t", ("CT_KEYS",), 0, "refresh hint"),
+    ("ct_steps", "int32_t", ("CT_KEYS",), 0, "interpretation steps"),
+    ("ct_ncand", "int32_t", ("CT_KEYS",), 0, "candidates"),
+    ("ct_vn_after", "int32_t", ("CT_KEYS",), FIELD_ABSENT,
+     "F_ABSENT = leave the vn field alone"),
+    ("ct_cp", "int32_t", ("CT_KEYS", "CT_CANDS"), 0, "candidate ports"),
+    ("ct_cv", "int32_t", ("CT_KEYS", "CT_CANDS"), 0, "candidate VCs"),
+)
+
+#: the constant dimensions of :data:`ARRAYS`
+DIMS = {"KEYW": KEYW, "MAXF": MAXF, "DIG_CAP": DIG_CAP, "CT_KEYS": CT_KEYS,
+        "CT_CANDS": CT_CANDS, "XING_W": XING_W}
+
+#: struct layout shared between the cffi cdef and the C source: the
+#: scalars, then one pointer per :data:`ARRAYS` row.  Every pointer
+#: aliases a numpy array owned by the Python-side state; the kernel
+#: never allocates.
 _STRUCT = """
 typedef struct {
     int32_t n_nodes, n_iv, cap, n_vcs, max_pid, maxc;
@@ -139,123 +299,13 @@ typedef struct {
     int32_t ct_vnf, ct_termf; /* native slots of vn / term (-1: none)  */
     /* relative-destination keys (NativeContract.relative_dst) */
     int32_t rel_on;           /* 0 exact, 1 mesh class, 2 cube (up,down) */
-    /* static layout */
-    int32_t *iv_off;          /* n_nodes+1: gid span per node          */
-    int32_t *iv_node;         /* n_iv                                  */
-    int32_t *iv_port;         /* n_iv: port id, -1 for LOCAL           */
-    int32_t *iv_vc;           /* n_iv                                  */
-    int32_t *portbase;        /* n_nodes x (max_pid+2): gid base or -1 */
-    int32_t *ov_down;         /* n_iv: downstream input gid or -1      */
-    /* dynamic per input VC (= per output VC: same (node,port,vc)) */
-    int32_t *buf_msg;         /* n_iv x cap ring                       */
-    int32_t *buf_seq;
-    int32_t *buf_head;
-    int32_t *buf_cnt;
-    uint8_t *inc_val;         /* 1-deep staging slot (<=1 arrival/cyc):
-                                 the flit waits in the ring just past
-                                 its buffered flits, uncounted         */
-    uint8_t *st;              /* 0 idle 1 routing 2 routed 3 active    */
-    int32_t *ready;
-    int32_t *epoch;
-    int32_t *o_port;          /* held output (-1 LOCAL, -100 none)     */
-    int32_t *o_vc;
-    uint8_t *deliver;
-    uint8_t *stuckf;
-    uint8_t *hint;            /* RouteDecision.refresh_hint            */
-    int32_t *ncand;
-    int32_t *cand_p;          /* n_iv x maxc                           */
-    int32_t *cand_v;
-    int32_t *head_msg;        /* msg id of the routed worm, -1 none    */
-    int32_t *ov_owner;        /* owning input gid or -1                */
-    int32_t *r_nflits;        /* per node                              */
-    uint8_t *node_ok;
-    uint8_t *alive;           /* n_nodes x (max_pid+2); slot 0=LOCAL=1 */
-    int32_t *src_cur;         /* per node: injecting msg id or -1      */
-    int32_t *src_pos;
-    int32_t *src_qlen;        /* per node: queued-message mirror       */
-    int64_t *rr_ptr;          /* max_pid+2: round-robin pointers       */
-    int64_t *counters;        /* 0 hops 1 flits ejected outside the
-                                 event log 2 nev 3 messages delivered
-                                 in C                                  */
-    int32_t *ev_kind;         /* 0 head-depart 1 tail-eject (a held
-                                 or misdelivered message)              */
-    int32_t *ev_node;
-    int32_t *ev_msg;
-    int32_t *ev_a;            /* out_port for head events              */
-    int32_t *ev_b;            /* out_vc  for head events               */
-    int32_t *req_g;           /* per-node request staging              */
-    int32_t *req_ov;
-    uint8_t *req_head;
-    /* per-message mirrors (indexed by msg id, grown by Python) */
-    int32_t *msg_len;
-    int32_t *msg_dst;
-    int32_t *msg_plen;        /* path_len                              */
-    int32_t *msg_f;           /* n_msgs x 5 encoded native fields      */
-    int32_t *term_port;       /* vn -> committing out port (8 slots)   */
-    /* decision cache: open addressing -> parallel entry arrays */
-    int32_t *tab;             /* tab_mask+1 slots: entry idx or -1     */
-    int32_t *ek;              /* ent_cap x 10 keys                     */
-    int32_t *ea;              /* ent_cap x 5 after-values              */
-    uint8_t *e_deliver;
-    int32_t *e_steps;
-    uint8_t *e_hint;
-    int32_t *e_ncand;
-    int32_t *e_cp;            /* ent_cap x maxc                        */
-    int32_t *e_cv;
-    /* decision digest byte stream + stats accumulators */
-    uint8_t *dig;
-    int64_t *dstat;           /* 0 decisions 1 steps-sum 2 max 3 lines */
-    /* active-set + arrival + metrics arrays */
-    int32_t *act_list;        /* n_nodes: active node ids; sorted at
-                                 cycle start, same-cycle appends at the
-                                 tail (processed from the next cycle)  */
-    uint64_t *act_bits;       /* n_nodes bits: act_list membership     */
-    int32_t *arr_list;        /* n_iv: staging slots filled since the
-                                 last flush, each listed once          */
-    uint8_t *arr_on;          /* n_iv: arr_list membership             */
-    uint8_t *m_flag;          /* n_nodes: object-engine _active mirror */
-    int64_t *link_cnt;        /* n_iv: flits forwarded per output VC   */
-    /* node coordinates (clean table, relative keys) + the clean
-       table's CT_KEYS dense entries */
-    int32_t *node_x;
-    int32_t *node_y;
-    uint8_t *ct_valid;
-    uint8_t *ct_deliver;
-    uint8_t *ct_hint;
-    int32_t *ct_steps;
-    int32_t *ct_ncand;
-    int32_t *ct_vn_after;     /* F_ABSENT = leave the vn field alone   */
-    int32_t *ct_cp;           /* CT_KEYS x CT_CANDS                    */
-    int32_t *ct_cv;
-    uint8_t *irreg;           /* n_nodes: destinations keyed exactly   */
-    int32_t *node_cls;        /* n_nodes: key slot 0 of a relative key */
-    uint8_t *armed_end;       /* n_nodes: endpoint of an armed link    */
-    int32_t *xing;            /* XING_W: the VC handed to Python       */
-    int32_t *stuck;           /* maxc: the node's stuck message ids    */
-    /* the message ledger: one row per message id, grown by Python;
-       msg_len/msg_dst/msg_plen/msg_f above are its data-path columns */
+    /* the message ledger */
     int32_t n_msgs;           /* ids allocated: the network's counter  */
     int32_t now;              /* the cycle in progress                 */
     int32_t warmup;           /* StatsCollector.warmup                 */
-    int32_t *msg_src;
-    int32_t *msg_size;        /* flits as admitted (a heal shortens
-                                 msg_len, never this)                  */
-    int32_t *msg_born;        /* cycle created                         */
-    int32_t *msg_inj;         /* cycle the head entered, -1 not yet    */
-    int32_t *msg_dlv;         /* cycle delivered, -1 not yet           */
-    int32_t *msg_root;        /* root id a retransmission shares       */
-    int32_t *msg_next;        /* next id in its source's FIFO, -1 last */
-    uint8_t *msg_flags;       /* M_* bits                              */
-    int32_t *src_qhead;       /* per node: FIFO front id, -1 empty     */
-    int32_t *src_qtail;       /* per node: FIFO back id, -1 empty      */
-    /* the admission screen, refreshed by Python per fault-knowledge
-       change: each source screens with one component-label row of
-       its fault view (-1 = dead in that view) and the algorithm's
-       per-node acceptance */
-    int32_t *adm_view;        /* n_nodes: the source's label row       */
-    int32_t *adm_lab;         /* rows x n_nodes component labels       */
-    uint8_t *adm_ok;          /* n_nodes: RoutingAlgorithm.accepts_node */
-} BState;
+""" + "".join(f"    {f'{ctype} *{name};':<26}/* "
+              f"{' x '.join(map(str, shape))}: {note} */\n"
+              for name, ctype, shape, _, note in ARRAYS) + """} BState;
 """
 
 #: numpy's public bit-generator interface (numpy/random/bitgen.h), the
@@ -291,7 +341,6 @@ void k_port_loads(BState *s, int node, int32_t *out);
 int  k_alloc(BState *s);
 int  k_purge(BState *s, int node, int msg);
 int  k_purge_all(BState *s, int msg);
-void k_enqueue(BState *s, int n, int32_t *adm);
 int  k_screen(BState *s, int src, int dst);
 int  k_admit(BState *s, int n, int32_t *src, int32_t *dst, int32_t *len,
              int len1, int screen);
@@ -356,17 +405,6 @@ static void enqueue(BState *s, int src, int mid)
     s->src_qtail[src] = mid;
     s->src_qlen[src]++;
     activate(s, src);
-}
-
-/* queue existing ledger rows, four int32s each (source, message id,
-   length, destination), writing their length and destination */
-void k_enqueue(BState *s, int n, int32_t *adm)
-{
-    for (int i = 0; i < n; i++, adm += 4) {
-        s->msg_len[adm[1]] = adm[2];
-        s->msg_dst[adm[1]] = adm[3];
-        enqueue(s, adm[0], adm[1]);
-    }
 }
 
 /* Network.offer's screen (assumption iii): the source works, the

@@ -98,14 +98,13 @@ from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from .topology import Hypercube
 from .traffic import TrafficGenerator
-from ._batched_kernel import (CT_CANDS, CT_KEYS, DIG_CAP, FIELD_ABSENT,
-                              FIELD_NONE, MAXF, SCAN_DONE, SCAN_FLUSH,
-                              SCAN_PURGE, SCAN_ROUTE, XING_W, load_kernel,
-                              unavailable_reason)
+from ._batched_kernel import (ARRAYS, DIG_CAP, DIMS, FIELD_ABSENT,
+                              FIELD_NONE, NO_PORT, SCAN_DONE,
+                              SCAN_FLUSH, SCAN_PURGE, SCAN_ROUTE,
+                              load_kernel, unavailable_reason)
 from ..routing.base import REFRESH_ARGMIN, RouteDecision
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
-_NO_PORT = -100      # o_port value meaning "no output assigned"
 _NO_ARMS = frozenset()
 _NO_KERNEL = "the batched kernel is unavailable: "
 
@@ -152,45 +151,19 @@ class _TailShim:
 #: delivered by the kernel inside the measured window
 M_HELD, M_DROPPED, M_RETRY, M_COUNTED = 1, 2, 4, 8
 
-#: the ledger's columns and the value of a row not yet used: the data
-#: path's mirrors (live worm length, destination, path length, the MAXF
-#: native field values), then the message's record (source, admitted
-#: length, created, injected, delivered, root id, next in its source's
-#: FIFO, flags)
-_COLUMNS = (("msg_len", 0), ("msg_dst", 0), ("msg_plen", 0),
-            ("msg_f", FIELD_ABSENT), ("msg_src", 0), ("msg_size", 0),
-            ("msg_born", 0), ("msg_inj", -1), ("msg_dlv", -1),
-            ("msg_root", 0), ("msg_next", -1), ("msg_flags", 0))
-
-
 class _Ledger:
     """One row per message id in growable columns that the kernel
-    shares (the ``BState`` fields of the same names).  The kernel
-    admits, queues, injects and delivers messages on these columns; a
-    :class:`_MessageView` exists only for a message whose header Python
-    asked for.  It holds no reference to the network, so views and the
-    statistics' reduction outlive the network without a cycle."""
+    shares: the ``msgs`` rows of the kernel's ``ARRAYS``, attributes of
+    the same names, which :class:`BatchedNetwork` allocates and grows.
+    The kernel admits, queues, injects and delivers messages on these
+    columns; a :class:`_MessageView` exists only for a message whose
+    header Python asked for.  It holds no reference to the network, so
+    views and the statistics' reduction outlive the network without a
+    cycle."""
 
     def __init__(self, cs, nf):
         self.cs = cs
         self.nf = nf
-        self.cap = 0
-
-    def grow(self, need: int) -> list:
-        """Room for ``need`` rows (at least double); returns each
-        column's (name, new array) for binding."""
-        n = max(need, 2 * self.cap)
-        out = []
-        for name, fill in _COLUMNS:
-            new = np.full((n, MAXF) if name == "msg_f" else n, fill,
-                          dtype=np.uint8 if name == "msg_flags"
-                          else np.int32)
-            if self.cap:
-                new[:self.cap] = getattr(self, name)
-            setattr(self, name, new)
-            out.append((name, new))
-        self.cap = n
-        return out
 
     def measured(self):
         """(latencies, network latencies, hops, misrouted count) of the
@@ -360,7 +333,7 @@ class BatchedRouter:
         net = self.network
         lo = int(net._iv_off[self.node])
         hi = int(net._iv_off[self.node + 1])
-        ivst = net._ivst
+        ivst = net._st
         o_port = net._o_port
         head_msg = net._head_msg
         out: set[int] = set()
@@ -409,10 +382,8 @@ class BatchedNetwork(Network):
 
     def _make_routers(self) -> None:
         topo = self.topology
-        ffi = self._ffi
         n_nodes = len(topo.nodes())
         n_vcs = self.algorithm.n_vcs
-        cap = self.config.buffer_depth
         node_ports = [dict(topo.ports(n)) for n in topo.nodes()]
         max_pid = max((max(p) for p in node_ports if p), default=-1)
         npid = max_pid + 2                     # LOCAL slot + ports 0..max
@@ -421,128 +392,40 @@ class BatchedNetwork(Network):
             raise ValueError(
                 f"batched engine limit: {npid - 1} ports x {n_vcs} VCs "
                 f"exceeds the kernel's 64-candidate/request bound")
-
-        iv_off = np.zeros(n_nodes + 1, dtype=np.int32)
-        for node in range(n_nodes):
-            iv_off[node + 1] = iv_off[node] \
-                + (len(node_ports[node]) + 1) * n_vcs
-        n_iv = int(iv_off[n_nodes])
-
-        def i32(*shape):
-            return np.zeros(shape, dtype=np.int32)
-
-        def u8(*shape):
-            return np.zeros(shape, dtype=np.uint8)
-
+        spans = np.cumsum([0] + [(len(p) + 1) * n_vcs for p in node_ports])
+        n_iv = int(spans[-1])
         self._node_ports = node_ports
-        self._iv_off = iv_off
-        self._iv_node = i32(n_iv)
-        self._iv_port = i32(n_iv)
-        self._iv_vc = i32(n_iv)
-        self._portbase = np.full((n_nodes, npid), -1, dtype=np.int32)
-        self._ov_down = np.full(n_iv, -1, dtype=np.int32)
-        self._buf_msg = i32(n_iv, cap)
-        self._buf_seq = i32(n_iv, cap)
-        self._buf_head = i32(n_iv)
-        self._buf_cnt = i32(n_iv)
-        self._inc_val = u8(n_iv)
-        self._ivst = u8(n_iv)
-        self._ready = i32(n_iv)
-        self._epoch_a = i32(n_iv)
-        self._o_port = np.full(n_iv, _NO_PORT, dtype=np.int32)
-        self._o_vc = np.full(n_iv, _NO_PORT, dtype=np.int32)
-        self._deliver = u8(n_iv)
-        self._stuckf = u8(n_iv)
-        self._hint = u8(n_iv)
-        self._ncand = i32(n_iv)
-        self._cand_p = i32(n_iv, maxc)
-        self._cand_v = i32(n_iv, maxc)
-        self._head_msg = np.full(n_iv, -1, dtype=np.int32)
-        self._ov_owner = np.full(n_iv, -1, dtype=np.int32)
-        self._r_nflits = i32(n_nodes)
-        self._node_ok = np.ones(n_nodes, dtype=np.uint8)
-        self._alive = u8(n_nodes, npid)
-        self._src_cur = np.full(n_nodes, -1, dtype=np.int32)
-        self._src_pos = i32(n_nodes)
-        # each source's FIFO of queued message ids: a list linked
-        # through the ledger's msg_next column, and its length
-        self._src_qhead = np.full(n_nodes, -1, dtype=np.int32)
-        self._src_qtail = np.full(n_nodes, -1, dtype=np.int32)
-        self._src_qlen = i32(n_nodes)
-        # the admission screen (filled by _sync_screen): each node's
-        # component-label row, the rows, and the algorithm's acceptance
-        self._adm_view = i32(n_nodes)
-        self._adm_ok = u8(n_nodes)
-        self._screen_key = None
-        self._rr_ptr = np.zeros(npid, dtype=np.int64)
-        self._counters = np.zeros(4, dtype=np.int64)
-        evcap = 2 * n_iv + 8
-        self._ev_kind = i32(evcap)
-        self._ev_node = i32(evcap)
-        self._ev_msg = i32(evcap)
-        self._ev_a = i32(evcap)
-        self._ev_b = i32(evcap)
-        self._req_g = i32(maxc)
-        self._req_ov = i32(maxc)
-        self._req_head = u8(maxc)
-        # the route stage's crossing record and its node's stuck heads
-        self._xing = i32(XING_W)
-        self._stuck = i32(maxc)
-        self._heads = i32(n_nodes)
-        self._loads = i32(max_pid + 1)
 
         # native decision cache: enabled when the algorithm declares a
-        # native contract; otherwise the arrays are token-sized and the
+        # native contract; otherwise its arrays are token-sized and the
         # kernel never touches them.  It starts small and doubles as it
-        # fills (_grow_cache), so a run that sees few keys holds little
+        # fills (_grow), so a run that sees few keys holds little
         contract = self.algorithm.native_contract(topo)
         native = contract is not None
         self._contract = contract
         self._native = native
         self._nf = contract.fields if native else ()
-        self._ent_cap = (1 << 12) if native else 8
-        ent_cap = self._ent_cap
-        self._tab = np.full(ent_cap * 4, -1, dtype=np.int32)
-        self._ek = i32(ent_cap, 10)
-        self._ea = i32(ent_cap, MAXF)
-        self._e_deliver = u8(ent_cap)
-        self._e_steps = i32(ent_cap)
-        self._e_hint = u8(ent_cap)
-        self._e_ncand = i32(ent_cap)
-        self._e_cp = i32(ent_cap, maxc)
-        self._e_cv = i32(ent_cap, maxc)
-        self._term_port = i32(8)
-        self._dig = u8(DIG_CAP)
-        self._dstat = np.zeros(4, dtype=np.int64)
+        ent_cap = (1 << 12) if native else 8
+        #: the sizes of the ARRAYS dimensions (the ledger's "msgs" and
+        #: the cache's "entries" and "buckets" grow, "views" follows
+        #: each screen sync)
+        self._dims = dict(DIMS, nodes=n_nodes, spans=n_nodes + 1,
+                          words=(n_nodes + 63) // 64, slots=npid,
+                          ivs=n_iv, ring=self.config.buffer_depth,
+                          cands=maxc, events=2 * n_iv + 8, msgs=4096,
+                          entries=ent_cap, buckets=4 * ent_cap, views=1)
+        self._cs = cs = self._ffi.new("BState *")
+        self._lg = _Ledger(cs, self._nf)
+        #: the buffers behind the struct's pointers, by field
+        self._bufs: dict = {}
+        for row in ARRAYS:
+            self._alloc(row)
+        self._heads = np.zeros(n_nodes, dtype=np.int32)
+        self._loads = np.zeros(max_pid + 1, dtype=np.int32)
+        self._heads_ptr = self._ffi.from_buffer("int32_t[]", self._heads)
+        self._loads_ptr = self._ffi.from_buffer("int32_t[]", self._loads)
 
-        # active set: the compacted, sorted node list the per-cycle C
-        # scans iterate, plus the metrics mirrors (the object engine's
-        # _active set and its per-link flit counters)
-        self._act_list = i32(n_nodes)
-        self._act_bits = np.zeros((n_nodes + 63) // 64, dtype=np.uint64)
-        # the staging slots filled since the last flush (k_flush moves
-        # only these), each listed once
-        self._arr_list = i32(n_iv)
-        self._arr_on = u8(n_iv)
-        self._m_flag = u8(n_nodes)
-        self._link_cnt = np.zeros(n_iv, dtype=np.int64)
-        # node coordinates (filled for a clean table or relative keys),
-        # the irregular-destination mask and node classes of relative
-        # keys, and the dense 54-entry clean decision table
-        self._node_x = i32(n_nodes)
-        self._node_y = i32(n_nodes)
-        self._irreg = u8(n_nodes)
-        self._node_cls = np.arange(n_nodes, dtype=np.int32)
-        self._armed_end = u8(n_nodes)
-        self._ct_valid = u8(CT_KEYS)
-        self._ct_deliver = u8(CT_KEYS)
-        self._ct_hint = u8(CT_KEYS)
-        self._ct_steps = i32(CT_KEYS)
-        self._ct_ncand = i32(CT_KEYS)
-        self._ct_vn_after = np.full(CT_KEYS, FIELD_ABSENT, dtype=np.int32)
-        self._ct_cp = i32(CT_KEYS, CT_CANDS)
-        self._ct_cv = i32(CT_KEYS, CT_CANDS)
-
+        self._iv_off[:] = spans
         g = 0
         for node in range(n_nodes):
             ports = node_ports[node]
@@ -565,10 +448,10 @@ class BatchedNetwork(Network):
                 for vc in range(n_vcs):
                     self._ov_down[base + vc] = down_base + vc
 
-        cs = ffi.new("BState *")
+        # the configuration scalars (ffi.new zero-filled the rest)
         cs.n_nodes = n_nodes
         cs.n_iv = n_iv
-        cs.cap = cap
+        cs.cap = self.config.buffer_depth
         cs.n_vcs = n_vcs
         cs.max_pid = max_pid
         cs.maxc = maxc
@@ -577,7 +460,6 @@ class BatchedNetwork(Network):
         cs.hop_budget = int(self.config.hop_budget or 0)
         lim = contract.livelock_limit if native else None
         cs.limit = int(lim) if lim is not None else (2 ** 31 - 1)
-        cs.dig_on = 0                  # refreshed each _route_phase
         cs.adaptive = 1 if self.algorithm.adaptive else 0
         # head-departure events are only replayed in Python when the
         # algorithm's on_depart must run there or paths are traced
@@ -593,36 +475,22 @@ class BatchedNetwork(Network):
             for vn, port in items:
                 if 0 <= vn < 8:
                     self._term_port[vn] = port
-        else:
-            cs.term_on = 0
-            cs.term_f = 0
-            cs.vn_f = 0
         bump = contract.bump_rule if native else None
-        cs.bump_on = 1 if bump is not None else 0
-        cs.bump_f, cs.cnt_f = ((self._nf.index(bump[0]),
-                                self._nf.index(bump[1]))
-                               if bump is not None else (0, 0))
+        if bump is not None:
+            cs.bump_on = 1
+            cs.bump_f = self._nf.index(bump[0])
+            cs.cnt_f = self._nf.index(bump[1])
         cs.pin = contract.resort_pin if native else 0
-        cap = contract.load_cap if native else None
-        cs.load_cap = cap if cap is not None else (2 ** 31 - 1)
+        load_cap = contract.load_cap if native else None
+        cs.load_cap = load_cap if load_cap is not None else (2 ** 31 - 1)
         cs.key_port = int(contract.key_uses_port) if native else 1
         cs.key_vc = int(contract.key_uses_vc) if native else 1
-        cs.tab_mask = self._tab.shape[0] - 1
-        cs.n_ent = 0
+        cs.tab_mask = 4 * ent_cap - 1
         cs.ent_cap = ent_cap
-        cs.dig_used = 0
-        cs.dig_cap = self._dig.shape[0]
-        cs.n_act = 0
-        cs.n_arr = 0
-        cs.scan_ai = 0
+        cs.dig_cap = DIG_CAP
         cs.m_on = 1 if self.metrics is not None else 0
-        cs.m_count = 0
-        cs.ct_on = 0
         cs.ct_vnf = -1
         cs.ct_termf = -1
-        cs.n_msgs = 0
-        cs.now = 0
-        cs.warmup = 0
         #: key regular destinations by their relative class (see
         #: NativeContract.relative_dst); the irregular mask and the
         #: node classes are refreshed on every cache clear
@@ -632,46 +500,9 @@ class BatchedNetwork(Network):
         cs.rel_on = (2 if cube else 1) if self._rel else 0
         if self._rel and not cube:
             self._fill_coords()
-        self._cs = cs
-        #: the buffers behind the struct's pointers, by field
-        self._bufs: dict = {}
-
-        for name in ("iv_off", "iv_node", "iv_port", "iv_vc", "portbase",
-                     "ov_down", "buf_msg", "buf_seq", "buf_head",
-                     "buf_cnt", "ready", "epoch",
-                     "o_port", "o_vc", "ncand", "cand_p", "cand_v",
-                     "head_msg", "ov_owner", "r_nflits", "src_cur",
-                     "src_pos", "src_qhead", "src_qtail", "src_qlen",
-                     "adm_view",
-                     "ev_kind", "ev_node", "ev_msg", "ev_a",
-                     "ev_b", "req_g", "req_ov", "term_port", "tab", "ek",
-                     "ea", "e_steps", "e_ncand", "e_cp", "e_cv",
-                     "act_list", "node_x", "node_y", "ct_steps",
-                     "ct_ncand", "ct_vn_after", "ct_cp", "ct_cv",
-                     "node_cls", "xing", "stuck", "arr_list"):
-            attr = {"epoch": "_epoch_a"}.get(name, "_" + name)
-            self._bind(name, getattr(self, attr), "int32_t *")
-        self._bind("st", self._ivst, "uint8_t *")
-        for name in ("inc_val", "deliver", "stuckf", "hint", "node_ok",
-                     "alive", "req_head", "e_deliver", "e_hint", "dig",
-                     "arr_on", "m_flag", "ct_valid", "ct_deliver",
-                     "ct_hint", "irreg", "armed_end", "adm_ok"):
-            self._bind(name, getattr(self, "_" + name), "uint8_t *")
-        self._bind("rr_ptr", self._rr_ptr, "int64_t *")
-        self._bind("counters", self._counters, "int64_t *")
-        self._bind("dstat", self._dstat, "int64_t *")
-        self._bind("link_cnt", self._link_cnt, "int64_t *")
-        self._bind("act_bits", self._act_bits, "uint64_t *")
-        self._heads_ptr = ffi.cast("int32_t *",
-                                   ffi.from_buffer(self._heads))
-        self._loads_ptr = ffi.cast("int32_t *",
-                                   ffi.from_buffer(self._loads))
-        self._bufs["heads"] = self._heads_ptr
-        self._bufs["loads"] = self._loads_ptr
-        self._lg = _Ledger(cs, self._nf)
-        self._grow_msgs(4096)
 
         self._fault_version = self.faults.version
+        self._screen_key = None        # what _sync_screen last encoded
         self._c_epoch = None           # native cache's route_epoch ...
         self._c_links = None           # ... and link-status version
         #: the native decisions read the link status (see
@@ -691,39 +522,55 @@ class BatchedNetwork(Network):
         self._tick_gen = self._tick_rng = self._tick_args = None
         self.routers = [BatchedRouter(self, n) for n in topo.nodes()]
 
-    def _bind(self, field: str, arr, ctype: str) -> None:
-        buf = self._ffi.from_buffer(arr)
-        self._bufs[field] = buf
-        setattr(self._cs, field, self._ffi.cast(ctype, buf))
+    def _home(self, row) -> tuple:
+        """(object, attribute) holding the array of ``row`` (an ARRAYS
+        row): the ledger's columns live on the ledger, whose views
+        outlive the network, the others on the network as ``_<name>``."""
+        return (self._lg, row[0]) if row[2][0] == "msgs" \
+            else (self, "_" + row[0])
 
-    def _grow_msgs(self, need: int) -> None:
-        """Room for ``need`` ledger rows."""
-        for name, arr in self._lg.grow(need):
-            self._bind(name, arr, "uint8_t *" if name == "msg_flags"
-                       else "int32_t *")
+    def _alloc(self, row) -> np.ndarray:
+        """A new array for ``row`` at the current dimensions, every
+        element the row's fill value, stored at its home and bound to
+        its struct field."""
+        name, ctype, shape, fill, _ = row
+        # zeros leaves a large array's pages untouched until used
+        arr = np.zeros([self._dims.get(d, d) for d in shape],
+                       dtype=ctype[:-2])
+        if fill:
+            arr.fill(fill)
+        setattr(*self._home(row), arr)
+        buf = self._bufs[name] = self._ffi.from_buffer(arr)
+        setattr(self._cs, name, self._ffi.cast(ctype + " *", buf))
+        return arr
 
-    def _grow_cache(self) -> None:
-        """Double the native cache's entry arrays (and rebuild the hash
-        table at the matching 4x slot count)."""
-        cap = self._ent_cap * 2
-        for name, ctype in (("ek", "int32_t *"), ("ea", "int32_t *"),
-                            ("e_deliver", "uint8_t *"),
-                            ("e_steps", "int32_t *"),
-                            ("e_hint", "uint8_t *"),
-                            ("e_ncand", "int32_t *"),
-                            ("e_cp", "int32_t *"), ("e_cv", "int32_t *")):
-            old = getattr(self, "_" + name)
-            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
-            new[:old.shape[0]] = old
-            setattr(self, "_" + name, new)
-            self._bind(name, new, ctype)
-        self._tab = np.full(cap * 4, -1, dtype=np.int32)
-        self._bind("tab", self._tab, "int32_t *")
-        self._ent_cap = cap
-        cs = self._cs
-        cs.ent_cap = cap
-        cs.tab_mask = cap * 4 - 1
-        self._lib.k_rehash(cs)
+    def _resize(self, dim: str, n: int) -> None:
+        """Give every array whose first dimension is ``dim`` ``n`` rows,
+        keeping its leading rows, and rebind it."""
+        self._dims[dim] = n
+        for row in ARRAYS:
+            if row[2][0] == dim:
+                old = getattr(*self._home(row))
+                self._alloc(row)[:min(n, len(old))] = old[:n]
+
+    def _grow(self, dim: str, need: int) -> None:
+        """Room for ``need`` ledger rows (``dim`` "msgs") or decision
+        cache entries ("entries"), at least doubling them.  The cache's
+        hash table follows at 4x the entries and is rebuilt."""
+        n = max(need, 2 * self._dims[dim])
+        self._resize(dim, n)
+        if dim == "entries":
+            self._resize("buckets", 4 * n)
+            cs = self._cs
+            cs.ent_cap = n
+            cs.tab_mask = 4 * n - 1
+            self._lib.k_rehash(cs)
+
+    def _room(self, n: int) -> None:
+        """Room in the ledger for ``n`` more messages."""
+        need = self._cs.n_msgs + n
+        if need > self._dims["msgs"]:
+            self._grow("msgs", need)
 
     def _install_clean_table(self) -> None:
         """Build (or load from the code-version-keyed cache) the clean
@@ -748,11 +595,8 @@ class BatchedNetwork(Network):
         self._ct_steps[:] = table.steps
         self._ct_ncand[:] = table.ncand
         self._ct_vn_after[:] = table.vn_after
-        shape = (CT_KEYS, CT_CANDS)
-        self._ct_cp[:] = np.asarray(table.cp, dtype=np.int32) \
-            .reshape(shape)
-        self._ct_cv[:] = np.asarray(table.cv, dtype=np.int32) \
-            .reshape(shape)
+        self._ct_cp[:] = np.reshape(table.cp, self._ct_cp.shape)
+        self._ct_cv[:] = np.reshape(table.cv, self._ct_cv.shape)
         cs = self._cs
         cs.ct_vnf = self._nf.index("vn")
         cs.ct_termf = self._nf.index("term") if "term" in self._nf else -1
@@ -784,8 +628,7 @@ class BatchedNetwork(Network):
         id, retransmission flag and path-length and field mirrors come
         from the header ``fields``."""
         cs, lg = self._cs, self._lg
-        if cs.n_msgs >= lg.cap:
-            self._grow_msgs(cs.n_msgs + 1)
+        self._room(1)
         cs.now = self.cycle
         if not self._lib.k_admit(cs, 1, [src], [dst], self._ffi.NULL,
                                  length, screen):
@@ -836,9 +679,8 @@ class BatchedNetwork(Network):
             labels = view._component_labels()
             self._adm_view[node] = rows.setdefault(
                 id(labels), (len(rows), labels))[0]
-        self._adm_lab = np.array([labels for _, labels in rows.values()],
-                                 dtype=np.int32)
-        self._bind("adm_lab", self._adm_lab, "int32_t *")
+        self._resize("views", len(rows))
+        self._adm_lab[:] = [labels for _, labels in rows.values()]
         accepts = self.algorithm.accepts_node
         self._adm_ok[:] = [accepts(n) for n in range(self._adm_ok.shape[0])]
 
@@ -883,9 +725,7 @@ class BatchedNetwork(Network):
         self._sync_screen()
         lib, cs = self._lib, self._cs
         if self._tick_args is not None:
-            n_nodes = self._tick_args[1]
-            if cs.n_msgs + n_nodes > self._lg.cap:
-                self._grow_msgs(cs.n_msgs + n_nodes)
+            self._room(self._tick_args[1])
             refused = lib.k_uniform_admit(cs, *self._tick_args,
                                           gen.message_length)
         else:
@@ -897,8 +737,7 @@ class BatchedNetwork(Network):
                     self.offer(*t)
                 return
             n = len(trips)
-            if cs.n_msgs + n > self._lg.cap:
-                self._grow_msgs(cs.n_msgs + n)
+            self._room(n)
             src, dst, length = (list(c) for c in zip(*trips))
             refused = n - lib.k_admit(cs, n, src, dst, length, 0, 1)
         if refused:
@@ -994,7 +833,7 @@ class BatchedNetwork(Network):
                         raise ValueError(
                             f"route() returned {len(cands)} candidates; "
                             f"an input VC holds {self._cand_p.shape[1]}")
-                    self._grow_cache()
+                    self._grow("entries", cs.ent_cap + 1)
             elif r == SCAN_PURGE:
                 for mid in self._stuck[:cs.n_stuck].tolist():
                     self.message_stuck(mid)
@@ -1029,8 +868,8 @@ class BatchedNetwork(Network):
         routed head's epoch sends its next refresh to Python instead of
         the kernel's re-sort or skip."""
         if self.algorithm.adaptive:
-            ivst = self._ivst
-            self._epoch_a[(ivst == 1) | (ivst == 2)] = -1
+            ivst = self._st
+            self._epoch[(ivst == 1) | (ivst == 2)] = -1
 
     def _rearm(self, armed) -> None:
         """The armed link set changed.  A blocked adaptive head at a
@@ -1049,8 +888,8 @@ class BatchedNetwork(Network):
         for node in sorted(new):
             base = int(self._portbase[node, 0])        # LOCAL input VCs
             for g in range(base, base + n_vcs):
-                if self._ivst[g] in (1, 2):
-                    self._epoch_a[g] = -1
+                if self._st[g] in (1, 2):
+                    self._epoch[g] = -1
 
     def _flush_digest(self) -> None:
         cs = self._cs
@@ -1212,15 +1051,15 @@ class BatchedNetwork(Network):
     def _heal_sites(self, node: int, pid: int):
         # the site is the input VC's gid; tested lazily like the
         # object engine's
-        ivst, o_port, head_msg = self._ivst, self._o_port, self._head_msg
+        ivst, o_port, head_msg = self._st, self._o_port, self._head_msg
         for g in range(int(self._iv_off[node]), int(self._iv_off[node + 1])):
             if ivst[g] == 3 and o_port[g] == pid and head_msg[g] >= 0:
                 yield int(head_msg[g]), g
 
     def _stuck_head_node(self, msg_id: int) -> int | None:
         gids, hd = np.arange(self._buf_head.shape[0]), self._buf_head
-        at = ((self._head_msg == msg_id) & (self._ivst != 3)) \
-            | ((self._ivst == 0) & (self._buf_cnt > 0)
+        at = ((self._head_msg == msg_id) & (self._st != 3)) \
+            | ((self._st == 0) & (self._buf_cnt > 0)
                & (self._buf_msg[gids, hd] == msg_id)
                & (self._buf_seq[gids, hd] == 0))
         hits = np.flatnonzero(at)
@@ -1268,7 +1107,7 @@ class BatchedNetwork(Network):
             if not ours and not seqs:
                 break
             chain.append((d, seqs))
-            if not (ours and self._ivst[d] == 3) or self._o_port[d] == LOCAL:
+            if not (ours and self._st[d] == 3) or self._o_port[d] == LOCAL:
                 break
             d = self._down_gid(d)
         for i, (d, seqs) in enumerate(chain):
@@ -1316,7 +1155,7 @@ class BatchedNetwork(Network):
             g = next(
                 (u for u in range(int(self._iv_off[up]),
                                   int(self._iv_off[up + 1]))
-                 if self._ivst[u] == 3 and self._head_msg[u] == msg_id
+                 if self._st[u] == 3 and self._head_msg[u] == msg_id
                  and self._o_port[u] == port.neighbor_port
                  and self._o_vc[u] == in_vc), None)
             if g is None:
@@ -1325,19 +1164,19 @@ class BatchedNetwork(Network):
 
     def _force_release(self, g: int) -> None:
         op = int(self._o_port[g])
-        if op != _NO_PORT:
+        if op != NO_PORT:
             ovg = int(self._portbase[int(self._iv_node[g]), op + 1]) \
                 + int(self._o_vc[g])
             if self._ov_owner[ovg] == g:
                 self._ov_owner[ovg] = -1
-        self._ivst[g] = 0                  # InputVC.release_worm
+        self._st[g] = 0                  # InputVC.release_worm
         self._head_msg[g] = -1
         self._ncand[g] = 0
         self._deliver[g] = 0
         self._stuckf[g] = 0
         self._hint[g] = 0
-        self._o_port[g] = _NO_PORT
-        self._o_vc[g] = _NO_PORT
+        self._o_port[g] = NO_PORT
+        self._o_vc[g] = NO_PORT
 
     # -- stall diagnosis ----------------------------------------------
 
@@ -1393,7 +1232,7 @@ class BatchedNetwork(Network):
                 if self._inc_val[g]:
                     iv.incoming.append(ring.pop())
                 iv.buffer.extend(ring)
-                st = int(self._ivst[g])
+                st = int(self._st[g])
                 iv.state = _STATE_NAMES[st]
                 mid = int(self._head_msg[g])
                 if st != 0 and mid >= 0:

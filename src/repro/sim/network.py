@@ -183,7 +183,6 @@ class Network:
         self.messages: Mapping[int, Message] = {}
         self.fault_schedule = FaultSchedule()
         self.traffic = None
-        self._eject_progress: dict[int, int] = {}  # msg_id -> flits ejected
         self._last_progress = 0
         self._injection_paused = False
         self.arbiter = (arbiter if isinstance(arbiter, Arbiter)

@@ -1,10 +1,9 @@
 """Synthetic traffic generation.
 
 Standard interconnection-network workloads: uniform random, transpose,
-bit-complement, bit-reverse, hotspot, nearest-neighbour and fixed
-random permutations.  Injection is a Bernoulli process per node with a
-given offered load in flits/node/cycle; message lengths are fixed or
-drawn from a small range (wormhole-switched worms).
+bit-complement and hotspot.  Injection is a Bernoulli process per node
+with a given offered load in flits/node/cycle; message lengths are
+fixed or drawn from a small range (wormhole-switched worms).
 
 All randomness flows through one :class:`numpy.random.Generator` so
 every experiment is reproducible from a seed.
@@ -18,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .topology import Hypercube, Mesh2D, Topology
+from .topology import Mesh2D, Topology
 
 PatternFn = Callable[[int], int]
 
@@ -67,22 +66,6 @@ def bit_complement_pattern(topology: Topology) -> PatternFn:
     return dest
 
 
-def bit_reverse_pattern(topology: Topology) -> PatternFn:
-    n = topology.n_nodes
-    if n & (n - 1):
-        raise ValueError("bit-reverse needs a power-of-two node count")
-    bits = (n - 1).bit_length()
-
-    def dest(src: int) -> int:
-        out = 0
-        for i in range(bits):
-            if src >> i & 1:
-                out |= 1 << (bits - 1 - i)
-        return out
-
-    return dest
-
-
 def hotspot_pattern(topology: Topology, rng: np.random.Generator,
                     hotspot: int | None = None,
                     fraction: float = 0.2) -> PatternFn:
@@ -102,48 +85,6 @@ def hotspot_pattern(topology: Topology, rng: np.random.Generator,
     return dest
 
 
-def neighbor_pattern(topology: Topology, rng: np.random.Generator) -> PatternFn:
-    def dest(src: int) -> int:
-        nbrs = topology.neighbors(src)
-        return nbrs[int(rng.integers(0, len(nbrs)))]
-
-    return dest
-
-
-def permutation_pattern(topology: Topology,
-                        rng: np.random.Generator) -> PatternFn:
-    """A fixed random permutation without fixed points (derangement by
-    rejection; retries are cheap at these sizes)."""
-    n = topology.n_nodes
-    while True:
-        perm = rng.permutation(n)
-        if not np.any(perm == np.arange(n)):
-            break
-    table = [int(x) for x in perm]
-
-    def dest(src: int) -> int:
-        return table[src]
-
-    return dest
-
-
-def dimension_reverse_pattern(topology: Topology) -> PatternFn:
-    """Hypercube 'dimension reversal': destination = src with the low
-    and high halves of the address swapped."""
-    if not isinstance(topology, Hypercube):
-        raise ValueError("dimension-reverse needs a hypercube")
-    d = topology.dimension
-    half = d // 2
-    low = (1 << half) - 1
-
-    def dest(src: int) -> int:
-        lo = src & low
-        hi = src >> half
-        return (lo << (d - half)) | hi
-
-    return dest
-
-
 #: pattern name -> factory ``(topology, rng, **pattern_kwargs)``; the
 #: factory's parameters after those two are the keyword arguments the
 #: pattern accepts (:func:`check_pattern_kwargs`)
@@ -151,11 +92,7 @@ PATTERNS = {
     "uniform": uniform_pattern,
     "transpose": lambda topo, rng: transpose_pattern(topo),
     "bit_complement": lambda topo, rng: bit_complement_pattern(topo),
-    "bit_reverse": lambda topo, rng: bit_reverse_pattern(topo),
     "hotspot": hotspot_pattern,
-    "neighbor": neighbor_pattern,
-    "permutation": permutation_pattern,
-    "dimension_reverse": lambda topo, rng: dimension_reverse_pattern(topo),
 }
 
 

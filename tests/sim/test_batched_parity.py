@@ -392,14 +392,14 @@ def test_purge_keeps_another_worms_staged_flit_staged():
     g = int(net._portbase[0, 0])            # node 0's LOCAL VC 0
     net._buf_msg[g, 0], net._buf_seq[g, 0] = 7, 3   # worm 7's tail
     net._buf_cnt[g] = net._r_nflits[0] = 1
-    lib.k_enqueue(cs, 1, [0, 8, 2, 5])      # worm 8 queued at node 0
+    # worm 0 (2 flits, node 0 to 5) queued at node 0, unscreened
+    assert lib.k_admit(cs, 1, [0], [5], [2], 0, 0) == 1
     assert lib.k_start_scan(cs, net._heads_ptr) == 1
-    net._src_cur[0] = 8
     assert lib.k_inject(cs, net._heads_ptr) == 1
-    assert net._ring(g) == [(7, 3), (8, 0)]
+    assert net._ring(g) == [(7, 3), (0, 0)]
     assert lib.k_purge(cs, 0, 7) == 1
     lib.k_flush(cs)
-    assert net._ring(g) == [(8, 0)]
+    assert net._ring(g) == [(0, 0)]
 
 
 def test_rule_decisions_follow_undetected_link_faults():
@@ -512,7 +512,7 @@ class _ScanWatch:
         vcs, mids = [], set()
         for h in range(g + 1, int(net._iv_off[net._iv_node[g] + 1])):
             if net._buf_cnt[h]:
-                st = int(net._ivst[h])
+                st = int(net._st[h])
                 vcs.append((h, st, int(net._hint[h])))
                 mids.add(int(net._head_msg[h]) if st else
                          int(net._buf_msg[h, net._buf_head[h]]))
@@ -529,7 +529,7 @@ class _ScanWatch:
             stop = g if node == watched else None
             while vcs and (stop is None or vcs[0][0] < stop):
                 h, st, hint = vcs.pop(0)
-                now = int(net._ivst[h])
+                now = int(net._st[h])
                 if st == 0 and now:
                     events.add("hit")
                 elif st == 1 and now == 2:
