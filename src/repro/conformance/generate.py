@@ -28,7 +28,6 @@ _MESH_DIMS = ((3, 3), (4, 3), (4, 4), (5, 4), (6, 6))
 _MESH_DIMS_TINY = ((3, 3), (4, 3))
 _CUBE_DIMS = (3, 4)
 _CUBE_DIMS_TINY = (3,)
-_TORUS_DIMS = ((4, 4), (5, 4), (6, 6))
 
 
 def _topology_desc(rng: np.random.Generator, kind: str,
@@ -36,9 +35,6 @@ def _topology_desc(rng: np.random.Generator, kind: str,
     if kind == "mesh2d":
         w, h = _pick(rng, _MESH_DIMS_TINY if tiny else _MESH_DIMS)
         return {"kind": "mesh2d", "width": int(w), "height": int(h)}
-    if kind == "torus2d":
-        w, h = _pick(rng, _TORUS_DIMS)
-        return {"kind": "torus2d", "width": int(w), "height": int(h)}
     if kind == "hypercube":
         d = _pick(rng, _CUBE_DIMS_TINY if tiny else _CUBE_DIMS)
         return {"kind": "hypercube", "dimension": int(d)}

@@ -9,7 +9,7 @@ Passes run to a fixpoint under an evaluation budget:
 2. drop messages (largest first, then one at a time),
 3. shrink message lengths to 1 and offer cycles to 0,
 4. shrink topology dimensions where node ids survive the cut
-   (mesh/torus rows and columns, hypercube dimension).
+   (mesh rows and columns, hypercube dimension).
 
 Everything is deterministic — same failing case in, same minimal
 repro out — so CI artifacts are stable across re-runs.
@@ -35,14 +35,13 @@ def _topology_cuts(case: ConformanceCase):
     desc = case.topology
     kind = desc["kind"]
     involved = case.involved_nodes()
-    if kind in ("mesh2d", "torus2d"):
+    if kind == "mesh2d":
         w, h = desc["width"], desc["height"]
-        floor = 2 if kind == "mesh2d" else 3  # a 2-ring torus is a multigraph
-        if h > floor:
+        if h > 2:
             # dropping the top row preserves ids (id = y*w + x)
             if all(n < w * (h - 1) for n in involved):
                 yield replace(case, topology={**desc, "height": h - 1})
-        if w > floor:
+        if w > 2:
             coords = {n: (n % w, n // w) for n in involved}
             if all(x < w - 1 for x, _ in coords.values()):
                 remap = {n: y * (w - 1) + x for n, (x, y) in coords.items()}

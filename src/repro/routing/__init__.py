@@ -4,7 +4,7 @@ baseline of Section 2.1."""
 
 from .backup import FastReroute, NEUTRAL_FIELDS
 from .base import RouteDecision, RoutingAlgorithm, RoutingError
-from .dimension_order import ECubeRouting, TorusDatelineXY, XYRouting
+from .dimension_order import ECubeRouting, XYRouting
 from .duato import DuatoMeshRouting
 from .mesh_state import MeshFaultMap, MeshNodeState
 from .nafta import NaftaRouting
@@ -19,7 +19,7 @@ from .updown import UpDownRouting
 __all__ = [
     "FastReroute", "NEUTRAL_FIELDS",
     "RouteDecision", "RoutingAlgorithm", "RoutingError",
-    "ECubeRouting", "TorusDatelineXY", "XYRouting", "DuatoMeshRouting",
+    "ECubeRouting", "XYRouting", "DuatoMeshRouting",
     "MeshFaultMap", "MeshNodeState", "NaftaRouting", "NaraRouting",
     "assign_virtual_network", "ALGORITHMS", "make_algorithm",
     "CubeStateMap", "RouteCRouting", "StrippedRouteC",

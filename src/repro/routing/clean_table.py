@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from ..core.compiler.backup import agreed, cached
 from ..sim.router import LOCAL
-from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D
+from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D
 from .base import REFRESH_REROUTE, NativeContract
 
 #: table geometry — must match the C kernel's CT_KEYS / CT_CANDS
@@ -142,7 +142,7 @@ class _ProbeRouter:
 def eligible(algorithm, topology) -> NativeContract | None:
     """The algorithm's native contract when (algorithm, topology) can
     carry a clean table at all, else None."""
-    if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+    if not isinstance(topology, Mesh2D):
         return None
     contract = algorithm.native_contract(topology)
     if contract is None or not contract.clean_table \

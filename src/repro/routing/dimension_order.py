@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from ..sim.flit import Header
 from ..sim.topology import (EAST, NORTH, SOUTH, WEST, Hypercube, Mesh2D,
-                            Torus2D, Topology)
+                            Topology)
 from .base import RouteDecision, RoutingAlgorithm, RoutingError
 
 
 class XYRouting(RoutingAlgorithm):
-    """Deterministic XY: correct x first, then y.  Mesh only (a torus
-    needs extra VCs for the wrap-around cycle, see TorusDatelineXY)."""
+    """Deterministic XY: correct x first, then y, on a 2-D mesh."""
 
     name = "xy"
     n_vcs = 1
@@ -26,7 +25,7 @@ class XYRouting(RoutingAlgorithm):
     adaptive = False
 
     def check_topology(self, topology: Topology) -> None:
-        if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+        if not isinstance(topology, Mesh2D):
             raise RoutingError("XY routing runs on 2-D meshes")
 
     def route(self, router, header: Header, in_port: int,
@@ -68,53 +67,3 @@ class ECubeRouting(RoutingAlgorithm):
             return RouteDecision.delivery()
         dim = (diff & -diff).bit_length() - 1  # lowest set bit
         return RouteDecision(candidates=[(dim, 0)])
-
-
-class TorusDatelineXY(RoutingAlgorithm):
-    """XY on a 2-D torus with two VCs per direction and a dateline:
-    a worm starts on VC0 and switches to VC1 when it crosses the wrap
-    link of the current dimension, breaking the ring cycles."""
-
-    name = "torus_xy"
-    n_vcs = 2
-    fault_tolerant = False
-    adaptive = False
-
-    def check_topology(self, topology: Topology) -> None:
-        if not isinstance(topology, Torus2D):
-            raise RoutingError("torus XY runs on 2-D tori")
-
-    def route(self, router, header: Header, in_port: int,
-              in_vc: int) -> RouteDecision:
-        topo: Torus2D = router.topology
-        x, y = topo.coords(router.node)
-        dx, dy = topo.coords(header.dst)
-        if (x, y) == (dx, dy):
-            return RouteDecision.delivery()
-        if x != dx:
-            right = (dx - x) % topo.width
-            left = (x - dx) % topo.width
-            port = EAST if right <= left else WEST
-            wraps = (port == EAST and x == topo.width - 1) or \
-                    (port == WEST and x == 0)
-        else:
-            up = (dy - y) % topo.height
-            down = (y - dy) % topo.height
-            port = NORTH if up <= down else SOUTH
-            wraps = (port == NORTH and y == topo.height - 1) or \
-                    (port == SOUTH and y == 0)
-        vc = header.fields.get("torus_vc", 0)
-        decision = RouteDecision(candidates=[(port, vc)])
-        # remember whether the hop we are about to take crosses a dateline
-        header.fields["_wraps_next"] = wraps
-        return decision
-
-    def on_depart(self, router, header: Header, out_port: int,
-                  out_vc: int) -> None:
-        super().on_depart(router, header, out_port, out_vc)
-        if header.fields.pop("_wraps_next", False):
-            header.fields["torus_vc"] = 1
-        # entering a new dimension resets the dateline class
-        if out_port in (NORTH, SOUTH) and header.fields.get("_dim") == "x":
-            header.fields["torus_vc"] = 0
-        header.fields["_dim"] = "x" if out_port in (EAST, WEST) else "y"

@@ -33,7 +33,7 @@ versus zero for NAFTA.
 from __future__ import annotations
 
 from ..sim.flit import Header
-from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D, Topology
+from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Topology
 from .base import RouteDecision, RoutingAlgorithm, RoutingError
 
 ESCAPE_VC = 0
@@ -46,7 +46,7 @@ class DuatoMeshRouting(RoutingAlgorithm):
     fault_tolerant = False   # the paper's point: dynamic schemes are not
 
     def check_topology(self, topology: Topology) -> None:
-        if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+        if not isinstance(topology, Mesh2D):
             raise RoutingError("the Duato-style scheme runs on 2-D meshes")
 
     @staticmethod

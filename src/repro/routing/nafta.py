@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..sim.flit import Header
-from ..sim.topology import (EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D,
-                            Topology)
+from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Topology
 from .base import (REFRESH_RESORT, REFRESH_STATIC, NativeContract,
                    RouteDecision, RoutingAlgorithm, RoutingError)
 from .mesh_state import MeshFaultMap
@@ -73,7 +72,7 @@ class NaftaRouting(RoutingAlgorithm):
     # -- lifecycle ----------------------------------------------------
 
     def check_topology(self, topology: Topology) -> None:
-        if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+        if not isinstance(topology, Mesh2D):
             raise RoutingError("NAFTA runs on 2-D meshes")
 
     def reset(self, network) -> None:

@@ -26,8 +26,7 @@ has to pass a node as adaptivity criterion").
 from __future__ import annotations
 
 from ..sim.flit import Header
-from ..sim.topology import (EAST, NORTH, SOUTH, WEST, Mesh2D, Torus2D,
-                            Topology)
+from ..sim.topology import EAST, NORTH, SOUTH, WEST, Mesh2D, Topology
 from .base import (REFRESH_RESORT, REFRESH_STATIC, NativeContract,
                    RouteDecision, RoutingAlgorithm, RoutingError)
 
@@ -55,7 +54,7 @@ class NaraRouting(RoutingAlgorithm):
                                list[tuple[int, int]]] = {}
 
     def check_topology(self, topology: Topology) -> None:
-        if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+        if not isinstance(topology, Mesh2D):
             raise RoutingError("NARA runs on 2-D meshes")
 
     def native_contract(self, topology) -> NativeContract:

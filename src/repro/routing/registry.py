@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .base import RoutingAlgorithm
-from .dimension_order import ECubeRouting, TorusDatelineXY, XYRouting
+from .dimension_order import ECubeRouting, XYRouting
 from .duato import DuatoMeshRouting
 from .nafta import NaftaRouting
 from .nara import NaraRouting
@@ -20,7 +20,6 @@ from .updown import UpDownRouting
 ALGORITHMS: dict[str, Callable[[], RoutingAlgorithm]] = {
     "xy": XYRouting,
     "ecube": ECubeRouting,
-    "torus_xy": TorusDatelineXY,
     "duato": DuatoMeshRouting,
     "nara": NaraRouting,
     "nafta": NaftaRouting,
@@ -101,7 +100,6 @@ class AlgoMeta:
 ALGORITHM_META: dict[str, AlgoMeta] = {
     "xy": AlgoMeta(topologies=("mesh2d",), minimal_fault_free=True),
     "ecube": AlgoMeta(topologies=("hypercube",), minimal_fault_free=True),
-    "torus_xy": AlgoMeta(topologies=("torus2d",), minimal_fault_free=True),
     "duato": AlgoMeta(topologies=("mesh2d",), minimal_fault_free=True),
     "nara": AlgoMeta(topologies=("mesh2d",), minimal_fault_free=True),
     # NAFTA completes fault regions to convex rings: nodes *inside* a

@@ -55,7 +55,7 @@ from ..core.engine import RuleEngine
 from ..sim.faults import FaultState
 from ..sim.flit import Header
 from ..sim.router import LOCAL
-from ..sim.topology import EAST, WEST, Mesh2D, Torus2D, Topology
+from ..sim.topology import EAST, WEST, Mesh2D, Topology
 from .base import (REFRESH_ARGMIN, REFRESH_RESORT, REFRESH_STATIC,
                    NativeContract, RouteDecision, RoutingAlgorithm,
                    RoutingError)
@@ -120,7 +120,7 @@ class RuleDrivenNafta(RoutingAlgorithm):
     # -- lifecycle ------------------------------------------------------
 
     def check_topology(self, topology: Topology) -> None:
-        if not isinstance(topology, Mesh2D) or isinstance(topology, Torus2D):
+        if not isinstance(topology, Mesh2D):
             raise RoutingError("the NAFTA ruleset runs on 2-D meshes")
 
     def reset(self, network) -> None:

@@ -16,7 +16,7 @@ from .router import LOCAL, Router
 from .stats import StatsCollector
 from .watchdog import StallDiagnosis, StalledWorm, diagnose_stall
 from .topology import (EAST, NORTH, SOUTH, WEST, Hypercube, Mesh2D, Port,
-                       Topology, Torus2D, link_key, topology_from_dict)
+                       Topology, link_key, topology_from_dict)
 from .traffic import PATTERNS, TrafficGenerator
 
 #: re-exported lazily: repro.sim.batched imports the routing layer for
@@ -41,6 +41,6 @@ __all__ = [
     "Network", "BatchedNetwork", "batched_fallback_reason",
     "build_network", "LOCAL", "Router", "StatsCollector", "StallDiagnosis",
     "StalledWorm", "diagnose_stall", "EAST", "NORTH", "SOUTH", "WEST",
-    "Hypercube", "Mesh2D", "Port", "Topology", "Torus2D", "link_key",
+    "Hypercube", "Mesh2D", "Port", "Topology", "link_key",
     "topology_from_dict", "PATTERNS", "TrafficGenerator",
 ]

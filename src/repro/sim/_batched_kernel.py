@@ -16,8 +16,9 @@ the message ledger's columns (``msg_*``, indexed by message id): it
 screens, numbers, records and queues admissions (``k_admit``), pops the
 per-source FIFOs linked through ``msg_next`` (``k_start_scan``), stamps
 injections (``k_inject``) and delivers the tails of messages whose
-header Python does not hold (``k_alloc``); the others are replayed to
-Python's ``eject``.
+header Python does not hold (``k_alloc``), marking the misrouted ones;
+the others are replayed to Python's ``eject``.  The object engine keeps
+the same columns without the kernel (:class:`~repro.sim.flit.Ledger`).
 
 Decisions themselves stay in Python (the routing *algorithm* is the
 reproduced artifact), but algorithms that declare a native contract
@@ -50,9 +51,10 @@ node's end, for purging.
 
 The kernel's state is declared once, in :data:`ARRAYS`: one row per
 array (name, C type, shape in named dimensions, fill value, note).  The
-``BState`` struct text is generated from the rows, and the engine
-allocates, binds and grows every array from them, so an array is added,
-resized or regrouped by editing its row.
+``BState`` struct text is generated from the rows, and the engines
+allocate (:func:`column`) and grow (:func:`grow`, :func:`resize`) every
+array from them, so an array is added, resized or regrouped by editing
+its row.
 
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the
@@ -71,6 +73,8 @@ import os
 import shutil
 import subprocess
 import tempfile
+
+import numpy as np
 
 #: number of int32s in a native cache key:
 #: node, dst, in_port, in_vc, over, f0..f4
@@ -255,6 +259,46 @@ ARRAYS = (
 DIMS = {"KEYW": KEYW, "MAXF": MAXF, "DIG_CAP": DIG_CAP, "CT_KEYS": CT_KEYS,
         "CT_CANDS": CT_CANDS, "XING_W": XING_W}
 
+
+def column(row, dims: dict) -> np.ndarray:
+    """A new array for ``row`` (an :data:`ARRAYS` row) at the sizes
+    ``dims`` gives its named dimensions, every element the row's
+    fill value."""
+    _, ctype, shape, fill, _ = row
+    # zeros leaves a large array's pages untouched until used
+    arr = np.zeros([dims.get(d, d) for d in shape], dtype=ctype[:-2])
+    if fill:
+        arr.fill(fill)
+    return arr
+
+
+def resize(dims: dict, dim: str, n: int, home) -> list:
+    """Give every array whose first dimension is ``dim`` ``n`` rows,
+    keeping its leading rows: the new array replaces the old at
+    ``home(row)``, an (object, attribute) pair.  ``dims[dim]`` becomes
+    ``n``.  Returns the rows replaced, for a caller whose kernel must
+    be pointed at the new arrays."""
+    dims[dim] = n
+    rows = [row for row in ARRAYS if row[2][0] == dim]
+    for row in rows:
+        where = home(row)
+        old = getattr(*where)
+        new = column(row, dims)
+        new[:min(n, len(old))] = old[:n]
+        setattr(*where, new)
+    return rows
+
+
+def grow(dims: dict, dim: str, need: int, home) -> list:
+    """Room for ``need`` rows of ``dim``: when there are fewer,
+    :func:`resize` to at least double.  Returns the rows replaced (none
+    when there was room)."""
+    have = dims[dim]
+    if need <= have:
+        return []
+    return resize(dims, dim, max(need, 2 * have), home)
+
+
 #: struct layout shared between the cffi cdef and the C source: the
 #: scalars, then one pointer per :data:`ARRAYS` row.  Every pointer
 #: aliases a numpy array owned by the Python-side state; the kernel
@@ -302,7 +346,7 @@ typedef struct {
     /* the message ledger */
     int32_t n_msgs;           /* ids allocated: the network's counter  */
     int32_t now;              /* the cycle in progress                 */
-    int32_t warmup;           /* StatsCollector.warmup                 */
+    int32_t mis_f;            /* native slot of misrouted (-1: none)   */
 """ + "".join(f"    {f'{ctype} *{name};':<26}/* "
               f"{' x '.join(map(str, shape))}: {note} */\n"
               for name, ctype, shape, _, note in ARRAYS) + """} BState;
@@ -339,6 +383,7 @@ int  k_commit(BState *s, int deliver, int stuck, int hint, int steps,
 void k_resort(BState *s, int g);
 void k_port_loads(BState *s, int node, int32_t *out);
 int  k_alloc(BState *s);
+void k_release(BState *s, int g);
 int  k_purge(BState *s, int node, int msg);
 int  k_purge_all(BState *s, int msg);
 int  k_screen(BState *s, int src, int dst);
@@ -376,7 +421,7 @@ _SOURCE = """
 #define M_HELD 1        /* Python holds the header: it ejects the tail */
 #define M_DROPPED 2     /* ripped up, stuck or absorbed                */
 #define M_RETRY 4       /* a retransmission (its header has retry_of)  */
-#define M_COUNTED 8     /* delivered in C inside the measured window   */
+#define M_MISROUTED 8   /* delivered with the misrouted mark           */
 
 /* -- active-set scheduling ---------------------------------------- */
 
@@ -1096,6 +1141,25 @@ int k_commit(BState *s, int deliver, int stuck, int hint, int steps,
     return s->n_ent >= s->ent_cap - 1;
 }
 
+/* input VC g gives up its worm: the output VC it holds, if it still
+   owns it, and its decision (InputVC.release_worm) */
+void k_release(BState *s, int g)
+{
+    if (s->o_port[g] > -100) {
+        int ovg = s->portbase[SLOT(s, s->iv_node[g], s->o_port[g])]
+                  + s->o_vc[g];
+        if (s->ov_owner[ovg] == g) s->ov_owner[ovg] = -1;
+    }
+    s->st[g] = 0;
+    s->head_msg[g] = -1;
+    s->ncand[g] = 0;
+    s->deliver[g] = 0;
+    s->stuckf[g] = 0;
+    s->hint[g] = 0;
+    s->o_port[g] = -100;
+    s->o_vc[g] = -100;
+}
+
 static void do_grant(BState *s, int node, int g, int ovg, int is_head)
 {
     int hd = s->buf_head[g];
@@ -1138,24 +1202,18 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
             s->ev_b[e] = s->iv_vc[ovg];
         }
     }
-    if (is_tail) {
-        s->ov_owner[ovg] = -1;
-        s->st[g] = 0;                      /* release_worm */
-        s->head_msg[g] = -1;
-        s->ncand[g] = 0;
-        s->deliver[g] = 0;
-        s->stuckf[g] = 0;
-        s->hint[g] = 0;
-        s->o_port[g] = -100;
-        s->o_vc[g] = -100;
-    }
+    if (is_tail) k_release(s, g);
     if (out_pid == -1) {                   /* local ejection */
         if (is_tail && !(s->msg_flags[msg] & M_HELD)
                 && s->msg_dst[msg] == node) {
-            /* delivered without a Python header: account it here */
+            /* delivered without a Python header: stamp it here, as
+               Message.deliver does */
             s->msg_dlv[msg] = s->now;
-            if (s->msg_born[msg] >= s->warmup)
-                s->msg_flags[msg] |= M_COUNTED;
+            if (s->mis_f >= 0) {
+                int v = s->msg_f[(int64_t)msg * MAXF + s->mis_f];
+                if (v != 0 && v != F_ABSENT && v != F_NONE)
+                    s->msg_flags[msg] |= M_MISROUTED;
+            }
             s->counters[1]++;
             s->counters[3]++;
         } else if (is_tail) {              /* Python's eject replays it */
@@ -1325,21 +1383,7 @@ int k_purge(BState *s, int node, int msg)
                 s->buf_seq[to] = s->buf_seq[from];
             }
         }
-        if (s->head_msg[g] == msg) {
-            if (s->o_port[g] > -100) {
-                int ovg = s->portbase[SLOT(s, node, s->o_port[g])]
-                          + s->o_vc[g];
-                if (s->ov_owner[ovg] == g) s->ov_owner[ovg] = -1;
-            }
-            s->st[g] = 0;
-            s->head_msg[g] = -1;
-            s->ncand[g] = 0;
-            s->deliver[g] = 0;
-            s->stuckf[g] = 0;
-            s->hint[g] = 0;
-            s->o_port[g] = -100;
-            s->o_vc[g] = -100;
-        }
+        if (s->head_msg[g] == msg) k_release(s, g);
     }
     s->r_nflits[node] -= dropped;
     return dropped;

@@ -49,18 +49,20 @@ mirror the oracle one-for-one:
   relative to it) replays repeated decisions; every miss is a fresh
   ``route()`` call, committed into that cache.
 
-Messages live in a *ledger*: one row per message id in growable int
-columns the kernel shares (source, destination, length, created,
-injected, delivered, root id, flags, the source-FIFO link and the
-header-field mirrors).  A traffic phase hands its (src, dst, length)
-triples to one ``k_admit`` call, which screens them (assumption iii),
-numbers, records and queues them; the kernel pops the source FIFOs,
-stamps injections and delivers every message whose header Python
-never took.  A :class:`~repro.sim.flit.Message` view is built only
-when Python asks for one (a ``route()`` crossing, a rip-up or heal, a
-retry, the public ``offer``); its delivery replays through ``eject``.
-Latency, hops and the misrouted share of the kernel's deliveries are
-reductions over the columns, taken when a summary is built.
+Messages live in the *ledger* both engines keep
+(:class:`~repro.sim.flit.Ledger`): one row per message id in growable
+int columns, which here the kernel shares (source, destination,
+length, created, injected, delivered, root id, flags, the source-FIFO
+link and the header-field mirrors).  A traffic phase hands its (src,
+dst, length) triples to one ``k_admit`` call, which screens them
+(assumption iii), numbers, records and queues them; the kernel pops
+the source FIFOs, stamps injections and delivers, with the misrouted
+mark, every message whose header Python never took.  A
+:class:`~repro.sim.flit.Message` view is built only when Python asks
+for one (a ``route()`` crossing, a rip-up or heal, a retry, the public
+``offer``); its delivery replays through ``eject``.  The delivery
+statistics are the reduction over the columns that the object engine's
+summary takes too.
 
 The per-cycle C scans iterate an *active set* — a compacted, sorted
 array of nodes that hold flits, are mid-injection or have queued
@@ -86,50 +88,24 @@ cannot be built or loaded.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from itertools import repeat
-
 import numpy as np
 
 from .arbiter import Arbiter
 from .config import SimConfig
-from .flit import Flit, FlitKind, Header, Message
+from .flit import (LEDGER_ROWS, Flit, FlitKind, Ledger, Message, encoded,
+                   load_fields)
 from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from .topology import Hypercube
 from .traffic import TrafficGenerator
-from ._batched_kernel import (ARRAYS, DIG_CAP, DIMS, FIELD_ABSENT,
-                              FIELD_NONE, NO_PORT, SCAN_DONE,
-                              SCAN_FLUSH, SCAN_PURGE, SCAN_ROUTE,
-                              load_kernel, unavailable_reason)
+from ._batched_kernel import (ARRAYS, DIG_CAP, DIMS, SCAN_DONE,
+                              SCAN_FLUSH, SCAN_PURGE, SCAN_ROUTE, column,
+                              grow, load_kernel, resize, unavailable_reason)
 from ..routing.base import REFRESH_ARGMIN, RouteDecision
 
 _STATE_NAMES = (IDLE, ROUTING, ROUTED, ACTIVE)
 _NO_ARMS = frozenset()
 _NO_KERNEL = "the batched kernel is unavailable: "
-
-
-def _encoded(f: dict, names) -> list[int]:
-    """The int32 mirror encoding of the header fields ``f`` named by
-    ``names`` (see :attr:`~repro.routing.base.NativeContract.fields`):
-    absent is FIELD_ABSENT, None is FIELD_NONE, bools and ints are
-    ints."""
-    return [FIELD_NONE if v is None else int(v)
-            for v in map(f.get, names, repeat(FIELD_ABSENT))]
-
-
-def _load_fields(f: dict, names, vals, plen: int) -> None:
-    """Header fields ``f`` <- the mirrored values ``vals`` of the
-    native fields ``names`` and the path length ``plen``."""
-    for name, v in zip(names, vals):
-        if v == FIELD_ABSENT:
-            f.pop(name, None)
-        elif v == FIELD_NONE:
-            f[name] = None
-        else:
-            f[name] = v
-    if plen or "path_len" in f:
-        f["path_len"] = plen
 
 
 class _TailShim:
@@ -142,125 +118,6 @@ class _TailShim:
 
     def __init__(self, msg_id: int):
         self.msg_id = msg_id
-
-
-# -- the message ledger -----------------------------------------------
-
-#: msg_flags bits (the kernel's M_*): Python holds the header (its
-#: delivery replays through ``eject``), dropped, a retransmission, and
-#: delivered by the kernel inside the measured window
-M_HELD, M_DROPPED, M_RETRY, M_COUNTED = 1, 2, 4, 8
-
-class _Ledger:
-    """One row per message id in growable columns that the kernel
-    shares: the ``msgs`` rows of the kernel's ``ARRAYS``, attributes of
-    the same names, which :class:`BatchedNetwork` allocates and grows.
-    The kernel admits, queues, injects and delivers messages on these
-    columns; a :class:`_MessageView` exists only for a message whose
-    header Python asked for.  It holds no reference to the network, so
-    views and the statistics' reduction outlive the network without a
-    cycle."""
-
-    def __init__(self, cs, nf):
-        self.cs = cs
-        self.nf = nf
-
-    def measured(self):
-        """(latencies, network latencies, hops, misrouted count) of the
-        messages the kernel delivered inside the measured window: the
-        part of :class:`~repro.sim.stats.StatsCollector`'s per-message
-        figures no ``count_message`` call saw."""
-        ids = np.flatnonzero(self.msg_flags[:self.cs.n_msgs] & M_COUNTED)
-        dlv = self.msg_dlv[ids]
-        misrouted = 0
-        if "misrouted" in self.nf:
-            v = self.msg_f[ids, self.nf.index("misrouted")]
-            misrouted = int(np.count_nonzero(
-                (v != FIELD_ABSENT) & (v != FIELD_NONE) & (v != 0)))
-        return (dlv - self.msg_born[ids], dlv - self.msg_inj[ids],
-                self.msg_plen[ids], misrouted)
-
-
-def _cycle_column(name: str) -> property:
-    """A view attribute stored in ledger column ``name`` (-1 = None)."""
-    def get(self):
-        v = int(getattr(self._lg, name)[self.header.msg_id])
-        return None if v < 0 else v
-
-    def put(self, v):
-        getattr(self._lg, name)[self.header.msg_id] = -1 if v is None else v
-    return property(get, put)
-
-
-class _MessageView(Message):
-    """A ledger row as a :class:`~repro.sim.flit.Message`.  Its header
-    is Python's from the view's creation on; the injected, delivered
-    and dropped stamps stay in the ledger's columns."""
-
-    injected = _cycle_column("msg_inj")
-    delivered = _cycle_column("msg_dlv")
-
-    def __init__(self, ledger: _Ledger, header: Header, hops: int):
-        self._lg = ledger
-        self.header = header
-        self.hops = hops
-
-    @property
-    def dropped(self) -> bool:
-        return bool(self._lg.msg_flags[self.header.msg_id] & M_DROPPED)
-
-    @dropped.setter
-    def dropped(self, v: bool) -> None:
-        flags, mid = self._lg.msg_flags, self.header.msg_id
-        bits = int(flags[mid])
-        flags[mid] = (bits | M_DROPPED) if v else (bits & ~M_DROPPED)
-
-
-class _Messages(Mapping):
-    """``BatchedNetwork.messages``: every admitted message by id.  A
-    message's view is built on first access, which hands its header to
-    Python for good: its delivery then replays through ``eject``."""
-
-    def __init__(self, ledger: _Ledger):
-        self._lg = ledger
-        #: the views built so far, by message id
-        self.held: dict[int, _MessageView] = {}
-
-    def __len__(self) -> int:
-        return self._lg.cs.n_msgs
-
-    def __iter__(self):
-        return iter(range(self._lg.cs.n_msgs))
-
-    def __contains__(self, mid) -> bool:
-        return 0 <= mid < self._lg.cs.n_msgs
-
-    def __getitem__(self, mid: int) -> _MessageView:
-        view = self.held.get(mid)
-        if view is None:
-            if not 0 <= mid < self._lg.cs.n_msgs:
-                raise KeyError(mid)
-            view = self.hold(mid)
-        return view
-
-    def hold(self, mid: int, fields: dict | None = None) -> _MessageView:
-        """Build message ``mid``'s view.  Its header fields are
-        ``fields`` (a Python admission's) or else decoded from the field
-        mirrors, path length included."""
-        lg = self._lg
-        if fields is None:
-            fields = {}
-            _load_fields(fields, lg.nf, lg.msg_f[mid].tolist(),
-                         int(lg.msg_plen[mid]))
-        header = Header(mid, int(lg.msg_src[mid]), int(lg.msg_dst[mid]),
-                        int(lg.msg_size[mid]), int(lg.msg_born[mid]),
-                        fields)
-        flags = lg.msg_flags
-        view = _MessageView(lg, header, int(lg.msg_plen[mid])
-                            if flags[mid] & M_COUNTED else 0)
-        flags[mid] |= M_HELD
-        self.held[mid] = view
-        return view
 
 
 class BatchedRouter:
@@ -369,8 +226,6 @@ class BatchedNetwork(Network):
         self._ffi, self._lib = load_kernel()
         super().__init__(topology, algorithm, config, arbiter=arbiter,
                          metrics=metrics)
-        self.messages = _Messages(self._lg)
-        self.stats.ledger = self._lg.measured
         # the clean table probes route() through the algorithm's live
         # state, so it installs only after reset() ran (end of the base
         # constructor)
@@ -399,27 +254,30 @@ class BatchedNetwork(Network):
         # native decision cache: enabled when the algorithm declares a
         # native contract; otherwise its arrays are token-sized and the
         # kernel never touches them.  It starts small and doubles as it
-        # fills (_grow), so a run that sees few keys holds little
+        # fills (_grow_cache), so a run that sees few keys holds little
         contract = self.algorithm.native_contract(topo)
         native = contract is not None
         self._contract = contract
         self._native = native
         self._nf = contract.fields if native else ()
         ent_cap = (1 << 12) if native else 8
-        #: the sizes of the ARRAYS dimensions (the ledger's "msgs" and
-        #: the cache's "entries" and "buckets" grow, "views" follows
-        #: each screen sync)
+        #: the sizes of the ARRAYS dimensions (the ledger adds and
+        #: grows "msgs"; the cache's "entries" and "buckets" grow,
+        #: "views" follows each screen sync)
         self._dims = dict(DIMS, nodes=n_nodes, spans=n_nodes + 1,
                           words=(n_nodes + 63) // 64, slots=npid,
                           ivs=n_iv, ring=self.config.buffer_depth,
-                          cands=maxc, events=2 * n_iv + 8, msgs=4096,
+                          cands=maxc, events=2 * n_iv + 8,
                           entries=ent_cap, buckets=4 * ent_cap, views=1)
         self._cs = cs = self._ffi.new("BState *")
-        self._lg = _Ledger(cs, self._nf)
+        #: the message ledger, on columns the kernel shares
+        self._lg = Ledger(cs, self._nf, self._dims)
         #: the buffers behind the struct's pointers, by field
         self._bufs: dict = {}
         for row in ARRAYS:
-            self._alloc(row)
+            if row not in LEDGER_ROWS:
+                setattr(self, "_" + row[0], column(row, self._dims))
+            self._bind(row)
         self._heads = np.zeros(n_nodes, dtype=np.int32)
         self._loads = np.zeros(max_pid + 1, dtype=np.int32)
         self._heads_ptr = self._ffi.from_buffer("int32_t[]", self._heads)
@@ -488,6 +346,8 @@ class BatchedNetwork(Network):
         cs.tab_mask = 4 * ent_cap - 1
         cs.ent_cap = ent_cap
         cs.dig_cap = DIG_CAP
+        cs.mis_f = (self._nf.index("misrouted") if "misrouted" in self._nf
+                    else -1)
         cs.m_on = 1 if self.metrics is not None else 0
         cs.ct_vnf = -1
         cs.ct_termf = -1
@@ -526,51 +386,39 @@ class BatchedNetwork(Network):
         """(object, attribute) holding the array of ``row`` (an ARRAYS
         row): the ledger's columns live on the ledger, whose views
         outlive the network, the others on the network as ``_<name>``."""
-        return (self._lg, row[0]) if row[2][0] == "msgs" \
+        return (self._lg, row[0]) if row in LEDGER_ROWS \
             else (self, "_" + row[0])
 
-    def _alloc(self, row) -> np.ndarray:
-        """A new array for ``row`` at the current dimensions, every
-        element the row's fill value, stored at its home and bound to
-        its struct field."""
-        name, ctype, shape, fill, _ = row
-        # zeros leaves a large array's pages untouched until used
-        arr = np.zeros([self._dims.get(d, d) for d in shape],
-                       dtype=ctype[:-2])
-        if fill:
-            arr.fill(fill)
-        setattr(*self._home(row), arr)
-        buf = self._bufs[name] = self._ffi.from_buffer(arr)
+    def _bind(self, row) -> None:
+        """Point ``row``'s struct field at its array."""
+        name, ctype = row[:2]
+        buf = self._bufs[name] = self._ffi.from_buffer(
+            getattr(*self._home(row)))
         setattr(self._cs, name, self._ffi.cast(ctype + " *", buf))
-        return arr
 
     def _resize(self, dim: str, n: int) -> None:
-        """Give every array whose first dimension is ``dim`` ``n`` rows,
-        keeping its leading rows, and rebind it."""
-        self._dims[dim] = n
-        for row in ARRAYS:
-            if row[2][0] == dim:
-                old = getattr(*self._home(row))
-                self._alloc(row)[:min(n, len(old))] = old[:n]
+        """:func:`~repro.sim._batched_kernel.resize` ``dim`` to ``n``
+        rows and rebind the arrays it replaced."""
+        for row in resize(self._dims, dim, n, self._home):
+            self._bind(row)
 
-    def _grow(self, dim: str, need: int) -> None:
-        """Room for ``need`` ledger rows (``dim`` "msgs") or decision
-        cache entries ("entries"), at least doubling them.  The cache's
-        hash table follows at 4x the entries and is rebuilt."""
-        n = max(need, 2 * self._dims[dim])
-        self._resize(dim, n)
-        if dim == "entries":
-            self._resize("buckets", 4 * n)
-            cs = self._cs
-            cs.ent_cap = n
-            cs.tab_mask = 4 * n - 1
-            self._lib.k_rehash(cs)
+    def _grow_cache(self, need: int) -> None:
+        """Room for ``need`` decision cache entries, as the ledger grows
+        its rows.  The cache's hash table follows at 4x the entries and
+        is rebuilt."""
+        for row in grow(self._dims, "entries", need, self._home):
+            self._bind(row)
+        n = self._dims["entries"]
+        self._resize("buckets", 4 * n)
+        cs = self._cs
+        cs.ent_cap = n
+        cs.tab_mask = 4 * n - 1
+        self._lib.k_rehash(cs)
 
     def _room(self, n: int) -> None:
         """Room in the ledger for ``n`` more messages."""
-        need = self._cs.n_msgs + n
-        if need > self._dims["msgs"]:
-            self._grow("msgs", need)
+        for row in self._lg.room(n):
+            self._bind(row)
 
     def _install_clean_table(self) -> None:
         """Build (or load from the code-version-keyed cache) the clean
@@ -627,26 +475,18 @@ class BatchedNetwork(Network):
         return its view, or None when the screen refuses it.  Its root
         id, retransmission flag and path-length and field mirrors come
         from the header ``fields``."""
-        cs, lg = self._cs, self._lg
+        cs = self._cs
         self._room(1)
         cs.now = self.cycle
         if not self._lib.k_admit(cs, 1, [src], [dst], self._ffi.NULL,
                                  length, screen):
             return None
         mid = cs.n_msgs - 1
-        lg.msg_root[mid] = fields.get("root_id", mid)
-        if "retry_of" in fields:
-            lg.msg_flags[mid] |= M_RETRY
-        lg.msg_plen[mid] = fields.get("path_len", 0)
         if self._native and fields:
             # mirrors are pre-filled ABSENT, so only headers that carry
             # fields (retries, heals, tests) need per-field encoding
-            lg.msg_f[mid, :len(self._nf)] = _encoded(fields, self._nf)
-        return self.messages.hold(mid, dict(fields))
-
-    def _msg(self, mid: int) -> Message:
-        """``messages[mid]`` without the mapping's call overhead."""
-        return self.messages.held.get(mid) or self.messages.hold(mid)
+            self._lg.msg_f[mid, :len(self._nf)] = encoded(fields, self._nf)
+        return self.messages.hold(mid, fields)
 
     def _sync_fields(self, mid: int):
         """Header fields <- mirrors.  The mirrors are authoritative
@@ -655,8 +495,8 @@ class BatchedNetwork(Network):
         before any Python code reads the header.  Returns the header."""
         hdr = self._msg(mid).header
         lg = self._lg
-        _load_fields(hdr.fields, self._nf, lg.msg_f[mid].tolist(),
-                     int(lg.msg_plen[mid]))
+        load_fields(hdr.fields, self._nf, lg.msg_f[mid].tolist(),
+                    int(lg.msg_plen[mid]))
         return hdr
 
     def _sync_screen(self) -> None:
@@ -703,7 +543,6 @@ class BatchedNetwork(Network):
             self._sync_faults()
         cs = self._cs
         cs.now = self.cycle
-        cs.warmup = self.stats.warmup
         self._lib.k_flush(cs)
         self._inject_phase()
         if with_traffic and self.traffic is not None \
@@ -733,7 +572,7 @@ class BatchedNetwork(Network):
             if not trips:
                 return
             if min(t[2] for t in trips) < 1:
-                for t in trips:          # Message.create's length check
+                for t in trips:          # offer refuses the bad length
                     self.offer(*t)
                 return
             n = len(trips)
@@ -819,7 +658,7 @@ class BatchedNetwork(Network):
             if r == SCAN_ROUTE:
                 header = msg(x[1]).header
                 if nf:
-                    _load_fields(header.fields, nf, x[7:], x[6])
+                    load_fields(header.fields, nf, x[7:], x[6])
                 dec = route(routers[x[3]], header, x[4], x[5])
                 if x[2]:
                     count(dec.steps)
@@ -827,13 +666,13 @@ class BatchedNetwork(Network):
                 rc = commit(cs, dec.deliver, dec.stuck, dec.refresh_hint,
                             dec.steps, len(cands),
                             [i for pv in cands for i in pv],
-                            _encoded(header.fields, nf))
+                            encoded(header.fields, nf))
                 if rc:
                     if rc < 0:
                         raise ValueError(
                             f"route() returned {len(cands)} candidates; "
                             f"an input VC holds {self._cand_p.shape[1]}")
-                    self._grow("entries", cs.ent_cap + 1)
+                    self._grow_cache(cs.ent_cap + 1)
             elif r == SCAN_PURGE:
                 for mid in self._stuck[:cs.n_stuck].tolist():
                     self.message_stuck(mid)
@@ -931,9 +770,9 @@ class BatchedNetwork(Network):
             trace = self.config.trace_paths
             cycle = self.cycle
             if native:
-                # delivery accounting reads hop count and the misrouted
-                # mark from the header: the mirrors of every event's
-                # message in one read (nothing below writes them)
+                # the delivery stamp reads the hop count and the
+                # misrouted mark from the header: the mirrors of every
+                # event's message in one read (nothing below writes them)
                 sel = self._ev_msg[:nev]
                 fvals = self._lg.msg_f[sel].tolist()
                 plens = self._lg.msg_plen[sel].tolist()
@@ -961,8 +800,8 @@ class BatchedNetwork(Network):
                                                  []).append(node)
                 else:
                     if native:
-                        _load_fields(msg(mid).header.fields, nf,
-                                     fvals[i], plens[i])
+                        load_fields(msg(mid).header.fields, nf,
+                                    fvals[i], plens[i])
                     self.eject(node, _TailShim(mid), cycle)
         stats = self.stats
         if hops:
@@ -979,16 +818,6 @@ class BatchedNetwork(Network):
         return moved
 
     # -- queries / fault machinery over the arrays --------------------
-
-    def n_undelivered(self) -> int:
-        lg, n = self._lg, self._cs.n_msgs
-        return int(np.count_nonzero(
-            (lg.msg_dlv[:n] < 0) & ((lg.msg_flags[:n] & M_DROPPED) == 0)))
-
-    def message_roots(self):
-        lg, n = self._lg, self._cs.n_msgs
-        return (lg.msg_root[:n].astype(np.int64),
-                (lg.msg_flags[:n] & M_RETRY) != 0, lg.msg_dlv[:n] > 0)
 
     def _flits_in_flight(self) -> int:
         return int(self._r_nflits.sum())
@@ -1118,10 +947,8 @@ class BatchedNetwork(Network):
                 return
         for d, _ in chain:
             self._force_release(d)
-        if not msg.delivered:
-            msg.delivered = self.cycle
-            msg.hops = msg.header.path_len
-            self.stats.count_message(msg)
+        if msg.delivered is None:
+            self._delivered(msg, self.cycle)
 
     def _absorb_remainder(self, g: int, msg) -> int:
         msg_id = msg.header.msg_id
@@ -1163,20 +990,7 @@ class BatchedNetwork(Network):
                 return n_rem
 
     def _force_release(self, g: int) -> None:
-        op = int(self._o_port[g])
-        if op != NO_PORT:
-            ovg = int(self._portbase[int(self._iv_node[g]), op + 1]) \
-                + int(self._o_vc[g])
-            if self._ov_owner[ovg] == g:
-                self._ov_owner[ovg] = -1
-        self._st[g] = 0                  # InputVC.release_worm
-        self._head_msg[g] = -1
-        self._ncand[g] = 0
-        self._deliver[g] = 0
-        self._stuckf[g] = 0
-        self._hint[g] = 0
-        self._o_port[g] = NO_PORT
-        self._o_vc[g] = NO_PORT
+        self._lib.k_release(self._cs, g)
 
     # -- stall diagnosis ----------------------------------------------
 

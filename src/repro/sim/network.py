@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
@@ -46,7 +45,7 @@ from ..obs.tracer import NULL_TRACER
 from .config import SimConfig
 from .diagnosis import DiagnosisEngine
 from .faults import FaultEvent, FaultSchedule, FaultState
-from .flit import Flit, Message
+from .flit import M_RETRY, Flit, Ledger, Message, Messages
 from .router import ACTIVE, IDLE, LOCAL, Router
 from .stats import StatsCollector
 from .arbiter import Arbiter, make_arbiter
@@ -167,20 +166,15 @@ class Network:
         self.route_epoch = 0
         self.routers: list[Router] = []
         self._make_routers()
+        #: every admitted message by id, over the message ledger
+        self.messages = Messages(self._lg)
+        self.stats.ledger = self._lg
         # nodes whose router may hold flits / whose source may inject —
         # the active sets the per-cycle phases iterate (stale entries
         # are pruned lazily; see _live_routers)
         self._active: set[int] = set()
         self._active_sources: set[int] = set()
         self.sources = [_SourceState() for _ in topology.nodes()]
-        # private message-id allocator: every network numbers its
-        # messages from 0, so concurrent networks in one process (and
-        # sweep points fanned out over worker processes) produce
-        # identical, isolated id sequences
-        self._msg_ids = itertools.count()
-        #: every admitted message by id (the batched engine answers
-        #: from its message ledger)
-        self.messages: Mapping[int, Message] = {}
         self.fault_schedule = FaultSchedule()
         self.traffic = None
         self._last_progress = 0
@@ -190,9 +184,13 @@ class Network:
         algorithm.reset(self)
 
     def _make_routers(self) -> None:
-        """Build the per-node router state into ``self.routers``.  The
-        batched engine (:mod:`repro.sim.batched`) overrides this to
-        construct its struct-of-arrays state plus router facades."""
+        """Build the data path's state: the per-node routers into
+        ``self.routers`` and the message ledger into ``self._lg``, whose
+        row numbers are the message ids (every network numbers its
+        messages from 0).  The batched engine (:mod:`repro.sim.batched`)
+        overrides this to construct its struct-of-arrays state, router
+        facades and a ledger its kernel shares."""
+        self._lg = Ledger()
         self.routers = [Router(self, n) for n in self.topology.nodes()]
         for r in self.routers:
             r.finalize()
@@ -324,29 +322,31 @@ class Network:
 
     def eject(self, node: int, flit: Flit, cycle: int) -> None:
         self.stats.count_delivered_flit()
-        msg = self.messages.get(flit.msg_id)
-        if msg is None:  # pragma: no cover - defensive
+        if not flit.is_tail:
             return
-        if flit.is_tail:
-            msg.delivered = cycle
-            msg.hops = msg.header.path_len
-            if msg.header.dst != node:
-                raise DeliveryError(
-                    f"message {msg.header.msg_id} for node {msg.header.dst} "
-                    f"was delivered at node {node}")
-            self.stats.count_message(msg)
-            tr = self.tracer
-            if tr.enabled:
-                tr.emit(trace_ev.WORM_DELIVER, msg_id=msg.header.msg_id,
-                        src=msg.header.src, dst=node,
-                        injected=msg.injected, created=msg.header.created,
-                        hops=msg.hops,
-                        attempt=int(msg.header.fields.get("attempt", 0)))
-            first_dropped = msg.header.fields.get("first_dropped")
-            if first_dropped is not None:
-                # a retransmitted copy made it: time-to-recover is the
-                # first rip-up of the original to this delivery
-                self.stats.count_recovery(cycle - int(first_dropped))
+        msg = self._msg(flit.msg_id)
+        if msg.header.dst != node:
+            raise DeliveryError(
+                f"message {msg.header.msg_id} for node {msg.header.dst} "
+                f"was delivered at node {node}")
+        self._delivered(msg, cycle)
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(trace_ev.WORM_DELIVER, msg_id=msg.header.msg_id,
+                    src=msg.header.src, dst=node,
+                    injected=msg.injected, created=msg.header.created,
+                    hops=msg.hops,
+                    attempt=int(msg.header.fields.get("attempt", 0)))
+        first_dropped = msg.header.fields.get("first_dropped")
+        if first_dropped is not None:
+            # a retransmitted copy made it: time-to-recover is the
+            # first rip-up of the original to this delivery
+            self.stats.count_recovery(cycle - int(first_dropped))
+
+    def _delivered(self, msg: Message, cycle: int) -> None:
+        """Stamp ``msg`` delivered in the ledger and count it."""
+        msg.deliver(cycle)
+        self.stats.messages_delivered += 1
 
     # -- cycle loop ---------------------------------------------------------------------
 
@@ -729,10 +729,8 @@ class Network:
                 return
         for r, civ in chain:
             self._force_release(r, civ)
-        if not msg.delivered:
-            msg.delivered = self.cycle
-            msg.hops = msg.header.path_len
-            self.stats.count_message(msg)
+        if msg.delivered is None:
+            self._delivered(msg, self.cycle)
 
     def _absorb_remainder(self, site, msg) -> int:
         """Remove the upstream remainder of a split worm — every flit
@@ -950,14 +948,20 @@ class Network:
 
     def _admit(self, src: int, dst: int, length: int,
                fields: dict) -> Message:
-        """Create a screened message with header ``fields`` under the
-        next message id, record it and queue it at its source."""
-        msg = Message.create(src, dst, length, self.cycle,
-                             msg_id=next(self._msg_ids), **fields)
-        self.messages[msg.header.msg_id] = msg
+        """Admit a screened message with header ``fields``: its ledger
+        row under the next message id, its view, and its place at the
+        back of its source's queue."""
+        if length < 1:
+            raise ValueError("message length must be >= 1 flit")
+        mid = self._lg.add(src, dst, length, self.cycle)
+        msg = self.messages.hold(mid, fields)
         self.sources[src].queue.append(msg)
         self._active_sources.add(src)
         return msg
+
+    def _msg(self, mid: int) -> Message:
+        """``messages[mid]`` without the mapping's call overhead."""
+        return self.messages.held.get(mid) or self.messages.hold(mid)
 
     def _injecting(self) -> bool:
         """Whether any source is part-way through injecting a worm."""
@@ -1026,21 +1030,18 @@ class Network:
         return self._flits_in_flight()
 
     def undelivered(self) -> list[Message]:
-        return [m for m in self.messages.values()
-                if m.delivered is None and not m.dropped]
+        """The messages neither delivered nor dropped."""
+        return [self._msg(mid)
+                for mid in self._lg.undelivered_ids().tolist()]
 
     def n_undelivered(self) -> int:
-        """``len(undelivered())``, without building the list where the
-        engine keeps a message ledger."""
-        return len(self.undelivered())
+        """``len(undelivered())``, without building a view."""
+        return len(self._lg.undelivered_ids())
 
     def message_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every message's root id (a retransmission shares its
         original's), whether it is a retransmission, and whether it was
         delivered: three arrays in message-id order."""
-        msgs, n = self.messages.values(), len(self.messages)
-        return (np.fromiter((m.header.fields.get("root_id", m.header.msg_id)
-                             for m in msgs), np.int64, n),
-                np.fromiter(("retry_of" in m.header.fields for m in msgs),
-                            bool, n),
-                np.fromiter((bool(m.delivered) for m in msgs), bool, n))
+        lg, n = self._lg, self._lg.cs.n_msgs
+        return (lg.msg_root[:n].astype(np.int64),
+                (lg.msg_flags[:n] & M_RETRY) != 0, lg.msg_dlv[:n] >= 0)

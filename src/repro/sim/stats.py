@@ -3,7 +3,11 @@
 Measurement windows follow interconnection-network practice: a warm-up
 period is excluded, then latency is averaged over messages *created*
 inside the measurement window and throughput over flits delivered in
-it.
+it.  The per-message figures (latency, hops, the misrouted share) are
+one reduction over the network's message ledger
+(:class:`~repro.sim.flit.Ledger`), the same on both engines; the
+counters are counted as they happen, because metrics sampling reads
+them every stride.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flit import Message
+from .flit import M_MISROUTED
 
 
 def _mean(values) -> float:
@@ -71,10 +75,6 @@ class StatsCollector:
     decisions: int = 0
     decision_steps: int = 0
     max_decision_steps: int = 0
-    _latencies: list[int] = field(default_factory=list)
-    _network_latencies: list[int] = field(default_factory=list)
-    _hops: list[int] = field(default_factory=list)
-    _misrouted: int = 0
     #: delivery_cycle - first_drop_cycle of every message that was
     #: ripped up / stranded and later delivered by a retransmission
     _recovery_times: list[int] = field(default_factory=list)
@@ -95,10 +95,9 @@ class StatsCollector:
     #: bit-identical): worms_healed, worms_absorbed,
     #: backup_route_decisions
     reroute: dict | None = None
-    #: the batched engine's message-ledger reduction: ``ledger()`` ->
-    #: (latencies, network latencies, hops, misrouted count) of the
-    #: measured messages its kernel delivered, which no
-    #: ``count_message`` call saw; None on the object engine
+    #: the network's message :class:`~repro.sim.flit.Ledger`, which
+    #: the per-message figures reduce (None outside a network: no
+    #: message figures)
     ledger: object | None = None
 
     # -- recording -----------------------------------------------------
@@ -113,19 +112,6 @@ class StatsCollector:
         self.flits_delivered += 1
         if self.now >= self.warmup:
             self.flits_delivered_measured += 1
-
-    def count_message(self, msg: Message) -> None:
-        self.messages_delivered += 1
-        if msg.header.created >= self.warmup:
-            lat = msg.latency
-            nlat = msg.network_latency
-            if lat is not None:
-                self._latencies.append(lat)
-            if nlat is not None:
-                self._network_latencies.append(nlat)
-            self._hops.append(msg.hops)
-            if msg.header.misrouted:
-                self._misrouted += 1
 
     def count_dropped(self) -> None:
         self.messages_dropped += 1
@@ -145,17 +131,18 @@ class StatsCollector:
     # -- summaries -----------------------------------------------------------
 
     def _measured(self):
-        """(latencies, network latencies, hops, misrouted count) of every
-        measured delivered message."""
-        if self.ledger is None:
-            return (self._latencies, self._network_latencies, self._hops,
-                    self._misrouted)
-        lat, nlat, hops, misrouted = self.ledger()
-        return (np.concatenate([np.asarray(self._latencies, np.int64), lat]),
-                np.concatenate([np.asarray(self._network_latencies,
-                                           np.int64), nlat]),
-                np.concatenate([np.asarray(self._hops, np.int64), hops]),
-                self._misrouted + misrouted)
+        """(latencies, network latencies, hops, misrouted count) of the
+        measured messages: the ledger rows with a delivered stamp that
+        were created inside the measured window."""
+        lg = self.ledger
+        if lg is None:
+            return (), (), (), 0
+        n = lg.cs.n_msgs
+        dlv, born = lg.msg_dlv[:n], lg.msg_born[:n]
+        ids = np.flatnonzero((dlv >= 0) & (born >= self.warmup))
+        dlv = dlv[ids].astype(np.int64)
+        return (dlv - born[ids], dlv - lg.msg_inj[ids], lg.msg_plen[ids],
+                int(np.count_nonzero(lg.msg_flags[ids] & M_MISROUTED)))
 
     @property
     def mean_latency(self) -> float:

@@ -1,4 +1,4 @@
-"""Network topologies: 2-D mesh/torus and hypercube.
+"""Network topologies: 2-D mesh and hypercube.
 
 A topology enumerates nodes (dense integer ids), per-node ports (dense
 integer ids, one per neighbour link; the router adds a separate local
@@ -10,7 +10,7 @@ bi-directional and both directions fail together" (paper assumption i)
 
 Port numbering conventions match the routing literature:
 
-* 2-D mesh/torus: EAST=0, WEST=1, NORTH=2, SOUTH=3 (missing mesh-edge
+* 2-D mesh: EAST=0, WEST=1, NORTH=2, SOUTH=3 (missing mesh-edge
   ports simply do not exist on border nodes);
 * hypercube: dimension-major (port i crosses dimension i).
 """
@@ -201,51 +201,6 @@ class Mesh2D(Topology):
         return out
 
 
-class Torus2D(Mesh2D):
-    """width x height 2-D torus (wrap-around mesh)."""
-
-    name = "torus2d"
-
-    def _neighbor(self, node: int, port_id: int) -> tuple[int, int] | None:
-        x, y = self.coords(node)
-        if port_id == EAST:
-            return self.node_at((x + 1) % self.width, y), WEST
-        if port_id == WEST:
-            return self.node_at((x - 1) % self.width, y), EAST
-        if port_id == NORTH:
-            return self.node_at(x, (y + 1) % self.height), SOUTH
-        if port_id == SOUTH:
-            return self.node_at(x, (y - 1) % self.height), NORTH
-        return None
-
-    def distance(self, a: int, b: int) -> int:
-        ax, ay = self.coords(a)
-        bx, by = self.coords(b)
-        dx = abs(ax - bx)
-        dy = abs(ay - by)
-        return min(dx, self.width - dx) + min(dy, self.height - dy)
-
-    def _compute_minimal(self, node: int, dest: int) -> list[int]:
-        x, y = self.coords(node)
-        dx, dy = self.coords(dest)
-        out = []
-        if dx != x:
-            right = (dx - x) % self.width
-            left = (x - dx) % self.width
-            if right <= left:
-                out.append(EAST)
-            if left <= right:
-                out.append(WEST)
-        if dy != y:
-            up = (dy - y) % self.height
-            down = (y - dy) % self.height
-            if up <= down:
-                out.append(NORTH)
-            if down <= up:
-                out.append(SOUTH)
-        return out
-
-
 class Hypercube(Topology):
     """d-dimensional binary hypercube; port i flips address bit i."""
 
@@ -284,7 +239,6 @@ class Hypercube(Topology):
 
 _TOPOLOGY_KINDS = {
     "mesh2d": lambda d: Mesh2D(int(d["width"]), int(d["height"])),
-    "torus2d": lambda d: Torus2D(int(d["width"]), int(d["height"])),
     "hypercube": lambda d: Hypercube(int(d["dimension"])),
 }
 

@@ -43,7 +43,7 @@ def uniform_pattern(topology: Topology, rng: np.random.Generator) -> PatternFn:
 
 def transpose_pattern(topology: Topology) -> PatternFn:
     if not isinstance(topology, Mesh2D):
-        raise ValueError("transpose needs a 2-D mesh/torus")
+        raise ValueError("transpose needs a 2-D mesh")
     if topology.width != topology.height:
         raise ValueError("transpose needs a square mesh")
 

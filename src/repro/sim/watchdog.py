@@ -117,45 +117,11 @@ class StallDiagnosis:
         return "\n".join(lines)
 
 
-def _find_cycle(graph: dict[int, list[int]]) -> list[int] | None:
-    """First directed cycle in a small adjacency dict (iterative DFS
-    with colouring); returns the node sequence around the cycle."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n: WHITE for n in graph}
-    parent: dict[int, int] = {}
-    for root in graph:
-        if colour[root] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        colour[root] = GREY
-        while stack:
-            node, idx = stack[-1]
-            succs = graph.get(node, [])
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                if colour.get(nxt, BLACK) == WHITE:
-                    colour[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, 0))
-                elif colour.get(nxt) == GREY:
-                    # unwind the parent chain back to nxt
-                    cyc = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cyc.append(cur)
-                    cyc.reverse()
-                    return cyc
-            else:
-                colour[node] = BLACK
-                stack.pop()
-    return None
-
-
 def diagnose_stall(network: "Network") -> StallDiagnosis:
     """Snapshot every stalled worm and find the blocking cycle (if any)
     in the runtime wait-for graph."""
+    # on the stall path only: the analysis package imports the network
+    from ..analysis.deadlock import find_cycle
     worms: dict[int, StalledWorm] = {}
     #: every channel each worm's ACTIVE segments hold (a worm spans
     #: several routers; the kept StalledWorm entry is only its front)
@@ -241,7 +207,8 @@ def diagnose_stall(network: "Network") -> StallDiagnosis:
 
     graph = {m: [b for b in w.waiting_on if b in worms]
              for m, w in worms.items()}
-    cyc = _find_cycle(graph)
+    closed = find_cycle(graph)
+    cyc = closed[:-1] if closed else None        # open: no repeat
     channels = None
     if cyc:
         channels = [ch for m in cyc for ch in held.get(m, [])]

@@ -51,14 +51,12 @@ from ..experiments import (WorkloadSpec, add_sweep_args, campaign_table,
                            table)
 from ..experiments.campaign import CAMPAIGN_DEFAULTS
 from ..obs import ascii_timeline, chrome_trace
-from ..sim import Hypercube, Mesh2D, Torus2D, random_link_faults
+from ..sim import Hypercube, Mesh2D, random_link_faults
 
 
 def _topology(args):
     if args.topology == "mesh":
         return Mesh2D(args.width, args.height)
-    if args.topology == "torus":
-        return Torus2D(args.width, args.height)
     return Hypercube(args.dimension)
 
 
@@ -239,7 +237,7 @@ def _common(p: argparse.ArgumentParser) -> None:
     # else the WorkloadSpec field default
     p.set_defaults(**CAMPAIGN_DEFAULTS)
     p.add_argument("--algorithm")
-    p.add_argument("--topology", choices=["mesh", "torus", "cube"],
+    p.add_argument("--topology", choices=["mesh", "cube"],
                    default="mesh")
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--height", type=int, default=8)

@@ -164,6 +164,14 @@ class TestFindCycle:
     def test_self_loop(self):
         assert find_cycle({"a": {"a": None}}) == ["a", "a"]
 
+    def test_self_loop_among_others(self):
+        # successor lists and int nodes, as the stall watchdog's
+        # wait-for graph has them; a successor with no entry is a leaf
+        assert find_cycle({0: [1], 1: [3], 2: [2]}) == [2, 2]
+
+    def test_empty_graph(self):
+        assert find_cycle({}) is None
+
     def test_long_cycle_behind_a_tail(self):
         n = 500
         succ = {i: {i + 1: None} for i in range(n)}

@@ -10,11 +10,10 @@ from repro.routing.base import NativeContract
 from repro.routing.registry import ALGORITHM_META, ALGORITHMS, make_algorithm
 from repro.sim.config import SimConfig
 from repro.sim.network import Network
-from repro.sim.topology import Hypercube, Mesh2D, Torus2D
+from repro.sim.topology import Hypercube, Mesh2D
 
 TOPOLOGIES = {
     "mesh2d": lambda: Mesh2D(4, 4),
-    "torus2d": lambda: Torus2D(4, 4),
     "hypercube": lambda: Hypercube(3),
 }
 

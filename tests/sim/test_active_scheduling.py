@@ -19,7 +19,7 @@ from repro.routing.registry import make_algorithm
 from repro.sim.config import SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.sim.network import Network
-from repro.sim.topology import Hypercube, Mesh2D, Torus2D
+from repro.sim.topology import Hypercube, Mesh2D
 from repro.sim.traffic import TrafficGenerator
 
 
@@ -57,8 +57,6 @@ SCENARIOS = [
      "b1c38cdf9722d578bc02646e905beca5cb50f9bc6f442aa51917b25fd8558d5e"),
     ("nafta", lambda: Mesh2D(6, 6), False, False,
      "b1c38cdf9722d578bc02646e905beca5cb50f9bc6f442aa51917b25fd8558d5e"),
-    ("torus_xy", lambda: Torus2D(6, 6), False, False,
-     "ff8125817acdff73e35901bee2c9d4bd8d6be6ba86dc5c1da505919c9066155d"),
     ("ecube", lambda: Hypercube(5), False, False,
      "f91a3c9b980b67339d994aef03678a7e6f381367f725d1253a36ef398ae276f5"),
     ("spanning_tree", lambda: Mesh2D(6, 6), True, False,

@@ -32,7 +32,7 @@ from repro.sim.config import SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.sim.network import Network
 from repro.sim.stats import DecisionDigest
-from repro.sim.topology import Hypercube, Mesh2D, Torus2D
+from repro.sim.topology import Hypercube, Mesh2D
 from repro.sim.traffic import TrafficGenerator
 
 pytestmark = pytest.mark.skipif(
@@ -42,7 +42,6 @@ pytestmark = pytest.mark.skipif(
 #: one small topology per kind the registry metadata names
 TOPOLOGIES = {
     "mesh2d": lambda: Mesh2D(5, 4),
-    "torus2d": lambda: Torus2D(4, 4),
     "hypercube": lambda: Hypercube(3),
 }
 

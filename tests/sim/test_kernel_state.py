@@ -36,7 +36,7 @@ def test_every_pointer_spans_its_declared_buffer(algo, topo, rel_on):
     while cs.n_msgs <= msgs:                # past the first ledger size
         src = cs.n_msgs % topo.n_nodes
         net.offer(src, (src + 1) % topo.n_nodes, 1)
-    net._grow("entries", entries + 1)
+    net._grow_cache(entries + 1)
     assert cs.n_ent == n_ent and cs.ent_cap == 2 * entries
     net.run(60)
     assert net._dims["msgs"] > msgs

@@ -1,14 +1,16 @@
-"""The batched engine's message ledger.
+"""The message ledger both engines keep.
 
-The kernel admits, queues, injects and delivers a message on ledger
-columns alone; Python builds a ``Message`` view only when it asks for
-one.  These tests check that a fault-free native run builds none, that
-the views and the ledger's reductions answer what the object engine's
-messages answer, and — on every cycle of the parity scenarios with
-faults, retries and heals, on both engines — that messages are
-conserved: every admitted message is queued, injecting, in flight,
-delivered, dropped or lost with its dead source, and each class agrees
-with the counters and structures that track it independently.
+On the batched engine the kernel admits, queues, injects and delivers a
+message on ledger columns alone; Python builds a ``Message`` view only
+when it asks for one.  On the object engine every message is a row and
+a view from its admission.  These tests check that a fault-free native
+run builds no view, that the views and the ledger's reductions answer
+the same on both engines, that the columns survive their growth, and —
+on every cycle of the parity scenarios with faults, retries and heals,
+on both engines — that messages are conserved: every admitted message
+is queued, injecting, in flight, delivered, dropped or lost with its
+dead source, and each class agrees with the counters and structures
+that track it independently.
 """
 
 import numpy as np
@@ -16,10 +18,10 @@ import pytest
 
 from repro.experiments.runners import _logical_accounting
 from repro.routing.registry import ALGORITHM_META, make_algorithm
-from repro.sim.batched import (M_DROPPED, BatchedNetwork,
-                               batched_fallback_reason)
+from repro.sim.batched import BatchedNetwork, batched_fallback_reason
 from repro.sim.config import SimConfig
 from repro.sim.faults import FaultSchedule
+from repro.sim.flit import LEDGER_ROWS, M_DROPPED
 from repro.sim.network import Network
 from repro.sim.topology import Mesh2D
 from repro.sim.traffic import TrafficGenerator
@@ -36,27 +38,22 @@ CLASSES = ("delivered", "dropped", "injecting", "queued", "lost",
 
 
 def _columns(net):
-    """Per message, in id order: source, injected and delivered cycle
-    (-1 = not yet), dropped; plus the injecting message ids and the
-    number of queued messages, as each engine keeps them."""
+    """Per message, in id order, from the ledger both engines keep:
+    source, injected and delivered cycle (-1 = not yet), dropped; plus
+    the injecting message ids and the number of queued messages, as
+    each engine keeps them."""
+    lg = net._lg
+    n = lg.cs.n_msgs
     if isinstance(net, BatchedNetwork):
-        lg, n = net._lg, net._cs.n_msgs
         cur = net._src_cur
-        return (lg.msg_src[:n], lg.msg_inj[:n], lg.msg_dlv[:n],
-                (lg.msg_flags[:n] & M_DROPPED) != 0, cur[cur >= 0],
-                int(net._src_qlen.sum()))
-    msgs = list(net.messages.values())
-    assert [m.header.msg_id for m in msgs] == list(range(len(msgs)))
-
-    def cycle(v):
-        return -1 if v is None else v
-    return (np.array([m.header.src for m in msgs], dtype=np.int64),
-            np.array([cycle(m.injected) for m in msgs], dtype=np.int64),
-            np.array([cycle(m.delivered) for m in msgs], dtype=np.int64),
-            np.array([m.dropped for m in msgs], dtype=bool),
-            np.array([s.current_msg.header.msg_id for s in net.sources
-                      if s.current], dtype=np.int64),
-            sum(len(s.queue) for s in net.sources))
+        injecting, n_queued = cur[cur >= 0], int(net._src_qlen.sum())
+    else:
+        injecting = np.array([s.current_msg.header.msg_id
+                              for s in net.sources if s.current],
+                             dtype=np.int64)
+        n_queued = sum(len(s.queue) for s in net.sources)
+    return (lg.msg_src[:n], lg.msg_inj[:n], lg.msg_dlv[:n],
+            (lg.msg_flags[:n] & M_DROPPED) != 0, injecting, n_queued)
 
 
 def census(net) -> dict:
@@ -182,3 +179,44 @@ def test_refused_offers_count_as_unroutable():
         assert net.offer(0, 1, 4) is not None
         assert net.stats.messages_unroutable == 2
         assert len(net.messages) == 1
+
+
+def test_object_ledger_keeps_every_stamp_across_its_growth():
+    """Every column value written into the object engine's ledger stays
+    as written while the ledger grows past its first 4,096 rows: a
+    stamp only ever fills a not-yet (-1) cell with the cycle that wrote
+    it, and a flag bit is only ever added."""
+    topo = Mesh2D(8, 8)
+    net = Network(topo, make_algorithm("xy"))
+    net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.3,
+                                        message_length=2, seed=5))
+    lg = net._lg
+    first = lg.dims["msgs"]
+    names = [row[0] for row in LEDGER_ROWS]
+    seen = {name: getattr(lg, name)[:0].copy() for name in names}
+    stamps = ("msg_inj", "msg_dlv")
+    while lg.cs.n_msgs <= first + 500:      # grown, then run on
+        cycle = net.cycle
+        net.step()
+        n_old = seen["msg_src"].shape[0]
+        for name in names:
+            now, old = getattr(lg, name)[:n_old], seen[name]
+            same = now == old
+            if name in stamps:
+                same |= (old == -1) & (now == cycle)
+            elif name == "msg_flags":
+                same = (now & old) == old
+            elif name == "msg_plen":        # written at delivery
+                same |= (lg.msg_dlv[:n_old] == cycle)
+            if same.ndim > 1:                   # the field mirrors
+                same = same.all(axis=1)
+            bad = np.flatnonzero(~same)
+            assert not bad.size, f"{name} of message {bad[0]} changed"
+            seen[name] = getattr(lg, name)[:lg.cs.n_msgs].copy()
+    assert lg.dims["msgs"] == 2 * first
+    # the stamps add up to what the counters counted
+    n = lg.cs.n_msgs
+    assert np.count_nonzero(lg.msg_dlv[:n] >= 0) \
+        == net.stats.messages_delivered > first
+    assert [net.messages[m].header.src for m in (0, first, n - 1)] \
+        == lg.msg_src[[0, first, n - 1]].tolist()

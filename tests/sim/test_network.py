@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.routing.dimension_order import ECubeRouting, TorusDatelineXY, XYRouting
+from repro.routing.dimension_order import ECubeRouting, XYRouting
 from repro.sim import (FaultSchedule, Hypercube, Mesh2D, Network, SimConfig,
-                       Torus2D, TrafficGenerator)
+                       TrafficGenerator)
 
 
 def drain(net, max_cycles=100_000):
@@ -136,25 +136,6 @@ class TestDecisionLatency:
             lat[cps] = m.latency
         # 7 decisions on the path, each 2 cycles slower
         assert lat[3] - lat[1] == 7 * 2
-
-
-class TestTorus:
-    def test_dateline_delivery(self):
-        net = Network(Torus2D(4, 4), TorusDatelineXY())
-        m = net.offer(net.topology.node_at(3, 3), net.topology.node_at(0, 0), 4)
-        drain(net)
-        assert m.delivered is not None
-        assert m.hops == 3  # one wrap hop per dimension + ejection
-
-    def test_torus_uniform_load_delivers(self):
-        net = Network(Torus2D(4, 4), TorusDatelineXY())
-        net.attach_traffic(TrafficGenerator(net.topology, "uniform",
-                                            load=0.2, message_length=4,
-                                            seed=3))
-        net.run(800)
-        net.traffic = None
-        drain(net)
-        assert not net.undelivered()
 
 
 class TestHarshFaults:

@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import (EAST, NORTH, SOUTH, WEST, Hypercube, Mesh2D, Torus2D,
-                       link_key)
+from repro.sim import EAST, NORTH, SOUTH, WEST, Hypercube, Mesh2D, link_key
 
 
 class TestMesh2D:
@@ -58,28 +57,6 @@ class TestMesh2D:
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Mesh2D(0, 3)
-
-
-class TestTorus2D:
-    def test_every_node_has_four_ports(self):
-        t = Torus2D(4, 4)
-        for n in t.nodes():
-            assert len(t.ports(n)) == 4
-
-    def test_wraparound_neighbor(self):
-        t = Torus2D(4, 4)
-        east_of_edge = t.ports(t.node_at(3, 0))[EAST]
-        assert east_of_edge.neighbor == t.node_at(0, 0)
-
-    def test_distance_uses_wraparound(self):
-        t = Torus2D(8, 8)
-        assert t.distance(t.node_at(0, 0), t.node_at(7, 0)) == 1
-        assert t.distance(t.node_at(0, 0), t.node_at(4, 4)) == 8
-
-    def test_minimal_ports_both_ways_at_half(self):
-        t = Torus2D(4, 4)
-        ports = t.minimal_ports(t.node_at(0, 0), t.node_at(2, 0))
-        assert set(ports) == {EAST, WEST}
 
 
 class TestHypercube:

@@ -11,14 +11,13 @@ sample here.
 import pytest
 
 from repro.routing.registry import ALGORITHM_META
-from repro.sim.topology import (Hypercube, Mesh2D, Torus2D, _TOPOLOGY_KINDS,
+from repro.sim.topology import (Hypercube, Mesh2D, _TOPOLOGY_KINDS,
                                 topology_from_dict)
 
 # at least one representative instance per registered kind, including
 # non-square / non-power-of-two shapes where the kind allows them
 SAMPLES = {
     "mesh2d": [Mesh2D(2, 2), Mesh2D(5, 3)],
-    "torus2d": [Torus2D(3, 3), Torus2D(4, 6)],
     "hypercube": [Hypercube(1), Hypercube(4)],
 }
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Mesh2D, TrafficGenerator, Torus2D
+from repro.sim import Mesh2D, TrafficGenerator
 from repro.sim._batched_kernel import load_kernel, unavailable_reason
 from repro.sim.traffic import (PATTERNS, bit_complement_pattern,
                                hotspot_pattern, transpose_pattern,
@@ -106,17 +106,6 @@ class TestGenerator:
     def test_zero_load_generates_nothing(self):
         gen = TrafficGenerator(Mesh2D(4, 4), "uniform", load=0.0, seed=1)
         assert all(not gen.tick(c) for c in range(100))
-
-    def test_torus_patterns_work(self):
-        gen = TrafficGenerator(Torus2D(4, 4), "transpose", load=0.5, seed=2)
-        out = []
-        for c in range(50):
-            out.extend(gen.tick(c))
-        assert out
-        topo = gen.topology
-        for src, dst, length in out:
-            x, y = topo.coords(src)
-            assert topo.coords(dst) == (y, x)
 
 
 class TestUniformStream:

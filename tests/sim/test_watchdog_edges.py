@@ -3,8 +3,6 @@
 The happy-path deadlock tests live in test_reliability.py (a four-worm
 circular wait with a full blocking cycle).  Here we pin the corners:
 
-* ``_find_cycle`` on degenerate graphs, including the single-node cycle
-  (a worm recorded as waiting on itself);
 * a real single-worm stall where the worm chases its own tail around a
   ring — self-waits are excluded from the wait-for graph, so the
   diagnosis must report *no* cycle (starvation), not a bogus one;
@@ -22,33 +20,7 @@ from repro.sim.config import SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.sim.network import DeadlockError, Network
 from repro.sim.topology import Mesh2D
-from repro.sim.watchdog import _find_cycle, diagnose_stall
-
-
-class TestFindCycle:
-    def test_single_node_cycle(self):
-        # a self-loop is the smallest cycle the detector can report
-        assert _find_cycle({1: [1]}) == [1]
-
-    def test_two_node_cycle(self):
-        cyc = _find_cycle({1: [2], 2: [1]})
-        assert sorted(cyc) == [1, 2]
-
-    def test_cycle_behind_prefix(self):
-        # the cycle is only reachable through an acyclic tail
-        cyc = _find_cycle({0: [1], 1: [2], 2: [3], 3: [1]})
-        assert sorted(cyc) == [1, 2, 3]
-        assert 0 not in cyc
-
-    def test_acyclic_graph(self):
-        assert _find_cycle({1: [2], 2: [3], 3: []}) is None
-
-    def test_empty_graph(self):
-        assert _find_cycle({}) is None
-
-    def test_self_loop_among_others(self):
-        cyc = _find_cycle({0: [1], 1: [], 2: [2]})
-        assert cyc == [2]
+from repro.sim.watchdog import diagnose_stall
 
 
 class _RingForever(RoutingAlgorithm):

@@ -70,15 +70,16 @@ class TestSimulateCli:
         assert simulate_main(["run", *argv]) == 0
         return json.loads(capsys.readouterr().out)
 
-    def test_torus_is_not_plain_mesh(self, capsys):
-        argv = ["--width", "4", "--height", "4", "--algorithm", "torus_xy",
+    def test_topology_choice_reaches_the_algorithm(self, capsys):
+        argv = ["--dimension", "3", "--algorithm", "ecube",
                 "--load", "0.05", "--cycles", "200", "--warmup", "50"]
-        res = self._run_json(capsys, "--topology", "torus", *argv)
+        res = self._run_json(capsys, "--topology", "cube", *argv)
         assert res["messages_delivered"] > 0
-        with pytest.raises(RoutingError, match="tori"):
+        with pytest.raises(RoutingError, match="hypercubes"):
             simulate_main(["run", "--topology", "mesh", *argv])
-        with pytest.raises(SystemExit):
-            simulate_main(["run", "--topology", "ring"])
+        for kind in ("torus", "ring"):
+            with pytest.raises(SystemExit):
+                simulate_main(["run", "--topology", kind])
 
     def test_small_run(self, capsys):
         res = self._run_json(capsys, "--width", "4", "--height", "4",
