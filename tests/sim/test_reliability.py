@@ -315,8 +315,16 @@ class TestWatchdog:
         assert diag.flits_in_flight > 0
         assert len(diag.worms) >= 2
         assert diag.holding_nodes
-        # the circular wait is real and reported as a cycle of channels
-        assert diag.blocking_cycle
+        # the circular wait is real and reported as a cycle of channels:
+        # all four worms, each once (an open list, no closing repeat),
+        # each waiting on the next, and one held channel per worm
+        cyc = diag.blocking_cycle
+        assert sorted(cyc) == sorted(w.msg_id for w in diag.worms) \
+            == [0, 1, 2, 3]
+        waits = {w.msg_id: w.waiting_on for w in diag.worms}
+        assert all(b in waits[a] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        assert len(diag.cycle_channels) == len(set(diag.cycle_channels)) \
+            == 4
         summary = diag.summary()
         assert summary["stalled_worms"] == len(diag.worms)
         text = diag.describe()
