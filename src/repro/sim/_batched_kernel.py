@@ -3,10 +3,11 @@
 The allocation walk is inherently sequential — a grant frees a
 downstream credit that a later-ordered router may consume in the *same*
 cycle — so it cannot be a masked argmax over arrays.  Instead the
-struct-of-arrays state is advanced by a small C kernel doing exactly
-the object engine's walk over int32 arrays: flush, injection pushes,
-the route-stage scan (transitions + load re-sorts), and the
-allocate/grant/transfer walk with the stock round-robin pointers.
+array state is advanced by a small C kernel doing exactly the object
+engine's walk: flush, injection pushes, the route-stage scan
+(transitions + load re-sorts), and the allocate/grant/transfer walk
+with the stock round-robin pointers.  Each input VC's state is one
+record (``iv_t``), so a visit of the walks reads one row.
 
 The kernel also draws one cycle of the ``uniform`` traffic pattern
 (``k_uniform_tick``) from the generator's numpy bit generator, through
@@ -50,11 +51,13 @@ node.  Stuck heads are collected in C and handed back once, at the
 node's end, for purging.
 
 The kernel's state is declared once, in :data:`ARRAYS`: one row per
-array (name, C type, shape in named dimensions, fill value, note).  The
-``BState`` struct text is generated from the rows, and the engines
-allocate (:func:`column`) and grow (:func:`grow`, :func:`resize`) every
-array from them, so an array is added, resized or regrouped by editing
-its row.
+array (name, C type, shape in named dimensions, fill value, note), a
+C type being a scalar or a record of :data:`RECORDS`.  The record
+``typedef``s and the ``BState`` struct text are generated from the
+rows, each record gets a numpy structured dtype with the same layout
+(:func:`dtype`), and the engines allocate (:func:`column`) and grow
+(:func:`grow`, :func:`resize`) every array from them, so an array or a
+record field is added, resized or regrouped by editing its row.
 
 The kernel is built on demand with the system C compiler (``cc -O3
 -shared -fPIC``) and cached by source hash; cffi's ABI mode loads the
@@ -109,12 +112,67 @@ XING_W = 7 + MAXF
 #: the value of ``o_port`` / ``o_vc`` while an input VC holds no output
 NO_PORT = -100
 
+#: The per input VC record (``iv_t``): everything the route scan and the
+#: allocation walk read of one VC on a visit, in one row of at most 64
+#: bytes, so a visit touches one or two cache lines instead of one per
+#: field.  A field is (name, C type, the value of an unused element,
+#: what it holds); port ids are below 64 and a VC index is below the
+#: 64-candidate bound, so they fit in a byte with ``NO_PORT``.  Output
+#: and input VCs share the (node, port, vc) triples and so the gids:
+#: the ``ov_*`` fields are the output VC's.  ``o_dn`` repeats the
+#: ``ov_down`` of the output ``o_port``/``o_vc`` name, so a worm's body
+#: flits reach their downstream buffer without the output's record.
+IV_FIELDS = (
+    # what a body flit's visit and grant read
+    ("st", "uint8_t", 0, "0 idle 1 routing 2 routed 3 active"),
+    ("o_port", "int8_t", NO_PORT, "held output (-1 LOCAL, -100 none)"),
+    ("o_vc", "int8_t", NO_PORT, "held output VC"),
+    ("iv_port", "int8_t", 0, "port id, -1 for LOCAL"),
+    ("iv_vc", "int8_t", 0, "virtual channel"),
+    ("inc_val", "uint8_t", 0,
+     "1-deep staging slot: the flit waits uncounted in the ring just "
+     "past the buffered ones"),
+    ("arr_on", "uint8_t", 0, "listed in arr_list"),
+    ("iv_bit", "uint8_t", 0, "its bit in its node's occ masks"),
+    ("buf_head", "int32_t", 0, "ring front"),
+    ("buf_cnt", "int32_t", 0, "buffered flits"),
+    ("o_dn", "int32_t", -1, "ov_down of the held output VC, -1 none"),
+    ("iv_node", "int32_t", 0, "owning node"),
+    # the decision, and the VC as an output
+    ("head_msg", "int32_t", -1, "msg id of the routed worm, -1 none"),
+    ("ready", "int32_t", 0, "cycle the routing delay ends"),
+    ("epoch", "int32_t", 0, "route epoch of the decision"),
+    ("ov_owner", "int32_t", -1, "owning input gid or -1"),
+    ("ov_down", "int32_t", -1, "downstream input gid or -1"),
+    ("ncand", "uint8_t", 0, "candidates"),
+    ("hint", "uint8_t", 0, "RouteDecision.refresh_hint"),
+    ("deliver", "uint8_t", 0, "the decision delivers here"),
+    ("stuckf", "uint8_t", 0, "the decision is stuck"),
+)
+
+#: one flit of an input VC's ring (``flit_t``)
+FLIT_FIELDS = (
+    ("msg", "int32_t", 0, "message id"),
+    ("seq", "int32_t", 0, "sequence number"),
+)
+
+#: the record types of :data:`ARRAYS`: C type name -> (the prefix of
+#: the engine's per-field views, the fields).  The engine sees a record
+#: row's field ``f`` as the array ``_<prefix><f>`` (a view of the one
+#: structured array), so ``net._st[g]`` reads the record's ``st``.
+RECORDS = {
+    "iv_t": ("", IV_FIELDS),
+    "flit_t": ("buf_", FLIT_FIELDS),
+}
+
 #: The kernel's arrays: one row per pointer field of ``BState``, the one
 #: statement of the kernel's state.  The struct text below is generated
 #: from these rows, and :class:`~repro.sim.batched.BatchedNetwork`
 #: allocates, binds and grows every array from them.  A row is (name, C
-#: element type, shape, the value of an unused element, what it holds).
-#: A shape names its dimensions:
+#: element type, shape, the value of an unused element, what it holds);
+#: an element type in :data:`RECORDS` is a record, whose fields carry
+#: their own fill values (the row's is None).  A shape names its
+#: dimensions:
 #:
 #: * ``nodes``; ``spans`` = nodes + 1; ``words`` = one bit per node in
 #:   uint64 words; ``slots`` = the port slots of a node, LOCAL first
@@ -133,40 +191,20 @@ NO_PORT = -100
 ARRAYS = (
     # static layout
     ("iv_off", "int32_t", ("spans",), 0, "gid span per node"),
-    ("iv_node", "int32_t", ("ivs",), 0, "owning node"),
-    ("iv_port", "int32_t", ("ivs",), 0, "port id, -1 for LOCAL"),
-    ("iv_vc", "int32_t", ("ivs",), 0, "virtual channel"),
     ("portbase", "int32_t", ("nodes", "slots"), -1, "gid base or -1"),
-    ("ov_down", "int32_t", ("ivs",), -1, "downstream input gid or -1"),
     # per input VC
-    ("buf_msg", "int32_t", ("ivs", "ring"), 0, "flit message ids"),
-    ("buf_seq", "int32_t", ("ivs", "ring"), 0, "flit sequence numbers"),
-    ("buf_head", "int32_t", ("ivs",), 0, "ring front"),
-    ("buf_cnt", "int32_t", ("ivs",), 0, "buffered flits"),
-    ("inc_val", "uint8_t", ("ivs",), 0,
-     "1-deep staging slot: the flit waits uncounted in the ring just "
-     "past the buffered ones"),
-    ("st", "uint8_t", ("ivs",), 0, "0 idle 1 routing 2 routed 3 active"),
-    ("ready", "int32_t", ("ivs",), 0, "cycle the routing delay ends"),
-    ("epoch", "int32_t", ("ivs",), 0, "route epoch of the decision"),
-    ("o_port", "int32_t", ("ivs",), NO_PORT,
-     "held output (-1 LOCAL, -100 none)"),
-    ("o_vc", "int32_t", ("ivs",), NO_PORT, "held output VC"),
-    ("deliver", "uint8_t", ("ivs",), 0, "the decision delivers here"),
-    ("stuckf", "uint8_t", ("ivs",), 0, "the decision is stuck"),
-    ("hint", "uint8_t", ("ivs",), 0, "RouteDecision.refresh_hint"),
-    ("ncand", "int32_t", ("ivs",), 0, "candidates"),
-    ("cand_p", "int32_t", ("ivs", "cands"), 0, "candidate ports"),
-    ("cand_v", "int32_t", ("ivs", "cands"), 0, "candidate VCs"),
-    ("head_msg", "int32_t", ("ivs",), -1,
-     "msg id of the routed worm, -1 none"),
-    ("ov_owner", "int32_t", ("ivs",), -1, "owning input gid or -1"),
+    ("iv", "iv_t", ("ivs",), None, "the VC's record"),
+    ("buf", "flit_t", ("ivs", "ring"), None, "the flit ring"),
+    ("cand_p", "int8_t", ("ivs", "cands"), 0, "candidate ports"),
+    ("cand_v", "int8_t", ("ivs", "cands"), 0, "candidate VCs"),
     ("link_cnt", "int64_t", ("ivs",), 0, "flits forwarded per output VC"),
     ("arr_list", "int32_t", ("ivs",), 0,
      "staging slots filled since the last flush, each listed once"),
-    ("arr_on", "uint8_t", ("ivs",), 0, "arr_list membership"),
     # per node
     ("r_nflits", "int32_t", ("nodes",), 0, "buffered flits"),
+    ("occ", "uint64_t", ("nodes", 2), 0,
+     "one bit per input VC from the node's first: 0 buf_cnt != 0, "
+     "1 st == 3"),
     ("node_ok", "uint8_t", ("nodes",), 1, "the node works"),
     ("alive", "uint8_t", ("nodes", "slots"), 0,
      "the port works; slot 0 = LOCAL = 1"),
@@ -193,21 +231,21 @@ ARRAYS = (
     ("adm_lab", "int32_t", ("views", "nodes"), 0,
      "component labels (-1 = dead in that view)"),
     ("adm_ok", "uint8_t", ("nodes",), 0, "RoutingAlgorithm.accepts_node"),
-    # the allocation walk: arbiter state, its event log for replay in
-    # Python, and one node's request staging
+    # the allocation walk: arbiter state and its event log for replay
+    # in Python
     ("rr_ptr", "int64_t", ("slots",), 0, "round-robin pointers"),
     ("counters", "int64_t", (4,), 0,
      "0 hops 1 flits ejected outside the event log 2 events 3 messages "
      "delivered in C"),
+    ("visits", "int64_t", (2,), 0,
+     "occupied input VCs visited, cumulative: 0 by the route scan 1 by "
+     "the allocation walk"),
     ("ev_kind", "int32_t", ("events",), 0,
      "0 head-depart 1 tail-eject (a held or misdelivered message)"),
     ("ev_node", "int32_t", ("events",), 0, "node"),
     ("ev_msg", "int32_t", ("events",), 0, "message id"),
     ("ev_a", "int32_t", ("events",), 0, "out_port of a head event"),
     ("ev_b", "int32_t", ("events",), 0, "out_vc of a head event"),
-    ("req_g", "int32_t", ("cands",), 0, "requesting input gid"),
-    ("req_ov", "int32_t", ("cands",), 0, "requested output gid"),
-    ("req_head", "uint8_t", ("cands",), 0, "the request is a head's"),
     # the route stage's crossing record and its node's stuck heads
     ("xing", "int32_t", ("XING_W",), 0, "the VC handed to Python"),
     ("stuck", "int32_t", ("cands",), 0, "the node's stuck message ids"),
@@ -238,8 +276,8 @@ ARRAYS = (
     ("e_steps", "int32_t", ("entries",), 0, "interpretation steps"),
     ("e_hint", "uint8_t", ("entries",), 0, "refresh hint"),
     ("e_ncand", "int32_t", ("entries",), 0, "candidates"),
-    ("e_cp", "int32_t", ("entries", "cands"), 0, "candidate ports"),
-    ("e_cv", "int32_t", ("entries", "cands"), 0, "candidate VCs"),
+    ("e_cp", "int8_t", ("entries", "cands"), 0, "candidate ports"),
+    ("e_cv", "int8_t", ("entries", "cands"), 0, "candidate VCs"),
     # the decision digest byte stream and the stats accumulators
     ("dig", "uint8_t", ("DIG_CAP",), 0, "digest lines"),
     ("dstat", "int64_t", (4,), 0, "0 decisions 1 steps-sum 2 max 3 lines"),
@@ -251,8 +289,8 @@ ARRAYS = (
     ("ct_ncand", "int32_t", ("CT_KEYS",), 0, "candidates"),
     ("ct_vn_after", "int32_t", ("CT_KEYS",), FIELD_ABSENT,
      "F_ABSENT = leave the vn field alone"),
-    ("ct_cp", "int32_t", ("CT_KEYS", "CT_CANDS"), 0, "candidate ports"),
-    ("ct_cv", "int32_t", ("CT_KEYS", "CT_CANDS"), 0, "candidate VCs"),
+    ("ct_cp", "int8_t", ("CT_KEYS", "CT_CANDS"), 0, "candidate ports"),
+    ("ct_cv", "int8_t", ("CT_KEYS", "CT_CANDS"), 0, "candidate VCs"),
 )
 
 #: the constant dimensions of :data:`ARRAYS`
@@ -260,26 +298,40 @@ DIMS = {"KEYW": KEYW, "MAXF": MAXF, "DIG_CAP": DIG_CAP, "CT_KEYS": CT_KEYS,
         "CT_CANDS": CT_CANDS, "XING_W": XING_W}
 
 
+def dtype(ctype: str) -> np.dtype:
+    """The numpy element type of the C type ``ctype``; for a
+    :data:`RECORDS` type a structured dtype laid out as the C compiler
+    lays out its ``typedef`` (fields in order, natural alignment)."""
+    if ctype not in RECORDS:
+        return np.dtype(ctype[:-2])
+    return np.dtype([(name, t[:-2]) for name, t, _, _ in RECORDS[ctype][1]],
+                    align=True)
+
+
 def column(row, dims: dict) -> np.ndarray:
     """A new array for ``row`` (an :data:`ARRAYS` row) at the sizes
     ``dims`` gives its named dimensions, every element the row's
-    fill value."""
+    fill value (a record's fields, their own)."""
     _, ctype, shape, fill, _ = row
     # zeros leaves a large array's pages untouched until used
-    arr = np.zeros([dims.get(d, d) for d in shape], dtype=ctype[:-2])
-    if fill:
+    arr = np.zeros([dims.get(d, d) for d in shape], dtype=dtype(ctype))
+    if ctype in RECORDS:
+        for name, _, value, _ in RECORDS[ctype][1]:
+            if value:
+                arr[name] = value
+    elif fill:
         arr.fill(fill)
     return arr
 
 
-def resize(dims: dict, dim: str, n: int, home) -> list:
-    """Give every array whose first dimension is ``dim`` ``n`` rows,
-    keeping its leading rows: the new array replaces the old at
-    ``home(row)``, an (object, attribute) pair.  ``dims[dim]`` becomes
-    ``n``.  Returns the rows replaced, for a caller whose kernel must
-    be pointed at the new arrays."""
+def resize(dims: dict, dim: str, n: int, home, rows=ARRAYS) -> list:
+    """Give every array of ``rows`` whose first dimension is ``dim``
+    ``n`` rows, keeping its leading rows: the new array replaces the old
+    at ``home(row)``, an (object, attribute) pair.  ``dims[dim]``
+    becomes ``n``.  Returns the rows replaced, for a caller whose kernel
+    must be pointed at the new arrays."""
     dims[dim] = n
-    rows = [row for row in ARRAYS if row[2][0] == dim]
+    rows = [row for row in rows if row[2][0] == dim]
     for row in rows:
         where = home(row)
         old = getattr(*where)
@@ -289,21 +341,27 @@ def resize(dims: dict, dim: str, n: int, home) -> list:
     return rows
 
 
-def grow(dims: dict, dim: str, need: int, home) -> list:
+def grow(dims: dict, dim: str, need: int, home, rows=ARRAYS) -> list:
     """Room for ``need`` rows of ``dim``: when there are fewer,
     :func:`resize` to at least double.  Returns the rows replaced (none
     when there was room)."""
     have = dims[dim]
     if need <= have:
         return []
-    return resize(dims, dim, max(need, 2 * have), home)
+    return resize(dims, dim, max(need, 2 * have), home, rows)
+
+
+def _fields(fields) -> str:
+    return "".join(f"    {f'{ctype} {name};':<26}/* {note} */\n"
+                   for name, ctype, _, note in fields)
 
 
 #: struct layout shared between the cffi cdef and the C source: the
-#: scalars, then one pointer per :data:`ARRAYS` row.  Every pointer
-#: aliases a numpy array owned by the Python-side state; the kernel
-#: never allocates.
-_STRUCT = """
+#: :data:`RECORDS` types, then the state: the scalars and one pointer
+#: per :data:`ARRAYS` row.  Every pointer aliases a numpy array owned
+#: by the Python-side state; the kernel never allocates.
+_STRUCT = "".join("typedef struct {\n" + _fields(fields) + f"}} {ctype};\n"
+                  for ctype, (_, fields) in RECORDS.items()) + """
 typedef struct {
     int32_t n_nodes, n_iv, cap, n_vcs, max_pid, maxc;
     /* native decision cache configuration */
@@ -533,15 +591,36 @@ static void act_compact(BState *restrict s)
    flush.  Filling a slot lists it once until the next flush */
 static inline void stage(BState *restrict s, int g, int msg, int seq)
 {
-    int idx = s->buf_head[g] + s->buf_cnt[g];
+    iv_t *v = s->iv + g;
+    int idx = v->buf_head + v->buf_cnt;
     if (idx >= s->cap) idx -= s->cap;
-    s->buf_msg[(int64_t)g * s->cap + idx] = msg;
-    s->buf_seq[(int64_t)g * s->cap + idx] = seq;
-    s->inc_val[g] = 1;
-    if (!s->arr_on[g]) {
-        s->arr_on[g] = 1;
+    flit_t *f = s->buf + (int64_t)g * s->cap + idx;
+    f->msg = msg;
+    f->seq = seq;
+    v->inc_val = 1;
+    if (!v->arr_on) {
+        v->arr_on = 1;
         s->arr_list[s->n_arr++] = g;
     }
+}
+
+/* input VC g's bits in its node's occupancy masks, after its buf_cnt
+   or st changed: every write that can move buf_cnt to or from 0, or st
+   to or from ACTIVE, calls this */
+static inline void occ_sync(BState *restrict s, int g)
+{
+    const iv_t *v = s->iv + g;
+    uint64_t bit = (uint64_t)1 << v->iv_bit;
+    uint64_t *w = s->occ + 2 * v->iv_node;
+    w[0] = v->buf_cnt ? w[0] | bit : w[0] & ~bit;
+    w[1] = v->st == 3 ? w[1] | bit : w[1] & ~bit;
+}
+
+/* the credit check: room for one more flit in input VC d */
+static inline int has_room(const BState *restrict s, int d)
+{
+    const iv_t *v = s->iv + d;
+    return v->buf_cnt + v->inc_val < s->cap;
 }
 
 /* admit the slots staged since the last flush into their buffers; a
@@ -552,14 +631,14 @@ void k_flush(BState *restrict s)
     act_compact(s);
     const int na = s->n_arr;
     const int32_t *restrict arr = s->arr_list;
-    uint8_t *restrict on = s->arr_on;
-    uint8_t *restrict val = s->inc_val;
-    int32_t *restrict cnt = s->buf_cnt;
     for (int i = 0; i < na; i++) {
-        int g = arr[i];
-        on[g] = 0;
-        cnt[g] += val[g];
-        val[g] = 0;
+        iv_t *v = s->iv + arr[i];
+        v->arr_on = 0;
+        if (v->inc_val) {                /* buf_cnt > 0 from here */
+            v->buf_cnt++;
+            v->inc_val = 0;
+            s->occ[2 * v->iv_node] |= (uint64_t)1 << v->iv_bit;
+        }
     }
     s->n_arr = 0;
 }
@@ -648,7 +727,7 @@ int k_inject(BState *s, int32_t *out_heads)
         int cur = s->src_cur[node];
         if (cur < 0 || !s->node_ok[node]) continue;
         int g = s->portbase[SLOT(s, node, -1)];   /* local VC 0 */
-        if (s->buf_cnt[g] + s->inc_val[g] >= s->cap) continue;
+        if (!has_room(s, g)) continue;
         int seq = s->src_pos[node];
         stage(s, g, cur, seq);
         s->r_nflits[node]++;
@@ -668,13 +747,12 @@ int k_inject(BState *s, int32_t *out_heads)
 
 static int load_of(BState *s, int node, int pid)
 {
-    int base = s->portbase[SLOT(s, node, pid)];
+    const iv_t *ov = s->iv + s->portbase[SLOT(s, node, pid)];
     int tot = 0;
     for (int v = 0; v < s->n_vcs; v++) {
-        int ovg = base + v;
-        int d = s->ov_down[ovg];
-        if (d >= 0) tot += s->buf_cnt[d] + s->inc_val[d];
-        if (s->ov_owner[ovg] >= 0) tot += 1;
+        int d = ov[v].ov_down;
+        if (d >= 0) tot += s->iv[d].buf_cnt + s->iv[d].inc_val;
+        if (ov[v].ov_owner >= 0) tot += 1;
     }
     return tot;
 }
@@ -686,10 +764,10 @@ static int load_of(BState *s, int node, int pid)
    in place, and loads compare clamped at load_cap. */
 static void resort_cands(BState *s, int g, int node)
 {
-    int k = s->pin, n = s->ncand[g] - k;
+    int k = s->pin, n = s->iv[g].ncand - k;
     if (n < 2) return;
-    int32_t *cp = s->cand_p + (int64_t)g * s->maxc + k;
-    int32_t *cv = s->cand_v + (int64_t)g * s->maxc + k;
+    int8_t *cp = s->cand_p + (int64_t)g * s->maxc + k;
+    int8_t *cv = s->cand_v + (int64_t)g * s->maxc + k;
     int loads[64];
     for (int i = 0; i < n; i++) {
         int l = load_of(s, node, cp[i]);
@@ -715,21 +793,22 @@ static void resort_cands(BState *s, int g, int node)
 
 void k_resort(BState *s, int g)
 {
-    resort_cands(s, g, s->iv_node[g]);
+    resort_cands(s, g, s->iv[g].iv_node);
 }
 
 /* the refresh a hint declares: re-sort by current loads */
 static int load_ordered(BState *s, int g)
 {
-    return s->hint[g] == H_RESORT || s->hint[g] == H_ARGMIN;
+    int h = s->iv[g].hint;
+    return h == H_RESORT || h == H_ARGMIN;
 }
 
 /* candidates the allocator requests and the digest line names: an
    ARGMIN decision offers only its least-loaded member */
 static int offered(BState *s, int g)
 {
-    int n = s->ncand[g];
-    return (s->hint[g] == H_ARGMIN && n > 1) ? 1 : n;
+    int n = s->iv[g].ncand;
+    return (s->iv[g].hint == H_ARGMIN && n > 1) ? 1 : n;
 }
 
 /* the loads of one node's ports, ascending port id (the Python route()
@@ -774,11 +853,12 @@ static int32_t dst_slot(BState *s, int node, int dst)
    that must keep its own entries is its class's only member. */
 static void key_head(BState *s, int g, int mid, int32_t *k)
 {
-    int node = s->iv_node[g];
+    const iv_t *v = s->iv + g;
+    int node = v->iv_node;
     k[1] = dst_slot(s, node, s->msg_dst[mid]);
     k[0] = k[1] < 0 ? s->node_cls[node] : node;
-    k[2] = s->key_port ? s->iv_port[g] : 0;
-    k[3] = s->key_vc ? s->iv_vc[g] : 0;
+    k[2] = s->key_port ? v->iv_port : 0;
+    k[3] = s->key_vc ? v->iv_vc : 0;
     k[4] = s->msg_plen[mid] > s->limit ? 1 : 0;
 }
 
@@ -820,11 +900,12 @@ static void dig_line(BState *s, int node, int g, int steps)
     if (!s->dig_on) return;
     char *base = (char *)s->dig;
     char *p = base + s->dig_used;
-    p += sprintf(p, "%d|%d|%d|%d|%d", node, s->head_msg[g],
-                 s->deliver[g] ? 1 : 0, s->stuckf[g] ? 1 : 0, steps);
+    const iv_t *v = s->iv + g;
+    p += sprintf(p, "%d|%d|%d|%d|%d", node, v->head_msg,
+                 v->deliver ? 1 : 0, v->stuckf ? 1 : 0, steps);
     int n = offered(s, g);
-    const int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
-    const int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
+    const int8_t *cp = s->cand_p + (int64_t)g * s->maxc;
+    const int8_t *cv = s->cand_v + (int64_t)g * s->maxc;
     for (int i = 0; i < n; i++)
         p += sprintf(p, "|%d.%d", cp[i], cv[i]);
     *p++ = '\\n';
@@ -839,18 +920,19 @@ static void dig_line(BState *s, int node, int g, int steps)
 static void apply_common(BState *s, int g, int node, int steps,
                          int cycle, int epoch)
 {
-    s->st[g] = 1;
-    s->stuckf[g] = 0;
+    iv_t *v = s->iv + g;
+    v->st = 1;
+    v->stuckf = 0;
     int lat = steps * s->cps;
     if (lat < 1) lat = 1;
-    s->ready[g] = cycle + lat - 1;
-    s->epoch[g] = epoch;
+    v->ready = cycle + lat - 1;
+    v->epoch = epoch;
     if (load_ordered(s, g)) resort_cands(s, g, node);
     s->dstat[0]++;
     s->dstat[1] += steps;
     if (steps > s->dstat[2]) s->dstat[2] = steps;
     dig_line(s, node, g, steps);
-    if (cycle >= s->ready[g]) s->st[g] = 2;     /* same-cycle ROUTED */
+    if (cycle >= v->ready) v->st = 2;           /* same-cycle ROUTED */
 }
 
 /* replay a cache entry: recorded header-field after-values
@@ -861,15 +943,16 @@ static void apply_hit(BState *s, int g, int node, int mid, int e,
     int32_t *f = s->msg_f + (int64_t)mid * MAXF;
     const int32_t *a = s->ea + (int64_t)e * MAXF;
     for (int i = 0; i < s->n_native; i++) f[i] = a[i];
-    s->head_msg[g] = mid;
-    s->deliver[g] = s->e_deliver[e];
-    s->hint[g] = s->e_hint[e];
+    iv_t *v = s->iv + g;
+    v->head_msg = mid;
+    v->deliver = s->e_deliver[e];
+    v->hint = s->e_hint[e];
     int n = s->e_ncand[e];
-    s->ncand[g] = n;
+    v->ncand = n;
     memcpy(s->cand_p + (int64_t)g * s->maxc,
-           s->e_cp + (int64_t)e * s->maxc, n * sizeof(int32_t));
+           s->e_cp + (int64_t)e * s->maxc, n);
     memcpy(s->cand_v + (int64_t)g * s->maxc,
-           s->e_cv + (int64_t)e * s->maxc, n * sizeof(int32_t));
+           s->e_cv + (int64_t)e * s->maxc, n);
     apply_common(s, g, node, s->e_steps[e], cycle, epoch);
 }
 
@@ -909,15 +992,16 @@ static int ct_lookup(BState *s, int g, int node, int mid,
     if (!s->ct_valid[idx]) return 0;
     if (s->ct_vn_after[idx] != F_ABSENT)
         f[s->ct_vnf] = s->ct_vn_after[idx];
-    s->head_msg[g] = mid;
-    s->deliver[g] = s->ct_deliver[idx];
-    s->hint[g] = s->ct_hint[idx];
+    iv_t *v = s->iv + g;
+    v->head_msg = mid;
+    v->deliver = s->ct_deliver[idx];
+    v->hint = s->ct_hint[idx];
     int n = s->ct_ncand[idx];
-    s->ncand[g] = n;
+    v->ncand = n;
     memcpy(s->cand_p + (int64_t)g * s->maxc,
-           s->ct_cp + (int64_t)idx * CT_CANDS, n * sizeof(int32_t));
+           s->ct_cp + (int64_t)idx * CT_CANDS, n);
     memcpy(s->cand_v + (int64_t)g * s->maxc,
-           s->ct_cv + (int64_t)idx * CT_CANDS, n * sizeof(int32_t));
+           s->ct_cv + (int64_t)idx * CT_CANDS, n);
     apply_common(s, g, node, s->ct_steps[idx], cycle, epoch);
     return 1;
 }
@@ -947,15 +1031,16 @@ static void note_entry(BState *s, int g, int mid, int steps,
     memcpy(s->ek + (int64_t)e * KEYW, k, KEYW * sizeof(int32_t));
     memcpy(s->ea + (int64_t)e * MAXF, s->msg_f + (int64_t)mid * MAXF,
            MAXF * sizeof(int32_t));
-    s->e_deliver[e] = s->deliver[g];
+    const iv_t *v = s->iv + g;
+    s->e_deliver[e] = v->deliver;
     s->e_steps[e] = steps;
-    s->e_hint[e] = s->hint[g];
-    int n = s->ncand[g];
+    s->e_hint[e] = v->hint;
+    int n = v->ncand;
     s->e_ncand[e] = n;
     memcpy(s->e_cp + (int64_t)e * s->maxc,
-           s->cand_p + (int64_t)g * s->maxc, n * sizeof(int32_t));
+           s->cand_p + (int64_t)g * s->maxc, n);
     memcpy(s->e_cv + (int64_t)e * s->maxc,
-           s->cand_v + (int64_t)g * s->maxc, n * sizeof(int32_t));
+           s->cand_v + (int64_t)g * s->maxc, n);
     s->tab[j] = e;
 }
 
@@ -980,25 +1065,24 @@ void k_rehash(BState *s)
    after the whole node's route stage (Router.route_stage's order) */
 static void note_stuck(BState *s, int g)
 {
-    if (s->st[g] == 2 && s->stuckf[g])
-        s->stuck[s->n_stuck++] = s->head_msg[g];
+    const iv_t *v = s->iv + g;
+    if (v->st == 2 && v->stuckf)
+        s->stuck[s->n_stuck++] = v->head_msg;
 }
 
-/* the input VCs lo..hi-1 of one node (at most 64) holding flits, as a
-   bit mask from lo; with heads_only, only those not carrying an ACTIVE
-   worm, which the route stage leaves alone.  The walks visit only
-   these, in ascending gid order, so one data-dependent branch per
-   visited VC replaces one per VC */
-static inline uint64_t occupied(const BState *s, int lo, int hi,
+/* the input VCs from g0 to the end of node's span (at most 64 VCs)
+   holding flits, as a bit mask from g0; with heads_only, only those
+   not carrying an ACTIVE worm, which the route stage leaves alone.
+   The walks visit only these, in ascending gid order, so one
+   data-dependent branch per visited VC replaces one per VC.  The mask
+   is two words of the node's, kept by occ_sync; no VC record is read */
+static inline uint64_t occupied(const BState *s, int node, int g0,
                                 int heads_only)
 {
-    uint64_t occ = 0;
-    for (int g = lo; g < hi; g++) {
-        int on = s->buf_cnt[g] != 0;
-        if (heads_only) on &= s->st[g] != 3;
-        occ |= (uint64_t)on << (g - lo);
-    }
-    return occ;
+    int from = g0 - s->iv_off[node];
+    if (from >= 64) return 0;
+    const uint64_t *w = s->occ + 2 * node;
+    return (heads_only ? w[0] & ~w[1] : w[0]) >> from;
 }
 
 /* hand input VC g to Python and stop there; a resumed scan goes on at
@@ -1009,9 +1093,9 @@ static int cross(BState *s, int ai, int g, int mid, int fresh)
     x[0] = g;
     x[1] = mid;
     x[2] = fresh;
-    x[3] = s->iv_node[g];
-    x[4] = s->iv_port[g];
-    x[5] = s->iv_vc[g];
+    x[3] = s->iv[g].iv_node;
+    x[4] = s->iv[g].iv_port;
+    x[5] = s->iv[g].iv_vc;
     x[6] = s->msg_plen[mid];
     memcpy(x + 7, s->msg_f + (int64_t)mid * MAXF, MAXF * sizeof(int32_t));
     s->scan_ai = ai;
@@ -1034,8 +1118,10 @@ static int cross(BState *s, int ai, int g, int mid, int fresh)
    node is scanned, as the object engine does.  SCAN_FLUSH asks for a
    digest flush before the next node, SCAN_BODY reports a body flit at
    the front of an idle VC, SCAN_DONE ends the stage.  resume = 0
-   starts the stage at the first active node. */
-int k_route_scan(BState *s, int cycle, int epoch, int resume)
+   starts the stage at the first active node.  The VCs visited are
+   counted into *nv. */
+static inline int route_scan(BState *s, int cycle, int epoch, int resume,
+                             int64_t *nv)
 {
     int ai = resume ? s->scan_ai : 0;
     int g0 = resume ? s->scan_g : -1;
@@ -1043,7 +1129,6 @@ int k_route_scan(BState *s, int cycle, int epoch, int resume)
     s->cur_epoch = epoch;
     for (; ai < s->n_act; ai++, g0 = -1) {
         int node = s->act_list[ai];
-        int hi = s->iv_off[node + 1];
         if (g0 < 0) {                          /* the node's start */
             if (s->r_nflits[node] <= 0) continue;
             if (s->dig_on && s->dig_used > s->dig_cap - RESERVE_BYTES) {
@@ -1054,13 +1139,15 @@ int k_route_scan(BState *s, int cycle, int epoch, int resume)
             s->n_stuck = 0;
             g0 = s->iv_off[node];
         }
-        for (uint64_t occ = occupied(s, g0, hi, 1); occ; occ &= occ - 1) {
+        for (uint64_t occ = occupied(s, node, g0, 1); occ; occ &= occ - 1) {
             int g = g0 + __builtin_ctzll(occ);
-            uint8_t st = s->st[g];
+            iv_t *v = s->iv + g;
+            uint8_t st = v->st;
+            ++*nv;
             if (st == 0) {
-                int hd = s->buf_head[g];
-                int mid = s->buf_msg[(int64_t)g * s->cap + hd];
-                if (s->buf_seq[(int64_t)g * s->cap + hd] != 0) {
+                const flit_t *f = s->buf + (int64_t)g * s->cap + v->buf_head;
+                int mid = f->msg;
+                if (f->seq != 0) {
                     cross(s, ai, g, mid, 1);
                     return SCAN_BODY;
                 }
@@ -1078,13 +1165,13 @@ int k_route_scan(BState *s, int cycle, int epoch, int resume)
                     apply_hit(s, g, node, mid, e, cycle, epoch);
                 }
             } else if (st == 2) {
-                if (s->epoch[g] != epoch
-                        || (s->adaptive && s->hint[g] == H_REROUTE))
-                    return cross(s, ai, g, s->head_msg[g], 0);
+                if (v->epoch != epoch
+                        || (s->adaptive && v->hint == H_REROUTE))
+                    return cross(s, ai, g, v->head_msg, 0);
                 if (s->adaptive && load_ordered(s, g))
                     resort_cands(s, g, node);
-            } else if (st == 1 && cycle >= s->ready[g]) {
-                s->st[g] = 2;
+            } else if (st == 1 && cycle >= v->ready) {
+                v->st = 2;
             }
             note_stuck(s, g);
         }
@@ -1095,6 +1182,14 @@ int k_route_scan(BState *s, int cycle, int epoch, int resume)
         }
     }
     return SCAN_DONE;
+}
+
+int k_route_scan(BState *s, int cycle, int epoch, int resume)
+{
+    int64_t nv = 0;
+    int r = route_scan(s, cycle, epoch, resume, &nv);
+    s->visits[0] += nv;
+    return r;
 }
 
 /* Python's decision for the VC of the last SCAN_ROUTE: write the VC's
@@ -1115,25 +1210,26 @@ int k_commit(BState *s, int deliver, int stuck, int hint, int steps,
     if (s->n_native)
         memcpy(s->msg_f + (int64_t)mid * MAXF, fields,
                s->n_native * sizeof(int32_t));
-    s->deliver[g] = deliver ? 1 : 0;
-    s->stuckf[g] = stuck ? 1 : 0;
-    s->hint[g] = (uint8_t)hint;
-    s->ncand[g] = n;
-    int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
-    int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
+    iv_t *v = s->iv + g;
+    v->deliver = deliver ? 1 : 0;
+    v->stuckf = stuck ? 1 : 0;
+    v->hint = (uint8_t)hint;
+    v->ncand = n;
+    int8_t *cp = s->cand_p + (int64_t)g * s->maxc;
+    int8_t *cv = s->cand_v + (int64_t)g * s->maxc;
     for (int i = 0; i < n; i++) {
         cp[i] = cands[2 * i];
         cv[i] = cands[2 * i + 1];
     }
-    s->epoch[g] = s->cur_epoch;
+    v->epoch = s->cur_epoch;
     if (x[2]) {                                /* a fresh decision */
-        s->st[g] = 1;
-        s->head_msg[g] = mid;
+        v->st = 1;
+        v->head_msg = mid;
         int lat = steps * s->cps;
         if (lat < 1) lat = 1;
-        s->ready[g] = s->cur_cycle + lat - 1;
+        v->ready = s->cur_cycle + lat - 1;
         dig_line(s, node, g, steps);
-        if (s->cur_cycle >= s->ready[g]) s->st[g] = 2;
+        if (s->cur_cycle >= v->ready) v->st = 2;
     }
     if (hint != H_REROUTE && !(s->armed_end[node] && x[4] == -1))
         note_entry(s, g, mid, steps, x + 7);
@@ -1145,52 +1241,58 @@ int k_commit(BState *s, int deliver, int stuck, int hint, int steps,
    owns it, and its decision (InputVC.release_worm) */
 void k_release(BState *s, int g)
 {
-    if (s->o_port[g] > -100) {
-        int ovg = s->portbase[SLOT(s, s->iv_node[g], s->o_port[g])]
-                  + s->o_vc[g];
-        if (s->ov_owner[ovg] == g) s->ov_owner[ovg] = -1;
+    iv_t *v = s->iv + g;
+    if (v->o_port > -100) {
+        int ovg = s->portbase[SLOT(s, v->iv_node, v->o_port)] + v->o_vc;
+        if (s->iv[ovg].ov_owner == g) s->iv[ovg].ov_owner = -1;
     }
-    s->st[g] = 0;
-    s->head_msg[g] = -1;
-    s->ncand[g] = 0;
-    s->deliver[g] = 0;
-    s->stuckf[g] = 0;
-    s->hint[g] = 0;
-    s->o_port[g] = -100;
-    s->o_vc[g] = -100;
+    v->st = 0;
+    v->head_msg = -1;
+    v->ncand = 0;
+    v->deliver = 0;
+    v->stuckf = 0;
+    v->hint = 0;
+    v->o_port = -100;
+    v->o_vc = -100;
+    v->o_dn = -1;
+    occ_sync(s, g);
 }
 
+/* grant input VC g's front flit output VC ovg: the one a head takes,
+   or the one a body flit's head took */
 static void do_grant(BState *s, int node, int g, int ovg, int is_head)
 {
-    int hd = s->buf_head[g];
-    int msg = s->buf_msg[(int64_t)g * s->cap + hd];
-    int seq = s->buf_seq[(int64_t)g * s->cap + hd];
-    s->buf_head[g] = (hd + 1) % s->cap;
-    s->buf_cnt[g]--;
+    iv_t *v = s->iv + g;
+    int hd = v->buf_head;
+    const flit_t *f = s->buf + (int64_t)g * s->cap + hd;
+    int msg = f->msg, seq = f->seq;
+    v->buf_head = hd + 1 == s->cap ? 0 : hd + 1;
+    v->buf_cnt--;
     s->r_nflits[node]--;
-    int out_pid = s->iv_port[ovg];
     int is_tail = (seq == s->msg_len[msg] - 1);
     if (is_head) {
-        s->ov_owner[ovg] = g;
-        s->st[g] = 3;
-        s->o_port[g] = out_pid;
-        s->o_vc[g] = s->iv_vc[ovg];
+        iv_t *ov = s->iv + ovg;
+        ov->ov_owner = g;
+        v->st = 3;
+        v->o_port = ov->iv_port;
+        v->o_vc = ov->iv_vc;
+        v->o_dn = ov->ov_down;
         s->msg_plen[msg]++;        /* the base on_depart's hop count */
         if (s->n_native) {
             /* the declared departure effect, applied in grant order:
                the terminal-commit and bump rules */
-            int32_t *f = s->msg_f + (int64_t)msg * MAXF;
+            int32_t *mf = s->msg_f + (int64_t)msg * MAXF;
             if (s->term_on) {
-                int v = f[s->vn_f];
-                if (v >= 0 && v < 8 && out_pid == s->term_port[v])
-                    f[s->term_f] = 1;
+                int x = mf[s->vn_f];
+                if (x >= 0 && x < 8 && v->o_port == s->term_port[x])
+                    mf[s->term_f] = 1;
             }
             if (s->bump_on) {
-                int v = f[s->bump_f];
-                if (v != 0 && v != F_ABSENT && v != F_NONE)
-                    f[s->cnt_f] = (f[s->cnt_f] == F_ABSENT ? 0
-                                   : f[s->cnt_f]) + 1;
-                f[s->bump_f] = F_ABSENT;
+                int x = mf[s->bump_f];
+                if (x != 0 && x != F_ABSENT && x != F_NONE)
+                    mf[s->cnt_f] = (mf[s->cnt_f] == F_ABSENT ? 0
+                                    : mf[s->cnt_f]) + 1;
+                mf[s->bump_f] = F_ABSENT;
             }
         }
         if (s->trace_on) {
@@ -1198,11 +1300,13 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
             s->ev_kind[e] = 0;
             s->ev_node[e] = node;
             s->ev_msg[e] = msg;
-            s->ev_a[e] = out_pid;
-            s->ev_b[e] = s->iv_vc[ovg];
+            s->ev_a[e] = v->o_port;
+            s->ev_b[e] = v->o_vc;
         }
     }
+    int out_pid = v->o_port, d = v->o_dn;  /* before a tail's release */
     if (is_tail) k_release(s, g);
+    else occ_sync(s, g);
     if (out_pid == -1) {                   /* local ejection */
         if (is_tail && !(s->msg_flags[msg] & M_HELD)
                 && s->msg_dst[msg] == node) {
@@ -1226,8 +1330,7 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
         } else
             s->counters[1]++;              /* non-tail flit delivered */
     } else {
-        int d = s->ov_down[ovg];
-        int dn = s->iv_node[d];
+        int dn = s->iv[d].iv_node;
         stage(s, d, msg, seq);
         s->r_nflits[dn]++;
         activate(s, dn);
@@ -1242,6 +1345,12 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
     }
 }
 
+/* one request of the allocation walk: the requesting input VC, the
+   output VC it asks for, that output's port slot (pid + 1), the
+   requester's arbiter key (in_port * 64 + in_vc) and whether it is a
+   head's */
+typedef struct { int32_t g, ov, key; uint8_t port, head; } req_t;
+
 /* The allocation walk, node-ascending: collect at most one request per
    input VC, arbitrate per output port with the global round-robin
    pointers, grant.  In-cycle credit chains (a grant freeing space a
@@ -1250,102 +1359,87 @@ static void do_grant(BState *s, int node, int g, int ovg, int is_head)
 int k_alloc(BState *s)
 {
     int moved = 0, na = s->n_act;
-    s->counters[0] = 0;
-    s->counters[1] = 0;
-    s->counters[2] = 0;
-    s->counters[3] = 0;
+    int64_t nv = 0;
+    int64_t *rr = s->rr_ptr;
+    memset(s->counters, 0, 4 * sizeof(int64_t));
     for (int ai = 0; ai < na; ai++) {
         int node = s->act_list[ai];
         if (s->r_nflits[node] <= 0 || !s->node_ok[node]) continue;
-        int lo = s->iv_off[node], hi = s->iv_off[node + 1];
-        int nreq = 0;
-        for (uint64_t occ = occupied(s, lo, hi, 0); occ; occ &= occ - 1) {
+        int lo = s->iv_off[node];
+        const int32_t *pb = s->portbase + SLOT(s, node, -1);
+        const uint8_t *alive = s->alive + SLOT(s, node, -1);
+        req_t req[64];
+        int nreq = 0, chosen[64];
+        uint64_t seen = 0, shared = 0;   /* ports requested, twice+ */
+        for (uint64_t occ = occupied(s, node, lo, 0); occ; occ &= occ - 1) {
             int g = lo + __builtin_ctzll(occ);
-            uint8_t st = s->st[g];
-            if (st == 2) {
-                if (s->deliver[g]) {
-                    s->req_g[nreq] = g;
-                    s->req_ov[nreq] = s->portbase[SLOT(s, node, -1)]
-                                      + s->iv_vc[g];
-                    s->req_head[nreq++] = 1;
-                    continue;
-                }
-                int n = offered(s, g);
-                int32_t *cp = s->cand_p + (int64_t)g * s->maxc;
-                int32_t *cv = s->cand_v + (int64_t)g * s->maxc;
-                for (int i = 0; i < n; i++) {
-                    int pid = cp[i], vc = cv[i];
-                    if (pid != -1 && !s->alive[SLOT(s, node, pid)])
-                        continue;
-                    int ovg = s->portbase[SLOT(s, node, pid)] + vc;
-                    if (s->ov_owner[ovg] >= 0) continue;
-                    if (pid != -1) {
-                        int d = s->ov_down[ovg];
-                        if (s->buf_cnt[d] + s->inc_val[d] >= s->cap)
+            const iv_t *v = s->iv + g;
+            int ov = -1, port = 0, head = v->st == 2;
+            nv++;
+            if (head) {
+                if (v->deliver) {
+                    ov = pb[0] + v->iv_vc;
+                } else {
+                    int n = offered(s, g);
+                    const int8_t *cp = s->cand_p + (int64_t)g * s->maxc;
+                    const int8_t *cv = s->cand_v + (int64_t)g * s->maxc;
+                    for (int i = 0; i < n; i++) {
+                        int pid = cp[i];
+                        if (pid != -1 && !alive[pid + 1]) continue;
+                        int o = pb[pid + 1] + cv[i];
+                        if (s->iv[o].ov_owner >= 0) continue;
+                        if (pid != -1 && !has_room(s, s->iv[o].ov_down))
                             continue;
+                        ov = o;                /* one request per VC */
+                        port = pid + 1;
+                        break;
                     }
-                    s->req_g[nreq] = g;
-                    s->req_ov[nreq] = ovg;
-                    s->req_head[nreq++] = 1;
-                    break;               /* one request per input VC */
                 }
-            } else if (st == 3) {
-                int op = s->o_port[g];
-                if (op == -1) {
-                    s->req_g[nreq] = g;
-                    s->req_ov[nreq] = s->portbase[SLOT(s, node, -1)]
-                                      + s->o_vc[g];
-                    s->req_head[nreq++] = 0;
-                } else if (op >= 0 && s->alive[SLOT(s, node, op)]) {
-                    int ovg = s->portbase[SLOT(s, node, op)] + s->o_vc[g];
-                    int d = s->ov_down[ovg];
-                    if (s->buf_cnt[d] + s->inc_val[d] < s->cap) {
-                        s->req_g[nreq] = g;
-                        s->req_ov[nreq] = ovg;
-                        s->req_head[nreq++] = 0;
-                    }
+            } else if (v->st == 3) {
+                int op = v->o_port;
+                if (op == -1 || (op >= 0 && alive[op + 1]
+                                 && has_room(s, v->o_dn))) {
+                    ov = pb[op + 1] + v->o_vc;
+                    port = op + 1;
+                }
+            }
+            if (ov < 0) continue;
+            req_t *r = req + nreq;
+            r->g = g;
+            r->ov = ov;
+            r->key = v->iv_port * 64 + v->iv_vc;
+            r->port = (uint8_t)port;
+            r->head = (uint8_t)head;
+            shared |= seen & (uint64_t)1 << port;
+            seen |= (uint64_t)1 << port;
+            chosen[port] = nreq++;
+        }
+        /* a port more than one VC requests goes to its first request at
+           or past the port's round-robin pointer, else to its first
+           (requests are in ascending gid, so ascending arbiter key,
+           order); a port one VC requests goes to that VC */
+        if (shared) {
+            uint64_t done = 0;
+            for (int i = nreq - 1; i >= 0; i--)   /* first requests */
+                chosen[req[i].port] = i;
+            for (int i = 0; i < nreq; i++) {
+                uint64_t bit = (uint64_t)1 << req[i].port;
+                if ((shared & bit) && !(done & bit)
+                        && req[i].key >= rr[req[i].port]) {
+                    chosen[req[i].port] = i;
+                    done |= bit;
                 }
             }
         }
-        if (!nreq) continue;
-        if (nreq == 1) {
-            int g = s->req_g[0];
-            int out_pid = s->iv_port[s->req_ov[0]];
-            s->rr_ptr[out_pid + 1] =
-                (int64_t)s->iv_port[g] * 64 + s->iv_vc[g] + 1;
-            do_grant(s, node, g, s->req_ov[0], s->req_head[0]);
-            moved++;
-            continue;
-        }
-        /* group by output port via per-port chains (single pass);
-           insertion order is ascending gid = ascending arbiter key,
-           and ports are visited ascending (LOCAL = -1 first) */
-        int headp[66], tailp[66], nextp[66];
-        for (int op = 0; op <= s->max_pid + 1; op++) headp[op] = -1;
-        for (int i = 0; i < nreq; i++) {
-            int op = s->iv_port[s->req_ov[i]] + 1;
-            if (headp[op] < 0) headp[op] = i;
-            else nextp[tailp[op]] = i;
-            nextp[i] = -1;
-            tailp[op] = i;
-        }
-        for (int op = 0; op <= s->max_pid + 1; op++) {
-            int first = headp[op];
-            if (first < 0) continue;
-            int chosen = first;
-            int64_t ptr = s->rr_ptr[op];
-            for (int i = first; i >= 0; i = nextp[i]) {
-                int g2 = s->req_g[i];
-                int64_t key = (int64_t)s->iv_port[g2] * 64 + s->iv_vc[g2];
-                if (key >= ptr) { chosen = i; break; }
-            }
-            int g = s->req_g[chosen];
-            s->rr_ptr[op] =
-                (int64_t)s->iv_port[g] * 64 + s->iv_vc[g] + 1;
-            do_grant(s, node, g, s->req_ov[chosen], s->req_head[chosen]);
+        /* grant port by port, ascending (LOCAL first) */
+        for (; seen; seen &= seen - 1) {
+            const req_t *r = req + chosen[__builtin_ctzll(seen)];
+            rr[r->port] = (int64_t)r->key + 1;
+            do_grant(s, node, r->g, r->ov, r->head);
             moved++;
         }
     }
+    s->visits[1] += nv;
     return moved;
 }
 
@@ -1357,33 +1451,28 @@ int k_purge(BState *s, int node, int msg)
     int lo = s->iv_off[node], hi = s->iv_off[node + 1];
     int dropped = 0;
     for (int g = lo; g < hi; g++) {
-        int c = s->buf_cnt[g], h = s->buf_head[g], w = 0;
+        iv_t *v = s->iv + g;
+        flit_t *ring = s->buf + (int64_t)g * s->cap;
+        int c = v->buf_cnt, h = v->buf_head, w = 0;
         for (int i = 0; i < c; i++) {
             int idx = (h + i) % s->cap;
-            if (s->buf_msg[(int64_t)g * s->cap + idx] == msg) {
+            if (ring[idx].msg == msg)
                 dropped++;
-            } else {
-                int widx = (h + w) % s->cap;
-                s->buf_msg[(int64_t)g * s->cap + widx] =
-                    s->buf_msg[(int64_t)g * s->cap + idx];
-                s->buf_seq[(int64_t)g * s->cap + widx] =
-                    s->buf_seq[(int64_t)g * s->cap + idx];
-                w++;
-            }
+            else
+                ring[(h + w++) % s->cap] = ring[idx];
         }
-        s->buf_cnt[g] = w;
-        if (s->inc_val[g]) {                /* the staged flit */
-            int64_t from = (int64_t)g * s->cap + (h + c) % s->cap;
-            if (s->buf_msg[from] == msg) {
-                s->inc_val[g] = 0;
+        v->buf_cnt = w;
+        if (v->inc_val) {                   /* the staged flit */
+            const flit_t *from = ring + (h + c) % s->cap;
+            if (from->msg == msg) {
+                v->inc_val = 0;
                 dropped++;
             } else if (w < c) {
-                int64_t to = (int64_t)g * s->cap + (h + w) % s->cap;
-                s->buf_msg[to] = s->buf_msg[from];
-                s->buf_seq[to] = s->buf_seq[from];
+                ring[(h + w) % s->cap] = *from;
             }
         }
-        if (s->head_msg[g] == msg) k_release(s, g);
+        occ_sync(s, g);
+        if (v->head_msg == msg) k_release(s, g);
     }
     s->r_nflits[node] -= dropped;
     return dropped;

@@ -98,7 +98,7 @@ from .network import Network
 from .router import ACTIVE, IDLE, LOCAL, ROUTED, ROUTING, InputVC, OutputVC
 from .topology import Hypercube
 from .traffic import TrafficGenerator
-from ._batched_kernel import (ARRAYS, DIG_CAP, DIMS, SCAN_DONE,
+from ._batched_kernel import (ARRAYS, DIG_CAP, DIMS, RECORDS, SCAN_DONE,
                               SCAN_FLUSH, SCAN_PURGE, SCAN_ROUTE, column,
                               grow, load_kernel, resize, unavailable_reason)
 from ..routing.base import REFRESH_ARGMIN, RouteDecision
@@ -284,27 +284,29 @@ class BatchedNetwork(Network):
         self._loads_ptr = self._ffi.from_buffer("int32_t[]", self._loads)
 
         self._iv_off[:] = spans
-        g = 0
-        for node in range(n_nodes):
-            ports = node_ports[node]
-            self._alive[node, 0] = 1           # LOCAL is always alive
-            for pid in [LOCAL] + sorted(ports):
-                self._portbase[node, pid + 1] = g
-                if pid != LOCAL:
-                    self._alive[node, pid + 1] = 1
-                for vc in range(n_vcs):
-                    self._iv_node[g] = node
-                    self._iv_port[g] = pid
-                    self._iv_vc[g] = vc
-                    g += 1
-        assert g == n_iv
-        for node in range(n_nodes):
-            for pid, port in node_ports[node].items():
-                base = int(self._portbase[node, pid + 1])
-                down_base = int(self._portbase[port.neighbor,
-                                               port.neighbor_port + 1])
-                for vc in range(n_vcs):
-                    self._ov_down[base + vc] = down_base + vc
+        # the gids go node by node, port by port (LOCAL first), n_vcs
+        # each: port slot i, a (node, pid) pair, starts at gid i * n_vcs
+        slots = [(node, pid) for node in range(n_nodes)
+                 for pid in [LOCAL] + sorted(node_ports[node])]
+        s_node, s_pid = np.array(slots, dtype=np.int64).T
+        assert len(slots) * n_vcs == n_iv
+        self._portbase[s_node, s_pid + 1] = np.arange(len(slots)) * n_vcs
+        self._alive[s_node, s_pid + 1] = 1     # LOCAL is always alive
+        self._iv_node[:] = node_of = np.repeat(s_node, n_vcs)
+        self._iv_port[:] = np.repeat(s_pid, n_vcs)
+        self._iv_vc[:] = np.tile(np.arange(n_vcs), len(slots))
+        self._iv_bit[:] = np.arange(n_iv) - spans[node_of]
+        # an output VC feeds the same VC of its neighbour's input port
+        ups, downs = [], []
+        for i, (node, pid) in enumerate(slots):
+            if pid != LOCAL:
+                port = node_ports[node][pid]
+                ups.append(i)
+                downs.append((port.neighbor, port.neighbor_port + 1))
+        vcs = np.arange(n_vcs)
+        down_base = self._portbase[tuple(np.array(downs).T)]
+        self._ov_down[(np.array(ups)[:, None] * n_vcs + vcs).ravel()] = \
+            (down_base[:, None] + vcs).ravel()
 
         # the configuration scalars (ffi.new zero-filled the rest)
         cs.n_nodes = n_nodes
@@ -390,11 +392,17 @@ class BatchedNetwork(Network):
             else (self, "_" + row[0])
 
     def _bind(self, row) -> None:
-        """Point ``row``'s struct field at its array."""
+        """Point ``row``'s struct field at its array.  A record row's
+        fields are seen as views of that array, ``_<prefix><field>``
+        (see :data:`~repro.sim._batched_kernel.RECORDS`)."""
         name, ctype = row[:2]
-        buf = self._bufs[name] = self._ffi.from_buffer(
-            getattr(*self._home(row)))
+        arr = getattr(*self._home(row))
+        buf = self._bufs[name] = self._ffi.from_buffer(arr)
         setattr(self._cs, name, self._ffi.cast(ctype + " *", buf))
+        if ctype in RECORDS:
+            prefix, fields = RECORDS[ctype]
+            for field in fields:
+                setattr(self, "_" + prefix + field[0], arr[field[0]])
 
     def _resize(self, dim: str, n: int) -> None:
         """:func:`~repro.sim._batched_kernel.resize` ``dim`` to ``n``

@@ -88,6 +88,9 @@ M_HELD, M_DROPPED, M_RETRY, M_MISROUTED = 1, 2, 4, 8
 
 #: the ledger's columns: the ``msgs`` rows of the kernel's ARRAYS
 LEDGER_ROWS = tuple(row for row in ARRAYS if row[2][0] == "msgs")
+#: the columns only the kernel reads: the live length of its tail test,
+#: the native field mirrors and the source-FIFO link
+KERNEL_COLUMNS = ("msg_len", "msg_f", "msg_next")
 
 
 def encoded(f: dict, names) -> list[int]:
@@ -119,8 +122,9 @@ class Ledger:
     same names.  ``cs.n_msgs`` counts the rows in use.  On the batched
     engine ``cs`` is the kernel's state, which admits, queues, injects
     and delivers messages on these columns; on the object engine it is
-    a plain counter and Python writes the rows.  The ledger holds no
-    reference to the network, so the message views and the statistics'
+    a plain counter, Python writes the rows, and the columns only the
+    kernel reads (:data:`KERNEL_COLUMNS`) are left out.  The ledger holds
+    no reference to the network, so the message views and the statistics'
     reduction outlive the network without a cycle."""
 
     def __init__(self, cs=None, nf=(), dims: dict | None = None):
@@ -131,7 +135,10 @@ class Ledger:
         #: 4,096) among them
         self.dims = dict(DIMS) if dims is None else dims
         self.dims.setdefault("msgs", 4096)
-        for row in LEDGER_ROWS:
+        #: the columns held: without a kernel, not its KERNEL_COLUMNS
+        self.rows = LEDGER_ROWS if cs is not None else tuple(
+            row for row in LEDGER_ROWS if row[0] not in KERNEL_COLUMNS)
+        for row in self.rows:
             setattr(self, row[0], column(row, self.dims))
 
     def room(self, n: int) -> list:
@@ -139,7 +146,7 @@ class Ledger:
         Returns the rows of the columns replaced, which a kernel sharing
         them must be pointed at again."""
         return grow(self.dims, "msgs", self.cs.n_msgs + n,
-                    lambda row: (self, row[0]))
+                    lambda row: (self, row[0]), self.rows)
 
     def add(self, src: int, dst: int, length: int, born: int) -> int:
         """A new row, as the kernel's ``k_admit`` writes one: created
@@ -151,7 +158,7 @@ class Ledger:
         cs.n_msgs = mid + 1
         self.msg_src[mid] = src
         self.msg_dst[mid] = dst
-        self.msg_size[mid] = self.msg_len[mid] = length
+        self.msg_size[mid] = length
         self.msg_born[mid] = born
         return mid
 
@@ -282,7 +289,8 @@ class Messages(Mapping):
         lg = self._lg
         if fields is None:
             fields = {}
-            load_fields(fields, lg.nf, lg.msg_f[mid].tolist(),
+            load_fields(fields, lg.nf,
+                        lg.msg_f[mid].tolist() if lg.nf else (),
                         int(lg.msg_plen[mid]))
         else:
             fields = dict(fields)

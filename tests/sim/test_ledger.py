@@ -21,7 +21,7 @@ from repro.routing.registry import ALGORITHM_META, make_algorithm
 from repro.sim.batched import BatchedNetwork, batched_fallback_reason
 from repro.sim.config import SimConfig
 from repro.sim.faults import FaultSchedule
-from repro.sim.flit import LEDGER_ROWS, M_DROPPED
+from repro.sim.flit import KERNEL_COLUMNS, LEDGER_ROWS, M_DROPPED
 from repro.sim.network import Network
 from repro.sim.topology import Mesh2D
 from repro.sim.traffic import TrafficGenerator
@@ -192,7 +192,7 @@ def test_object_ledger_keeps_every_stamp_across_its_growth():
                                         message_length=2, seed=5))
     lg = net._lg
     first = lg.dims["msgs"]
-    names = [row[0] for row in LEDGER_ROWS]
+    names = [row[0] for row in lg.rows]
     seen = {name: getattr(lg, name)[:0].copy() for name in names}
     stamps = ("msg_inj", "msg_dlv")
     while lg.cs.n_msgs <= first + 500:      # grown, then run on
@@ -220,3 +220,25 @@ def test_object_ledger_keeps_every_stamp_across_its_growth():
         == net.stats.messages_delivered > first
     assert [net.messages[m].header.src for m in (0, first, n - 1)] \
         == lg.msg_src[[0, first, n - 1]].tolist()
+
+
+def test_object_ledger_holds_no_kernel_columns():
+    """The object engine's ledger holds every ledger column but those
+    only the batched kernel reads (live length, field mirrors, FIFO
+    link), also after it grew; the batched engine's holds them all."""
+    topo = Mesh2D(4, 4)
+    net = Network(topo, make_algorithm("xy"))
+    net.attach_traffic(TrafficGenerator(topo, "uniform", load=0.5,
+                                        message_length=1, seed=2))
+    lg = net._lg
+    first = lg.dims["msgs"]
+    while lg.cs.n_msgs <= first:            # past its first size
+        net.step()
+    assert [row[0] for row in lg.rows] == [
+        row[0] for row in LEDGER_ROWS if row[0] not in KERNEL_COLUMNS]
+    for name in KERNEL_COLUMNS:
+        assert not hasattr(lg, name), name
+    assert net.stats.summary(topo.n_nodes)["messages_delivered"] > 0
+    if batched_fallback_reason() is None:
+        assert BatchedNetwork(topo, make_algorithm("xy"))._lg.rows \
+            == LEDGER_ROWS
